@@ -210,9 +210,9 @@ def to_schur(f: SymFunc) -> SchurExpansion:
     if not f:
         raise ValueError("to_schur needs a nonzero homogeneous function (got 0)")
     n = f.degree()
-    coeffs = {mu: c for mu, c in f.items()}
+    nums, den = f._int_terms()
     parts = partitions_of(n)
-    sparse = n not in _tables and len(coeffs) * 8 < len(parts)
+    sparse = n not in _tables and len(nums) * 8 < len(parts)
     if sparse:
         kern = _kernel_for(n)
         chi = lambda lam, mu: kern.mn_character(lam, mu)
@@ -221,13 +221,14 @@ def to_schur(f: SymFunc) -> SchurExpansion:
         chi = table.chi
     out: list[tuple[tuple, int]] = []
     for lam in parts:
-        total = Fraction(0)
-        for mu, c in coeffs.items():
+        total = 0
+        for mu, c in nums.items():
             total += c * chi(lam, mu)
         if total:
-            if total.denominator != 1:
-                raise NotVirtualCharacter(lam, total)
-            out.append((lam, int(total)))
+            q, r = divmod(total, den)
+            if r:
+                raise NotVirtualCharacter(lam, Fraction(total, den))
+            out.append((lam, q))
     return SchurExpansion(n, tuple(out))
 
 

@@ -1,17 +1,18 @@
 """Exact symmetric functions in the power-sum basis.
 
-A SymFunc is a finite map from partitions to Fraction coefficients, read as
-sum of c_lambda * p_lambda.  Everything is exact; there is no floating point
-anywhere in this package.  The power-sum basis is the single internal
-representation because plethysm and omega act monomially on it; h, e and
-Schur functions are conversion views.
+A SymFunc is a finite map from partitions to rational coefficients, read as
+sum of c_lambda * p_lambda and stored as integer numerators over one common
+denominator.  Everything is exact; there is no floating point anywhere in
+this package.  The power-sum basis is the single internal representation
+because plethysm and omega act monomially on it; h, e and Schur functions
+are conversion views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .partitions import check_partition, format_partition, partitions_of, z_of
@@ -30,34 +31,56 @@ __all__ = [
 ]
 
 
-def _merge(lam: tuple, mu: tuple) -> tuple:
-    """Multiset union of two partitions, sorted decreasing."""
-    return tuple(sorted(lam + mu, reverse=True))
+def _exact(c) -> Fraction:
+    """A coefficient as an exact Fraction; floats are refused, not rounded."""
+    if isinstance(c, float):
+        raise TypeError(f"coefficients must be exact (int, Fraction or str), got float {c!r}")
+    return Fraction(c)
+
+
+def _reduced(num: dict[tuple, int], den: int) -> "SymFunc":
+    """SymFunc from integer numerators over den > 0, zeros dropped, in lowest terms."""
+    if 0 in num.values():
+        num = {lam: v for lam, v in num.items() if v}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {lam: v // g for lam, v in num.items()}
+            den //= g
+    return SymFunc._raw(num, den)
 
 
 class SymFunc:
     """Immutable sparse symmetric function in the p-basis.
 
-    Zero coefficients are never stored.  Instances may be inhomogeneous;
-    per-degree slices come from homogeneous_part().
+    The coefficient of p_lambda is _num[lambda] / _den: integer numerators
+    over one positive common denominator, kept in lowest terms (gcd of _den
+    and every numerator is 1, _den is 1 for zero) with no zero numerator
+    stored.  Ring operations therefore run on Python ints and reduce once
+    per result; coeff() and items() hand out Fractions.  Instances may be
+    inhomogeneous; per-degree slices come from homogeneous_part().
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
-        data: dict[tuple, Fraction] = {}
+        fracs: dict[tuple, Fraction] = {}
         if terms:
             for lam, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
-                    data[check_partition(lam)] = c
-        self._terms = data
+                    fracs[check_partition(lam)] = c
+        # over the lcm of reduced denominators the numerators are already coprime
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self._num = {lam: c.numerator * (den // c.denominator) for lam, c in fracs.items()}
+        self._den = den
 
     @classmethod
-    def _raw(cls, data: dict[tuple, Fraction]) -> "SymFunc":
-        # internal constructor: data already validated, no zeros
+    def _raw(cls, num: dict[tuple, int], den: int = 1) -> "SymFunc":
+        # internal constructor: data already validated and in lowest terms
         obj = object.__new__(cls)
-        obj._terms = data
+        obj._num = num
+        obj._den = den
         return obj
 
     @classmethod
@@ -66,35 +89,44 @@ class SymFunc:
 
     @classmethod
     def one(cls) -> "SymFunc":
-        return cls._raw({(): Fraction(1)})
+        return cls._raw({(): 1})
 
     # -- access ----------------------------------------------------------
 
     def coeff(self, lam: tuple) -> Fraction:
-        return self._terms.get(lam, Fraction(0))
+        return Fraction(self._num.get(lam, 0), self._den)
 
     def items(self) -> Iterator[tuple[tuple, Fraction]]:
         """Terms in canonical order: by degree, then reverse-lex."""
-        return iter(sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0]))))
+        den = self._den
+        ordered = sorted(self._num.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
+        return iter([(lam, Fraction(v, den)) for lam, v in ordered])
+
+    def _int_terms(self) -> tuple[dict[tuple, int], int]:
+        """(numerators, den): the coefficient of p_lambda is numerators[lambda] / den.
+
+        The dict is the instance's own storage; callers must not mutate it.
+        """
+        return self._num, self._den
 
     def support(self) -> Iterable[tuple]:
-        return self._terms.keys()
+        return self._num.keys()
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SymFunc):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     __hash__ = None  # mutable-dict backed; compare by value only
 
     def degrees(self) -> set[int]:
-        return {sum(lam) for lam in self._terms}
+        return {sum(lam) for lam in self._num}
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
@@ -107,61 +139,60 @@ class SymFunc:
         return next(iter(degs))
 
     def homogeneous_part(self, n: int) -> "SymFunc":
-        return SymFunc._raw({lam: c for lam, c in self._terms.items() if sum(lam) == n})
+        return _reduced({lam: v for lam, v in self._num.items() if sum(lam) == n}, self._den)
 
     def truncate(self, cap: int) -> "SymFunc":
-        return SymFunc._raw({lam: c for lam, c in self._terms.items() if sum(lam) <= cap})
+        return _reduced({lam: v for lam, v in self._num.items() if sum(lam) <= cap}, self._den)
 
     # -- ring operations ---------------------------------------------------
+
+    def _combine(self, other: "SymFunc", sign: int) -> "SymFunc":
+        """self + sign * other over the lcm of the two denominators."""
+        if not other:
+            return self
+        if not self:
+            return other if sign == 1 else -other
+        den = lcm(self._den, other._den)
+        sa = den // self._den
+        sb = sign * (den // other._den)
+        data = {lam: v * sa for lam, v in self._num.items()} if sa != 1 else dict(self._num)
+        get = data.get
+        for lam, v in other._num.items():
+            data[lam] = get(lam, 0) + v * sb
+        return _reduced(data, den)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        data = dict(self._terms)
-        for lam, c in other._terms.items():
-            new = data.get(lam, Fraction(0)) + c
-            if new:
-                data[lam] = new
-            else:
-                data.pop(lam, None)
-        return SymFunc._raw(data)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        data = dict(self._terms)
-        for lam, c in other._terms.items():
-            new = data.get(lam, Fraction(0)) - c
-            if new:
-                data[lam] = new
-            else:
-                data.pop(lam, None)
-        return SymFunc._raw(data)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SymFunc":
-        return SymFunc._raw({lam: -c for lam, c in self._terms.items()})
+        return SymFunc._raw({lam: -v for lam, v in self._num.items()}, self._den)
 
     def scale(self, c: Scalar) -> "SymFunc":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return SymFunc.zero()
-        return SymFunc._raw({lam: c * v for lam, v in self._terms.items()})
+        a = c.numerator
+        return _reduced({lam: a * v for lam, v in self._num.items()}, c.denominator * self._den)
 
     def __mul__(self, other) -> "SymFunc":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, SymFunc):
             return NotImplemented
-        data: dict[tuple, Fraction] = {}
-        for lam, a in self._terms.items():
-            for mu, b in other._terms.items():
-                key = _merge(lam, mu)
-                new = data.get(key, Fraction(0)) + a * b
-                if new:
-                    data[key] = new
-                else:
-                    del data[key]
-        return SymFunc._raw(data)
+        data: dict[tuple, int] = {}
+        get = data.get
+        for lam, a in self._num.items():
+            for mu, b in other._num.items():
+                key = tuple(sorted(lam + mu, reverse=True))
+                data[key] = get(key, 0) + a * b
+        return _reduced(data, self._den * other._den)
 
     def __rmul__(self, other) -> "SymFunc":
         if isinstance(other, (int, Fraction)):
@@ -185,27 +216,23 @@ class SymFunc:
     def omega(self) -> "SymFunc":
         """Sign-twist involution: p_lambda -> (-1)^(|lambda|-l(lambda)) p_lambda."""
         return SymFunc._raw(
-            {lam: c if (sum(lam) - len(lam)) % 2 == 0 else -c for lam, c in self._terms.items()}
+            {lam: v if (sum(lam) - len(lam)) % 2 == 0 else -v for lam, v in self._num.items()},
+            self._den,
         )
 
     def partial_p1(self) -> "SymFunc":
         """Formal derivative with respect to p_1 (= restriction on characteristics)."""
-        data: dict[tuple, Fraction] = {}
-        for lam, c in self._terms.items():
+        data: dict[tuple, int] = {}
+        for lam, v in self._num.items():
             m1 = 0
             for part in reversed(lam):
                 if part != 1:
                     break
                 m1 += 1
-            if not m1:
-                continue
-            key = lam[:-1]
-            new = data.get(key, Fraction(0)) + m1 * c
-            if new:
-                data[key] = new
-            else:
-                del data[key]
-        return SymFunc._raw(data)
+            if m1:
+                # distinct lam give distinct lam[:-1], so nothing cancels
+                data[lam[:-1]] = m1 * v
+        return _reduced(data, self._den)
 
     def point_specialize(self, t: Scalar) -> Fraction:
         """Substitute p_k -> t for every k, so p_lambda -> t^l(lambda).
@@ -215,8 +242,8 @@ class SymFunc:
         """
         if not self.is_homogeneous():
             raise ValueError("point_specialize needs homogeneous input")
-        t = Fraction(t)
-        return sum((c * t ** len(lam) for lam, c in self._terms.items()), Fraction(0))
+        t = _exact(t)
+        return sum((v * t ** len(lam) for lam, v in self._num.items()), Fraction(0)) / self._den
 
     def dimension(self) -> Fraction:
         """<f, p_1^n> for homogeneous f of degree n: the virtual dimension."""
@@ -238,16 +265,37 @@ class SymFunc:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SymFunc":
+        """Inverse of to_dict; any malformed payload raises ValueError.
+
+        A coeff is an int or a string such as "-3/4"; JSON floats are
+        refused because they are binary approximations.
+        """
+        if not isinstance(payload, Mapping):
+            raise ValueError("expected a JSON object")
         if payload.get("basis") != "p":
             raise ValueError("expected a p-basis payload")
+        entries = payload.get("terms")
+        if not isinstance(entries, list):
+            raise ValueError("expected 'terms' to be a list")
         terms: dict[tuple, Fraction] = {}
-        for entry in payload["terms"]:
-            lam = check_partition(tuple(entry["partition"]))
-            terms[lam] = terms.get(lam, Fraction(0)) + Fraction(entry["coeff"])
+        for entry in entries:
+            if not isinstance(entry, Mapping) or not {"partition", "coeff"} <= entry.keys():
+                raise ValueError(f"each term needs a 'partition' and a 'coeff': {entry!r}")
+            parts, c = entry["partition"], entry["coeff"]
+            if not isinstance(parts, list) or any(type(x) is not int for x in parts):
+                raise ValueError(f"a partition is a list of integers: {parts!r}")
+            if type(c) is not int and not isinstance(c, str):
+                raise ValueError(f"a coeff is an integer or a string such as \"1/3\": {c!r}")
+            try:
+                c = Fraction(c)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad coeff {entry['coeff']!r}: {exc}") from None
+            lam = check_partition(tuple(parts))
+            terms[lam] = terms.get(lam, Fraction(0)) + c
         return cls(terms)
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         bits = []
         for lam, c in self.items():
@@ -263,7 +311,7 @@ def p(lam) -> SymFunc:
     if isinstance(lam, int):
         lam = (lam,)
     lam = check_partition(tuple(lam))
-    return SymFunc._raw({lam: Fraction(1)})
+    return SymFunc._raw({lam: 1})
 
 
 @lru_cache(maxsize=None)
@@ -271,7 +319,7 @@ def h(n: int) -> SymFunc:
     """Complete homogeneous h_n = sum over lambda of p_lambda / z_lambda."""
     if n < 0:
         raise ValueError("h(n) needs n >= 0")
-    return SymFunc._raw({lam: Fraction(1, z_of(lam)) for lam in partitions_of(n)})
+    return SymFunc({lam: Fraction(1, z_of(lam)) for lam in partitions_of(n)})
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +327,7 @@ def e(n: int) -> SymFunc:
     """Elementary e_n = sum over lambda of (-1)^(n-l(lambda)) p_lambda / z_lambda."""
     if n < 0:
         raise ValueError("e(n) needs n >= 0")
-    return SymFunc._raw(
+    return SymFunc(
         {
             lam: Fraction((-1) ** ((n - len(lam)) % 2), z_of(lam))
             for lam in partitions_of(n)
@@ -304,25 +352,22 @@ def s(lam) -> SymFunc:
 
 def mul_trunc(a: SymFunc, b: SymFunc, cap: int) -> SymFunc:
     """Product with all terms of degree > cap dropped."""
-    data: dict[tuple, Fraction] = {}
-    b_by_deg: dict[int, list[tuple[tuple, Fraction]]] = {}
-    for mu, c in b._terms.items():
-        b_by_deg.setdefault(sum(mu), []).append((mu, c))
-    for lam, ca in a._terms.items():
+    data: dict[tuple, int] = {}
+    get = data.get
+    b_by_deg: dict[int, list[tuple[tuple, int]]] = {}
+    for mu, vb in b._num.items():
+        b_by_deg.setdefault(sum(mu), []).append((mu, vb))
+    for lam, va in a._num.items():
         da = sum(lam)
         if da > cap:
             continue
         for db, entries in b_by_deg.items():
             if da + db > cap:
                 continue
-            for mu, cb in entries:
-                key = _merge(lam, mu)
-                new = data.get(key, Fraction(0)) + ca * cb
-                if new:
-                    data[key] = new
-                else:
-                    del data[key]
-    return SymFunc._raw(data)
+            for mu, vb in entries:
+                key = tuple(sorted(lam + mu, reverse=True))
+                data[key] = get(key, 0) + va * vb
+    return _reduced(data, a._den * b._den)
 
 
 def _p_k_of(g: SymFunc, k: int) -> SymFunc:
@@ -330,7 +375,7 @@ def _p_k_of(g: SymFunc, k: int) -> SymFunc:
     if k == 1:
         return g
     return SymFunc._raw(
-        {tuple(part * k for part in lam): c for lam, c in g._terms.items()}
+        {tuple(part * k for part in lam): v for lam, v in g._num.items()}, g._den
     )
 
 
@@ -353,8 +398,10 @@ def plethysm(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc:
             pk_cache[k] = out
         return out
 
-    total: dict[tuple, Fraction] = {}
-    for lam, c in f._terms.items():
+    # sum of c * term over the lcm of the term denominators, divided by f._den
+    total: dict[tuple, int] = {}
+    den = 1
+    for lam, c in f._num.items():
         if cap is not None and sum(lam) > cap:
             continue
         term = SymFunc.one()
@@ -362,22 +409,24 @@ def plethysm(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc:
             term = mul_trunc(term, pk(part), cap) if cap is not None else term * pk(part)
             if not term:
                 break
-        for mu, v in term._terms.items():
-            new = total.get(mu, Fraction(0)) + c * v
-            if new:
-                total[mu] = new
-            else:
-                del total[mu]
-    return SymFunc._raw(total)
+        new_den = lcm(den, term._den)
+        if new_den != den:
+            up = new_den // den
+            total = {mu: v * up for mu, v in total.items()}
+            den = new_den
+        c *= den // term._den
+        for mu, v in term._num.items():
+            total[mu] = total.get(mu, 0) + c * v
+    return _reduced(total, den * f._den)
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:
     """Hall pairing: <p_lam, p_mu> = delta z_lam, extended bilinearly."""
-    if len(f._terms) > len(g._terms):
+    if len(f._num) > len(g._num):
         f, g = g, f
-    total = Fraction(0)
-    for lam, c in f._terms.items():
-        d = g._terms.get(lam)
-        if d is not None:
-            total += c * d * z_of(lam)
-    return total
+    total = 0
+    for lam, a in f._num.items():
+        b = g._num.get(lam)
+        if b is not None:
+            total += a * b * z_of(lam)
+    return Fraction(total, f._den * g._den)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from plethy.partitions import partitions_of
+from plethy.partitions import partitions_of, z_of
 from plethy.symfunc import SymFunc
 
 # property checks here verify theorems, so replay adds nothing; keep runs
@@ -49,6 +50,84 @@ def symfunc_strategy(draw, max_deg=6, max_terms=4, homogeneous=False, min_deg=0)
         den = draw(st.integers(min_value=1, max_value=4))
         terms[lam] = terms.get(lam, Fraction(0)) + Fraction(num, den)
     return SymFunc(terms)
+
+
+# -- Fraction-per-term reference ring --------------------------------------------
+#
+# The p-basis arithmetic written the plain way, one Fraction per term, on
+# dicts {partition: Fraction}.  SymFunc keeps integer numerators over a
+# common denominator; every ring operation is checked against these.
+
+
+def ref_terms(f: SymFunc) -> dict[tuple, Fraction]:
+    return dict(f.items())
+
+
+def _ref_put(data: dict, lam: tuple, c: Fraction) -> None:
+    new = data.get(lam, Fraction(0)) + c
+    if new:
+        data[lam] = new
+    else:
+        data.pop(lam, None)
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for lam, c in b.items():
+        _ref_put(out, lam, sign * c)
+    return out
+
+
+def ref_mul(a: dict, b: dict, cap: int | None = None) -> dict:
+    out: dict = {}
+    for lam, x in a.items():
+        for mu, y in b.items():
+            if cap is None or sum(lam) + sum(mu) <= cap:
+                _ref_put(out, tuple(sorted(lam + mu, reverse=True)), x * y)
+    return out
+
+
+def ref_plethysm(f: dict, g: dict, cap: int | None = None) -> dict:
+    out: dict = {}
+    for lam, c in f.items():
+        if cap is not None and sum(lam) > cap:
+            continue
+        term = {(): Fraction(1)}
+        for part in lam:
+            gk = {tuple(part * m for m in mu): v for mu, v in g.items()}
+            term = ref_mul(term, gk, cap)
+        for mu, v in term.items():
+            _ref_put(out, mu, c * v)
+    return out
+
+
+def ref_scale(a: dict, c: Fraction) -> dict:
+    return {lam: c * v for lam, v in a.items()} if c else {}
+
+
+def ref_omega(a: dict) -> dict:
+    return {lam: v if (sum(lam) - len(lam)) % 2 == 0 else -v for lam, v in a.items()}
+
+
+def ref_partial_p1(a: dict) -> dict:
+    out: dict = {}
+    for lam, v in a.items():
+        m1 = lam.count(1)
+        if m1:
+            _ref_put(out, lam[:-1], m1 * v)
+    return out
+
+
+def ref_hall_inner(a: dict, b: dict) -> Fraction:
+    return sum((v * b[lam] * z_of(lam) for lam, v in a.items() if lam in b), Fraction(0))
+
+
+def assert_canonical(f: SymFunc) -> None:
+    """Lowest terms: positive den, no zero numerator, gcd of all of them 1."""
+    nums, den = f._int_terms()
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v for v in nums.values())
+    assert gcd(den, *nums.values()) == 1
 
 
 # -- evaluation oracle ------------------------------------------------------------

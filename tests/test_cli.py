@@ -85,6 +85,24 @@ def test_schur_command_round_trip(capsys):
     assert code == 2 and "not a virtual character" in err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"basis": "p", "terms": [{"partition": 5, "coeff": "1"}]}',
+        "[1]",
+        '{"basis": "p", "terms": [{"partition": [1], "coeff": 2.0}]}',
+        '{"basis": "p", "terms": [{"partition": [1], "coeff": "1/0"}]}',
+        '{"basis": "p", "terms": [{"coeff": "1"}]}',
+        "{not json",
+    ],
+    ids=["partition-not-a-list", "top-level-list", "float-coeff", "zero-denominator", "no-partition", "bad-json"],
+)
+def test_schur_command_malformed_payloads_exit_2(payload, capsys):
+    code, out, err = run_cli(["schur"], stdin_text=payload, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("bad input: ")
+
+
 def test_verify_single_and_exit_codes(capsys):
     code, out, _ = run_cli(["verify", "--id", "THRALL", "--cap", "6"], capsys=capsys)
     assert code == 0
@@ -129,6 +147,13 @@ def test_byte_stability(capsys):
     _, serial, _ = run_cli(["verify", "--id", "THRALL", "--cap", "5", "--json"], capsys=capsys)
     _, serial2, _ = run_cli(["verify", "--id", "THRALL", "--cap", "5", "--json"], capsys=capsys)
     assert serial == serial2
+
+
+def test_verify_json_golden(capsys):
+    # pins the verify JSON lines byte for byte, not just run-to-run stability
+    code, out, _ = run_cli(["verify", "--all", "--cap", "8", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "verify-cap8.jsonl").read_text()
 
 
 def test_verify_jobs_output_matches(capsys):

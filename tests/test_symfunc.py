@@ -8,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_canonical,
     brute_e,
     brute_h,
     brute_s,
     count_derangements,
     eval_at,
+    ref_add,
+    ref_hall_inner,
+    ref_mul,
+    ref_omega,
+    ref_partial_p1,
+    ref_plethysm,
+    ref_scale,
+    ref_terms,
     symfunc_strategy,
 )
 from plethy.partitions import npartitions, partitions_of
@@ -310,3 +319,98 @@ def test_randomized_gates_fixed_seed():
                 lhs = plethysm(f, -g, cap=6)
                 rhs = plethysm(f.omega(), g, cap=6).scale((-1) ** (n % 2))
                 assert lhs == rhs
+
+
+# -- integer-numerator representation against the Fraction-per-term reference --
+
+scalar_strategy = st.fractions(min_value=-12, max_value=12, max_denominator=30)
+
+
+def _agrees(got: SymFunc, want: dict) -> None:
+    assert_canonical(got)
+    assert ref_terms(got) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(symfunc_strategy(max_deg=5, max_terms=5), symfunc_strategy(max_deg=5, max_terms=5))
+def test_add_sub_mul_match_reference(f, g):
+    a, b = ref_terms(f), ref_terms(g)
+    _agrees(f + g, ref_add(a, b))
+    _agrees(f - g, ref_add(a, b, -1))
+    _agrees(f - f, {})
+    _agrees(-f, ref_scale(a, Fraction(-1)))
+    _agrees(f * g, ref_mul(a, b))
+    for cap in (0, 2, 4, 7):
+        _agrees(mul_trunc(f, g, cap), ref_mul(a, b, cap))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    symfunc_strategy(max_deg=3, max_terms=3),
+    symfunc_strategy(max_deg=3, max_terms=3, min_deg=1),
+    st.sampled_from([None, 0, 3, 6]),
+)
+def test_plethysm_matches_reference(f, g, cap):
+    g = g - g.homogeneous_part(0)
+    _agrees(plethysm(f, g, cap), ref_plethysm(ref_terms(f), ref_terms(g), cap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symfunc_strategy(max_deg=5, max_terms=5), symfunc_strategy(max_deg=5, max_terms=5), scalar_strategy)
+def test_unary_operators_match_reference(f, g, c):
+    a = ref_terms(f)
+    _agrees(f.scale(c), ref_scale(a, c))
+    _agrees(f.scale(c.numerator), ref_scale(a, Fraction(c.numerator)))
+    _agrees(f.omega(), ref_omega(a))
+    _agrees(f.partial_p1(), ref_partial_p1(a))
+    for n in range(6):
+        _agrees(f.homogeneous_part(n), {lam: v for lam, v in a.items() if sum(lam) == n})
+        _agrees(f.truncate(n), {lam: v for lam, v in a.items() if sum(lam) <= n})
+    assert hall_inner(f, g) == ref_hall_inner(a, ref_terms(g))
+    for lam, v in a.items():
+        assert f.coeff(lam) == v
+
+
+def test_canonical_form_of_constructors():
+    for f in (SymFunc.zero(), SymFunc.one(), p((3, 1)), h(6), e(5), s((3, 2, 1))):
+        assert_canonical(f)
+    assert SymFunc({(1,): Fraction(2, 4), (2,): 0}) == SymFunc({(1,): Fraction(1, 2)})
+    assert (h(3) - h(3))._int_terms() == ({}, 1)
+    assert h(2).scale(2) == p((1, 1)) + p(2)
+    assert_canonical(h(2).scale(2))
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        SymFunc({(1,): 0.1})
+    with pytest.raises(TypeError):
+        SymFunc({(1,): 2.0})
+    with pytest.raises(TypeError):
+        p(1).scale(0.1)
+    with pytest.raises(TypeError):
+        p(1).point_specialize(0.5)
+    with pytest.raises(ValueError):
+        SymFunc.from_dict({"basis": "p", "terms": [{"partition": [1], "coeff": 0.1}]})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1],
+        "p",
+        {"basis": "p"},
+        {"basis": "p", "terms": {"partition": [1], "coeff": "1"}},
+        {"basis": "p", "terms": [[1]]},
+        {"basis": "p", "terms": [{"partition": [1]}]},
+        {"basis": "p", "terms": [{"partition": 5, "coeff": "1"}]},
+        {"basis": "p", "terms": [{"partition": ["1"], "coeff": "1"}]},
+        {"basis": "p", "terms": [{"partition": [True], "coeff": "1"}]},
+        {"basis": "p", "terms": [{"partition": [1, 2], "coeff": "1"}]},
+        {"basis": "p", "terms": [{"partition": [1], "coeff": None}]},
+        {"basis": "p", "terms": [{"partition": [1], "coeff": "x"}]},
+        {"basis": "p", "terms": [{"partition": [1], "coeff": "1/0"}]},
+    ],
+)
+def test_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(ValueError):
+        SymFunc.from_dict(payload)
