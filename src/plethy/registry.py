@@ -33,7 +33,7 @@ class IdentityReport:
     id: str
     tier: str
     cap: int
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "skip" (cap below the entry's min_cap)
     first_fail_degree: int | None = None
     difference: SymFunc | None = None
     detail: tuple[str, ...] = ()
@@ -974,16 +974,36 @@ def verify_identity(id: str, cap: int, ctx: SeriesContext | None = None) -> Iden
 def verify_all(
     cap: int, ids: list[str] | None = None, jobs: int = 1
 ) -> list[IdentityReport]:
-    """Run the registry (or a subset) and return reports in registry order."""
+    """Run the registry (or a subset) and return reports in registry order.
+
+    An entry whose min_cap is above cap is not run; its report has status
+    "skip".
+    """
     wanted = ids if ids is not None else registry_ids()
     for id in wanted:
         if id not in _BY_ID:
             raise KeyError(f"unknown identity id {id!r}")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    reports = {
+        id: IdentityReport(
+            id=id,
+            tier=_BY_ID[id].tier,
+            cap=cap,
+            status="skip",
+            detail=(f"needs cap >= {_BY_ID[id].min_cap}",),
+        )
+        for id in wanted
+        if cap < _BY_ID[id].min_cap
+    }
+    run = [id for id in wanted if id not in reports]
     if jobs <= 1:
         ctx = SeriesContext(cap)
-        return [verify_identity(id, cap, ctx) for id in wanted]
-    from concurrent.futures import ProcessPoolExecutor
+        reports.update((id, verify_identity(id, cap, ctx)) for id in run)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = {id: pool.submit(verify_identity, id, cap) for id in wanted}
-        return [futures[id].result() for id in wanted]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {id: pool.submit(verify_identity, id, cap) for id in run}
+            reports.update((id, fut.result()) for id, fut in futures.items())
+    return [reports[id] for id in wanted]

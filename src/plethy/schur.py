@@ -1,16 +1,20 @@
 """Symmetric-group characters and the Schur-basis view.
 
-Character tables are computed lazily per degree and cached for the life of
-the process (compute-then-publish, so concurrent readers are safe).  The
-recursion itself lives in a kernel module: the compiled one when the
-extension built, otherwise the pure-Python twin.  Set PLETHY_PURE=1 to force
-the fallback; set PLETHY_CACHE_DIR to persist tables between runs.
+Characters come from one builder, plethy._mn_pure, which runs the
+Murnaghan-Nakayama rule forward and returns whole columns {lam: chi^lam(mu)},
+memoized for the life of the process.  to_schur sums the columns of the
+cycle types in the support of its input.  character() reads one entry of a
+column, and CharacterTable lays out all columns of one degree as a dense
+table for symfunc.s(); tables are cached per degree (compute-then-publish,
+so concurrent readers are safe).  Set PLETHY_CACHE_DIR to persist tables
+between runs; to_schur never reads them.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -19,49 +23,23 @@ from . import _mn_pure
 from .partitions import check_partition, conjugate, format_partition, partitions_of
 from .symfunc import SymFunc
 
-try:
-    from . import _mn_speed
-except ImportError:  # extension not built; the pure kernel covers everything
-    _mn_speed = None
-
-if os.environ.get("PLETHY_PURE"):
-    _kernel = _mn_pure
-else:
-    _kernel = _mn_speed if _mn_speed is not None else _mn_pure
-
-# compiled kernel accumulates in int64; route larger degrees to pure python
-_SPEED_MAX_N = getattr(_mn_speed, "MAX_N", 0) if _mn_speed is not None else 0
-
 CACHE_ENV = "PLETHY_CACHE_DIR"
 _CACHE_VERSION = "v1"
 
 
 def kernel_name() -> str:
-    return _kernel.KERNEL_NAME
-
-
-def available_kernels() -> dict[str, object]:
-    out = {"pure-python": _mn_pure}
-    if _mn_speed is not None:
-        out["cython"] = _mn_speed
-    return out
-
-
-def _kernel_for(n: int):
-    if _kernel is not _mn_pure and n > _SPEED_MAX_N:
-        return _mn_pure
-    return _kernel
+    return _mn_pure.KERNEL_NAME
 
 
 def character(lam: tuple, mu: tuple) -> int:
-    """chi^lam(mu) by border-strip recursion; memoized inside the kernel."""
+    """chi^lam(mu), read from the memoized column of mu."""
     lam = check_partition(tuple(lam))
     mu = check_partition(tuple(mu))
     if sum(lam) != sum(mu):
         raise ValueError(
             f"size mismatch: {format_partition(lam)} vs {format_partition(mu)}"
         )
-    return _kernel_for(sum(lam)).mn_character(lam, mu)
+    return _mn_pure.mn_column(mu).get(lam, 0)
 
 
 class CharacterTable:
@@ -85,7 +63,9 @@ class CharacterTable:
     def build(cls, n: int) -> "CharacterTable":
         rows = _load_cached(n)
         if rows is None:
-            rows = _kernel_for(n).mn_table(partitions_of(n))
+            parts = partitions_of(n)
+            cols = [_mn_pure.mn_column(mu) for mu in parts]
+            rows = [[col.get(lam, 0) for col in cols] for lam in parts]
             _store_cached(n, rows)
         return cls(n, rows)
 
@@ -199,31 +179,22 @@ class SchurExpansion:
 def to_schur(f: SymFunc) -> SchurExpansion:
     """Expand a homogeneous p-basis function in the Schur basis.
 
-    Coefficient of s_lam is sum_mu c_mu(f) chi^lam(mu); a non-integer result
+    Coefficient of s_lam is sum_mu c_mu(f) chi^lam(mu), summed over the
+    character columns of the mu in the support of f; a non-integer result
     is a hard error flagging an input that is not a virtual character.
-
-    Dense inputs go through the cached per-degree character table.  Sparse
-    inputs at high degree skip the full p(n)^2 table and evaluate only the
-    characters they touch, which is what makes degree-30-scale positivity
-    scans affordable.
     """
     if not f:
         raise ValueError("to_schur needs a nonzero homogeneous function (got 0)")
     n = f.degree()
     nums, den = f._int_terms()
-    parts = partitions_of(n)
-    sparse = n not in _tables and len(nums) * 8 < len(parts)
-    if sparse:
-        kern = _kernel_for(n)
-        chi = lambda lam, mu: kern.mn_character(lam, mu)
-    else:
-        table = character_table(n)
-        chi = table.chi
+    acc: defaultdict[tuple, int] = defaultdict(int)
+    for mu, c in nums.items():
+        for lam, chi in _mn_pure.mn_column(mu).items():
+            acc[lam] += c * chi
     out: list[tuple[tuple, int]] = []
-    for lam in parts:
-        total = 0
-        for mu, c in nums.items():
-            total += c * chi(lam, mu)
+    # descending tuple order is the canonical order within one degree
+    for lam in sorted(acc, reverse=True):
+        total = acc[lam]
         if total:
             q, r = divmod(total, den)
             if r:

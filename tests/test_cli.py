@@ -103,6 +103,49 @@ def test_schur_command_malformed_payloads_exit_2(payload, capsys):
     assert err.startswith("bad input: ")
 
 
+def test_schur_command_unreadable_file_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run_cli(["schur", "--in", str(path)], capsys=capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("bad input: ")
+
+
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_verify_all_low_caps_exit_0(cap, capsys):
+    # entries whose min_cap is above the cap are skipped, not failed
+    code, out, err = run_cli(["verify", "--all", "--cap", str(cap)], capsys=capsys)
+    assert code == 0 and err == ""
+    assert "FAIL" not in out
+    skipped = {1: 58, 2: 3, 3: 1}.get(cap, 0)
+    summary = f"{58 - skipped}/58 identities passed"
+    if skipped:
+        summary += f", {skipped} skipped below their min cap"
+    assert out.splitlines()[-1] == summary
+
+
+def test_cap_below_min_cap_reports_skip(capsys):
+    code, out, _ = run_cli(["verify", "--id", "IND-CONF", "--cap", "2", "--json"], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["status"] == "skip"
+    for which in ("upos", "whitehouse"):
+        code, out, _ = run_cli(["conjecture", which, "--max-n", "1", "--json"], capsys=capsys)
+        assert code == 0 and json.loads(out)["status"] == "skip"
+
+
+def test_cap_below_1_is_a_usage_error():
+    for args in (
+        ["verify", "--all", "--cap", "0"],
+        ["verify", "--id", "THRALL", "--cap", "-3"],
+        ["conjecture", "upos", "--max-n", "0"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "plethy.cli", *args], capture_output=True, text=True
+        )
+        assert result.returncode == 2, args
+        assert result.stdout == "" and "error: argument" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_verify_single_and_exit_codes(capsys):
     code, out, _ = run_cli(["verify", "--id", "THRALL", "--cap", "6"], capsys=capsys)
     assert code == 0
@@ -171,12 +214,6 @@ def test_conjecture_commands(capsys):
     code, out, _ = run_cli(["conjecture", "upos", "--max-n", "8"], capsys=capsys)
     assert code == 0
     assert "PASS" in out
-
-
-def test_bench_smoke(capsys):
-    code, out, _ = run_cli(["bench", "--min-n", "6", "--max-n", "8"], capsys=capsys)
-    assert code == 0
-    assert "kernels agree" in out or "pure-python" in out
 
 
 def test_console_entry_point():

@@ -109,6 +109,22 @@ def test_min_cap_enforced():
         verify_identity("THRALL", 1)
 
 
+def test_verify_all_skips_entries_below_min_cap():
+    ids = ["THRALL", "IND-CONF", "U-CLOSED"]
+    reports = verify_all(3, ids=ids)
+    assert [r.status for r in reports] == ["pass", "pass", "skip"]
+    assert reports[2].to_dict() == {
+        "id": "U-CLOSED",
+        "tier": "theorem",
+        "cap": 3,
+        "status": "skip",
+        "detail": ["needs cap >= 4"],
+    }
+    assert [r.status for r in verify_all(2, ids=ids, jobs=2)] == ["pass", "skip", "skip"]
+    with pytest.raises(ValueError):
+        verify_all(0, ids=ids)
+
+
 def test_verify_all_order_and_json():
     ids = ["THRALL", "CADOGAN", "EXT-REG"]
     reports = verify_all(4, ids=ids)

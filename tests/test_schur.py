@@ -5,13 +5,15 @@ from math import factorial
 import pytest
 
 from conftest import cycle_type
+from mn_oracle import mn_character as oracle_character
+from mn_oracle import mn_table as oracle_table
+from plethy import _mn_pure
 from plethy.partitions import partitions_of, z_of
 from plethy.schur import (
     CharacterTable,
     NotVirtualCharacter,
     Positivity,
     SchurExpansion,
-    available_kernels,
     character,
     character_table,
     hook_dimension,
@@ -100,15 +102,53 @@ def test_schur_against_jacobi_trudi():
             assert s(lam) == jt(lam), lam
 
 
-def test_kernels_agree():
-    kernels = available_kernels()
-    if len(kernels) < 2:
-        pytest.skip("compiled kernel not built")
-    pure = kernels["pure-python"]
-    fast = kernels["cython"]
-    for n in range(1, 9):
+def test_columns_match_oracle_tables():
+    for n in range(0, 15):
         parts = partitions_of(n)
-        assert pure.mn_table(parts) == fast.mn_table(parts)
+        expected = oracle_table(parts)
+        for c, mu in enumerate(parts):
+            column = _mn_pure.mn_column(mu)
+            assert all(column.values()) and set(column) <= set(parts)
+            assert [column.get(lam, 0) for lam in parts] == [row[c] for row in expected]
+        assert character_table(n)._rows == expected
+
+
+def test_rectangle_columns_match_oracle_at_32():
+    # the p-support of the degree-32 whitehouse deficit: (d^m) for d | 32
+    # and (d^m, 1) for d | 31
+    parts = partitions_of(32)
+    sample = parts[::400] + (
+        (8, 7, 6, 5, 4, 2),
+        (16, 16),
+        (8, 8, 8, 8),
+        (4,) * 8,
+        (17,) + (1,) * 15,
+    )
+    mus = [(d,) * (32 // d) for d in (1, 2, 4, 8, 16, 32)] + [(31, 1)]
+    for mu in mus:
+        column = _mn_pure.mn_column(mu)
+        for lam in sample:
+            assert column.get(lam, 0) == oracle_character(lam, mu), (lam, mu)
+
+
+def test_column_orthogonality():
+    for n in range(1, 13):
+        parts = partitions_of(n)
+        for a, mu in enumerate(parts):
+            col_mu = _mn_pure.mn_column(mu)
+            for nu in parts[a:]:
+                col_nu = _mn_pure.mn_column(nu)
+                total = sum(v * col_nu.get(lam, 0) for lam, v in col_mu.items())
+                assert total == (z_of(mu) if mu == nu else 0), (mu, nu)
+
+
+def test_memo_keeps_every_ascending_prefix():
+    _mn_pure._memo.clear()
+    _mn_pure.mn_column((3, 2, 1))
+    assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3)}
+    _mn_pure.mn_column((3, 3, 2, 1))  # extends the stored prefix (1, 2, 3)
+    assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3), (1, 2, 3, 3)}
+    assert _mn_pure.mn_column(()) == {(): 1}
 
 
 def test_to_schur_round_trip():
@@ -184,19 +224,21 @@ def test_wire_format():
     }
 
 
-def test_sparse_conversion_matches_dense():
-    # sparse inputs at uncached degrees bypass the full table; both routes
-    # must agree exactly
-    from plethy import schur as sch
+def test_to_schur_matches_oracle():
     from plethy.lie_family import whitehouse_deficit
 
     f = whitehouse_deficit(13, "lie2")
-    sch._tables.pop(13, None)
-    sparse = to_schur(f)
-    sch.character_table(13)
-    dense = to_schur(f)
-    assert sparse == dense
-    assert sparse.dimension() == f.dimension()
+    nums, den = f._int_terms()
+    expected = []
+    for lam in partitions_of(13):
+        total = sum(c * oracle_character(lam, mu) for mu, c in nums.items())
+        if total:
+            q, r = divmod(total, den)
+            assert r == 0
+            expected.append((lam, q))
+    expansion = to_schur(f)
+    assert expansion.terms == tuple(expected)
+    assert expansion.dimension() == f.dimension()
 
 
 def test_cache_dir_round_trip(tmp_path, monkeypatch):
