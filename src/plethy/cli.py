@@ -79,7 +79,7 @@ def _cmd_schur(args) -> int:
             _dump({"basis": "s", "degree": 0, "terms": []})
             return 0
         expansion = to_schur(f)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
     _dump(expansion.to_dict())
@@ -108,7 +108,7 @@ def _cmd_verify(args) -> int:
             if args.verbose:
                 for note in rep.detail:
                     sys.stdout.write(f"      {note}\n")
-        failures += rep.status == "fail"
+        failures += rep.failed
         skipped += rep.status == "skip"
     if not args.json:
         summary = f"{len(reports) - failures - skipped}/{len(reports)} identities passed"

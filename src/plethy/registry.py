@@ -42,6 +42,11 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    @property
+    def failed(self) -> bool:
+        """True only for a failed check; a skip is neither passed nor failed."""
+        return self.status == "fail"
+
     def to_dict(self) -> dict:
         out = {"id": self.id, "tier": self.tier, "cap": self.cap, "status": self.status}
         if self.first_fail_degree is not None:

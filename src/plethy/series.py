@@ -10,11 +10,11 @@ beyond it; nothing truncates silently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import lcm
 from typing import Callable, Iterable
 
-from .partitions import multiplicities, partitions_of
-from .symfunc import SymFunc, e, h, mul_trunc, p, plethysm
+from .partitions import divisors, multiplicities, partitions_of
+from .symfunc import SymFunc, _reduced, e, h, mul_trunc, p, plethysm
 
 __all__ = [
     "Series",
@@ -245,11 +245,17 @@ def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
         raise ValueError("kind must be 'H' or 'E'")
     if sum(lam) > Q.cap:
         raise IndexError(f"|lam| = {sum(lam)} exceeds series cap {Q.cap}")
+    return _bracket(h if kind == "H" else e, lam, Q, {})
+
+
+def _bracket(base, lam: tuple, Q: Series, factors: dict) -> SymFunc:
+    """The product of x_m[q_part], reading and filling factors[part, m]."""
     out = SymFunc.one()
-    base = h if kind == "H" else e
     for part, m in multiplicities(lam).items():
-        qi = Q.coeff(part)
-        out = out * plethysm(base(m), qi)
+        x = factors.get((part, m))
+        if x is None:
+            x = factors[part, m] = plethysm(base(m), Q.coeff(part))
+        out = out * x
         if not out:
             break
     return out
@@ -264,15 +270,22 @@ def bracket_sum(
     """sum over partitions of v^l(lam) * (sign) * bracket, as a graded Series.
 
     The independent route to apply_series: products of small plethysms
-    instead of the Newton recursion.
+    instead of the Newton recursion.  Each factor x_m[q_part] is built once
+    and shared by every partition that contains it.
     """
+    if kind not in ("H", "E"):
+        raise ValueError("kind must be 'H' or 'E'")
     if cap is None:
         cap = Q.cap
+    if cap > Q.cap:
+        raise IndexError(f"cap {cap} exceeds the series cap {Q.cap}")
+    base = h if kind == "H" else e
+    factors: dict[tuple[int, int], SymFunc] = {}
     graded: dict[tuple[int, int], SymFunc] = {}
     parts: dict[int, SymFunc] = {}
     for n in range(cap + 1):
         for lam in partitions_of(n):
-            f = higher_bracket(kind, lam, Q)
+            f = _bracket(base, lam, Q, factors)
             if sign is not None:
                 f = f.scale(sign(lam))
             if not f:
@@ -304,13 +317,15 @@ def plethystic_inverse(G: Series, cap: int | None = None) -> Series:
         raise ValueError("plethystic inverse needs an invertible degree-1 term c*p_1")
     gtot = G.total()
     acc = SymFunc.zero()  # F_1 + ... + F_{n-1}
+    composed = SymFunc.zero()  # (F_1 + ... + F_{n-1}) o G, up to the cap
     for n in range(1, cap + 1):
         want = p(1) if n == 1 else SymFunc.zero()
-        have = plethysm(acc, gtot, n).homogeneous_part(n) if acc else SymFunc.zero()
-        resid = want - have
+        resid = want - composed.homogeneous_part(n)
         # resid = F_n[c * p_1], which scales p_lam by c^l(lam); undo that
         fn = SymFunc({lam: v / c ** len(lam) for lam, v in resid.items()})
         acc = acc + fn
+        if fn and n < cap:
+            composed = composed + plethysm(fn, gtot, cap)
     return Series.from_symfunc(acc, cap)
 
 
@@ -324,112 +339,85 @@ def restrict_ge2(F: Series) -> Series:
 
 # -- product formulas with a formal v marker ------------------------------------
 #
-# Exponents here are polynomials in v with rational coefficients, stored as
-# coefficient tuples.  (1 +- p_m)^(g(v)) expands through the binomial series
-# binom(g, k), itself a polynomial in v.
+# In prod_m (1 + s*p_m)^(g_m(v)) the coefficient of p_lam is
+# prod_m s^(k_m) binom(g_m, k_m)(v), where k_m is the multiplicity of m in
+# lam.  Here g_m = G_m / m for an integer v-polynomial G_m built from psi,
+# so binom(g_m, k) = G_m (G_m - m) ... (G_m - (k-1) m) / (m^k k!), and those
+# denominators multiply to z_lam.  The coefficient of p_lam v^r is therefore
+# s^l(lam) [v^r] N_lam(v) / z_lam, with N_lam the product of the integer
+# numerators.  A v-polynomial is a list of ints indexed by the power of v.
+
+_PRODUCT_VARIANTS = {
+    # variant: (s in the base 1 + s*p_m, sign of the exponent, v -> -v)
+    "sym": (-1, -1, False),  # (1-p_m)^(-f_m(v))
+    "ext": (-1, 1, True),  # (1-p_m)^(f_m(-v))
+    "alt_ext": (1, 1, False),  # (1+p_m)^(f_m(v))
+    "alt_sym": (1, -1, True),  # (1+p_m)^(-f_m(-v))
+    "epm": (-1, 1, False),  # (1-p_m)^(f_m(v))
+    "hpm": (-1, -1, True),  # (1-p_m)^(-f_m(-v))
+}
 
 
-def _vp_trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _vp_add(a, b):
-    n = max(len(a), len(b))
-    return _vp_trim(
-        [
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
-def _vp_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _vp_trim(out)
+                out[i + j] += x * y
+    return out
 
 
-def _vp_scale(a, c):
-    c = Fraction(c)
-    return _vp_trim([x * c for x in a])
-
-
-def _vp_sub_negv(a):
-    """g(v) -> g(-v)."""
-    return _vp_trim([(-x if i % 2 else x) for i, x in enumerate(a)])
-
-
-def _vp_binom(g, k: int):
-    """binom(g, k) = g(g-1)...(g-k+1)/k! as a polynomial in v."""
-    out = (Fraction(1),)
-    for i in range(k):
-        out = _vp_mul(out, _vp_add(g, (Fraction(-i),)))
-    return _vp_scale(out, Fraction(1, factorial(k)))
-
-
-def _psi_poly(psi, m: int):
-    """f_m as a polynomial in v: coefficient of v^(m/d) is psi(d)/m."""
-    from .partitions import divisors
-
-    coeffs = [Fraction(0)] * (m + 1)
-    for d in divisors(m):
-        coeffs[m // d] += Fraction(psi(d), m)
-    return _vp_trim(coeffs)
-
-
-_PRODUCT_VARIANTS = {
-    # variant: (sign inside the base 1 + sign*p_m, exponent builder)
-    "sym": (-1, lambda f: _vp_scale(f, -1)),  # (1-p_m)^(-f_m(v))
-    "ext": (-1, lambda f: _vp_sub_negv(f)),  # (1-p_m)^(f_m(-v))
-    "alt_ext": (1, lambda f: f),  # (1+p_m)^(f_m(v))
-    "alt_sym": (1, lambda f: _vp_scale(_vp_sub_negv(f), -1)),  # (1+p_m)^(-f_m(-v))
-    "epm": (-1, lambda f: f),  # (1-p_m)^(f_m(v))
-    "hpm": (-1, lambda f: _vp_scale(_vp_sub_negv(f), -1)),  # (1-p_m)^(-f_m(-v))
-}
+def _over_lcm(terms: list[tuple[tuple, int, int]]) -> SymFunc:
+    """sum of (a / z) * p_lam over (lam, a, z), over the lcm of the z."""
+    den = lcm(*(z for _, _, z in terms))
+    return _reduced({lam: a * (den // z) for lam, a, z in terms}, den)
 
 
 def product_form(psi, variant: str, cap: int) -> Series:
     """Expand prod over m of (1 +- p_m)^(+-f_m(+-v)) as a length-graded Series."""
     try:
-        inner_sign, expo = _PRODUCT_VARIANTS[variant]
+        s, expo_sign, negv = _PRODUCT_VARIANTS[variant]
     except KeyError:
         raise ValueError(f"unknown product variant {variant!r}") from None
-    graded: dict[tuple[int, int], SymFunc] = {(0, 0): SymFunc.one()}
+    # numers[m][k - 1] is the numerator of binom(g_m, k), for m * k <= cap
+    numers: dict[int, list[list[int]]] = {}
     for m in range(1, cap + 1):
-        g = expo(_psi_poly(psi, m))
-        factor: dict[tuple[int, int], SymFunc] = {}
-        for k in range(cap // m + 1):
-            binom = _vp_binom(g, k)
-            mono = p((m,) * k) if k else SymFunc.one()
-            if inner_sign == -1 and k % 2:
-                mono = -mono
-            for j, cv in enumerate(binom):
-                if cv:
-                    key = (m * k, j)
-                    factor[key] = factor.get(key, SymFunc.zero()) + mono.scale(cv)
-        new: dict[tuple[int, int], SymFunc] = {}
-        for (n1, r1), f1 in graded.items():
-            for (n2, r2), f2 in factor.items():
-                if n1 + n2 > cap:
-                    continue
-                key = (n1 + n2, r1 + r2)
-                prod = f1 * f2
-                if not prod:
-                    continue
-                acc = new.get(key, SymFunc.zero()) + prod
-                new[key] = acc
-        graded = {key: f for key, f in new.items() if f}
-    parts: dict[int, SymFunc] = {}
-    for (n, _), f in graded.items():
-        parts[n] = parts.get(n, SymFunc.zero()) + f
+        G = [0] * (m + 1)
+        for d in divisors(m):
+            j = m // d
+            G[j] += expo_sign * psi(d) * (-1 if negv and j % 2 else 1)
+        while G and not G[-1]:
+            G.pop()
+        if not G:
+            continue  # g_m = 0: the factor is 1
+        row = [G]
+        for k in range(1, cap // m):
+            row.append(_poly_mul(row[-1], [-k * m] + G[1:]))
+        numers[m] = row
+    # walk the partitions depth first, parts descending; a prefix's
+    # polynomial is shared by every partition extending it
+    graded_terms: dict[tuple[int, int], list[tuple[tuple, int, int]]] = {}
+    part_terms: dict[int, list[tuple[tuple, int, int]]] = {}
+    stack: list[tuple[tuple, int, list[int], int]] = [((), 0, [1], 1)]  # lam, |lam|, N_lam, z_lam
+    while stack:
+        lam, n, poly, z = stack.pop()
+        sign = s ** len(lam)
+        for r, c in enumerate(poly):
+            if c:
+                graded_terms.setdefault((n, r), []).append((lam, sign * c, z))
+        total = sum(poly)
+        if total:
+            part_terms.setdefault(n, []).append((lam, sign * total, z))
+        for m in range(1, min(lam[-1] - 1 if lam else cap, cap - n) + 1):
+            row = numers.get(m)
+            if row is None:
+                continue
+            zm = z
+            for k in range(1, (cap - n) // m + 1):
+                zm *= m * k
+                stack.append((lam + (m,) * k, n + m * k, _poly_mul(poly, row[k - 1]), zm))
+    graded = {key: _over_lcm(terms) for key, terms in graded_terms.items()}
+    parts = {n: _over_lcm(terms) for n, terms in part_terms.items()}
     return Series(cap, parts, graded)
 
 
@@ -593,6 +581,8 @@ class SeriesContext:
 
     def delta(self, n: int) -> SymFunc:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""
+        if n < 0:
+            raise ValueError("delta needs n >= 0")
         if n == 0:
             return SymFunc.one()
         if n == 1:
@@ -619,6 +609,8 @@ class SeriesContext:
 
     def sigma(self, n: int) -> SymFunc:
         """One-dimensional virtual character sum of e_(n-2i) g_(2i)."""
+        if n < 0:
+            raise ValueError("sigma needs n >= 0")
         out = SymFunc.zero()
         for i in range(0, n // 2 + 1):
             gpart = self.g_fn(2 * i)

@@ -212,13 +212,15 @@ def test_criterion_2_registry_cap_10():
     t0 = time.perf_counter()
     reports = verify_all(10, ids=registry_ids("theorem"))
     elapsed = time.perf_counter() - t0
-    failed = [r.id for r in reports if not r.passed]
-    ok = not failed and elapsed < 300.0
+    failed = [r.id for r in reports if r.failed]
+    skipped = [r.id for r in reports if r.status == "skip"]
+    ok = not failed and not skipped and elapsed < 300.0
     _record(
         2,
         ok,
         f"{len(reports)} theorem-tier identities at cap 10 in {elapsed:.1f}s"
-        + (f"; FAILED {failed}" if failed else ""),
+        + (f"; FAILED {failed}" if failed else "")
+        + (f"; SKIPPED {skipped}" if skipped else ""),
     )
 
 

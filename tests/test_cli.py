@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import pathlib
@@ -5,8 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import partition_strategy
 from plethy.cli import main
+from plethy.partitions import partitions_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -56,6 +61,10 @@ def test_compute_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["compute", "nosuch", "4"], capsys=capsys)
     assert exc.value.code == 2
+    # a negative degree is an error for every object, not an empty function
+    for obj, n in (("delta", "-1"), ("sigma", "-2"), ("tau", "-1")):
+        code, out, err = run_cli(["compute", obj, n], capsys=capsys)
+        assert code == 2 and out == "" and f"{obj} needs n >= 0" in err
 
 
 def test_schur_command_round_trip(capsys):
@@ -94,13 +103,81 @@ def test_schur_command_round_trip(capsys):
         '{"basis": "p", "terms": [{"partition": [1], "coeff": "1/0"}]}',
         '{"basis": "p", "terms": [{"coeff": "1"}]}',
         "{not json",
+        "[" * 100000 + "]" * 100000,
     ],
-    ids=["partition-not-a-list", "top-level-list", "float-coeff", "zero-denominator", "no-partition", "bad-json"],
+    ids=[
+        "partition-not-a-list",
+        "top-level-list",
+        "float-coeff",
+        "zero-denominator",
+        "no-partition",
+        "bad-json",
+        "deep-nesting",
+    ],
 )
 def test_schur_command_malformed_payloads_exit_2(payload, capsys):
     code, out, err = run_cli(["schur"], stdin_text=payload, capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith("bad input: ")
+
+
+_KEYS = st.sampled_from(["basis", "terms", "partition", "coeff"]) | st.text(max_size=5)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 9)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["p", "s", "1/2", "-3", "1/0", "x"])
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def near_p_payload(draw):
+    """A p-basis payload of degree <= 8, with a few fields possibly broken."""
+    n = draw(st.integers(0, 8))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        term = {
+            "partition": list(draw(st.sampled_from(partitions_of(n)) | partition_strategy(8))),
+            "coeff": draw(st.integers(-4, 4) | st.sampled_from(["1", "-1/2", "3/4"])),
+        }
+        broken = draw(st.sampled_from([None, None, None, "partition", "coeff", "drop", "extra"]))
+        if broken in ("partition", "coeff"):
+            term[broken] = draw(_JSON)
+        elif broken == "drop":
+            del term[draw(st.sampled_from(["partition", "coeff"]))]
+        elif broken == "extra":
+            term[draw(st.text(max_size=3))] = draw(_JSON)
+        terms.append(term if draw(st.integers(0, 9)) else draw(_JSON))
+    payload = {"basis": draw(st.sampled_from(["p", "p", "p", "s"])), "terms": terms}
+    if not draw(st.integers(0, 4)):
+        payload = draw(st.sampled_from([[payload], {"payload": payload}, terms]))
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_JSON | near_p_payload(), cut=st.sampled_from([0, 0, 0, 1, 2, 3]))
+def test_schur_exit_code_contract_fuzz(payload, cut):
+    # every stdin is either expanded (0) or refused as bad input (2)
+    raw = json.dumps(payload)
+    if cut:
+        raw = raw[: len(raw) * cut // 4]
+    out, err = io.StringIO(), io.StringIO()
+    old_stdin = sys.stdin
+    try:
+        sys.stdin = io.StringIO(raw)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["schur"])
+    finally:
+        sys.stdin = old_stdin
+    assert code in (0, 2), (raw, code)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("bad input: ")
+    else:
+        assert json.loads(out.getvalue())["basis"] == "s"
 
 
 def test_schur_command_unreadable_file_exits_2(tmp_path, capsys):

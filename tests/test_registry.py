@@ -151,4 +151,11 @@ def test_failure_report_shape():
     payload = rep.to_dict()
     assert payload["status"] == "fail"
     assert payload["first_fail_degree"] == 3
-    assert not rep.passed
+    assert not rep.passed and rep.failed
+
+
+def test_skips_are_not_failures():
+    reports = verify_all(3)
+    skips = [r for r in reports if r.status == "skip"]
+    assert skips and not any(r.passed or r.failed for r in skips)
+    assert sum(r.failed for r in reports) == 0

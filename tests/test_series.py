@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import series_oracle
 from conftest import count_by_cycles, count_derangements
 from plethy.lie_family import Psi, lie
 from plethy.partitions import partitions_of
@@ -9,6 +10,7 @@ from plethy.schur import to_schur
 from plethy.series import (
     Series,
     SeriesContext,
+    bracket_sum,
     higher_bracket,
     p_sum_over,
     plethystic_inverse,
@@ -151,6 +153,71 @@ def test_product_form_ungraded_fold():
     S3 = product_form(Psi.two_adic(), "sym", 8)
     for n in range(1, 9):
         assert S3.coeff(n) == p_sum_over(n, "parts_powers_of_two")
+
+
+PSIS = (Psi.mobius(), Psi.totient(), Psi.two_adic())
+VARIANTS = tuple(series_oracle.PRODUCT_VARIANTS)
+
+
+@pytest.mark.parametrize("cap", range(1, 11))
+def test_product_form_matches_oracle(cap):
+    for psi in PSIS:
+        for variant in VARIANTS:
+            got = product_form(psi, variant, cap)
+            want = series_oracle.product_form(psi, variant, cap)
+            assert got.graded_keys() == want.graded_keys(), (psi.name, variant)
+            for key in want.graded_keys():
+                assert got.graded(*key) == want.graded(*key), (psi.name, variant, key)
+            assert got == want, (psi.name, variant)
+
+
+def test_product_form_unknown_variant():
+    with pytest.raises(ValueError, match="unknown product variant"):
+        product_form(Psi.mobius(), "nosuch", 4)
+
+
+def test_bracket_sum_is_the_sum_of_higher_brackets(ctx8):
+    def signed(lam):
+        return (-1) ** ((sum(lam) - len(lam)) % 2)
+
+    for name in ("lie", "lie2", "conj"):
+        Q = ctx8.family(name)
+        for kind in ("H", "E"):
+            for sign in (None, signed):
+                got = bracket_sum(kind, Q, sign=sign)
+                want: dict[tuple[int, int], SymFunc] = {}
+                for n in range(9):
+                    for lam in partitions_of(n):
+                        f = higher_bracket(kind, lam, Q).scale(sign(lam) if sign else 1)
+                        key = (n, len(lam))
+                        want[key] = want.get(key, SymFunc.zero()) + f
+                    total = sum((f for (d, _), f in want.items() if d == n), SymFunc.zero())
+                    assert got.coeff(n) == total, (name, kind, sign, n)
+                want = {key: f for key, f in want.items() if f}
+                assert got.graded_keys() == sorted(want), (name, kind, sign)
+                for key, f in want.items():
+                    assert got.graded(*key) == f, (name, kind, sign, key)
+
+
+def test_bracket_kind_must_be_h_or_e(ctx8):
+    with pytest.raises(ValueError, match="kind"):
+        bracket_sum("X", ctx8.lie())
+    with pytest.raises(ValueError, match="kind"):
+        higher_bracket("X", (1,), ctx8.lie())
+    with pytest.raises(IndexError):
+        bracket_sum("H", ctx8.lie(), cap=9)
+
+
+@pytest.mark.parametrize("cap", range(1, 11))
+def test_plethystic_inverse_matches_oracle(cap):
+    for G in (
+        Series(cap, {n: h(n) for n in range(1, cap + 1)}),
+        Series(cap, {n: e(n) for n in range(1, cap + 1)}),
+        Series(cap, {1: p(1).scale(2), **{n: h(n) for n in range(2, cap + 1)}}),
+    ):
+        got = plethystic_inverse(G)
+        want = series_oracle.plethystic_inverse(G)
+        assert got == want
 
 
 def test_product_form_grading_matches_operator(ctx8):
