@@ -78,11 +78,12 @@ def _cmd_schur(args) -> int:
         if not f:
             _dump({"basis": "s", "degree": 0, "terms": []})
             return 0
-        expansion = to_schur(f)
+        # to_dict inside the try: a coefficient past the int-to-str digit limit raises here
+        expansion = to_schur(f).to_dict()
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
-    _dump(expansion.to_dict())
+    _dump(expansion)
     return 0
 
 

@@ -104,6 +104,7 @@ def test_schur_command_round_trip(capsys):
         '{"basis": "p", "terms": [{"coeff": "1"}]}',
         "{not json",
         "[" * 100000 + "]" * 100000,
+        '{"basis": "p", "terms": [{"partition": [1], "coeff": "1e5000"}]}',
     ],
     ids=[
         "partition-not-a-list",
@@ -113,6 +114,7 @@ def test_schur_command_round_trip(capsys):
         "no-partition",
         "bad-json",
         "deep-nesting",
+        "coeff-too-long-to-print",
     ],
 )
 def test_schur_command_malformed_payloads_exit_2(payload, capsys):
@@ -142,7 +144,7 @@ def near_p_payload(draw):
     for _ in range(draw(st.integers(0, 3))):
         term = {
             "partition": list(draw(st.sampled_from(partitions_of(n)) | partition_strategy(8))),
-            "coeff": draw(st.integers(-4, 4) | st.sampled_from(["1", "-1/2", "3/4"])),
+            "coeff": draw(st.integers(-4, 4) | st.sampled_from(["1", "-1/2", "3/4", "1e5000"])),
         }
         broken = draw(st.sampled_from([None, None, None, "partition", "coeff", "drop", "extra"]))
         if broken in ("partition", "coeff"):
