@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success / all checks pass, 1 identity or positivity failure,
-2 usage error.  JSON is the machine format; everything else is aligned
-plain text.  Output is byte-stable across runs and across --jobs.
+Exit codes: 0 success / all checks pass, 1 identity or positivity failure
+(an identity that raises counts as failed), 2 usage error.  JSON is the
+machine format; everything else is aligned plain text.  Output is
+byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _cmd_verify(args) -> int:
     else:
         ids = registry_ids()
     try:
-        reports = verify_all(args.cap, ids=ids, jobs=args.jobs)
+        reports = verify_all(args.cap, ids=ids)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -177,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id", default=None, help="single identity id")
     group.add_argument("--all", action="store_true", help="run everything (default)")
     c.add_argument("--cap", type=positive_int, default=8)
-    c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--json", action="store_true")
     c.add_argument("--verbose", action="store_true")
     c.set_defaults(fn=_cmd_verify)

@@ -963,8 +963,15 @@ def verify_identity(id: str, cap: int, ctx: SeriesContext | None = None) -> Iden
     if ctx is None:
         ctx = SeriesContext(cap)
     check = _Check()
-    entry.fn(ctx, cap, check)
-    status = "pass" if check.fail_degree is None else "fail"
+    raised = False
+    try:
+        entry.fn(ctx, cap, check)
+    except Exception as exc:
+        # a defect below the identity, such as a wrong character, fails this
+        # entry instead of ending the whole run
+        check.notes.append(f"raised {type(exc).__name__}: {exc}")
+        raised = True
+    status = "pass" if check.fail_degree is None and not raised else "fail"
     return IdentityReport(
         id=id,
         tier=entry.tier,
@@ -976,9 +983,7 @@ def verify_identity(id: str, cap: int, ctx: SeriesContext | None = None) -> Iden
     )
 
 
-def verify_all(
-    cap: int, ids: list[str] | None = None, jobs: int = 1
-) -> list[IdentityReport]:
+def verify_all(cap: int, ids: list[str] | None = None) -> list[IdentityReport]:
     """Run the registry (or a subset) and return reports in registry order.
 
     An entry whose min_cap is above cap is not run; its report has status
@@ -1001,14 +1006,8 @@ def verify_all(
         for id in wanted
         if cap < _BY_ID[id].min_cap
     }
-    run = [id for id in wanted if id not in reports]
-    if jobs <= 1:
-        ctx = SeriesContext(cap)
-        reports.update((id, verify_identity(id, cap, ctx)) for id in run)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {id: pool.submit(verify_identity, id, cap) for id in run}
-            reports.update((id, fut.result()) for id, fut in futures.items())
+    ctx = SeriesContext(cap)
+    for id in wanted:
+        if id not in reports:
+            reports[id] = verify_identity(id, cap, ctx)
     return [reports[id] for id in wanted]

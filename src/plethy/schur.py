@@ -1,33 +1,26 @@
-"""Symmetric-group characters and the Schur-basis view.
+"""Symmetric-group characters, the Schur-basis view and positivity.
 
 Characters come from one builder, plethy._mn_pure, which runs the
 Murnaghan-Nakayama rule forward and returns whole columns {lam: chi^lam(mu)},
 memoized for the life of the process.  to_schur sums the columns of the
-cycle types in the support of its input.  character() reads one entry of a
-column, and CharacterTable lays out all columns of one degree as a dense
-table for symfunc.s(); tables are cached per degree (compute-then-publish,
-so concurrent readers are safe).  Set PLETHY_CACHE_DIR to persist tables
-between runs; to_schur never reads them.
+cycle types in the support of its input, and character() reads one entry
+of a column.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import _mn_pure
-from .partitions import check_partition, conjugate, format_partition, partitions_of
+from .partitions import check_partition, conjugate, format_partition
 from .symfunc import SymFunc
-
-CACHE_ENV = "PLETHY_CACHE_DIR"
-_CACHE_VERSION = "v1"
 
 
 def kernel_name() -> str:
+    """Name of the character builder, as reported by the benchmark harness."""
     return _mn_pure.KERNEL_NAME
 
 
@@ -40,85 +33,6 @@ def character(lam: tuple, mu: tuple) -> int:
             f"size mismatch: {format_partition(lam)} vs {format_partition(mu)}"
         )
     return _mn_pure.mn_column(mu).get(lam, 0)
-
-
-class CharacterTable:
-    """All chi^lam(mu) for lam, mu of a fixed degree, in canonical order."""
-
-    __slots__ = ("n", "parts", "_index", "_rows")
-
-    def __init__(self, n: int, rows: list[list[int]]):
-        self.n = n
-        self.parts = partitions_of(n)
-        self._index = {lam: i for i, lam in enumerate(self.parts)}
-        self._rows = rows
-
-    def chi(self, lam: tuple, mu: tuple) -> int:
-        return self._rows[self._index[lam]][self._index[mu]]
-
-    def row(self, lam: tuple) -> list[int]:
-        return list(self._rows[self._index[lam]])
-
-    @classmethod
-    def build(cls, n: int) -> "CharacterTable":
-        rows = _load_cached(n)
-        if rows is None:
-            parts = partitions_of(n)
-            cols = [_mn_pure.mn_column(mu) for mu in parts]
-            rows = [[col.get(lam, 0) for col in cols] for lam in parts]
-            _store_cached(n, rows)
-        return cls(n, rows)
-
-
-def _cache_path(n: int) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    return os.path.join(root, f"mn-{_CACHE_VERSION}-n{n:02d}.npy")
-
-
-def _load_cached(n: int) -> list[list[int]] | None:
-    path = _cache_path(n)
-    if path is None or not os.path.exists(path):
-        return None
-    import numpy as np
-
-    try:
-        arr = np.load(path, allow_pickle=False)
-    except Exception:
-        return None  # a bad cache file is never fatal
-    size = len(partitions_of(n))
-    if arr.shape != (size, size) or arr.dtype != np.int64:
-        return None
-    return [[int(v) for v in row] for row in arr]
-
-
-def _store_cached(n: int, rows: list[list[int]]) -> None:
-    path = _cache_path(n)
-    if path is None:
-        return
-    import numpy as np
-
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        np.save(path, np.array(rows, dtype=np.int64), allow_pickle=False)
-    except OverflowError:
-        pass  # values beyond int64 stay in-process only
-
-
-_tables: dict[int, CharacterTable] = {}
-_tables_lock = threading.Lock()
-
-
-def character_table(n: int) -> CharacterTable:
-    table = _tables.get(n)
-    if table is None:
-        with _tables_lock:
-            table = _tables.get(n)
-            if table is None:
-                table = CharacterTable.build(n)
-                _tables[n] = table
-    return table
 
 
 class NotVirtualCharacter(ValueError):

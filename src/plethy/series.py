@@ -77,10 +77,6 @@ class Series:
             raise IndexError(f"degree {n} outside cap {self.cap}")
         return self._parts[n]
 
-    @property
-    def has_grading(self) -> bool:
-        return self._graded is not None
-
     def graded(self, n: int, r: int) -> SymFunc:
         if self._graded is None:
             raise ValueError("series carries no length grading")
@@ -215,27 +211,34 @@ def _outer_powers(base: str, F: Series, cap: int) -> list[SymFunc]:
 
 
 def apply_series(kind: str, F: Series, cap: int | None = None) -> Series:
-    """H, E, H^+-, or E^+- applied plethystically to F, with length grading.
+    """H or E applied plethystically to F, with length grading.
 
-    Slot (n, r) is the degree-n part of h_r[F] (resp. e_r[F]), times (-1)^r
-    for the signed kinds.
+    Slot (n, r) is the degree-n part of h_r[F] (resp. e_r[F]).
     """
     if cap is None:
         cap = F.cap
     if cap > F.cap:
         raise IndexError(f"cap {cap} exceeds the argument's cap {F.cap}")
-    base = {"H": "h", "E": "e", "Hpm": "h", "Epm": "e"}[kind]
-    signed = kind.endswith("pm")
-    powers = _outer_powers(base, F, cap)
+    base = {"H": "h", "E": "e"}[kind]
     graded: dict[tuple[int, int], SymFunc] = {}
-    parts: dict[int, SymFunc] = {}
-    for r, fr in enumerate(powers):
-        if signed and r % 2:
-            fr = -fr
+    for r, fr in enumerate(_outer_powers(base, F, cap)):
         for n in fr.degrees():
-            piece = fr.homogeneous_part(n)
-            graded[(n, r)] = piece
-            parts[n] = parts.get(n, SymFunc.zero()) + piece
+            graded[(n, r)] = fr.homogeneous_part(n)
+    return _from_graded(cap, graded)
+
+
+def _negate_odd_lengths(A: Series) -> Series:
+    """A(-v): every slot (n, r) with r odd negated, so H gives H^+- and E gives E^+-."""
+    return _from_graded(
+        A.cap, {(n, r): -f if r % 2 else f for (n, r), f in A._graded.items()}
+    )
+
+
+def _from_graded(cap: int, graded: dict[tuple[int, int], SymFunc]) -> Series:
+    """The Series whose degree-n part is the sum of the (n, r) slots."""
+    parts: dict[int, SymFunc] = {}
+    for (n, _), piece in graded.items():
+        parts[n] = parts.get(n, SymFunc.zero()) + piece
     return Series(cap, parts, graded)
 
 
@@ -282,7 +285,6 @@ def bracket_sum(
     base = h if kind == "H" else e
     factors: dict[tuple[int, int], SymFunc] = {}
     graded: dict[tuple[int, int], SymFunc] = {}
-    parts: dict[int, SymFunc] = {}
     for n in range(cap + 1):
         for lam in partitions_of(n):
             f = _bracket(base, lam, Q, factors)
@@ -292,8 +294,7 @@ def bracket_sum(
                 continue
             key = (n, len(lam))
             graded[key] = graded.get(key, SymFunc.zero()) + f
-            parts[n] = parts.get(n, SymFunc.zero()) + f
-    return Series(cap, parts, graded)
+    return _from_graded(cap, graded)
 
 
 def series_plethysm(F: Series, G: Series, cap: int | None = None) -> Series:
@@ -397,7 +398,6 @@ def product_form(psi, variant: str, cap: int) -> Series:
     # walk the partitions depth first, parts descending; a prefix's
     # polynomial is shared by every partition extending it
     graded_terms: dict[tuple[int, int], list[tuple[tuple, int, int]]] = {}
-    part_terms: dict[int, list[tuple[tuple, int, int]]] = {}
     stack: list[tuple[tuple, int, list[int], int]] = [((), 0, [1], 1)]  # lam, |lam|, N_lam, z_lam
     while stack:
         lam, n, poly, z = stack.pop()
@@ -405,9 +405,6 @@ def product_form(psi, variant: str, cap: int) -> Series:
         for r, c in enumerate(poly):
             if c:
                 graded_terms.setdefault((n, r), []).append((lam, sign * c, z))
-        total = sum(poly)
-        if total:
-            part_terms.setdefault(n, []).append((lam, sign * total, z))
         for m in range(1, min(lam[-1] - 1 if lam else cap, cap - n) + 1):
             row = numers.get(m)
             if row is None:
@@ -416,9 +413,7 @@ def product_form(psi, variant: str, cap: int) -> Series:
             for k in range(1, (cap - n) // m + 1):
                 zm *= m * k
                 stack.append((lam + (m,) * k, n + m * k, _poly_mul(poly, row[k - 1]), zm))
-    graded = {key: _over_lcm(terms) for key, terms in graded_terms.items()}
-    parts = {n: _over_lcm(terms) for n, terms in part_terms.items()}
-    return Series(cap, parts, graded)
+    return _from_graded(cap, {key: _over_lcm(terms) for key, terms in graded_terms.items()})
 
 
 # -- convenience sums over restricted partition classes --------------------------
@@ -500,7 +495,12 @@ class SeriesContext:
         return builders[name]()
 
     def app(self, kind: str, name: str) -> Series:
-        """Cached apply_series(kind, named family)."""
+        """Cached H, E, Hpm or Epm of the named family; the signed kinds
+        negate the odd-length slots of the cached H or E."""
+        if kind in ("Hpm", "Epm"):
+            return self._get(
+                (kind, name), lambda: _negate_odd_lengths(self.app(kind[0], name))
+            )
         return self._get((kind, name), lambda: apply_series(kind, self.family(name)))
 
     def brackets(self, kind: str, name: str, signed: bool = False) -> Series:
@@ -647,65 +647,3 @@ class SeriesContext:
             return Series.from_symfunc(out, cap)
 
         return self._get(("conj_from", family), build)
-
-
-# module-level conveniences for one-off computation (CLI paths)
-
-
-def _fresh_ctx(n: int) -> SeriesContext:
-    return SeriesContext(max(n, 1))
-
-
-def whitney(n: int, k: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).whitney(n, k)
-
-
-def vh(n: int, k: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).vh(n, k)
-
-
-def u(n: int, k: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).u(n, k)
-
-
-def beta_rank(n: int, k: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).beta_rank(n, k)
-
-
-def delta(n: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).delta(n)
-
-
-def delta_part(n: int, k: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).delta_part(n, k)
-
-
-def hodge_part(n: int, k: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).hodge_part(n, k)
-
-
-def sigma(n: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).sigma(n)
-
-
-def tau(n: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).tau(n)
-
-
-def g_fn(n: int, ctx: SeriesContext | None = None) -> SymFunc:
-    return (ctx or _fresh_ctx(n)).g_fn(n)
-
-
-def kappa_iterate(depth: int, cap: int, twisted: bool = False) -> list[Series]:
-    """Partial sums of the self-plethysm tower of the standard-rep series.
-
-    twisted=True iterates the sign-twisted generator instead (the variant
-    the two-adic family filters through).
-    """
-    ctx = SeriesContext(cap)
-    gen = ctx.omega_kappa() if twisted else ctx.kappa()
-    return ctx.iterate_generator(gen, depth)
-
-
-def conj_from(family: str, cap: int) -> Series:
-    return SeriesContext(cap).conj_from(family)

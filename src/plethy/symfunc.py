@@ -10,11 +10,13 @@ are conversion views.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
+from ._mn_pure import mn_column
 from .partitions import check_partition, format_partition, partitions_of, z_of
 
 Scalar = Union[int, Fraction]
@@ -29,6 +31,21 @@ __all__ = [
     "hall_inner",
     "mul_trunc",
 ]
+
+
+def _check_coeff_size(text: str) -> None:
+    """Refuse a coefficient string whose digits plus decimal exponent pass
+    the int-to-str limit: its value could not be printed, and Fraction would
+    first build the whole integer (a billion digits for "1e999999999")."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(map(str.isdigit, mantissa))
+    try:
+        size += abs(int(exponent)) if exponent else 0
+    except ValueError:
+        pass  # not an exponent: Fraction reports the literal
+    if limit and size > limit:
+        raise ValueError(f"more than {limit} digits (the int-to-str limit)")
 
 
 def _exact(c) -> Fraction:
@@ -287,6 +304,8 @@ class SymFunc:
             if type(c) is not int and not isinstance(c, str):
                 raise ValueError(f"a coeff is an integer or a string such as \"1/3\": {c!r}")
             try:
+                if isinstance(c, str):
+                    _check_coeff_size(c)
                 c = Fraction(c)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad coeff {entry['coeff']!r}: {exc}") from None
@@ -337,13 +356,9 @@ def e(n: int) -> SymFunc:
 
 def s(lam) -> SymFunc:
     """Schur function via characters: s_lam = sum_mu chi^lam(mu) p_mu / z_mu."""
-    from . import schur  # character machinery lives there
-
     lam = check_partition(tuple(lam))
-    n = sum(lam)
-    table = schur.character_table(n)
     return SymFunc(
-        {mu: Fraction(table.chi(lam, mu), z_of(mu)) for mu in partitions_of(n)}
+        {mu: Fraction(mn_column(mu).get(lam, 0), z_of(mu)) for mu in partitions_of(sum(lam))}
     )
 
 

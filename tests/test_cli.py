@@ -4,12 +4,14 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partition_strategy
+from plethy import _mn_pure
 from plethy.cli import main
 from plethy.partitions import partitions_of
 
@@ -105,6 +107,7 @@ def test_schur_command_round_trip(capsys):
         "{not json",
         "[" * 100000 + "]" * 100000,
         '{"basis": "p", "terms": [{"partition": [1], "coeff": "1e5000"}]}',
+        '{"basis": "p", "terms": [{"partition": [1], "coeff": "1e10000000"}]}',
     ],
     ids=[
         "partition-not-a-list",
@@ -115,10 +118,13 @@ def test_schur_command_round_trip(capsys):
         "bad-json",
         "deep-nesting",
         "coeff-too-long-to-print",
+        "coeff-exponent-past-digit-limit",
     ],
 )
 def test_schur_command_malformed_payloads_exit_2(payload, capsys):
+    start = time.perf_counter()
     code, out, err = run_cli(["schur"], stdin_text=payload, capsys=capsys)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("bad input: ")
 
@@ -231,6 +237,28 @@ def test_verify_single_and_exit_codes(capsys):
     assert "PASS" in out and "THRALL" in out
     code, out, _ = run_cli(["verify", "--id", "NOPE", "--cap", "6"], capsys=capsys)
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--jobs", "2"], capsys=capsys)
+    assert exc.value.code == 2
+
+
+def test_identity_that_raises_is_a_failure(monkeypatch, capsys):
+    # a defect below an identity is reported as its failure, not a traceback
+    real = _mn_pure._add_strips
+
+    def wrong_sign(col, k):
+        out = real(col, k)
+        if k == 4:
+            out = {lam: -v if len(lam) == 2 else v for lam, v in out.items()}
+        return out
+
+    monkeypatch.setattr(_mn_pure, "_add_strips", wrong_sign)
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    code, out, _ = run_cli(["verify", "--id", "BETA-POS", "--cap", "10", "--json"], capsys=capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail" and "first_fail_degree" not in report
+    assert any("NotVirtualCharacter" in note for note in report["detail"])
 
 
 def test_verify_json_mode(capsys):
@@ -278,12 +306,45 @@ def test_verify_json_golden(capsys):
     assert out == (GOLDEN / "verify-cap8.jsonl").read_text()
 
 
-def test_verify_jobs_output_matches(capsys):
-    args = ["verify", "--cap", "4", "--json"]
-    code1, out1, _ = run_cli(args + ["--jobs", "1"], capsys=capsys)
-    code2, out2, _ = run_cli(args + ["--jobs", "2"], capsys=capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tables", "--json"],
+        ["compute", "lie2", "8", "--basis", "s"],
+        ["compute", "whitney", "6", "2", "--basis", "s"],
+        ["compute", "u", "6", "2", "--basis", "s"],
+        ["compute", "beta", "6", "2", "--basis", "s"],
+        ["compute", "delta", "6", "--basis", "s"],
+        ["compute", "sigma", "6", "--basis", "s"],
+        ["compute", "ell", "6", "3", "--basis", "s"],
+    ],
+    ids=" ".join,
+)
+def test_output_golden(args, capsys):
+    # pins the Schur-basis outputs byte for byte
+    name = "tables.json" if args[0] == "tables" else "-".join(args[:-2]) + "-s.json"
+    code, out, _ = run_cli(args, capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+def test_runs_without_numpy(capsys):
+    # None in sys.modules makes every import of numpy fail
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from plethy.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    for args in (
+        ["verify", "--id", "U-CLOSED", "--cap", "8"],  # the registry's one user of s()
+        ["compute", "lie2", "6", "--basis", "s"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True
+        )
+        code, out, _ = run_cli(args, capsys=capsys)
+        assert result.returncode == code == 0, result.stderr
+        assert result.stdout == out
 
 
 def test_conjecture_commands(capsys):

@@ -356,24 +356,12 @@ def test_psi_family_series(ctx8):
         assert fam.coeff(n) == ctx8.lie().coeff(n)
 
 
-def test_module_level_wrappers():
-    from plethy import series
-
-    assert series.delta(4) == SeriesContext(4).delta(4)
-    assert series.whitney(5, 2) == SeriesContext(5).whitney(5, 2)
-    assert series.u(6, 2) == SeriesContext(6).u(6, 2)
-    assert series.sigma(4) == SeriesContext(4).sigma(4)
-    assert series.tau(5) == SeriesContext(5).tau(5)
-    assert series.vh(6, 1) == SeriesContext(6).vh(6, 1)
-    assert series.beta_rank(5, 2) == SeriesContext(5).beta_rank(5, 2)
-    assert series.delta_part(4, 1) == SeriesContext(4).delta_part(4, 1)
-    assert series.hodge_part(4, 1) == SeriesContext(4).hodge_part(4, 1)
-    assert series.g_fn(4) == SeriesContext(4).g_fn(4)
-    sums = series.kappa_iterate(4, 8, twisted=True)
-    ctx = SeriesContext(8)
+def test_module_level_wrappers(ctx8):
+    # the sign-twisted kappa tower gives lie2_(>=2); conj_from("lie") gives conj
+    sums = ctx8.iterate_generator(ctx8.omega_kappa(), 4)
     for n in range(9):
-        assert sums[-1].coeff(n) == ctx.family("lie2_ge2").coeff(n)
-    assert series.conj_from("lie", 6).coeff(5) == ctx.conj().coeff(5)
+        assert sums[-1].coeff(n) == ctx8.family("lie2_ge2").coeff(n)
+    assert ctx8.conj_from("lie").coeff(5) == ctx8.conj().coeff(5)
 
 
 def test_omega_commutes_with_odd_power_plethysm():
