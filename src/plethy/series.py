@@ -565,6 +565,8 @@ class SeriesContext:
 
     def u(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum vh(n,k) - vh(n,k-1) + ... +- vh(n,0)."""
+        if not 0 <= k <= n - 1:
+            raise ValueError("u needs 0 <= k <= n-1")
         out = SymFunc.zero()
         for j in range(k + 1):
             term = self.vh(n, j)
@@ -573,6 +575,8 @@ class SeriesContext:
 
     def beta_rank(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum of whitney pieces (rank-selected homology)."""
+        if not 0 <= k <= n - 1:
+            raise ValueError("beta needs 0 <= k <= n-1")
         out = SymFunc.zero()
         for j in range(k + 1):
             term = self.whitney(n, j)

@@ -17,7 +17,7 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from ._mn_pure import mn_column
-from .partitions import check_partition, format_partition, partitions_of, z_of
+from .partitions import check_partition, format_partition, is_partition, partitions_of, z_of
 
 Scalar = Union[int, Fraction]
 
@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _excerpt(value, width: int = 40) -> str:
+    """repr(value), cut to its first width characters plus "..." if longer, so
+    an error message about outside input stays short."""
+    text = repr(value)
+    return text if len(text) <= width else text[:width] + "..."
+
+
 def _check_coeff_size(text: str) -> None:
     """Refuse a coefficient string whose digits plus decimal exponent pass
     the int-to-str limit: its value could not be printed, and Fraction would
@@ -43,9 +50,11 @@ def _check_coeff_size(text: str) -> None:
     try:
         size += abs(int(exponent)) if exponent else 0
     except ValueError:
-        pass  # not an exponent: Fraction reports the literal
+        pass  # not an exponent: Fraction refuses the literal
     if limit and size > limit:
-        raise ValueError(f"more than {limit} digits (the int-to-str limit)")
+        raise ValueError(
+            f"bad coeff {_excerpt(text)}: more than {limit} digits (the int-to-str limit)"
+        )
 
 
 def _exact(c) -> Fraction:
@@ -297,19 +306,24 @@ class SymFunc:
         terms: dict[tuple, Fraction] = {}
         for entry in entries:
             if not isinstance(entry, Mapping) or not {"partition", "coeff"} <= entry.keys():
-                raise ValueError(f"each term needs a 'partition' and a 'coeff': {entry!r}")
+                raise ValueError(f"each term needs a 'partition' and a 'coeff': {_excerpt(entry)}")
             parts, c = entry["partition"], entry["coeff"]
             if not isinstance(parts, list) or any(type(x) is not int for x in parts):
-                raise ValueError(f"a partition is a list of integers: {parts!r}")
+                raise ValueError(f"a partition is a list of integers: {_excerpt(parts)}")
+            lam = tuple(parts)
+            if not is_partition(lam):
+                raise ValueError(f"not a partition: {_excerpt(parts)}")
             if type(c) is not int and not isinstance(c, str):
-                raise ValueError(f"a coeff is an integer or a string such as \"1/3\": {c!r}")
+                raise ValueError(f"a coeff is an integer or a string such as \"1/3\": {_excerpt(c)}")
+            if isinstance(c, str):
+                _check_coeff_size(c)
             try:
-                if isinstance(c, str):
-                    _check_coeff_size(c)
                 c = Fraction(c)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad coeff {entry['coeff']!r}: {exc}") from None
-            lam = check_partition(tuple(parts))
+            except ZeroDivisionError:
+                raise ValueError(f"bad coeff {_excerpt(c)}: zero denominator") from None
+            except ValueError:
+                # Fraction's own message would repeat the whole literal
+                raise ValueError(f"bad coeff {_excerpt(c)}: not an integer or a fraction") from None
             terms[lam] = terms.get(lam, Fraction(0)) + c
         return cls(terms)
 
@@ -363,76 +377,190 @@ def s(lam) -> SymFunc:
 
 
 # -- bilinear / composition operators ----------------------------------------
+#
+# Both ring kernels run on integer partition keys.  For a fixed cap, with
+# B = cap + 1, the partition 1^k1 2^k2 ... of degree <= cap is keyed as
+# sum_m k_m * B^(m-1).  Every multiplicity is at most the degree, so no base-B
+# digit carries while a product keeps its degree <= cap: the key of
+# p_lambda * p_mu is key(lambda) + key(mu), with no sorting.  Terms travel as
+# [(degree, [(key, numerator), ...]), ...] with degrees ascending, so a
+# product loop stops as soon as the degree passes its budget.
+
+
+class _PartitionKeys:
+    """The key of each partition of degree <= cap, and back, memoized as met.
+
+    Nothing is enumerated up front: a partition is encoded the first time a
+    kernel sees it, and a key is decoded the first time a result holds it.
+    """
+
+    __slots__ = ("cap", "base", "_keys", "_parts")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.base = cap + 1
+        self._keys: dict[tuple, tuple[int, int]] = {}  # partition -> (key, degree)
+        self._parts: dict[int, tuple] = {0: ()}  # key -> partition
+
+    def encode(self, lam: tuple) -> tuple[int | None, int]:
+        """(key, degree) of lam; the key is None if the degree passes the cap."""
+        kd = self._keys.get(lam)
+        if kd is None:
+            deg = sum(lam)
+            if deg > self.cap:
+                return None, deg
+            base = self.base
+            kd = self._keys[lam] = (sum(base ** (m - 1) for m in lam), deg)
+        return kd
+
+    def decode(self, key: int) -> tuple:
+        lam = self._parts.get(key)
+        if lam is None:
+            parts: list[int] = []
+            rest, m = key, 0
+            while rest:
+                rest, k = divmod(rest, self.base)
+                m += 1
+                parts += [m] * k
+            lam = self._parts[key] = tuple(reversed(parts))
+        return lam
+
+    def grouped(self, terms, limit: int) -> list[tuple[int, list[tuple[int, int]]]]:
+        """The (partition, numerator) pairs of degree <= limit <= cap, as
+        keyed degree groups in ascending degree."""
+        by_deg: dict[int, list[tuple[int, int]]] = {}
+        known = self._keys.get
+        for lam, v in terms:
+            key, deg = known(lam) or self.encode(lam)
+            if deg <= limit:
+                group = by_deg.get(deg)
+                if group is None:
+                    by_deg[deg] = [(key, v)]
+                else:
+                    group.append((key, v))
+        return sorted(by_deg.items())
+
+    def to_symfunc(self, num: dict[int, int], den: int) -> SymFunc:
+        decode = self.decode
+        return _reduced({decode(k): v for k, v in num.items()}, den)
+
+
+@lru_cache(maxsize=64)
+def _partition_keys(cap: int) -> _PartitionKeys:
+    return _PartitionKeys(cap)
+
+
+def _mul_grouped(a: list, b: list, budget: int) -> list:
+    """Product of two keyed degree-group lists, terms of degree > budget dropped."""
+    out: dict[int, dict[int, int]] = {}
+    for da, ta in a:
+        room = budget - da
+        if room < 0:
+            break
+        for db, tb in b:
+            if db > room:
+                break
+            acc = out.get(da + db)
+            if acc is None:
+                acc = out[da + db] = {}
+            get = acc.get
+            for ka, va in ta:
+                for kb, vb in tb:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + va * vb
+    groups = []
+    for d in sorted(out):
+        terms = [(k, v) for k, v in out[d].items() if v]
+        if terms:
+            groups.append((d, terms))
+    return groups
 
 
 def mul_trunc(a: SymFunc, b: SymFunc, cap: int) -> SymFunc:
     """Product with all terms of degree > cap dropped."""
-    data: dict[tuple, int] = {}
-    get = data.get
-    b_by_deg: dict[int, list[tuple[tuple, int]]] = {}
-    for mu, vb in b._num.items():
-        b_by_deg.setdefault(sum(mu), []).append((mu, vb))
-    for lam, va in a._num.items():
-        da = sum(lam)
-        if da > cap:
-            continue
-        for db, entries in b_by_deg.items():
-            if da + db > cap:
-                continue
-            for mu, vb in entries:
-                key = tuple(sorted(lam + mu, reverse=True))
-                data[key] = get(key, 0) + va * vb
-    return _reduced(data, a._den * b._den)
-
-
-def _p_k_of(g: SymFunc, k: int) -> SymFunc:
-    """p_k composed with g: replace every p_m by p_{km}, coefficients fixed."""
-    if k == 1:
-        return g
-    return SymFunc._raw(
-        {tuple(part * k for part in lam): v for lam, v in g._num.items()}, g._den
-    )
+    if cap < 0:
+        return SymFunc.zero()
+    keys = _partition_keys(cap)
+    # only the terms of b within cap of a's lowest degree can contribute
+    ga = keys.grouped(a._num.items(), cap)
+    gb = keys.grouped(b._num.items(), cap - ga[0][0]) if ga else []
+    prod = _mul_grouped(ga, gb, cap)
+    return keys.to_symfunc({k: v for _, terms in prod for k, v in terms}, a._den * b._den)
 
 
 def plethysm(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc:
-    """Plethysm f o g, optionally truncated to total degree <= cap.
+    """Plethysm f o g, truncated to total degree <= cap.
 
     g must have no degree-0 term (composition into a series with constant
-    term is undefined here).  Bilinear in f; in g only power sums distribute.
-    """
-    if g.coeff(()):
-        raise ValueError("plethysm: right argument has a degree-0 term")
-    pk_cache: dict[int, SymFunc] = {}
+    term is undefined here).  Bilinear in f; in g only power sums distribute:
+    p_lambda[g] is the product over the parts m of p_m[g], which replaces
+    every p_mu in g by p_{m mu}.  cap=None means no truncation and is run as
+    cap = maxdeg(f) * maxdeg(g), which no term can pass, so there is one path.
 
-    def pk(k: int) -> SymFunc:
-        out = pk_cache.get(k)
+    The support of f is walked as a trie: its partitions (parts descending)
+    are visited in lexicographic order, so the prefix product
+    p_(lambda_1..lambda_j)[g] is built once and shared by every lambda that
+    extends it.  Each part m still to come adds degree >= m * gmin, gmin the
+    lowest degree in g, so a prefix is cut to degree <= cap - gmin * R, R the
+    smallest remaining part-sum among the lambda below it, and a lambda with
+    gmin * |lambda| > cap is skipped.  Prefixes and the sum stay int-keyed: a
+    prefix of j parts holds numerators over g._den^j, the sum holds them over
+    g._den^l for the longest l, and the result is decoded and reduced once.
+    """
+    if () in g._num:
+        raise ValueError("plethysm: right argument has a degree-0 term")
+    gdeg = {mu: sum(mu) for mu in g._num}
+    if cap is None:
+        cap = max(map(sum, f._num), default=0) * max(gdeg.values(), default=0)
+    # for g = 0 only the constant term of f passes the degree test below
+    gmin = min(gdeg.values(), default=cap + 1)
+    items = sorted(
+        (lam, sum(lam), c) for lam, c in f._num.items() if gmin * sum(lam) <= cap
+    )
+    if not items:
+        return SymFunc.zero()
+    keys = _partition_keys(cap)
+    # floor[prefix]: the smallest |lambda| among the lambda that extend prefix
+    floor: dict[tuple, int] = {}
+    for lam, size, _ in items:
+        for j in range(1, len(lam) + 1):
+            pre = lam[:j]
+            if floor.get(pre, size + 1) > size:
+                floor[pre] = size
+    pk_cache: dict[int, list] = {}
+
+    def pk(m: int) -> list:
+        out = pk_cache.get(m)
         if out is None:
-            out = _p_k_of(g, k)
-            if cap is not None:
-                out = out.truncate(cap)
-            pk_cache[k] = out
+            out = pk_cache[m] = keys.grouped(
+                ((tuple(m * x for x in mu), v) for mu, v in g._num.items() if m * gdeg[mu] <= cap),
+                cap,
+            )
         return out
 
-    # sum of c * term over the lcm of the term denominators, divided by f._den
-    total: dict[tuple, int] = {}
-    den = 1
-    for lam, c in f._num.items():
-        if cap is not None and sum(lam) > cap:
-            continue
-        term = SymFunc.one()
-        for part in lam:
-            term = mul_trunc(term, pk(part), cap) if cap is not None else term * pk(part)
-            if not term:
-                break
-        new_den = lcm(den, term._den)
-        if new_den != den:
-            up = new_den // den
-            total = {mu: v * up for mu, v in total.items()}
-            den = new_den
-        c *= den // term._den
-        for mu, v in term._num.items():
-            total[mu] = total.get(mu, 0) + c * v
-    return _reduced(total, den * f._den)
+    gden = g._den
+    longest = max(len(lam) for lam, _, _ in items)
+    total: dict[int, int] = {}
+    get = total.get
+    # stack[j] = (|lambda[:j]|, p_lambda[:j][g]) for the lambda last visited
+    stack = [(0, [(0, [(0, 1)])])]
+    prev: tuple = ()
+    for lam, _, c in items:
+        j = 0
+        while j < len(prev) and j < len(lam) and prev[j] == lam[j]:
+            j += 1
+        del stack[j + 1 :]
+        for i in range(j, len(lam)):
+            size, prefix = stack[-1]
+            size += lam[i]
+            budget = cap - gmin * (floor[lam[: i + 1]] - size)
+            stack.append((size, _mul_grouped(prefix, pk(lam[i]), budget)))
+        prev = lam
+        c *= gden ** (longest - len(lam))
+        for _, terms in stack[-1][1]:
+            for k, v in terms:
+                total[k] = get(k, 0) + c * v
+    return keys.to_symfunc(total, f._den * gden**longest)
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:

@@ -9,6 +9,7 @@ the tests either come from these oracles or from the reference tables.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -120,6 +121,17 @@ def ref_partial_p1(a: dict) -> dict:
 
 def ref_hall_inner(a: dict, b: dict) -> Fraction:
     return sum((v * b[lam] * z_of(lam) for lam, v in a.items() if lam in b), Fraction(0))
+
+
+def patch_everywhere(monkeypatch, name: str, replacement) -> None:
+    """Point every plethy module's binding of the symfunc function `name`
+    at replacement, so calls made from any layer go through it."""
+    import plethy.symfunc
+
+    original = getattr(plethy.symfunc, name)
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "plethy" or modname.startswith("plethy.")) and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
 
 
 def assert_canonical(f: SymFunc) -> None:

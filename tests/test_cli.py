@@ -67,6 +67,10 @@ def test_compute_usage_errors(capsys):
     for obj, n in (("delta", "-1"), ("sigma", "-2"), ("tau", "-1")):
         code, out, err = run_cli(["compute", obj, n], capsys=capsys)
         assert code == 2 and out == "" and f"{obj} needs n >= 0" in err
+    # u and beta name their own range, not that of the piece they sum
+    for obj, n, k in (("u", "0", "0"), ("beta", "3", "7")):
+        code, out, err = run_cli(["compute", obj, n, k], capsys=capsys)
+        assert code == 2 and out == "" and f"{obj} needs 0 <= k <= n-1" in err
 
 
 def test_schur_command_round_trip(capsys):
@@ -127,6 +131,18 @@ def test_schur_command_malformed_payloads_exit_2(payload, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("bad input: ")
+
+
+@pytest.mark.parametrize(
+    "term",
+    [{"partition": [0] * 300_000, "coeff": 1}, {"partition": [1], "coeff": "1" * 4000 + "x"}],
+    ids=["300000-part-partition", "4000-digit-bad-coeff"],
+)
+def test_bad_input_message_is_bounded(term, capsys):
+    payload = json.dumps({"basis": "p", "terms": [term]})
+    code, out, err = run_cli(["schur"], stdin_text=payload, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("bad input: ") and len(err.encode()) < 1024
 
 
 _KEYS = st.sampled_from(["basis", "terms", "partition", "coeff"]) | st.text(max_size=5)

@@ -14,6 +14,7 @@ from conftest import (
     brute_s,
     count_derangements,
     eval_at,
+    patch_everywhere,
     ref_add,
     ref_hall_inner,
     ref_mul,
@@ -340,7 +341,8 @@ def test_add_sub_mul_match_reference(f, g):
     _agrees(f - f, {})
     _agrees(-f, ref_scale(a, Fraction(-1)))
     _agrees(f * g, ref_mul(a, b))
-    for cap in (0, 2, 4, 7):
+    # operands of degree up to 5 hold terms above every cap but the last
+    for cap in (-1, 0, 1, 2, 3, 4, 7):
         _agrees(mul_trunc(f, g, cap), ref_mul(a, b, cap))
 
 
@@ -353,6 +355,70 @@ def test_add_sub_mul_match_reference(f, g):
 def test_plethysm_matches_reference(f, g, cap):
     g = g - g.homogeneous_part(0)
     _agrees(plethysm(f, g, cap), ref_plethysm(ref_terms(f), ref_terms(g), cap))
+
+
+@st.composite
+def inner_with_low_degree(draw):
+    """A g with no constant term whose lowest degree is 2 or 3, the degree
+    budget's gmin."""
+    gmin = draw(st.sampled_from([2, 3]))
+    low = draw(st.sampled_from(partitions_of(gmin)))
+    coeff = draw(st.integers(min_value=1, max_value=5)) * draw(st.sampled_from([1, -1]))
+    rest = draw(symfunc_strategy(max_deg=gmin + 2, max_terms=2, min_deg=gmin + 1))
+    return rest + p(low).scale(Fraction(coeff, draw(st.integers(min_value=1, max_value=3))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    symfunc_strategy(max_deg=6, max_terms=6),
+    inner_with_low_degree(),
+    st.sampled_from([None, *range(13)]),
+)
+def test_plethysm_degree_budget_matches_reference(f, g, cap):
+    _agrees(plethysm(f, g, cap), ref_plethysm(ref_terms(f), ref_terms(g), cap))
+
+
+def test_plethysm_fixed_edge_cases():
+    f = SymFunc({(): Fraction(3, 2), (2,): 1, (1, 1): Fraction(-1, 3), (3, 1): 2})
+    g = p(3) - p((2, 1)).scale(Fraction(1, 2)) + p(4)
+    constant = SymFunc.one().scale(Fraction(3, 2))
+    for cap in (None, 0, 5):
+        # g = 0: every p_lambda with lambda nonempty vanishes
+        assert plethysm(f, SymFunc.zero(), cap) == constant
+    # caps below the lowest degree of g keep only the constant term
+    for cap in (0, 1, 2):
+        assert plethysm(f, g, cap) == constant
+    assert plethysm(f, g, -1) == SymFunc.zero()
+    assert plethysm(SymFunc.zero(), g, 4) == SymFunc.zero()
+    a, b = ref_terms(f), ref_terms(g)
+    for cap in (None, 3, 4, 6, 7, 8, 12):
+        _agrees(plethysm(f, g, cap), ref_plethysm(a, b, cap))
+
+
+def test_ring_calls_match_reference(monkeypatch):
+    """Every plethysm and mul_trunc call made by verify_all(8) equals the
+    reference ring on the same arguments."""
+    from plethy.registry import verify_all
+
+    calls = {"plethysm": 0, "mul_trunc": 0}
+
+    def checked_plethysm(f, g, cap=None):
+        out = plethysm(f, g, cap)
+        _agrees(out, ref_plethysm(ref_terms(f), ref_terms(g), cap))
+        calls["plethysm"] += 1
+        return out
+
+    def checked_mul_trunc(a, b, cap):
+        out = mul_trunc(a, b, cap)
+        _agrees(out, ref_mul(ref_terms(a), ref_terms(b), cap))
+        calls["mul_trunc"] += 1
+        return out
+
+    patch_everywhere(monkeypatch, "plethysm", checked_plethysm)
+    patch_everywhere(monkeypatch, "mul_trunc", checked_mul_trunc)
+    reports = verify_all(8)
+    assert not any(r.failed for r in reports)
+    assert calls["plethysm"] > 400 and calls["mul_trunc"] > 400, calls
 
 
 @settings(max_examples=60, deadline=None)
