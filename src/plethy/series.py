@@ -5,6 +5,14 @@ out of an outer-power operator or a product formula, a second grading by
 outer length (the v-marker): slot (n, r) is the piece of degree n sitting
 under v^r.  Every operation takes the cap from its inputs and never reads
 beyond it; nothing truncates silently.
+
+Products stay in the keyed form of symfunc (Keyed, mul_sum): the Newton
+recursion keeps every x_r[F] keyed from one step to the next, bracket_sum
+walks the partitions as a trie of keyed prefix products, and a Series
+product multiplies keyed columns.  Each operand is encoded once, each sum
+of products is accumulated over one common denominator, and each result
+slot is reduced and decoded once.  Sums of many SymFuncs are one
+linear_sum, not a chain of +.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from math import lcm
 from typing import Callable, Iterable
 
 from .partitions import divisors, multiplicities, partitions_of
-from .symfunc import SymFunc, _reduced, e, h, mul_trunc, p, plethysm
+from .symfunc import Keyed, SymFunc, _reduced, e, h, linear_sum, mul_sum, p, plethysm
 
 __all__ = [
     "Series",
@@ -64,7 +72,7 @@ class Series:
 
     @classmethod
     def from_symfunc(cls, f: SymFunc, cap: int) -> "Series":
-        return cls(cap, {n: f.homogeneous_part(n) for n in range(cap + 1)})
+        return cls(cap, f.homogeneous_parts())
 
     @classmethod
     def one(cls, cap: int) -> "Series":
@@ -88,10 +96,7 @@ class Series:
         return sorted(self._graded.keys()) if self._graded else []
 
     def total(self) -> SymFunc:
-        out = SymFunc.zero()
-        for f in self._parts:
-            out = out + f
-        return out
+        return linear_sum((1, f) for f in self._parts)
 
     def drop_grading(self) -> "Series":
         return Series(self.cap, dict(enumerate(self._parts)))
@@ -130,42 +135,42 @@ class Series:
         return Series(self.cap, parts, graded)
 
     def __mul__(self, other: "Series") -> "Series":
+        """The truncated product; graded slots multiply when both sides have them.
+
+        Slot n holds degree n, so the degree parts are the degree groups of
+        one keyed product of the two totals.  The graded slots of each
+        length r are summed into one keyed column, so each column is encoded
+        once and output length r is one mul_sum over the column pairs.
+        """
         if not isinstance(other, Series):
             return NotImplemented
         if self.cap != other.cap:
             raise ValueError("cap mismatch")
         cap = self.cap
-        parts: dict[int, SymFunc] = {}
-        for n1, f1 in enumerate(self._parts):
-            if not f1:
-                continue
-            for n2 in range(cap - n1 + 1):
-                f2 = other._parts[n2]
-                if f2:
-                    parts[n1 + n2] = parts.get(n1 + n2, SymFunc.zero()) + f1 * f2
+        totals = (_keyed_sum(self._parts, cap), _keyed_sum(other._parts, cap))
+        parts = mul_sum([totals], cap).parts()
         graded = None
         if self._graded is not None and other._graded is not None:
-            graded = {}
-            for (n1, r1), f1 in self._graded.items():
-                for (n2, r2), f2 in other._graded.items():
-                    if n1 + n2 > cap:
-                        continue
-                    key = (n1 + n2, r1 + r2)
-                    graded[key] = graded.get(key, SymFunc.zero()) + f1 * f2
+            pairs: dict[int, list[tuple[Keyed, Keyed]]] = {}
+            columns = _keyed_columns(other._graded, cap)
+            for r1, x in _keyed_columns(self._graded, cap).items():
+                for r2, y in columns.items():
+                    pairs.setdefault(r1 + r2, []).append((x, y))
+            graded = {
+                (n, r): f for r, rp in pairs.items() for n, f in mul_sum(rp, cap).parts().items()
+            }
         return Series(cap, parts, graded)
 
     def reciprocal(self) -> "Series":
         """1/self for a series with constant term 1; result is ungraded."""
         if self._parts[0] != SymFunc.one():
             raise ValueError("reciprocal needs constant term 1")
-        inv = [SymFunc.one()]
-        for n in range(1, self.cap + 1):
-            acc = SymFunc.zero()
-            for k in range(1, n + 1):
-                if self._parts[k]:
-                    acc = acc + self._parts[k] * inv[n - k]
-            inv.append(-acc)
-        return Series(self.cap, inv)
+        cap = self.cap
+        neg = [Keyed.encode(-f, cap) for f in self._parts]
+        inv = [Keyed.encode(SymFunc.one(), cap)]
+        for n in range(1, cap + 1):
+            inv.append(mul_sum([(neg[k], inv[n - k]) for k in range(1, n + 1)], cap))
+        return Series(cap, [x.symfunc() for x in inv])
 
     def map(self, fn: Callable[[SymFunc], SymFunc]) -> "Series":
         parts = {n: fn(f) for n, f in enumerate(self._parts)}
@@ -182,31 +187,39 @@ class Series:
         return Series(self.cap, parts, graded)
 
 
+def _keyed_sum(fs: Iterable[SymFunc], cap: int) -> Keyed:
+    return Keyed.encode(linear_sum((1, f) for f in fs), cap)
+
+
+def _keyed_columns(graded: dict[tuple[int, int], SymFunc], cap: int) -> dict[int, Keyed]:
+    """{r: the sum over n of slot (n, r)}, keyed for the cap."""
+    columns: dict[int, list[SymFunc]] = {}
+    for (_, r), f in graded.items():
+        columns.setdefault(r, []).append(f)
+    return {r: _keyed_sum(fs, cap) for r, fs in columns.items()}
+
+
 # -- the H/E outer operators ----------------------------------------------------
 
 
-def _outer_powers(base: str, F: Series, cap: int) -> list[SymFunc]:
-    """[x_0[F], x_1[F], ...] truncated to degree cap, x in {h, e}.
+def _outer_powers(base: str, F: Series, cap: int) -> list[Keyed]:
+    """[x_0[F], x_1[F], ...] truncated to degree cap, x in {h, e}, keyed for the cap.
 
-    Newton recursion r*h_r = sum p_k h_{r-k} (signs for e), pushed through
-    the ring endomorphism given by plethysm with F.
+    Newton recursion r*x_r = sum over k of (+-) p_k[F] x_{r-k}, the sign -1
+    for even k when x = e, pushed through the ring endomorphism given by
+    plethysm with F.  Each signed p_k[F] is encoded once and every x_r stays
+    keyed, so step r is one mul_sum over its r pairs, divided by r.
     """
     tot = F.total()
     if tot.coeff(()):
         raise ValueError("outer application needs a series with no degree-0 term")
-    pk = {k: plethysm(p(k), tot, cap) for k in range(1, cap + 1)}
-    out = [SymFunc.one()]
+    pk: list = [None]  # pk[k] is the signed p_k[F]
+    for k in range(1, cap + 1):
+        piece = plethysm(p(k), tot, cap)
+        pk.append(Keyed.encode(-piece if base == "e" and k % 2 == 0 else piece, cap))
+    out = [Keyed.encode(SymFunc.one(), cap)]
     for r in range(1, cap + 1):
-        acc = SymFunc.zero()
-        for k in range(1, r + 1):
-            piece = pk.get(k)
-            if not piece or not out[r - k]:
-                continue
-            term = mul_trunc(piece, out[r - k], cap)
-            if base == "e" and k % 2 == 0:
-                term = -term
-            acc = acc + term
-        out.append(acc.scale(Fraction(1, r)))
+        out.append(mul_sum([(pk[k], out[r - k]) for k in range(1, r + 1)], cap, r))
     return out
 
 
@@ -221,9 +234,9 @@ def apply_series(kind: str, F: Series, cap: int | None = None) -> Series:
         raise IndexError(f"cap {cap} exceeds the argument's cap {F.cap}")
     base = {"H": "h", "E": "e"}[kind]
     graded: dict[tuple[int, int], SymFunc] = {}
-    for r, fr in enumerate(_outer_powers(base, F, cap)):
-        for n in fr.degrees():
-            graded[(n, r)] = fr.homogeneous_part(n)
+    for r, xr in enumerate(_outer_powers(base, F, cap)):
+        for n, f in xr.parts().items():
+            graded[(n, r)] = f
     return _from_graded(cap, graded)
 
 
@@ -236,10 +249,10 @@ def _negate_odd_lengths(A: Series) -> Series:
 
 def _from_graded(cap: int, graded: dict[tuple[int, int], SymFunc]) -> Series:
     """The Series whose degree-n part is the sum of the (n, r) slots."""
-    parts: dict[int, SymFunc] = {}
+    by_deg: dict[int, list[tuple[int, SymFunc]]] = {}
     for (n, _), piece in graded.items():
-        parts[n] = parts.get(n, SymFunc.zero()) + piece
-    return Series(cap, parts, graded)
+        by_deg.setdefault(n, []).append((1, piece))
+    return Series(cap, {n: linear_sum(terms) for n, terms in by_deg.items()}, graded)
 
 
 def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
@@ -248,17 +261,10 @@ def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
         raise ValueError("kind must be 'H' or 'E'")
     if sum(lam) > Q.cap:
         raise IndexError(f"|lam| = {sum(lam)} exceeds series cap {Q.cap}")
-    return _bracket(h if kind == "H" else e, lam, Q, {})
-
-
-def _bracket(base, lam: tuple, Q: Series, factors: dict) -> SymFunc:
-    """The product of x_m[q_part], reading and filling factors[part, m]."""
+    base = h if kind == "H" else e
     out = SymFunc.one()
     for part, m in multiplicities(lam).items():
-        x = factors.get((part, m))
-        if x is None:
-            x = factors[part, m] = plethysm(base(m), Q.coeff(part))
-        out = out * x
+        out = out * plethysm(base(m), Q.coeff(part))
         if not out:
             break
     return out
@@ -273,8 +279,14 @@ def bracket_sum(
     """sum over partitions of v^l(lam) * (sign) * bracket, as a graded Series.
 
     The independent route to apply_series: products of small plethysms
-    instead of the Newton recursion.  Each factor x_m[q_part] is built once
-    and shared by every partition that contains it.
+    instead of the Newton recursion.  The partitions of every degree up to
+    the cap are walked as a trie over their (part, multiplicity) groups,
+    parts descending.  Each factor x_m[q_part] is built and encoded once,
+    and the keyed product of a prefix's factors is built once and shared by
+    every lam that extends it.  A lam enters its slot (|lam|, l(lam)) as the
+    pair (its prefix, sign(lam) times its last factor), so slot (n, l) is
+    one mul_sum over its pairs, decoded once, and the product of a lam that
+    no longer lam extends is never built on its own.
     """
     if kind not in ("H", "E"):
         raise ValueError("kind must be 'H' or 'E'")
@@ -283,17 +295,36 @@ def bracket_sum(
     if cap > Q.cap:
         raise IndexError(f"cap {cap} exceeds the series cap {Q.cap}")
     base = h if kind == "H" else e
-    factors: dict[tuple[int, int], SymFunc] = {}
-    graded: dict[tuple[int, int], SymFunc] = {}
-    for n in range(cap + 1):
-        for lam in partitions_of(n):
-            f = _bracket(base, lam, Q, factors)
-            if sign is not None:
-                f = f.scale(sign(lam))
-            if not f:
-                continue
-            key = (n, len(lam))
-            graded[key] = graded.get(key, SymFunc.zero()) + f
+    one = Keyed.encode(SymFunc.one(), cap)
+    factors: dict[tuple[int, int, int], Keyed] = {}  # (part, m, c) -> c * x_m[q_part]
+
+    def factor(part: int, m: int, c: int = 1) -> Keyed:
+        x = factors.get((part, m, c))
+        if x is None:
+            if c == 1:
+                x = Keyed.encode(plethysm(base(m), Q.coeff(part)), cap)
+            else:
+                x = factor(part, m).scale(c)
+            factors[part, m, c] = x
+        return x
+
+    c = 1 if sign is None else sign(())
+    slots: dict[tuple[int, int], list[tuple[Keyed, Keyed]]] = {(0, 0): [(one, one.scale(c))]}
+    stack = [((), 0, one)]  # (lam, |lam|, keyed bracket of lam)
+    while stack:
+        lam, n, prod = stack.pop()
+        for part in range(min(lam[-1] - 1 if lam else cap, cap - n), 0, -1):
+            for m in range(1, (cap - n) // part + 1):
+                # a zero factor zeroes every lam below it
+                if not factor(part, m):
+                    continue
+                child, size = lam + (part,) * m, n + part * m
+                c = 1 if sign is None else sign(child)
+                if c:
+                    slots.setdefault((size, len(child)), []).append((prod, factor(part, m, c)))
+                if part > 1 and size < cap:  # room for a smaller part below it
+                    stack.append((child, size, mul_sum([(prod, factor(part, m))], cap)))
+    graded = {key: mul_sum(pairs, cap).symfunc() for key, pairs in slots.items()}
     return _from_graded(cap, graded)
 
 
@@ -317,17 +348,17 @@ def plethystic_inverse(G: Series, cap: int | None = None) -> Series:
     if not c or g1 != p(1).scale(c):
         raise ValueError("plethystic inverse needs an invertible degree-1 term c*p_1")
     gtot = G.total()
-    acc = SymFunc.zero()  # F_1 + ... + F_{n-1}
-    composed = SymFunc.zero()  # (F_1 + ... + F_{n-1}) o G, up to the cap
+    pieces: dict[int, SymFunc] = {}  # F_n
+    composed: dict[int, list[tuple[int, SymFunc]]] = {}  # degree-d parts of each F_j o G
     for n in range(1, cap + 1):
         want = p(1) if n == 1 else SymFunc.zero()
-        resid = want - composed.homogeneous_part(n)
+        resid = linear_sum([(1, want), *composed.get(n, [])])
         # resid = F_n[c * p_1], which scales p_lam by c^l(lam); undo that
-        fn = SymFunc({lam: v / c ** len(lam) for lam, v in resid.items()})
-        acc = acc + fn
+        fn = pieces[n] = SymFunc({lam: v / c ** len(lam) for lam, v in resid.items()})
         if fn and n < cap:
-            composed = composed + plethysm(fn, gtot, cap)
-    return Series.from_symfunc(acc, cap)
+            for d, f in plethysm(fn, gtot, cap).homogeneous_parts().items():
+                composed.setdefault(d, []).append((-1, f))
+    return Series(cap, pieces)
 
 
 def restrict_ge2(F: Series) -> Series:
@@ -567,21 +598,13 @@ class SeriesContext:
         """Truncated alternating sum vh(n,k) - vh(n,k-1) + ... +- vh(n,0)."""
         if not 0 <= k <= n - 1:
             raise ValueError("u needs 0 <= k <= n-1")
-        out = SymFunc.zero()
-        for j in range(k + 1):
-            term = self.vh(n, j)
-            out = out + (term if (k - j) % 2 == 0 else -term)
-        return out
+        return linear_sum(((-1) ** ((k - j) % 2), self.vh(n, j)) for j in range(k + 1))
 
     def beta_rank(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum of whitney pieces (rank-selected homology)."""
         if not 0 <= k <= n - 1:
             raise ValueError("beta needs 0 <= k <= n-1")
-        out = SymFunc.zero()
-        for j in range(k + 1):
-            term = self.whitney(n, j)
-            out = out + (term if (k - j) % 2 == 0 else -term)
-        return out
+        return linear_sum(((-1) ** ((k - j) % 2), self.whitney(n, j)) for j in range(k + 1))
 
     def delta(self, n: int) -> SymFunc:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""
@@ -591,11 +614,9 @@ class SeriesContext:
             return SymFunc.one()
         if n == 1:
             return SymFunc.zero()
-        out = SymFunc.zero()
-        for k in range(n + 1):
-            term = p((1,) * (n - k)) * h(k) if n > k else h(k)
-            out = out + (term if k % 2 == 0 else -term)
-        return out
+        return linear_sum(
+            ((-1) ** (k % 2), p((1,) * (n - k)) * h(k) if n > k else h(k)) for k in range(n + 1)
+        )
 
     def delta_part(self, n: int, k: int) -> SymFunc:
         """e_k[lie2_(>=2)]|_n."""
@@ -615,12 +636,12 @@ class SeriesContext:
         """One-dimensional virtual character sum of e_(n-2i) g_(2i)."""
         if n < 0:
             raise ValueError("sigma needs n >= 0")
-        out = SymFunc.zero()
+        terms = []
         for i in range(0, n // 2 + 1):
             gpart = self.g_fn(2 * i)
             if gpart:
-                out = out + e(n - 2 * i) * gpart
-        return out
+                terms.append((1, e(n - 2 * i) * gpart))
+        return linear_sum(terms)
 
     def tau(self, n: int) -> SymFunc:
         """h_n - h_(n-2) p_2 (= s_(n-2,1,1) - s_(n-2,2) once n >= 4)."""
@@ -645,9 +666,7 @@ class SeriesContext:
             else:
                 raise ValueError("family must be 'lie' or 'lie2'")
             tot = base.total()
-            out = SymFunc.zero()
-            for k in ks:
-                out = out + plethysm(p(k), tot, cap)
+            out = linear_sum((1, plethysm(p(k), tot, cap)) for k in ks)
             return Series.from_symfunc(out, cap)
 
         return self._get(("conj_from", family), build)

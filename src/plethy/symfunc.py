@@ -29,7 +29,10 @@ __all__ = [
     "s",
     "plethysm",
     "hall_inner",
+    "linear_sum",
     "mul_trunc",
+    "Keyed",
+    "mul_sum",
 ]
 
 
@@ -167,35 +170,27 @@ class SymFunc:
     def homogeneous_part(self, n: int) -> "SymFunc":
         return _reduced({lam: v for lam, v in self._num.items() if sum(lam) == n}, self._den)
 
+    def homogeneous_parts(self) -> dict[int, "SymFunc"]:
+        """{n: homogeneous_part(n)} for every degree n present, in one pass."""
+        by_deg: dict[int, dict[tuple, int]] = {}
+        for lam, v in self._num.items():
+            by_deg.setdefault(sum(lam), {})[lam] = v
+        return {n: _reduced(num, self._den) for n, num in by_deg.items()}
+
     def truncate(self, cap: int) -> "SymFunc":
         return _reduced({lam: v for lam, v in self._num.items() if sum(lam) <= cap}, self._den)
 
     # -- ring operations ---------------------------------------------------
 
-    def _combine(self, other: "SymFunc", sign: int) -> "SymFunc":
-        """self + sign * other over the lcm of the two denominators."""
-        if not other:
-            return self
-        if not self:
-            return other if sign == 1 else -other
-        den = lcm(self._den, other._den)
-        sa = den // self._den
-        sb = sign * (den // other._den)
-        data = {lam: v * sa for lam, v in self._num.items()} if sa != 1 else dict(self._num)
-        get = data.get
-        for lam, v in other._num.items():
-            data[lam] = get(lam, 0) + v * sb
-        return _reduced(data, den)
-
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self._combine(other, 1)
+        return linear_sum(((1, self), (1, other)))
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self._combine(other, -1)
+        return linear_sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "SymFunc":
         return SymFunc._raw({lam: -v for lam, v in self._num.items()}, self._den)
@@ -336,6 +331,30 @@ class SymFunc:
         return " + ".join(bits)
 
 
+def linear_sum(terms: Iterable[tuple[int, SymFunc]]) -> SymFunc:
+    """The sum of c * f over the (c, f) pairs, c an int.
+
+    One pass over the lcm of the denominators and one reduction, so a sum of
+    many functions does not copy a running total once per term.
+    """
+    terms = [(c, f) for c, f in terms if c and f._num]
+    if len(terms) <= 1:
+        if not terms:
+            return SymFunc.zero()
+        c, f = terms[0]
+        return f if c == 1 else -f if c == -1 else f.scale(c)
+    den = lcm(*(f._den for _, f in terms))
+    c, f = terms[0]
+    s = c * (den // f._den)
+    data = dict(f._num) if s == 1 else {lam: s * v for lam, v in f._num.items()}
+    get = data.get
+    for c, f in terms[1:]:
+        s = c * (den // f._den)
+        for lam, v in f._num.items():
+            data[lam] = get(lam, 0) + s * v
+    return _reduced(data, den)
+
+
 # -- basis constructors -------------------------------------------------------
 
 
@@ -378,13 +397,17 @@ def s(lam) -> SymFunc:
 
 # -- bilinear / composition operators ----------------------------------------
 #
-# Both ring kernels run on integer partition keys.  For a fixed cap, with
+# Every product runs on integer partition keys.  For a fixed cap, with
 # B = cap + 1, the partition 1^k1 2^k2 ... of degree <= cap is keyed as
 # sum_m k_m * B^(m-1).  Every multiplicity is at most the degree, so no base-B
 # digit carries while a product keeps its degree <= cap: the key of
 # p_lambda * p_mu is key(lambda) + key(mu), with no sorting.  Terms travel as
 # [(degree, [(key, numerator), ...]), ...] with degrees ascending, so a
-# product loop stops as soon as the degree passes its budget.
+# product loop stops as soon as the degree passes its budget.  There is one
+# product loop, _mul_grouped.  plethysm drives it along a trie of prefixes;
+# mul_sum drives it for a whole sum of products over one common denominator,
+# which is how the series layer multiplies: each operand is encoded once as
+# a Keyed value, and each result is reduced and decoded once.
 
 
 class _PartitionKeys:
@@ -450,9 +473,14 @@ def _partition_keys(cap: int) -> _PartitionKeys:
     return _PartitionKeys(cap)
 
 
-def _mul_grouped(a: list, b: list, budget: int) -> list:
-    """Product of two keyed degree-group lists, terms of degree > budget dropped."""
-    out: dict[int, dict[int, int]] = {}
+def _mul_grouped(a: list, b: list, budget: int, out: dict | None = None, scale: int = 1) -> dict:
+    """Add scale * a * b, terms of degree > budget dropped, to out.
+
+    a and b are keyed degree-group lists; out maps degree -> {key: numerator}
+    and is returned (a new one if None).
+    """
+    if out is None:
+        out = {}
     for da, ta in a:
         room = budget - da
         if room < 0:
@@ -465,9 +493,15 @@ def _mul_grouped(a: list, b: list, budget: int) -> list:
                 acc = out[da + db] = {}
             get = acc.get
             for ka, va in ta:
+                va *= scale
                 for kb, vb in tb:
                     k = ka + kb
                     acc[k] = get(k, 0) + va * vb
+    return out
+
+
+def _as_groups(out: dict) -> list:
+    """The keyed degree-group list of a _mul_grouped accumulator, zeros dropped."""
     groups = []
     for d in sorted(out):
         terms = [(k, v) for k, v in out[d].items() if v]
@@ -476,16 +510,81 @@ def _mul_grouped(a: list, b: list, budget: int) -> list:
     return groups
 
 
+class Keyed:
+    """A symmetric function cut to degree <= cap, in the kernels' form.
+
+    groups is a keyed degree-group list [(degree, [(key, numerator), ...]),
+    ...] over the partition keys of the cap, degrees ascending, and den > 0
+    is the one denominator of every numerator.  A value that goes through
+    several products stays keyed in between: it is encoded from a SymFunc
+    once, and decoded once at the end, either whole or one degree at a time.
+    """
+
+    __slots__ = ("keys", "groups", "den")
+
+    def __init__(self, keys: _PartitionKeys, groups: list, den: int = 1):
+        self.keys = keys
+        self.groups = groups
+        self.den = den
+
+    @classmethod
+    def encode(cls, f: SymFunc, cap: int) -> "Keyed":
+        """The terms of f of degree <= cap."""
+        keys = _partition_keys(cap)
+        return cls(keys, keys.grouped(f._num.items(), cap), f._den)
+
+    def __bool__(self) -> bool:
+        return bool(self.groups)
+
+    def scale(self, c: int) -> "Keyed":
+        """c * self for an int c, over the same denominator."""
+        if not c:
+            return Keyed(self.keys, [])
+        groups = [(d, [(k, c * v) for k, v in terms]) for d, terms in self.groups]
+        return Keyed(self.keys, groups, self.den)
+
+    def symfunc(self) -> SymFunc:
+        return self.keys.to_symfunc({k: v for _, terms in self.groups for k, v in terms}, self.den)
+
+    def parts(self) -> dict[int, SymFunc]:
+        """{n: the degree-n part} for every degree present, each in lowest terms."""
+        decode = self.keys.decode
+        return {d: _reduced({decode(k): v for k, v in terms}, self.den) for d, terms in self.groups}
+
+
+def mul_sum(pairs: Iterable[tuple[Keyed, Keyed]], cap: int, divisor: int = 1) -> Keyed:
+    """The sum of a * b over the pairs, terms of degree > cap dropped, divided
+    by the positive int divisor.
+
+    Every product is accumulated over the lcm of the pairs' denominators, so
+    the sum is reduced by one gcd at the end.  Every operand must be keyed
+    for this cap.
+    """
+    keys = _partition_keys(cap)
+    pairs = [(a, b) for a, b in pairs if a.groups and b.groups]
+    for a, b in pairs:
+        if a.keys.cap != cap or b.keys.cap != cap:
+            raise ValueError(
+                f"mul_sum at cap {cap} got operands keyed for caps {a.keys.cap}, {b.keys.cap}"
+            )
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    out: dict = {}
+    for a, b in pairs:
+        _mul_grouped(a.groups, b.groups, cap, out, den // (a.den * b.den))
+    groups = _as_groups(out)
+    den *= divisor
+    g = gcd(den, *(v for _, terms in groups for _, v in terms))
+    if g != 1:
+        groups = [(d, [(k, v // g) for k, v in terms]) for d, terms in groups]
+        den //= g
+    return Keyed(keys, groups, den)
+
+
 def mul_trunc(a: SymFunc, b: SymFunc, cap: int) -> SymFunc:
-    """Product with all terms of degree > cap dropped."""
+    """Product with all terms of degree > cap dropped: the one-pair mul_sum."""
     if cap < 0:
         return SymFunc.zero()
-    keys = _partition_keys(cap)
-    # only the terms of b within cap of a's lowest degree can contribute
-    ga = keys.grouped(a._num.items(), cap)
-    gb = keys.grouped(b._num.items(), cap - ga[0][0]) if ga else []
-    prod = _mul_grouped(ga, gb, cap)
-    return keys.to_symfunc({k: v for _, terms in prod for k, v in terms}, a._den * b._den)
+    return mul_sum([(Keyed.encode(a, cap), Keyed.encode(b, cap))], cap).symfunc()
 
 
 def plethysm(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc:
@@ -554,7 +653,7 @@ def plethysm(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc:
             size, prefix = stack[-1]
             size += lam[i]
             budget = cap - gmin * (floor[lam[: i + 1]] - size)
-            stack.append((size, _mul_grouped(prefix, pk(lam[i]), budget)))
+            stack.append((size, _as_groups(_mul_grouped(prefix, pk(lam[i]), budget))))
         prev = lam
         c *= gden ** (longest - len(lam))
         for _, terms in stack[-1][1]:

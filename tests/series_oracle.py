@@ -1,10 +1,13 @@
 """Reference series constructions for the tests.
 
 These are the sequential forms plethy used before the series layer stopped
-recomputing: product_form convolves one SymFunc factor per m with
-Fraction-valued v-polynomials, and plethystic_inverse recomposes the whole
-partial inverse with G at every degree.  They share no expansion code with
-plethy.series.product_form / plethystic_inverse, so each checks the other.
+recomputing and started working on keyed values: product_form convolves one
+SymFunc factor per m with Fraction-valued v-polynomials, plethystic_inverse
+recomposes the whole partial inverse with G at every degree, the Newton
+recursion and the Series product multiply one pair of SymFuncs at a time,
+and bracket_sum multiplies out each partition's bracket on its own.  They
+share no expansion code with plethy.series: every product here is
+SymFunc.__mul__, never the keyed mul_sum kernel, so each checks the other.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from plethy.partitions import divisors
+from plethy.partitions import divisors, multiplicities, partitions_of
 from plethy.series import Series
-from plethy.symfunc import SymFunc, p, plethysm
+from plethy.symfunc import SymFunc, e, h, p, plethysm
 
 # -- v-polynomials with rational coefficients, stored as coefficient tuples
 
@@ -138,3 +141,92 @@ def plethystic_inverse(G: Series, cap: int | None = None) -> Series:
         fn = SymFunc({lam: v / c ** len(lam) for lam, v in resid.items()})
         acc = acc + fn
     return Series.from_symfunc(acc, cap)
+
+
+def outer_powers(base: str, F: Series, cap: int) -> list[SymFunc]:
+    """[x_0[F], ..., x_cap[F]], x in {h, e}, by the Newton recursion
+    r*x_r = sum over k of (+-) p_k[F] x_(r-k), one truncated product at a time."""
+    tot = F.total()
+    pk = {k: plethysm(p(k), tot, cap) for k in range(1, cap + 1)}
+    out = [SymFunc.one()]
+    for r in range(1, cap + 1):
+        acc = SymFunc.zero()
+        for k in range(1, r + 1):
+            term = (pk[k] * out[r - k]).truncate(cap)
+            if base == "e" and k % 2 == 0:
+                term = -term
+            acc = acc + term
+        out.append(acc.scale(Fraction(1, r)))
+    return out
+
+
+def _from_graded(cap: int, graded: dict[tuple[int, int], SymFunc]) -> Series:
+    parts: dict[int, SymFunc] = {}
+    for (n, _), piece in graded.items():
+        parts[n] = parts.get(n, SymFunc.zero()) + piece
+    return Series(cap, parts, graded)
+
+
+def apply_series(kind: str, F: Series) -> Series:
+    """H or E of F with slot (n, r) the degree-n part of x_r[F]."""
+    graded: dict[tuple[int, int], SymFunc] = {}
+    for r, fr in enumerate(outer_powers(kind.lower(), F, F.cap)):
+        for n in fr.degrees():
+            graded[(n, r)] = fr.homogeneous_part(n)
+    return _from_graded(F.cap, graded)
+
+
+def negate_odd_lengths(A: Series) -> Series:
+    """A(-v), so H gives Hpm and E gives Epm."""
+    graded = {(n, r): A.graded(n, r).scale((-1) ** r) for n, r in A.graded_keys()}
+    return _from_graded(A.cap, graded)
+
+
+def bracket_sum(kind: str, Q: Series, sign=None) -> Series:
+    """sum over partitions lam of v^l(lam) * (sign) * H_lam[Q] or E_lam[Q],
+    each bracket multiplied out on its own."""
+    base = h if kind == "H" else e
+    factors: dict[tuple[int, int], SymFunc] = {}
+    graded: dict[tuple[int, int], SymFunc] = {}
+    for n in range(Q.cap + 1):
+        for lam in partitions_of(n):
+            f = SymFunc.one()
+            for part, m in multiplicities(lam).items():
+                if (part, m) not in factors:
+                    factors[part, m] = plethysm(base(m), Q.coeff(part))
+                f = f * factors[part, m]
+            if sign is not None:
+                f = f.scale(sign(lam))
+            key = (n, len(lam))
+            graded[key] = graded.get(key, SymFunc.zero()) + f
+    return _from_graded(Q.cap, graded)
+
+
+def series_mul(A: Series, B: Series) -> Series:
+    """A * B slot by slot; graded when both sides are."""
+    cap = A.cap
+    parts: dict[int, SymFunc] = {}
+    for n1 in range(cap + 1):
+        for n2 in range(cap - n1 + 1):
+            parts[n1 + n2] = parts.get(n1 + n2, SymFunc.zero()) + A.coeff(n1) * B.coeff(n2)
+    graded = None
+    if A.graded_keys() and B.graded_keys():
+        graded = {}
+        for n1, r1 in A.graded_keys():
+            for n2, r2 in B.graded_keys():
+                if n1 + n2 <= cap:
+                    key = (n1 + n2, r1 + r2)
+                    prod = A.graded(n1, r1) * B.graded(n2, r2)
+                    graded[key] = graded.get(key, SymFunc.zero()) + prod
+    return Series(cap, parts, graded)
+
+
+def reciprocal(A: Series) -> Series:
+    """1/A for constant term 1, one degree at a time."""
+    inv = [SymFunc.one()]
+    for n in range(1, A.cap + 1):
+        acc = SymFunc.zero()
+        for k in range(1, n + 1):
+            acc = acc + A.coeff(k) * inv[n - k]
+        inv.append(-acc)
+    return Series(A.cap, inv)

@@ -322,6 +322,13 @@ def test_verify_json_golden(capsys):
     assert out == (GOLDEN / "verify-cap8.jsonl").read_text()
 
 
+def test_verify_json_golden_cap12(capsys):
+    # the bytes the benchmark's verify-cap12 workload checks
+    code, out, _ = run_cli(["verify", "--all", "--cap", "12", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "verify-cap12.jsonl").read_text()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,22 +1,35 @@
-"""Injected ring defects must show up as failed registry entries.
+"""Injected engine defects must show up as failed registry entries.
 
-Each defect wraps a public symfunc function from the outside, so the test
-does not depend on how the kernels are written.  verify_all(10) has to report
-at least one failure, and no exception may escape it (an entry that raises
-is itself a failure report).
+Each defect replaces a function or table of the package from the outside,
+so the test does not depend on how the kernels are written.  verify_all(10)
+has to report at least one failure, and no exception may escape it (an
+entry that raises is itself a failure report).
 """
 
 from __future__ import annotations
 
 import pytest
 
+import plethy.series as series
 from conftest import patch_everywhere
 from plethy.registry import verify_all
-from plethy.symfunc import SymFunc, mul_trunc, plethysm
+from plethy.symfunc import Keyed, SymFunc, mul_sum, p, plethysm
 
 
-def _mul_trunc_drops_top(a, b, cap):
-    return mul_trunc(a, b, cap).truncate(cap - 1)
+def _drop_top(out: Keyed, cap: int) -> Keyed:
+    return Keyed(out.keys, [(d, terms) for d, terms in out.groups if d < cap], out.den)
+
+
+def _mul_sum_drops_top(pairs, cap, divisor=1):
+    return _drop_top(mul_sum(pairs, cap, divisor), cap)
+
+
+def _one_pair_mul_sum_drops_top(pairs, cap, divisor=1):
+    """mul_trunc's defect on its successor: a product of one pair (what
+    mul_trunc computes) loses degree = cap; sums of several pairs are right."""
+    pairs = list(pairs)
+    out = mul_sum(pairs, cap, divisor)
+    return _drop_top(out, cap) if len(pairs) == 1 else out
 
 
 def _plethysm_drops_top(f, g, cap=None):
@@ -35,14 +48,58 @@ def _plethysm_budget_off_by_one(f, g, cap=None):
 @pytest.mark.parametrize(
     "name, defect",
     [
-        ("mul_trunc", _mul_trunc_drops_top),
+        # nothing in verify_all calls mul_trunc any more; its products are
+        # the one-pair calls of mul_sum
+        ("mul_sum", _one_pair_mul_sum_drops_top),
+        ("mul_sum", _mul_sum_drops_top),
         ("plethysm", _plethysm_drops_top),
         ("plethysm", _plethysm_budget_off_by_one),
     ],
-    ids=["mul_trunc-drops-degree-cap", "plethysm-drops-degree-cap", "plethysm-budget-off-by-one"],
+    ids=[
+        "mul_trunc-drops-degree-cap",
+        "mul_sum-drops-degree-cap",
+        "plethysm-drops-degree-cap",
+        "plethysm-budget-off-by-one",
+    ],
 )
 def test_ring_defect_fails_an_entry(monkeypatch, name, defect):
     patch_everywhere(monkeypatch, name, defect)
     reports = verify_all(10)
     failed = [r.id for r in reports if r.failed]
     assert failed, f"{defect.__name__} went unnoticed at cap 10"
+
+
+def _newton_p2_sign_flipped(base, F, cap):
+    """The Newton recursion r*x_r = sum of (+-) p_k[F] x_(r-k) with the
+    sign of the p_2[F] term flipped, for h and e alike."""
+    tot = F.total()
+    pk = [None]
+    for k in range(1, cap + 1):
+        sign = -1 if (base == "e" and k % 2 == 0) != (k == 2) else 1
+        pk.append(Keyed.encode(plethysm(p(k), tot, cap).scale(sign), cap))
+    out = [Keyed.encode(SymFunc.one(), cap)]
+    for r in range(1, cap + 1):
+        out.append(mul_sum([(pk[k], out[r - k]) for k in range(1, r + 1)], cap, r))
+    return out
+
+
+def _newton_sign_error(monkeypatch):
+    monkeypatch.setattr(series, "_outer_powers", _newton_p2_sign_flipped)
+
+
+def _product_variant_sign_flip(monkeypatch):
+    # "ext" is (1 - p_m)^(f_m(-v)); the flip makes it (1 + p_m)^(f_m(-v))
+    s, expo_sign, negv = series._PRODUCT_VARIANTS["ext"]
+    monkeypatch.setitem(series._PRODUCT_VARIANTS, "ext", (-s, expo_sign, negv))
+
+
+@pytest.mark.parametrize(
+    "inject",
+    [_newton_sign_error, _product_variant_sign_flip],
+    ids=["newton-p2-sign", "product-variant-ext-sign"],
+)
+def test_series_defect_fails_an_entry(monkeypatch, inject):
+    inject(monkeypatch)
+    reports = verify_all(10)
+    failed = [r.id for r in reports if r.failed]
+    assert failed, f"{inject.__name__} went unnoticed at cap 10"

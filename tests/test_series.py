@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 import series_oracle
-from conftest import count_by_cycles, count_derangements
+from conftest import assert_canonical, count_by_cycles, count_derangements
 from plethy.lie_family import Psi, lie
 from plethy.partitions import partitions_of
 from plethy.schur import to_schur
 from plethy.series import (
     Series,
     SeriesContext,
+    apply_series,
     bracket_sum,
     higher_bracket,
     p_sum_over,
@@ -197,6 +198,64 @@ def test_bracket_sum_is_the_sum_of_higher_brackets(ctx8):
                 assert got.graded_keys() == sorted(want), (name, kind, sign)
                 for key, f in want.items():
                     assert got.graded(*key) == f, (name, kind, sign, key)
+
+
+ORACLE_FAMILIES = ("lie", "lie2", "conj", "lie_ge2", "lie2_ge2", "lie_alt", "lie2_alt", "conj_alt")
+
+
+def _signed(lam):
+    return (-1) ** ((sum(lam) - len(lam)) % 2)
+
+
+def _same_series(got: Series, want: Series, label) -> None:
+    """Every graded slot and every part equal, each result in lowest terms."""
+    assert got.graded_keys() == want.graded_keys(), label
+    for key in want.graded_keys():
+        assert_canonical(got.graded(*key))
+        assert got.graded(*key) == want.graded(*key), (label, key)
+    for n in range(want.cap + 1):
+        assert_canonical(got.coeff(n))
+        assert got.coeff(n) == want.coeff(n), (label, n)
+
+
+@pytest.mark.parametrize("cap", range(1, 11))
+def test_apply_series_matches_oracle(cap):
+    ctx = SeriesContext(cap)
+    for name in ORACLE_FAMILIES:
+        F = ctx.family(name)
+        for kind in ("H", "E"):
+            want = series_oracle.apply_series(kind, F)
+            _same_series(apply_series(kind, F), want, (name, kind))
+            signed = series_oracle.negate_odd_lengths(want)
+            _same_series(ctx.app(kind + "pm", name), signed, (name, kind + "pm"))
+
+
+@pytest.mark.parametrize("cap", range(1, 11))
+def test_bracket_sum_matches_oracle(cap):
+    ctx = SeriesContext(cap)
+    for name in ORACLE_FAMILIES:
+        Q = ctx.family(name)
+        for kind in ("H", "E"):
+            for sign in (None, _signed):
+                got = bracket_sum(kind, Q, sign=sign)
+                _same_series(got, series_oracle.bracket_sum(kind, Q, sign), (name, kind, sign))
+
+
+@pytest.mark.parametrize("cap", range(1, 11))
+def test_series_product_matches_oracle(cap):
+    ctx = SeriesContext(cap)
+    signs = Series(
+        cap,
+        {k: e(k).scale((-1) ** (k % 2)) for k in range(cap + 1)},
+        graded={(k, k): e(k).scale((-1) ** (k % 2)) for k in range(cap + 1)},
+    )
+    for name in ORACLE_FAMILIES:
+        A = ctx.app("H", name)
+        B = ctx.app("Epm", name)
+        for X, Y in ((A, B), (B, A), (signs, A), (A, B.drop_grading()), (ctx.family(name), A)):
+            _same_series(X * Y, series_oracle.series_mul(X, Y), name)
+        G = A.drop_grading()
+        _same_series(G.reciprocal(), series_oracle.reciprocal(G), name)
 
 
 def test_bracket_kind_must_be_h_or_e(ctx8):

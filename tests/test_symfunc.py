@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +26,19 @@ from conftest import (
     symfunc_strategy,
 )
 from plethy.partitions import npartitions, partitions_of
-from plethy.symfunc import SymFunc, e, h, hall_inner, mul_trunc, p, plethysm, s
+from plethy.symfunc import (
+    Keyed,
+    SymFunc,
+    e,
+    h,
+    hall_inner,
+    linear_sum,
+    mul_sum,
+    mul_trunc,
+    p,
+    plethysm,
+    s,
+)
 
 
 def test_h_e_frozen_expansions():
@@ -113,6 +125,16 @@ def test_plethysm_cap_is_exact_truncation():
     full = plethysm(h(3), g)
     capped = plethysm(h(3), g, cap=4)
     assert capped == full.truncate(4)
+
+
+def test_keyed_values_keep_their_cap():
+    # a key means a different partition under another cap, so mixing is refused
+    f = h(2) + h(3)
+    assert Keyed.encode(f, 5).symfunc() == f
+    assert Keyed.encode(f, 2).parts() == {2: h(2)}
+    with pytest.raises(ValueError, match="keyed for caps"):
+        mul_sum([(Keyed.encode(f, 5), Keyed.encode(f, 6))], 6)
+    assert not mul_sum([], 4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -341,9 +363,15 @@ def test_add_sub_mul_match_reference(f, g):
     _agrees(f - f, {})
     _agrees(-f, ref_scale(a, Fraction(-1)))
     _agrees(f * g, ref_mul(a, b))
+    three_f_minus_three_g = ref_add(ref_scale(a, Fraction(3)), ref_scale(b, Fraction(-3)))
+    _agrees(linear_sum([(2, f), (-3, g), (1, f)]), three_f_minus_three_g)
     # operands of degree up to 5 hold terms above every cap but the last
     for cap in (-1, 0, 1, 2, 3, 4, 7):
         _agrees(mul_trunc(f, g, cap), ref_mul(a, b, cap))
+    for cap in (0, 1, 2, 3, 4, 7):
+        kf, kg = Keyed.encode(f, cap), Keyed.encode(g, cap)
+        want = ref_scale(ref_add(ref_mul(a, b, cap), ref_mul(b, b, cap)), Fraction(1, 3))
+        _agrees(mul_sum([(kf, kg), (kg, kg)], cap, 3).symfunc(), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,11 +424,15 @@ def test_plethysm_fixed_edge_cases():
 
 
 def test_ring_calls_match_reference(monkeypatch):
-    """Every plethysm and mul_trunc call made by verify_all(8) equals the
-    reference ring on the same arguments."""
+    """Every plethysm and mul_sum call made by verify_all(8) equals the
+    reference ring on the same arguments.
+
+    These two kernels form every truncated product the series layer makes;
+    mul_trunc is the one-pair mul_sum and nothing in verify_all calls it.
+    """
     from plethy.registry import verify_all
 
-    calls = {"plethysm": 0, "mul_trunc": 0}
+    calls = {"plethysm": 0, "mul_sum": 0}
 
     def checked_plethysm(f, g, cap=None):
         out = plethysm(f, g, cap)
@@ -408,17 +440,23 @@ def test_ring_calls_match_reference(monkeypatch):
         calls["plethysm"] += 1
         return out
 
-    def checked_mul_trunc(a, b, cap):
-        out = mul_trunc(a, b, cap)
-        _agrees(out, ref_mul(ref_terms(a), ref_terms(b), cap))
-        calls["mul_trunc"] += 1
+    def checked_mul_sum(pairs, cap, divisor=1):
+        pairs = list(pairs)
+        out = mul_sum(pairs, cap, divisor)
+        want: dict = {}
+        for a, b in pairs:
+            want = ref_add(want, ref_mul(ref_terms(a.symfunc()), ref_terms(b.symfunc()), cap))
+        _agrees(out.symfunc(), ref_scale(want, Fraction(1, divisor)))
+        nums = [v for _, terms in out.groups for _, v in terms]
+        assert all(nums) and gcd(out.den, *nums) == 1  # reduced once, in the kernel
+        calls["mul_sum"] += 1
         return out
 
     patch_everywhere(monkeypatch, "plethysm", checked_plethysm)
-    patch_everywhere(monkeypatch, "mul_trunc", checked_mul_trunc)
+    patch_everywhere(monkeypatch, "mul_sum", checked_mul_sum)
     reports = verify_all(8)
     assert not any(r.failed for r in reports)
-    assert calls["plethysm"] > 400 and calls["mul_trunc"] > 400, calls
+    assert calls["plethysm"] > 400 and calls["mul_sum"] > 400, calls
 
 
 @settings(max_examples=60, deadline=None)
