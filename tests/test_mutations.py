@@ -25,8 +25,8 @@ def _mul_sum_drops_top(pairs, cap, divisor=1):
 
 
 def _one_pair_mul_sum_drops_top(pairs, cap, divisor=1):
-    """mul_trunc's defect on its successor: a product of one pair (what
-    mul_trunc computes) loses degree = cap; sums of several pairs are right."""
+    """The mul_trunc defect: a product of one pair (what mul_trunc
+    computes) loses degree = cap; sums of several pairs are right."""
     pairs = list(pairs)
     out = mul_sum(pairs, cap, divisor)
     return _drop_top(out, cap) if len(pairs) == 1 else out
@@ -48,8 +48,8 @@ def _plethysm_budget_off_by_one(f, g, cap=None):
 @pytest.mark.parametrize(
     "name, defect",
     [
-        # nothing in verify_all calls mul_trunc any more; its products are
-        # the one-pair calls of mul_sum
+        # verify_all never calls mul_trunc; its products are the one-pair
+        # calls of mul_sum
         ("mul_sum", _one_pair_mul_sum_drops_top),
         ("mul_sum", _mul_sum_drops_top),
         ("plethysm", _plethysm_drops_top),
