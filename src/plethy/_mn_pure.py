@@ -1,4 +1,4 @@
-"""Murnaghan-Nakayama character columns, built forward.
+"""Murnaghan-Nakayama character columns, built forward on bead bitmasks.
 
 The column of mu is the vector {lam: chi^lam(mu)} over the partitions lam
 of |mu|.  It is built from the empty shape by adding one border strip per
@@ -11,63 +11,95 @@ part k is
 the column of every ascending prefix, so cycle types that share their
 small parts share the work: the rectangle (d^m) is one strip away from
 (d^(m-1)).  Values are Python ints, exact at every degree.
+
+Columns are keyed by bead bitmasks.  A partition lam of length L is the
+int mask(lam) = sum over rows i = 1..L of 2^(lam_i + L - i): one bead per
+row, at its beta-number, and the empty shape is 0.  The lowest bead sits
+at lam_L >= 1, so bit 0 is always clear and each partition has exactly one
+mask.  A part lam_i is the number of clear bits below its bead, which is
+how decode reads a mask back.  Adding a k-strip moves one bead up by k
+places onto a clear bit, and the strip's height is the number of beads it
+jumps (Macdonald I.1 Ex. 8).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from operator import sub
-from types import MappingProxyType
+from itertools import accumulate
 
 KERNEL_NAME = "pure-python"
 
-# ascending prefix of a cycle type -> {lam: chi^lam(prefix)}, zeros dropped
-_memo: dict[tuple, dict[tuple, int]] = {}
+# ascending prefix of a cycle type -> {mask(lam): chi^lam(prefix)}, zeros dropped
+_memo: dict[tuple, dict[int, int]] = {}
 
 
-def _add_strips(col: dict[tuple, int], k: int) -> dict[tuple, int]:
+def encode(lam: tuple) -> int:
+    """The bead bitmask of the partition lam."""
+    top = len(lam) - 1
+    mask = 0
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + top - i)
+    return mask
+
+
+def decode(mask: int) -> tuple:
+    """The partition whose bead bitmask is mask.
+
+    Below the top bead, bin(mask) splits on "1" into the runs of clear bits
+    under each bead; a part is the sum of the runs below its bead.
+    """
+    runs = bin(mask)[2:].split("1")[:0:-1]
+    return tuple(accumulate(map(len, runs)))[::-1]
+
+
+def _add_strips(col: dict[int, int], k: int) -> dict[int, int]:
     """The column after one more part k: every k-strip added to every shape.
 
-    On beta-numbers lam_r + (L - 1 - r), with lam padded by k zero rows, a
-    k-strip moves the bead of row i up by k.  With d_r = lam_r - r the bead
-    lands in row j, the first row with d_j < d_i + k, and is blocked if
-    some d_j == d_i + k.  Row j gets the part d_i + k + j, the rows j..i-1
-    it jumps shift down by one and grow by one, and the strip's height is
-    i - j.
+    Padding a mask with k empty rows is m' = (m << k) | (2^k - 1).  The
+    beads that can move are the set bits b of m' with bit b + k clear,
+    m' & ~(m' >> k), and a move is m' ^ 2^b ^ 2^(b+k).  Its sign is the
+    parity of the beads on bits b+1 .. b+k-1.  The trailing ones of the
+    result are empty rows and are shifted off.  Bit 0 of m is clear, so m'
+    has exactly k trailing ones: a move keeps them all when b >= k and
+    keeps b of them when b < k.
     """
-    out: dict[tuple, int] = {}
+    out: dict[int, int] = {}
     get = out.get
-    zeros = (0,) * k
-    one = (1).__add__
-    for lam, v in col.items():
-        pad = lam + zeros
-        inc = tuple(map(one, pad))
-        d = list(map(sub, pad, range(len(pad))))
-        j = 0
-        for i, di in enumerate(d):
-            t = di + k
-            while d[j] > t:
-                j += 1
-            if d[j] == t:
-                continue
-            new = lam[:j] + (t + j,) + inc[j:i] + lam[i + 1 :]
-            out[new] = get(new, 0) + (-v if (i - j) & 1 else v)
-    return {lam: v for lam, v in out.items() if v}
+    ones = (1 << k) - 1
+    for m, v in col.items():
+        m = (m << k) | ones
+        free = m & ~(m >> k)
+        while free:
+            low = free & -free
+            free ^= low
+            up = low << k
+            new = (m ^ low ^ up) >> (k if low > ones else low.bit_length() - 1)
+            odd = (m & (up - (low << 1))).bit_count() & 1
+            out[new] = get(new, 0) + (-v if odd else v)
+    return {m: v for m, v in out.items() if v}
 
 
-def mn_column(mu: tuple) -> Mapping[tuple, int]:
-    """{lam: chi^lam(mu)} for the lam where it is nonzero.
+def keyed_column(mu: tuple) -> dict[int, int]:
+    """{mask(lam): chi^lam(mu)} for the lam where it is nonzero.
 
-    mu is a partition.  The result is a read-only view of the memoized
-    column.  Each column is stored only once it is complete, so threads
-    that race on one prefix at worst build it twice.
+    mu is a partition.  The result is the memoized column itself, so
+    callers must not change it.  Each column is stored only once it is
+    complete, so threads that race on one prefix at worst build it twice.
     """
     parts = mu[::-1]
     k = len(parts)
     while k and parts[:k] not in _memo:
         k -= 1
-    col = _memo[parts[:k]] if k else {(): 1}
+    col = _memo[parts[:k]] if k else {0: 1}
     for k in range(k, len(parts)):
         col = _add_strips(col, parts[k])
         _memo[parts[: k + 1]] = col
-    return MappingProxyType(col)
+    return col
+
+
+def mn_column(mu: tuple) -> dict[tuple, int]:
+    """{lam: chi^lam(mu)} for the lam where it is nonzero.
+
+    A fresh dict decoded from keyed_column(mu); the decoded form is not
+    memoized.
+    """
+    return {decode(m): v for m, v in keyed_column(mu).items()}

@@ -2,9 +2,11 @@
 
 Characters come from one builder, plethy._mn_pure, which runs the
 Murnaghan-Nakayama rule forward and returns whole columns {lam: chi^lam(mu)},
-memoized for the life of the process.  to_schur sums the columns of the
-cycle types in the support of its input, and character() reads one entry
-of a column.
+memoized for the life of the process and keyed by the bead bitmask of lam
+(see plethy._mn_pure): a border strip is a bit move there.  to_schur sums
+the columns of the cycle types in the support of its input over those int
+keys and decodes only the shapes whose sum is nonzero; character() reads
+one entry of a column through the mask of lam.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def character(lam: tuple, mu: tuple) -> int:
         raise ValueError(
             f"size mismatch: {format_partition(lam)} vs {format_partition(mu)}"
         )
-    return _mn_pure.mn_column(mu).get(lam, 0)
+    return _mn_pure.keyed_column(mu).get(_mn_pure.encode(lam), 0)
 
 
 class NotVirtualCharacter(ValueError):
@@ -95,25 +97,28 @@ def to_schur(f: SymFunc) -> SchurExpansion:
 
     Coefficient of s_lam is sum_mu c_mu(f) chi^lam(mu), summed over the
     character columns of the mu in the support of f; a non-integer result
-    is a hard error flagging an input that is not a virtual character.
+    is a hard error flagging an input that is not a virtual character.  The
+    sums run over bead-bitmask keys, and only the lam with a nonzero sum are
+    decoded and sorted.
     """
     if not f:
         raise ValueError("to_schur needs a nonzero homogeneous function (got 0)")
     n = f.degree()
     nums, den = f._int_terms()
-    acc: defaultdict[tuple, int] = defaultdict(int)
+    acc: defaultdict[int, int] = defaultdict(int)
     for mu, c in nums.items():
-        for lam, chi in _mn_pure.mn_column(mu).items():
-            acc[lam] += c * chi
+        for mask, chi in _mn_pure.keyed_column(mu).items():
+            acc[mask] += c * chi
+    decode = _mn_pure.decode
     out: list[tuple[tuple, int]] = []
     # descending tuple order is the canonical order within one degree
-    for lam in sorted(acc, reverse=True):
-        total = acc[lam]
-        if total:
-            q, r = divmod(total, den)
-            if r:
-                raise NotVirtualCharacter(lam, Fraction(total, den))
-            out.append((lam, q))
+    for lam, total in sorted(
+        ((decode(mask), total) for mask, total in acc.items() if total), reverse=True
+    ):
+        q, r = divmod(total, den)
+        if r:
+            raise NotVirtualCharacter(lam, Fraction(total, den))
+        out.append((lam, q))
     return SchurExpansion(n, tuple(out))
 
 

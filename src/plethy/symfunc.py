@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Union
 
-from ._mn_pure import mn_column
+from ._mn_pure import encode, keyed_column
 from .partitions import check_partition, format_partition, is_partition, partitions_of, z_of
 
 Scalar = Union[int, Fraction]
@@ -390,8 +390,9 @@ def e(n: int) -> SymFunc:
 def s(lam) -> SymFunc:
     """Schur function via characters: s_lam = sum_mu chi^lam(mu) p_mu / z_mu."""
     lam = check_partition(tuple(lam))
+    key = encode(lam)
     return SymFunc(
-        {mu: Fraction(mn_column(mu).get(lam, 0), z_of(mu)) for mu in partitions_of(sum(lam))}
+        {mu: Fraction(keyed_column(mu).get(key, 0), z_of(mu)) for mu in partitions_of(sum(lam))}
     )
 
 

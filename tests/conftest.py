@@ -134,6 +134,24 @@ def patch_everywhere(monkeypatch, name: str, replacement) -> None:
             monkeypatch.setattr(mod, name, replacement)
 
 
+def inject_strip_sign_defect(monkeypatch) -> None:
+    """Give border strips of length 4 added onto two-row shapes the wrong
+    sign, and empty the column memo so every character read goes through
+    the defect."""
+    from plethy import _mn_pure
+
+    real = _mn_pure._add_strips
+
+    def wrong_sign(col, k):
+        out = real(col, k)
+        if k == 4:
+            out = {m: -v if len(_mn_pure.decode(m)) == 2 else v for m, v in out.items()}
+        return out
+
+    monkeypatch.setattr(_mn_pure, "_add_strips", wrong_sign)
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+
+
 def assert_canonical(f: SymFunc) -> None:
     """Lowest terms: positive den, no zero numerator, gcd of all of them 1."""
     nums, den = f._int_terms()

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partition_strategy
-from plethy import _mn_pure
+from conftest import inject_strip_sign_defect, partition_strategy
 from plethy.cli import main
 from plethy.partitions import partitions_of
 
@@ -260,16 +259,7 @@ def test_verify_single_and_exit_codes(capsys):
 
 def test_identity_that_raises_is_a_failure(monkeypatch, capsys):
     # a defect below an identity is reported as its failure, not a traceback
-    real = _mn_pure._add_strips
-
-    def wrong_sign(col, k):
-        out = real(col, k)
-        if k == 4:
-            out = {lam: -v if len(lam) == 2 else v for lam, v in out.items()}
-        return out
-
-    monkeypatch.setattr(_mn_pure, "_add_strips", wrong_sign)
-    monkeypatch.setattr(_mn_pure, "_memo", {})
+    inject_strip_sign_defect(monkeypatch)
     code, out, _ = run_cli(["verify", "--id", "BETA-POS", "--cap", "10", "--json"], capsys=capsys)
     assert code == 1
     report = json.loads(out)

@@ -192,6 +192,53 @@ def test_syt_counts_equal_schur_coefficients_small():
                 assert exp.get(lam, 0) == syt_multiplicity(lam, r), (n, r, lam)
 
 
+
+def _maj_counts_mod_n(lam: tuple) -> list[int]:
+    """Standard tableaux of shape lam counted by major index mod n.
+
+    Stanley's q-hook formula (EC2 7.21.5): the major-index generating
+    function is q^b(lam) [n]_q! / prod over cells of [h]_q, with b(lam) =
+    sum (i-1) lam_i.  The (1-q) factors cancel, leaving q^b(lam) prod_i
+    (1-q^i) / prod_cells (1-q^h).  Each division is exact, because the
+    hooks divisible by d never outnumber the i <= n divisible by d.
+    """
+    n = sum(lam)
+    cols = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
+    hooks = [part - j + cols[j] - i - 1 for i, part in enumerate(lam) for j in range(part)]
+    poly = [1]
+    for i in range(1, n + 1):  # times (1 - q^i)
+        poly = poly + [0] * i
+        for e in range(len(poly) - 1, i - 1, -1):
+            poly[e] -= poly[e - i]
+    for hook in hooks:  # divided by (1 - q^hook)
+        for e in range(hook, len(poly)):
+            poly[e] += poly[e - hook]
+    shift = sum(i * part for i, part in enumerate(lam))
+    counts = [0] * n
+    for e, c in enumerate(poly):
+        counts[(e + shift) % n] += c
+    return counts
+
+
+def test_q_hook_oracle_matches_tableau_enumeration():
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            counts = _maj_counts_mod_n(lam)
+            assert sum(counts) == hook_dimension(lam)
+            assert counts == [syt_multiplicity(lam, r) for r in [n] + list(range(1, n))], lam
+
+
+def test_ell_schur_coefficients_match_q_hook_formula():
+    # Kraskiewicz-Weyman: <ell(n, r), s_lam> counts the standard tableaux of
+    # shape lam with maj = r mod n
+    for n in range(1, 17):
+        counts = {lam: _maj_counts_mod_n(lam) for lam in partitions_of(n)}
+        for r in range(1, n + 1):
+            exp = to_schur(ell(n, r)).as_dict()
+            assert set(exp) <= set(counts), (n, r)
+            for lam, row in counts.items():
+                assert exp.get(lam, 0) == row[r % n], (n, r, lam)
+
 # -- lifting deficits ----------------------------------------------------------
 
 

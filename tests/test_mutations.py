@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 import plethy.series as series
-from conftest import patch_everywhere
+from conftest import inject_strip_sign_defect, patch_everywhere
 from plethy.registry import verify_all
 from plethy.symfunc import Keyed, SymFunc, mul_sum, p, plethysm
 
@@ -45,6 +45,14 @@ def _plethysm_budget_off_by_one(f, g, cap=None):
     return plethysm(f - long, g, cap) + plethysm(long, g, cap - 1)
 
 
+def _p3_of_g_even_sign_flipped(f, g, cap=None):
+    """p_3 o g with the sign of its even-length terms flipped."""
+    out = plethysm(f, g, cap)
+    if f != p(3):
+        return out
+    return SymFunc({mu: -c if len(mu) % 2 == 0 else c for mu, c in out.items()})
+
+
 @pytest.mark.parametrize(
     "name, defect",
     [
@@ -54,12 +62,14 @@ def _plethysm_budget_off_by_one(f, g, cap=None):
         ("mul_sum", _mul_sum_drops_top),
         ("plethysm", _plethysm_drops_top),
         ("plethysm", _plethysm_budget_off_by_one),
+        ("plethysm", _p3_of_g_even_sign_flipped),
     ],
     ids=[
         "mul_trunc-drops-degree-cap",
         "mul_sum-drops-degree-cap",
         "plethysm-drops-degree-cap",
         "plethysm-budget-off-by-one",
+        "p3-of-g-even-length-sign",
     ],
 )
 def test_ring_defect_fails_an_entry(monkeypatch, name, defect):
@@ -67,6 +77,13 @@ def test_ring_defect_fails_an_entry(monkeypatch, name, defect):
     reports = verify_all(10)
     failed = [r.id for r in reports if r.failed]
     assert failed, f"{defect.__name__} went unnoticed at cap 10"
+
+
+def test_character_sign_defect_fails_an_entry(monkeypatch):
+    inject_strip_sign_defect(monkeypatch)
+    reports = verify_all(10)
+    failed = [r.id for r in reports if r.failed]
+    assert failed, "the _add_strips sign defect went unnoticed at cap 10"
 
 
 def _newton_p2_sign_flipped(base, F, cap):

@@ -131,12 +131,36 @@ def test_rectangle_columns_match_oracle_at_32():
 def test_column_orthogonality():
     for n in range(1, 13):
         parts = partitions_of(n)
+        cols = [_mn_pure.mn_column(mu) for mu in parts]
         for a, mu in enumerate(parts):
-            col_mu = _mn_pure.mn_column(mu)
-            for nu in parts[a:]:
-                col_nu = _mn_pure.mn_column(nu)
+            col_mu = cols[a]
+            for nu, col_nu in zip(parts[a:], cols[a:]):
                 total = sum(v * col_nu.get(lam, 0) for lam, v in col_mu.items())
                 assert total == (z_of(mu) if mu == nu else 0), (mu, nu)
+
+
+def test_bead_masks_round_trip():
+    seen = set()
+    for n in range(0, 21):
+        for lam in partitions_of(n):
+            mask = _mn_pure.encode(lam)
+            assert mask & 1 == 0 and mask.bit_count() == len(lam), lam
+            assert _mn_pure.decode(mask) == lam
+            seen.add(mask)
+    assert _mn_pure.encode(()) == 0 and _mn_pure.decode(0) == ()
+    assert len(seen) == sum(len(partitions_of(n)) for n in range(0, 21))
+    # a mask decodes the same whatever its size
+    big = (61, 40, 40, 25, 13, 8, 5, 3, 2, 1, 1, 1)
+    assert sum(big) == 200
+    mask = _mn_pure.encode(big)
+    assert mask.bit_length() > 64 and _mn_pure.decode(mask) == big
+
+
+def test_strips_on_the_empty_shape_are_the_hooks():
+    for k in range(1, 12):
+        col = _mn_pure._add_strips({0: 1}, k)
+        hooks = {(k - i,) + (1,) * i: (-1) ** i for i in range(k)}
+        assert {_mn_pure.decode(m): v for m, v in col.items()} == hooks, k
 
 
 def test_memo_keeps_every_ascending_prefix():
