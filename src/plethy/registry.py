@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .partitions import mobius, partitions_of
-from .schur import is_schur_positive
+from .schur import is_schur_positive, is_schur_positive_many
 from .series import (
     Series,
     SeriesContext,
@@ -901,8 +901,8 @@ def _u_closed(ctx, cap, check):
 @_register("BETA-POS", "truncated alternating whitney sums are Schur-positive")
 def _beta_pos(ctx, cap, check):
     for n in range(2, cap + 1):
-        for k in range(n):
-            res = is_schur_positive(ctx.beta_rank(n, k))
+        betas = [ctx.beta_rank(n, k) for k in range(n)]
+        for k, res in enumerate(is_schur_positive_many(betas)):
             if not res.positive:
                 check.fail(n, f"beta({n},{k}) negative at {res.witness_partition}: {res.witness_coeff}")
                 return
@@ -911,8 +911,8 @@ def _beta_pos(ctx, cap, check):
 @_register("U-POS", "truncated alternating vh sums are Schur-positive", tier="conjecture")
 def _u_pos(ctx, cap, check):
     for n in range(2, cap + 1):
-        for k in range(n):
-            res = is_schur_positive(ctx.u(n, k))
+        us = [ctx.u(n, k) for k in range(n)]
+        for k, res in enumerate(is_schur_positive_many(us)):
             if not res.positive:
                 check.fail(n, f"u({n},{k}) negative at {res.witness_partition}: {res.witness_coeff}")
                 return

@@ -3,10 +3,15 @@
 Characters come from one builder, plethy._mn_pure, which runs the
 Murnaghan-Nakayama rule forward and returns whole columns {lam: chi^lam(mu)},
 memoized for the life of the process and keyed by the bead bitmask of lam
-(see plethy._mn_pure): a border strip is a bit move there.  to_schur sums
-the columns of the cycle types in the support of its input over those int
-keys and decodes only the shapes whose sum is nonzero; character() reads
-one entry of a column through the mask of lam.
+(see plethy._mn_pure): a border strip is a bit move there.  to_schur_many
+expands a batch of functions of one degree in one walk over the columns of
+the cycle types in their support: the integer numerators of the batch at
+mu are packed into one int, one field of w bits per function, and each
+column entry is added once for the whole batch.  w is exact, not a guess:
+|chi^lam(mu)| <= isqrt(z_mu) by column orthogonality, which bounds every
+field.  Only the shapes whose sum is nonzero are decoded; to_schur is the
+one-element batch.  character() reads one entry of a column through the
+mask of lam.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
+from typing import Iterable, Iterator
 
 from . import _mn_pure
-from .partitions import check_partition, conjugate, format_partition
+from .partitions import check_partition, conjugate, format_partition, z_of
 from .symfunc import SymFunc
 
 
@@ -95,31 +101,90 @@ class SchurExpansion:
 def to_schur(f: SymFunc) -> SchurExpansion:
     """Expand a homogeneous p-basis function in the Schur basis.
 
-    Coefficient of s_lam is sum_mu c_mu(f) chi^lam(mu), summed over the
-    character columns of the mu in the support of f; a non-integer result
-    is a hard error flagging an input that is not a virtual character.  The
-    sums run over bead-bitmask keys, and only the lam with a nonzero sum are
-    decoded and sorted.
+    The one-element call of to_schur_many; a non-integer coefficient is a
+    hard error flagging an input that is not a virtual character.
     """
-    if not f:
+    return next(to_schur_many([f]))
+
+
+def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
+    """Yield the Schur expansions of nonzero functions of one degree, in order.
+
+    Coefficient of s_lam in f_j is sum_mu c_j(mu) chi^lam(mu) over the
+    character columns of the mu in the support of the batch.  Each column
+    is walked once for the whole batch: the integer numerators at mu are
+    packed into one int C_mu = sum_j c_j(mu) 2^(w j), and acc[mask] += C_mu
+    chi^lam(mu) sums every function at once, field j of acc[mask] being the
+    numerator of f_j's coefficient at lam.
+
+    The width w comes from an exact bound.  Column orthogonality gives
+    sum_lam chi^lam(mu)^2 = z_mu, so |chi^lam(mu)| <= isqrt(z_mu), and every
+    field of f_j is at most b_j = sum_mu |c_j(mu)| isqrt(z_mu) in size;
+    w - 1 is the bit length of the largest b_j, so each field lies in
+    [-2^(w-1), 2^(w-1)).  Adding 2^(w-1) to every field below the top one
+    makes them all nonnegative and carry-free, so field j is a shift and a
+    mask and the top field is a bare shift.
+
+    The nonzero sums are decoded and sorted once, in descending tuple order
+    (the canonical order within one degree); each expansion is then read
+    off only when it is asked for, so a function that is not a virtual
+    character raises NotVirtualCharacter, naming the first lam in that
+    order, after every expansion before it has been yielded.
+    """
+    fs = list(fs)
+    if not fs:
+        return
+    if not all(fs):
         raise ValueError("to_schur needs a nonzero homogeneous function (got 0)")
-    n = f.degree()
-    nums, den = f._int_terms()
+    n = fs[0].degree()
+    if any(f.degree() != n for f in fs[1:]):
+        raise ValueError("to_schur_many needs functions of one degree")
+    terms = [f._int_terms() for f in fs]
+    roots: dict[tuple, int] = {}
+    bound = 0
+    for nums, _ in terms:
+        b = 0
+        for mu, c in nums.items():
+            r = roots.get(mu)
+            if r is None:
+                r = roots[mu] = isqrt(z_of(mu))
+            b += abs(c) * r
+        bound = max(bound, b)
+    w = bound.bit_length() + 1
+    packed: defaultdict[tuple, int] = defaultdict(int)
+    for j, (nums, _) in enumerate(terms):
+        for mu, c in nums.items():
+            packed[mu] += c << (w * j)
     acc: defaultdict[int, int] = defaultdict(int)
-    for mu, c in nums.items():
+    for mu, c in packed.items():
         for mask, chi in _mn_pure.keyed_column(mu).items():
             acc[mask] += c * chi
+    half = 1 << (w - 1)
+    full = (1 << w) - 1
+    top = len(fs) - 1
+    # 2^(w-1) in every field below the top one
+    bias = half * ((1 << (w * top)) - 1) // full
     decode = _mn_pure.decode
-    out: list[tuple[tuple, int]] = []
-    # descending tuple order is the canonical order within one degree
-    for lam, total in sorted(
+    rows = sorted(
         ((decode(mask), total) for mask, total in acc.items() if total), reverse=True
-    ):
-        q, r = divmod(total, den)
-        if r:
-            raise NotVirtualCharacter(lam, Fraction(total, den))
-        out.append((lam, q))
-    return SchurExpansion(n, tuple(out))
+    )
+    del acc, packed
+    for j, (_, den) in enumerate(terms):
+        shift = w * j
+        if j < top:
+            fields = ((lam, (((t + bias) >> shift) & full) - half) for lam, t in rows)
+        elif shift:
+            fields = ((lam, (t + bias) >> shift) for lam, t in rows)
+        else:  # a one-element batch: the sums are the numerators
+            fields = rows
+        out: list[tuple[tuple, int]] = []
+        for lam, total in fields:
+            if total:
+                q, r = divmod(total, den)
+                if r:
+                    raise NotVirtualCharacter(lam, Fraction(total, den))
+                out.append((lam, q))
+        yield SchurExpansion(n, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -135,9 +200,19 @@ class Positivity:
 
 
 def is_schur_positive(f: SymFunc) -> Positivity:
-    if not f:
-        return Positivity(True)
-    expansion = to_schur(f)
+    return _positivity(to_schur(f)) if f else Positivity(True)
+
+
+def is_schur_positive_many(fs: Iterable[SymFunc]) -> Iterator[Positivity]:
+    """Yield is_schur_positive(f) for each f, expanding the nonzero ones as
+    one to_schur_many batch; a zero is positive and is not expanded."""
+    fs = list(fs)
+    expansions = to_schur_many([f for f in fs if f])
+    for f in fs:
+        yield _positivity(next(expansions)) if f else Positivity(True)
+
+
+def _positivity(expansion: SchurExpansion) -> Positivity:
     worst = None
     for lam, c in expansion.terms:
         if c < 0 and (worst is None or c < worst[1]):

@@ -10,7 +10,7 @@ Schur expansions rendered in canonical order with exponent notation.
 from __future__ import annotations
 
 from .partitions import exponent_str, partitions_of
-from .schur import SchurExpansion, to_schur
+from .schur import SchurExpansion, to_schur, to_schur_many
 from .series import SeriesContext
 
 __all__ = ["table_data", "render_table", "TABLE_NUMBERS"]
@@ -46,10 +46,8 @@ def _decomposition_rows(n: int, ctx: SeriesContext) -> list[dict]:
 
 def _alternating_rows(n: int, ctx: SeriesContext) -> list[dict]:
     """Rows k = 0..n-2 of the truncated-alternating-sum table (k = n-1 is 0)."""
-    rows = []
-    for k in range(n - 1):
-        rows.append({"k": k, "u": to_schur(ctx.u(n, k))})
-    return rows
+    us = to_schur_many([ctx.u(n, k) for k in range(n - 1)])
+    return [{"k": k, "u": u} for k, u in enumerate(us)]
 
 
 def table_data(which: int, ctx: SeriesContext | None = None) -> dict:

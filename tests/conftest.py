@@ -119,6 +119,28 @@ def ref_partial_p1(a: dict) -> dict:
     return out
 
 
+def ref_to_schur(f: SymFunc):
+    """to_schur one function at a time: sum the columns of f's support into
+    mask-keyed totals, then divide in descending partition order."""
+    from plethy import _mn_pure
+    from plethy.schur import NotVirtualCharacter, SchurExpansion
+
+    nums, den = f._int_terms()
+    acc: dict[int, int] = {}
+    for mu, c in nums.items():
+        for mask, chi in _mn_pure.keyed_column(mu).items():
+            acc[mask] = acc.get(mask, 0) + c * chi
+    out = []
+    for lam, total in sorted(
+        ((_mn_pure.decode(mask), total) for mask, total in acc.items() if total), reverse=True
+    ):
+        q, r = divmod(total, den)
+        if r:
+            raise NotVirtualCharacter(lam, Fraction(total, den))
+        out.append((lam, q))
+    return SchurExpansion(f.degree(), tuple(out))
+
+
 def ref_hall_inner(a: dict, b: dict) -> Fraction:
     return sum((v * b[lam] * z_of(lam) for lam, v in a.items() if lam in b), Fraction(0))
 

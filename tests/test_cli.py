@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import inject_strip_sign_defect, partition_strategy
+from conftest import inject_strip_sign_defect, partition_strategy, ref_to_schur
 from plethy.cli import main
 from plethy.partitions import partitions_of
 
@@ -265,6 +265,31 @@ def test_identity_that_raises_is_a_failure(monkeypatch, capsys):
     report = json.loads(out)
     assert report["status"] == "fail" and "first_fail_degree" not in report
     assert any("NotVirtualCharacter" in note for note in report["detail"])
+
+
+def _positivity_one_at_a_time(fs):
+    """The positivity scan without batching: each function expanded alone,
+    in order, and only when the scan asks for it."""
+    from plethy.schur import Positivity
+
+    for f in fs:
+        if not f:
+            yield Positivity(True)
+            continue
+        lam, c = min(ref_to_schur(f).terms, key=lambda term: term[1])
+        yield Positivity(True) if c >= 0 else Positivity(False, lam, c)
+
+
+@pytest.mark.parametrize("entry", ["U-POS", "BETA-POS"])
+def test_batched_positivity_scan_reports_like_one_at_a_time(monkeypatch, capsys, entry):
+    from plethy import registry
+
+    inject_strip_sign_defect(monkeypatch)
+    args = ["verify", "--id", entry, "--cap", "10", "--json"]
+    batched = run_cli(args, capsys=capsys)[:2]
+    monkeypatch.setattr(registry, "is_schur_positive_many", _positivity_one_at_a_time)
+    assert run_cli(args, capsys=capsys)[:2] == batched
+    assert batched[0] == 1 and "NotVirtualCharacter" in batched[1]
 
 
 def test_verify_json_mode(capsys):

@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_type
+from conftest import cycle_type, ref_to_schur
 from mn_oracle import mn_character as oracle_character
 from mn_oracle import mn_table as oracle_table
 from plethy import _mn_pure
@@ -16,7 +18,9 @@ from plethy.schur import (
     character,
     hook_dimension,
     is_schur_positive,
+    is_schur_positive_many,
     to_schur,
+    to_schur_many,
 )
 from plethy.symfunc import SymFunc, e, h, p, s
 
@@ -260,3 +264,102 @@ def test_to_schur_matches_oracle():
     expansion = to_schur(f)
     assert expansion.terms == tuple(expected)
     assert expansion.dimension() == f.dimension()
+
+
+# -- batched expansion --------------------------------------------------------
+
+
+@st.composite
+def schur_batch(draw, max_n=12):
+    """1 to n + 2 functions of one degree n: integer combinations of Schur
+    functions (their own denominators, terms that cancel at some mu), each
+    with an optional p-term over a small denominator that may leave it
+    short of a virtual character."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    shapes = partitions_of(n)
+    batch = []
+    for _ in range(draw(st.integers(min_value=1, max_value=n + 2))):
+        f = SymFunc.zero()
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            lam = draw(st.sampled_from(shapes))
+            size = draw(st.sampled_from((9, 10**6, 10**30)))
+            f = f + s(lam).scale(draw(st.integers(min_value=-size, max_value=size)))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            mu = draw(st.sampled_from(shapes))
+            num = draw(st.integers(min_value=-9, max_value=9))
+            f = f + p(mu).scale(Fraction(num, draw(st.integers(min_value=1, max_value=3))))
+        batch.append(f or s(draw(st.sampled_from(shapes))))
+    return batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(schur_batch())
+def test_to_schur_many_matches_the_per_function_reference(batch):
+    got = to_schur_many(batch)
+    for f in batch:
+        try:
+            want = ref_to_schur(f)
+        except NotVirtualCharacter as exc:
+            with pytest.raises(NotVirtualCharacter) as err:
+                next(got)
+            assert (err.value.partition, err.value.coeff) == (exc.partition, exc.coeff)
+            return
+        expansion = next(got)
+        assert expansion == want
+        shapes = [lam for lam, _ in expansion.terms]
+        assert shapes == sorted(set(shapes), reverse=True)
+        assert all(c for _, c in expansion.terms)
+    assert next(got, None) is None
+
+
+@pytest.mark.parametrize("c", [2**8, 2**16, 2**64])
+def test_to_schur_many_fields_round_a_byte_boundary(c):
+    # p_3 = s(3) - s(2,1) + s(1^3), and isqrt(z_(3)) = 1 = |chi^lam((3))|, so
+    # the width bound is tight here: the middle function's field at (2,1)
+    # is +c, the largest value w allows, between fields of magnitude c - 1
+    # and the opposite sign
+    batch = [p(3).scale(c - 1), p(3).scale(-c), p(3).scale(c - 1)]
+    below = {(3,): c - 1, (2, 1): 1 - c, (1, 1, 1): c - 1}
+    above = {(3,): -c, (2, 1): c, (1, 1, 1): -c}
+    assert [e.as_dict() for e in to_schur_many(batch)] == [below, above, below]
+    assert [to_schur(f).as_dict() for f in batch] == [below, above, below]
+
+
+def test_to_schur_many_yields_up_to_the_first_non_virtual_function():
+    good = s((2, 1)) - s((1, 1, 1)).scale(3)
+    bad = p(3).scale(Fraction(1, 2)) + s((3,))
+    with pytest.raises(NotVirtualCharacter) as alone:
+        to_schur(bad)
+    got = to_schur_many([good, bad, s((3,))])
+    assert next(got) == to_schur(good)
+    with pytest.raises(NotVirtualCharacter) as err:
+        next(got)
+    assert (err.value.partition, err.value.coeff) == (alone.value.partition, alone.value.coeff)
+    assert err.value.partition == (3,) and err.value.coeff == Fraction(3, 2)
+
+
+def test_to_schur_many_refuses_zero_and_mixed_degrees():
+    assert list(to_schur_many([])) == []
+    with pytest.raises(ValueError):
+        next(to_schur_many([s((2,)), SymFunc.zero()]))
+    with pytest.raises(ValueError):
+        next(to_schur_many([s((2,)), s((3,))]))
+    with pytest.raises(ValueError):
+        next(to_schur_many([h(1) + h(2)]))
+
+
+def test_positivity_batch_matches_one_at_a_time():
+    from plethy.lie_family import whitehouse_deficit
+
+    zero = SymFunc.zero()
+    fs = [zero, whitehouse_deficit(8, "lie2"), zero, p((4, 2, 1, 1)), s((4, 4)), zero]
+    assert list(is_schur_positive_many(fs)) == [is_schur_positive(f) for f in fs]
+    assert [r.positive for r in is_schur_positive_many(fs)] == [True, False, True, False, True, True]
+    assert list(is_schur_positive_many([SymFunc.zero()] * 3)) == [Positivity(True)] * 3
+
+
+def test_positivity_batch_reports_a_failure_before_a_later_raise():
+    results = is_schur_positive_many([p((2, 1)), p(3).scale(Fraction(1, 2))])
+    assert next(results) == Positivity(False, (1, 1, 1), -1)
+    with pytest.raises(NotVirtualCharacter):
+        next(results)
