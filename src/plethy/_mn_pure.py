@@ -82,8 +82,7 @@ def keyed_column(mu: tuple) -> dict[int, int]:
     """{mask(lam): chi^lam(mu)} for the lam where it is nonzero.
 
     mu is a partition.  The result is the memoized column itself, so
-    callers must not change it.  Each column is stored only once it is
-    complete, so threads that race on one prefix at worst build it twice.
+    callers must not change it.
     """
     parts = mu[::-1]
     k = len(parts)

@@ -21,7 +21,7 @@ from .series import (
     plethystic_inverse,
     series_plethysm,
 )
-from .symfunc import SymFunc, e, h, p, plethysm
+from .symfunc import SymFunc, e, h, linear_sum, p, plethysm
 
 __all__ = ["IdentityReport", "verify_identity", "verify_all", "registry_ids", "TIERS"]
 
@@ -114,32 +114,28 @@ def _p1n(n: int) -> SymFunc:
 
 def _alt_outer(app: Series, n: int) -> SymFunc:
     """sum over r >= 1 of (-1)^(r-1) times the (n, r) slot."""
-    out = SymFunc.zero()
-    for r in range(1, n + 1):
-        piece = app.graded(n, r)
-        out = out + (piece if r % 2 else -piece)
-    return out
+    return linear_sum((1 if r % 2 else -1, app.graded(n, r)) for r in range(1, n + 1))
+
+
+def _pieces_sum(piece: Callable, n: int, start: int = 0, step: int = 1) -> SymFunc:
+    """sum of piece(n, k) over k = start, start + step, ... below n."""
+    return linear_sum((1, piece(n, k)) for k in range(start, n, step))
 
 
 def _distinct_powers_sum(n: int, signed: bool) -> SymFunc:
-    out = SymFunc.zero()
-    for lam in partitions_of(n, "parts_powers_of_two"):
-        if len(set(lam)) != len(lam):
-            continue
-        c = (-1) ** (len(lam) - 1) if signed else 1
-        out = out + p(lam).scale(c)
-    return out
+    return linear_sum(
+        ((-1) ** (len(lam) - 1) if signed else 1, p(lam))
+        for lam in partitions_of(n, "parts_powers_of_two")
+        if len(set(lam)) == len(lam)
+    )
 
 
 def _odd_parts_sum(n: int, distinct: bool = False) -> SymFunc:
-    out = SymFunc.zero()
-    for lam in partitions_of(n):
-        if any(part % 2 == 0 for part in lam):
-            continue
-        if distinct and len(set(lam)) != len(lam):
-            continue
-        out = out + p(lam)
-    return out
+    return linear_sum(
+        (1, p(lam))
+        for lam in partitions_of(n)
+        if all(part % 2 for part in lam) and (not distinct or len(set(lam)) == len(lam))
+    )
 
 
 def _kappa_n(n: int) -> SymFunc:
@@ -331,10 +327,7 @@ def _equiv_pbw_cochain(ctx, cap, check):
     # omega-twisted Lefschetz form with (-1)^(n-1)
     appE = ctx.app("E", "lie_ge2")
     for n in range(2, cap + 1):
-        acc = SymFunc.zero()
-        for i in range(n + 1):
-            piece = appE.graded(n, n - i).omega()
-            acc = acc + (piece if i % 2 == 0 else -piece)
+        acc = linear_sum(((-1) ** (i % 2), appE.graded(n, n - i).omega()) for i in range(n + 1))
         check.eq(n, acc, _omega_kappa_n(n).scale((-1) ** ((n - 1) % 2)), note="omega-twisted form")
 
 
@@ -365,10 +358,7 @@ def _equiv_pbw_hodge(ctx, cap, check):
     epm = Series(cap, {n: e(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
     middle = geom * epm
     for n in range(2, cap + 1):
-        rhs = SymFunc.zero()
-        for k in range(n + 1):
-            term = _p1n(n - k) * e(k)
-            rhs = rhs + (term if k % 2 == 0 else -term)
+        rhs = linear_sum(((-1) ** (k % 2), _p1n(n - k) * e(k)) for k in range(n + 1))
         check.eq(n, app.coeff(n), rhs)
         check.eq(n, app.coeff(n), middle.coeff(n), note="(1-p1)^-1 E^+- form")
 
@@ -402,10 +392,7 @@ def _equiv_lie2_cochain(ctx, cap, check):
         check.eq(n, app.coeff(n), -_omega_kappa_n(n))
     appH = ctx.app("H", "lie2_ge2")
     for n in range(2, cap + 1):
-        acc = SymFunc.zero()
-        for i in range(n + 1):
-            piece = appH.graded(n, n - i).omega()
-            acc = acc + (piece if i % 2 == 0 else -piece)
+        acc = linear_sum(((-1) ** (i % 2), appH.graded(n, n - i).omega()) for i in range(n + 1))
         check.eq(n, acc, _kappa_n(n).scale((-1) ** ((n - 1) % 2)), note="omega-twisted form")
 
 
@@ -574,10 +561,7 @@ for _fam in ("lie", "lie2"):
 @_register("HE-UNIT", "H(t) E(-t) = 1 plus the reciprocal-series lemmas on lie and lie2")
 def _he_unit(ctx, cap, check):
     for n in range(1, cap + 1):
-        acc = SymFunc.zero()
-        for k in range(n + 1):
-            term = h(k) * e(n - k)
-            acc = acc + (term if (n - k) % 2 == 0 else -term)
+        acc = linear_sum(((-1) ** ((n - k) % 2), h(k) * e(n - k)) for k in range(n + 1))
         check.eq(n, acc, SymFunc.zero())
     one = Series.one(cap).drop_grading()
 
@@ -639,51 +623,28 @@ def _hodge_filt(ctx, cap, check):
 @_register("LEHRER", "total graded invariant of the partition lattice is 2 h2 p1^(n-2)")
 def _lehrer(ctx, cap, check):
     for n in range(2, cap + 1):
-        total = SymFunc.zero()
-        for k in range(n):
-            total = total + ctx.whitney(n, k)
-        check.eq(n, total, (h(2) * _p1n(n - 2)).scale(2))
+        check.eq(n, _pieces_sum(ctx.whitney, n), (h(2) * _p1n(n - 2)).scale(2))
 
 
 @_register("EVENODD", "odd and even graded pieces agree over lie")
 def _evenodd(ctx, cap, check):
     for n in range(2, cap + 1):
-        odd = SymFunc.zero()
-        even = SymFunc.zero()
-        for k in range(n):
-            piece = ctx.whitney(n, k)
-            if k % 2:
-                odd = odd + piece
-            else:
-                even = even + piece
-        check.eq(n, odd, even)
+        check.eq(n, _pieces_sum(ctx.whitney, n, 1, 2), _pieces_sum(ctx.whitney, n, 0, 2))
 
 
 @_register("HL-REG", "odd pieces plus sign-twisted even pieces give the regular rep")
 def _hl_reg(ctx, cap, check):
     for n in range(2, cap + 1):
-        odd = SymFunc.zero()
-        even = SymFunc.zero()
-        for k in range(n):
-            piece = ctx.whitney(n, k)
-            if k % 2:
-                odd = odd + piece
-            else:
-                even = even + piece
+        odd = _pieces_sum(ctx.whitney, n, 1, 2)
+        even = _pieces_sum(ctx.whitney, n, 0, 2)
         check.eq(n, odd + even.omega(), _p1n(n))
 
 
 @_register("IND-CONF", "total invariant at n+1 is the induction of the one at n", min_cap=3)
 def _ind_conf(ctx, cap, check):
-    def total(n):
-        out = SymFunc.zero()
-        for k in range(n):
-            out = out + ctx.whitney(n, k)
-        return out
-
-    prev = total(2)
+    prev = _pieces_sum(ctx.whitney, 2)
     for n in range(3, cap + 1):
-        cur = total(n)
+        cur = _pieces_sum(ctx.whitney, n)
         check.eq(n, cur, p(1) * prev)
         prev = cur
 
@@ -691,10 +652,7 @@ def _ind_conf(ctx, cap, check):
 @_register("LEHRER-LIE2", "total symmetric pieces of lie2 give the two-power classes")
 def _lehrer_lie2(ctx, cap, check):
     for n in range(2, cap + 1):
-        total = SymFunc.zero()
-        for k in range(n):
-            total = total + ctx.vh(n, k)
-        check.eq(n, total, p_sum_over(n, "parts_powers_of_two"))
+        check.eq(n, _pieces_sum(ctx.vh, n), p_sum_over(n, "parts_powers_of_two"))
 
 
 @_register("EVENODD-LIE2", "odd/even vh pieces agree and give half the two-power classes")
@@ -702,15 +660,8 @@ def _evenodd_lie2(ctx, cap, check):
     from fractions import Fraction
 
     for n in range(2, cap + 1):
-        odd = SymFunc.zero()
-        even = SymFunc.zero()
-        for k in range(n):
-            piece = ctx.vh(n, k)
-            if k % 2:
-                odd = odd + piece
-            else:
-                even = even + piece
-        check.eq(n, odd, even)
+        odd = _pieces_sum(ctx.vh, n, 1, 2)
+        check.eq(n, odd, _pieces_sum(ctx.vh, n, 0, 2))
         half = p_sum_over(n, "parts_powers_of_two").scale(Fraction(1, 2))
         check.eq(n, odd, half, note="half-sum form")
 
@@ -718,27 +669,19 @@ def _evenodd_lie2(ctx, cap, check):
 @_register("HL-LIE2", "odd vh plus its sign twist: two-power classes of even corank")
 def _hl_lie2(ctx, cap, check):
     for n in range(2, cap + 1):
-        odd = SymFunc.zero()
-        for k in range(n):
-            if k % 2:
-                odd = odd + ctx.vh(n, k)
-        rhs = SymFunc.zero()
-        for lam in partitions_of(n, "parts_powers_of_two"):
-            if (n - len(lam)) % 2 == 0:
-                rhs = rhs + p(lam)
+        odd = _pieces_sum(ctx.vh, n, 1, 2)
+        rhs = linear_sum(
+            (1, p(lam))
+            for lam in partitions_of(n, "parts_powers_of_two")
+            if (n - len(lam)) % 2 == 0
+        )
         check.eq(n, odd + odd.omega(), rhs)
 
 
 @_register("IND-LIE2", "total vh at odd degree is the induction from one below", min_cap=3)
 def _ind_lie2(ctx, cap, check):
-    def total(n):
-        out = SymFunc.zero()
-        for k in range(n):
-            out = out + ctx.vh(n, k)
-        return out
-
     for n in range(3, cap + 1, 2):
-        check.eq(n, total(n), p(1) * total(n - 1))
+        check.eq(n, _pieces_sum(ctx.vh, n), p(1) * _pieces_sum(ctx.vh, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +694,7 @@ def _conj_from_lie(ctx, cap, check):
     for n in range(1, cap + 1):
         check.eq(n, S.coeff(n), ctx.conj().coeff(n))
     conj_tot = ctx.conj().total()
-    back = SymFunc.zero()
-    for k in range(1, cap + 1):
-        back = back + plethysm(p(k), conj_tot, cap).scale(mobius(k))
+    back = linear_sum((mobius(k), plethysm(p(k), conj_tot, cap)) for k in range(1, cap + 1))
     for n in range(1, cap + 1):
         check.eq(n, back.homogeneous_part(n), ctx.lie().coeff(n), note="inverse direction")
 
@@ -764,9 +705,7 @@ def _conj_from_lie2(ctx, cap, check):
     for n in range(1, cap + 1):
         check.eq(n, S.coeff(n), ctx.conj().coeff(n))
     conj_tot = ctx.conj().total()
-    back = SymFunc.zero()
-    for k in range(1, cap + 1, 2):
-        back = back + plethysm(p(k), conj_tot, cap).scale(mobius(k))
+    back = linear_sum((mobius(k), plethysm(p(k), conj_tot, cap)) for k in range(1, cap + 1, 2))
     for n in range(1, cap + 1):
         check.eq(n, back.homogeneous_part(n), ctx.lie2().coeff(n), note="inverse direction")
 
@@ -774,11 +713,8 @@ def _conj_from_lie2(ctx, cap, check):
 @_register("LIE2-FROM-LIE", "lie2 = sum of lie[p_(2^j)]; lie = lie2 - lie2[p_2]")
 def _lie2_from_lie(ctx, cap, check):
     lie_tot = ctx.lie().total()
-    fwd = SymFunc.zero()
-    k = 1
-    while k <= cap:
-        fwd = fwd + plethysm(lie_tot, p(k), cap)
-        k *= 2
+    # the powers of two 2^j <= cap are the j below cap's bit length
+    fwd = linear_sum((1, plethysm(lie_tot, p(1 << j), cap)) for j in range(cap.bit_length()))
     for n in range(1, cap + 1):
         check.eq(n, fwd.homogeneous_part(n), ctx.lie2().coeff(n))
     lie2_tot = ctx.lie2().total()
@@ -901,8 +837,7 @@ def _u_closed(ctx, cap, check):
 @_register("BETA-POS", "truncated alternating whitney sums are Schur-positive")
 def _beta_pos(ctx, cap, check):
     for n in range(2, cap + 1):
-        betas = [ctx.beta_rank(n, k) for k in range(n)]
-        for k, res in enumerate(is_schur_positive_many(betas)):
+        for k, res in enumerate(is_schur_positive_many(ctx.beta_row(n))):
             if not res.positive:
                 check.fail(n, f"beta({n},{k}) negative at {res.witness_partition}: {res.witness_coeff}")
                 return
@@ -911,8 +846,7 @@ def _beta_pos(ctx, cap, check):
 @_register("U-POS", "truncated alternating vh sums are Schur-positive", tier="conjecture")
 def _u_pos(ctx, cap, check):
     for n in range(2, cap + 1):
-        us = [ctx.u(n, k) for k in range(n)]
-        for k, res in enumerate(is_schur_positive_many(us)):
+        for k, res in enumerate(is_schur_positive_many(ctx.u_row(n))):
             if not res.positive:
                 check.fail(n, f"u({n},{k}) negative at {res.witness_partition}: {res.witness_coeff}")
                 return

@@ -13,11 +13,18 @@ product multiplies keyed columns.  Each operand is encoded once, each sum
 of products is accumulated over one common denominator, and each result
 slot is reduced and decoded once.  Sums of many SymFuncs are one
 linear_sum, not a chain of +.
+
+What a sign rule or a running sum gives is derived, not built again.  A
+sign that depends only on the slot is a slot flip of the cached series:
+Hpm and Epm negate the odd-length slots of H and E (v -> -v), and the
+signed bracket sum negates the odd-corank slots of the unsigned one, since
+(-1)^(|lam| - l(lam)) is fixed by (|lam|, l(lam)).  The truncated
+alternating sums are running sums: u(n, k) = vh(n, k) - u(n, k-1), and
+beta(n, k) likewise over the whitney pieces.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable
 
@@ -240,11 +247,10 @@ def apply_series(kind: str, F: Series, cap: int | None = None) -> Series:
     return _from_graded(cap, graded)
 
 
-def _negate_odd_lengths(A: Series) -> Series:
-    """A(-v): every slot (n, r) with r odd negated, so H gives H^+- and E gives E^+-."""
-    return _from_graded(
-        A.cap, {(n, r): -f if r % 2 else f for (n, r), f in A._graded.items()}
-    )
+def _negate_slots(A: Series, odd: Callable[[int, int], int]) -> Series:
+    """A with every graded slot (n, r) where odd(n, r) is true negated."""
+    graded = {(n, r): -f if odd(n, r) else f for (n, r), f in A._graded.items()}
+    return _from_graded(A.cap, graded)
 
 
 def _from_graded(cap: int, graded: dict[tuple[int, int], SymFunc]) -> Series:
@@ -270,13 +276,8 @@ def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
     return out
 
 
-def bracket_sum(
-    kind: str,
-    Q: Series,
-    cap: int | None = None,
-    sign: Callable[[tuple], int] | None = None,
-) -> Series:
-    """sum over partitions of v^l(lam) * (sign) * bracket, as a graded Series.
+def bracket_sum(kind: str, Q: Series, cap: int | None = None) -> Series:
+    """sum over partitions of v^l(lam) * bracket, as a graded Series.
 
     The independent route to apply_series: products of small plethysms
     instead of the Newton recursion.  The partitions of every degree up to
@@ -284,9 +285,9 @@ def bracket_sum(
     parts descending.  Each factor x_m[q_part] is built and encoded once,
     and the keyed product of a prefix's factors is built once and shared by
     every lam that extends it.  A lam enters its slot (|lam|, l(lam)) as the
-    pair (its prefix, sign(lam) times its last factor), so slot (n, l) is
-    one mul_sum over its pairs, decoded once, and the product of a lam that
-    no longer lam extends is never built on its own.
+    pair (its prefix, its last factor), so slot (n, l) is one mul_sum over
+    its pairs, decoded once, and the product of a lam that no longer lam
+    extends is never built on its own.
     """
     if kind not in ("H", "E"):
         raise ValueError("kind must be 'H' or 'E'")
@@ -296,34 +297,23 @@ def bracket_sum(
         raise IndexError(f"cap {cap} exceeds the series cap {Q.cap}")
     base = h if kind == "H" else e
     one = Keyed.encode(SymFunc.one(), cap)
-    factors: dict[tuple[int, int, int], Keyed] = {}  # (part, m, c) -> c * x_m[q_part]
-
-    def factor(part: int, m: int, c: int = 1) -> Keyed:
-        x = factors.get((part, m, c))
-        if x is None:
-            if c == 1:
-                x = Keyed.encode(plethysm(base(m), Q.coeff(part)), cap)
-            else:
-                x = factor(part, m).scale(c)
-            factors[part, m, c] = x
-        return x
-
-    c = 1 if sign is None else sign(())
-    slots: dict[tuple[int, int], list[tuple[Keyed, Keyed]]] = {(0, 0): [(one, one.scale(c))]}
-    stack = [((), 0, one)]  # (lam, |lam|, keyed bracket of lam)
+    factors: dict[tuple[int, int], Keyed] = {}  # (part, m) -> x_m[q_part]
+    slots: dict[tuple[int, int], list[tuple[Keyed, Keyed]]] = {(0, 0): [(one, one)]}
+    stack = [(cap + 1, 0, 0, one)]  # (smallest part of lam, |lam|, l(lam), keyed bracket)
     while stack:
-        lam, n, prod = stack.pop()
-        for part in range(min(lam[-1] - 1 if lam else cap, cap - n), 0, -1):
+        last, n, length, prod = stack.pop()
+        for part in range(min(last - 1, cap - n), 0, -1):
             for m in range(1, (cap - n) // part + 1):
+                x = factors.get((part, m))
+                if x is None:
+                    x = factors[part, m] = Keyed.encode(plethysm(base(m), Q.coeff(part)), cap)
                 # a zero factor zeroes every lam below it
-                if not factor(part, m):
+                if not x:
                     continue
-                child, size = lam + (part,) * m, n + part * m
-                c = 1 if sign is None else sign(child)
-                if c:
-                    slots.setdefault((size, len(child)), []).append((prod, factor(part, m, c)))
+                size = n + part * m
+                slots.setdefault((size, length + m), []).append((prod, x))
                 if part > 1 and size < cap:  # room for a smaller part below it
-                    stack.append((child, size, mul_sum([(prod, factor(part, m))], cap)))
+                    stack.append((part, size, length + m, mul_sum([(prod, x)], cap)))
     graded = {key: mul_sum(pairs, cap).symfunc() for key, pairs in slots.items()}
     return _from_graded(cap, graded)
 
@@ -450,15 +440,20 @@ def product_form(psi, variant: str, cap: int) -> Series:
 # -- convenience sums over restricted partition classes --------------------------
 
 
-def p_sum_over(n: int, filter: str = "all", sign: Callable[[tuple], int] | None = None) -> SymFunc:
-    """sum of (sign) p_lam over partitions of n passing the named filter."""
-    out: dict[tuple, Fraction] = {}
-    for lam in partitions_of(n, filter):
-        out[lam] = Fraction(sign(lam) if sign else 1)
-    return SymFunc(out)
+def p_sum_over(n: int, filter: str = "all") -> SymFunc:
+    """sum of p_lam over partitions of n passing the named filter."""
+    return SymFunc({lam: 1 for lam in partitions_of(n, filter)})
 
 
 # -- the named constructions, sharing one cache per cap ---------------------------
+
+
+def _running_sums(pieces: Iterable[SymFunc]) -> list[SymFunc]:
+    """[a_0, a_1 - a_0, a_2 - a_1 + a_0, ...]: term k is a_k minus term k - 1."""
+    out: list[SymFunc] = []
+    for f in pieces:
+        out.append(f - out[-1] if out else f)
+    return out
 
 
 class SeriesContext:
@@ -530,17 +525,21 @@ class SeriesContext:
         negate the odd-length slots of the cached H or E."""
         if kind in ("Hpm", "Epm"):
             return self._get(
-                (kind, name), lambda: _negate_odd_lengths(self.app(kind[0], name))
+                (kind, name), lambda: _negate_slots(self.app(kind[0], name), lambda n, r: r % 2)
             )
         return self._get((kind, name), lambda: apply_series(kind, self.family(name)))
 
     def brackets(self, kind: str, name: str, signed: bool = False) -> Series:
         """Cached bracket_sum over the named family, optionally with the
-        (-1)^(|lam| - l(lam)) sign."""
-        sign = (lambda lam: (-1) ** ((sum(lam) - len(lam)) % 2)) if signed else None
+        (-1)^(|lam| - l(lam)) sign: the signed sum negates the odd-corank
+        slots of the cached unsigned one."""
+        if signed:
+            return self._get(
+                ("brackets", kind, name, True),
+                lambda: _negate_slots(self.brackets(kind, name), lambda n, r: (n - r) % 2),
+            )
         return self._get(
-            ("brackets", kind, name, signed),
-            lambda: bracket_sum(kind, self.family(name), sign=sign),
+            ("brackets", kind, name, False), lambda: bracket_sum(kind, self.family(name))
         )
 
     def product(self, psi, variant: str) -> Series:
@@ -598,13 +597,21 @@ class SeriesContext:
         """Truncated alternating sum vh(n,k) - vh(n,k-1) + ... +- vh(n,0)."""
         if not 0 <= k <= n - 1:
             raise ValueError("u needs 0 <= k <= n-1")
-        return linear_sum(((-1) ** ((k - j) % 2), self.vh(n, j)) for j in range(k + 1))
+        return _running_sums(self.vh(n, j) for j in range(k + 1))[k]
 
     def beta_rank(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum of whitney pieces (rank-selected homology)."""
         if not 0 <= k <= n - 1:
             raise ValueError("beta needs 0 <= k <= n-1")
-        return linear_sum(((-1) ** ((k - j) % 2), self.whitney(n, j)) for j in range(k + 1))
+        return _running_sums(self.whitney(n, j) for j in range(k + 1))[k]
+
+    def u_row(self, n: int) -> list[SymFunc]:
+        """[u(n, 0), ..., u(n, n-1)], one subtraction each."""
+        return _running_sums(self.vh(n, k) for k in range(n))
+
+    def beta_row(self, n: int) -> list[SymFunc]:
+        """[beta_rank(n, 0), ..., beta_rank(n, n-1)], one subtraction each."""
+        return _running_sums(self.whitney(n, k) for k in range(n))
 
     def delta(self, n: int) -> SymFunc:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""

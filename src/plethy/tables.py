@@ -46,7 +46,7 @@ def _decomposition_rows(n: int, ctx: SeriesContext) -> list[dict]:
 
 def _alternating_rows(n: int, ctx: SeriesContext) -> list[dict]:
     """Rows k = 0..n-2 of the truncated-alternating-sum table (k = n-1 is 0)."""
-    us = to_schur_many([ctx.u(n, k) for k in range(n - 1)])
+    us = to_schur_many(ctx.u_row(n)[:-1])
     return [{"k": k, "u": u} for k, u in enumerate(us)]
 
 

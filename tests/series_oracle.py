@@ -5,7 +5,8 @@ recomputing and started working on keyed values: product_form convolves one
 SymFunc factor per m with Fraction-valued v-polynomials, plethystic_inverse
 recomposes the whole partial inverse with G at every degree, the Newton
 recursion and the Series product multiply one pair of SymFuncs at a time,
-and bracket_sum multiplies out each partition's bracket on its own.  They
+bracket_sum multiplies out each partition's bracket on its own, and u and
+beta_rank sum their k + 1 signed pieces at once, not as running sums.  They
 share no expansion code with plethy.series: every product here is
 SymFunc.__mul__, never the keyed mul_sum kernel, so each checks the other.
 """
@@ -17,7 +18,7 @@ from math import factorial
 
 from plethy.partitions import divisors, multiplicities, partitions_of
 from plethy.series import Series
-from plethy.symfunc import SymFunc, e, h, p, plethysm
+from plethy.symfunc import SymFunc, e, h, linear_sum, p, plethysm
 
 # -- v-polynomials with rational coefficients, stored as coefficient tuples
 
@@ -230,3 +231,13 @@ def reciprocal(A: Series) -> Series:
             acc = acc + A.coeff(k) * inv[n - k]
         inv.append(-acc)
     return Series(A.cap, inv)
+
+
+def u(ctx, n: int, k: int) -> SymFunc:
+    """vh(n, k) - vh(n, k-1) + ... +- vh(n, 0), as one alternating sum."""
+    return linear_sum(((-1) ** ((k - j) % 2), ctx.vh(n, j)) for j in range(k + 1))
+
+
+def beta_rank(ctx, n: int, k: int) -> SymFunc:
+    """whitney(n, k) - whitney(n, k-1) + ... +- whitney(n, 0), as one alternating sum."""
+    return linear_sum(((-1) ** ((k - j) % 2), ctx.whitney(n, j)) for j in range(k + 1))

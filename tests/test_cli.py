@@ -344,6 +344,13 @@ def test_verify_json_golden_cap12(capsys):
     assert out == (GOLDEN / "verify-cap12.jsonl").read_text()
 
 
+def test_upos_json_golden_16(capsys):
+    # the bytes the benchmark's upos-16 workload checks
+    code, out, _ = run_cli(["conjecture", "upos", "--max-n", "16", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "conjecture-upos-16.jsonl").read_text()
+
+
 @pytest.mark.parametrize(
     "args",
     [

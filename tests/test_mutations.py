@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import pytest
 
+import plethy.lie_family as lie_family
 import plethy.series as series
 from conftest import inject_strip_sign_defect, patch_everywhere
 from plethy.registry import verify_all
-from plethy.symfunc import Keyed, SymFunc, mul_sum, p, plethysm
+from plethy.series import Series, bracket_sum
+from plethy.symfunc import Keyed, SymFunc, linear_sum, mul_sum, p, plethysm
 
 
 def _drop_top(out: Keyed, cap: int) -> Keyed:
@@ -120,3 +122,38 @@ def test_series_defect_fails_an_entry(monkeypatch, inject):
     reports = verify_all(10)
     failed = [r.id for r in reports if r.failed]
     assert failed, f"{inject.__name__} went unnoticed at cap 10"
+
+
+def _bracket_sum_slot_2_negated(kind, Q, cap=None):
+    """bracket_sum with slot (n, 2) negated for n >= 4."""
+    out = bracket_sum(kind, Q, cap)
+    graded = {}
+    for n, r in out.graded_keys():
+        graded[n, r] = -out.graded(n, r) if r == 2 and n >= 4 else out.graded(n, r)
+    parts = {n: linear_sum((1, f) for (d, _), f in graded.items() if d == n) for n, _ in graded}
+    return Series(out.cap, parts, graded)
+
+
+def test_bracket_defect_reaches_the_signed_sums(monkeypatch):
+    # the signed bracket sums are slot flips of the unsigned walk, so a
+    # defect in the walk must fail the entries that read only the signed form
+    # (degree 4 is the first slot the defect touches; an entry that raised
+    # would have no first failing degree)
+    monkeypatch.setattr(series, "bracket_sum", _bracket_sum_slot_2_negated)
+    failed = {r.id: r.first_fail_degree for r in verify_all(10) if r.failed}
+    for id in ("ACYC-LIE", "ACYC-LIE2", "ALT-H-LIE-PROD"):
+        assert failed.get(id) == 4, (id, failed)
+
+
+@pytest.mark.parametrize("degree", [3, 6, 9])
+@pytest.mark.parametrize("family", ["lie", "lie2"])
+def test_family_defect_fails_an_entry(monkeypatch, family, degree):
+    """The family with one extra term, p_1^degree, at one degree."""
+    real = getattr(lie_family, family)
+
+    def with_extra_term(n):
+        return real(n) + p((1,) * n) if n == degree else real(n)
+
+    monkeypatch.setattr(lie_family, family, with_extra_term)
+    failed = [r.id for r in verify_all(10) if r.failed]
+    assert failed, f"an extra term in {family}({degree}) went unnoticed at cap 10"

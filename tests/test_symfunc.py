@@ -429,15 +429,18 @@ def test_ring_calls_match_reference(monkeypatch):
 
     These two kernels form every truncated product the series layer makes;
     mul_trunc is the one-pair mul_sum and nothing in verify_all calls it.
+    The registry asks for some plethysms more than once, so the distinct
+    (f, g, cap) are counted: those are the arguments that get checked.
     """
     from plethy.registry import verify_all
 
-    calls = {"plethysm": 0, "mul_sum": 0}
+    calls = {"mul_sum": 0}
+    distinct = set()
 
     def checked_plethysm(f, g, cap=None):
         out = plethysm(f, g, cap)
         _agrees(out, ref_plethysm(ref_terms(f), ref_terms(g), cap))
-        calls["plethysm"] += 1
+        distinct.add((tuple(f.items()), tuple(g.items()), cap))
         return out
 
     def checked_mul_sum(pairs, cap, divisor=1):
@@ -456,7 +459,7 @@ def test_ring_calls_match_reference(monkeypatch):
     patch_everywhere(monkeypatch, "mul_sum", checked_mul_sum)
     reports = verify_all(8)
     assert not any(r.failed for r in reports)
-    assert calls["plethysm"] > 400 and calls["mul_sum"] > 400, calls
+    assert len(distinct) > 150 and calls["mul_sum"] > 400, (len(distinct), calls)
 
 
 @settings(max_examples=60, deadline=None)
