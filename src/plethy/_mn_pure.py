@@ -10,7 +10,10 @@ part k is
 (Macdonald, Symmetric Functions and Hall Polynomials, I.7).  _memo keeps
 the column of every ascending prefix, so cycle types that share their
 small parts share the work: the rectangle (d^m) is one strip away from
-(d^(m-1)).  Values are Python ints, exact at every degree.
+(d^(m-1)).  Values are Python ints, exact at every degree.  Its readers
+are schur.character(), symfunc.s() and the small subtrees of the walk in
+schur.to_schur_many, which adds strips to whole vectors and so does not
+keep the full table of a dense degree here.
 
 Columns are keyed by bead bitmasks.  A partition lam of length L is the
 int mask(lam) = sum over rows i = 1..L of 2^(lam_i + L - i): one bead per
@@ -51,7 +54,9 @@ def decode(mask: int) -> tuple:
     return tuple(accumulate(map(len, runs)))[::-1]
 
 
-def _add_strips(col: dict[int, int], k: int) -> dict[int, int]:
+def _add_strips(
+    col: dict[int, int], k: int, out: dict[int, int] | None = None
+) -> dict[int, int]:
     """The column after one more part k: every k-strip added to every shape.
 
     Padding a mask with k empty rows is m' = (m << k) | (2^k - 1).  The
@@ -61,9 +66,13 @@ def _add_strips(col: dict[int, int], k: int) -> dict[int, int]:
     result are empty rows and are shifted off.  Bit 0 of m is clear, so m'
     has exactly k trailing ones: a move keeps them all when b >= k and
     keeps b of them when b < k.
+
+    The map is linear in col, which may be any vector over masks of one
+    degree.  Given out, the moves are added into out, which is returned
+    with any zeros it gains; otherwise a new dict without zeros is.
     """
-    out: dict[int, int] = {}
-    get = out.get
+    acc: dict[int, int] = {} if out is None else out
+    get = acc.get
     ones = (1 << k) - 1
     for m, v in col.items():
         m = (m << k) | ones
@@ -74,8 +83,8 @@ def _add_strips(col: dict[int, int], k: int) -> dict[int, int]:
             up = low << k
             new = (m ^ low ^ up) >> (k if low > ones else low.bit_length() - 1)
             odd = (m & (up - (low << 1))).bit_count() & 1
-            out[new] = get(new, 0) + (-v if odd else v)
-    return {m: v for m, v in out.items() if v}
+            acc[new] = get(new, 0) + (-v if odd else v)
+    return acc if out is not None else {m: v for m, v in acc.items() if v}
 
 
 def keyed_column(mu: tuple) -> dict[int, int]:

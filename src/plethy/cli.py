@@ -19,6 +19,12 @@ from .series import SeriesContext
 from .symfunc import SymFunc
 from .tables import TABLE_NUMBERS, render_table, table_json
 
+# The largest degree `plethy schur` expands, checked before any character
+# work.  One p-term with a part N expands over all N hooks, so a payload of
+# a few bytes would cost work and output that grow as N squared; a dense
+# support is out of reach far below this degree.
+MAX_SCHUR_DEGREE = 256
+
 _OBJECTS = {
     # name: (number of extra int args, builder)
     "lie": (0, lambda ctx, n: lie_family.lie(n)),
@@ -79,6 +85,9 @@ def _cmd_schur(args) -> int:
         if not f:
             _dump({"basis": "s", "degree": 0, "terms": []})
             return 0
+        degree = max(f.degrees())
+        if degree > MAX_SCHUR_DEGREE:
+            raise ValueError(f"degree {degree} is above the limit of {MAX_SCHUR_DEGREE}")
         # to_dict inside the try: a coefficient past the int-to-str digit limit raises here
         expansion = to_schur(f).to_dict()
     except (OSError, ValueError, KeyError, RecursionError) as exc:
@@ -169,7 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--basis", choices=("p", "s"), default="p")
     c.set_defaults(fn=_cmd_compute)
 
-    c = sub.add_parser("schur", help="expand a p-basis JSON payload in the Schur basis")
+    c = sub.add_parser(
+        "schur",
+        help="expand a p-basis JSON payload in the Schur basis",
+        description=f"A payload of degree above {MAX_SCHUR_DEGREE} is refused (exit 2).",
+    )
     c.add_argument("--in", dest="infile", default=None, metavar="FILE")
     c.set_defaults(fn=_cmd_schur)
 
@@ -190,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser(
         "conjecture",
         help="scan an open positivity conjecture",
-        description="Each degree is expanded in the Schur basis from the character "
-        "columns of the cycle types in its p-basis support; a column is built smallest part "
-        "first and every prefix is memoized, so degrees share work.  The whitehouse "
-        "deficit touches only rectangles (d^m) and (d^m,1), so that scan reaches "
-        "n = 32 in about a second; the upos scan touches every column of each "
-        "degree and grows with p(n).",
+        description="Each degree is expanded in the Schur basis by a walk over the trie "
+        "of its p-basis support that adds border strips to whole vectors; a child of the "
+        "trie with one or two terms reads memoized character columns instead.  The "
+        "whitehouse deficit touches only rectangles (d^m) and (d^m,1), so that scan reads "
+        "a few columns per degree and reaches n = 32 in about a second; the upos support "
+        "is every partition of n, and that scan grows with p(n).",
     )
     c.add_argument("which", choices=("whitehouse", "upos"))
     c.add_argument("--max-n", type=positive_int, default=12)

@@ -4,14 +4,15 @@ Characters come from one builder, plethy._mn_pure, which runs the
 Murnaghan-Nakayama rule forward and returns whole columns {lam: chi^lam(mu)},
 memoized for the life of the process and keyed by the bead bitmask of lam
 (see plethy._mn_pure): a border strip is a bit move there.  to_schur_many
-expands a batch of functions of one degree in one walk over the columns of
-the cycle types in their support: the integer numerators of the batch at
-mu are packed into one int, one field of w bits per function, and each
-column entry is added once for the whole batch.  w is exact, not a guess:
-|chi^lam(mu)| <= isqrt(z_mu) by column orthogonality, which bounds every
-field.  Only the shapes whose sum is nonzero are decoded; to_schur is the
-one-element batch.  character() reads one entry of a column through the
-mask of lam.
+expands a batch of functions of one degree by a Horner walk over the trie
+of their support: the integer numerators of the batch at mu are packed
+into one int, one field of w bits per function, and the walk adds border
+strips to vectors of packed ints, so each strip serves the whole batch and
+a dense support never builds a full character table.  w is exact, not a
+guess: |chi^lam(mu)| <= isqrt(z_mu) by column orthogonality, which bounds
+every field.  Only the shapes whose sum is nonzero are decoded; to_schur
+is the one-element batch.  character() reads one entry of a column
+through the mask of lam.
 """
 
 from __future__ import annotations
@@ -110,12 +111,23 @@ def to_schur(f: SymFunc) -> SchurExpansion:
 def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     """Yield the Schur expansions of nonzero functions of one degree, in order.
 
-    Coefficient of s_lam in f_j is sum_mu c_j(mu) chi^lam(mu) over the
-    character columns of the mu in the support of the batch.  Each column
-    is walked once for the whole batch: the integer numerators at mu are
-    packed into one int C_mu = sum_j c_j(mu) 2^(w j), and acc[mask] += C_mu
+    Coefficient of s_lam in f_j is sum_mu c_j(mu) chi^lam(mu) over the mu
+    in the support of the batch.  The integer numerators at mu are packed
+    into one int C_mu = sum_j c_j(mu) 2^(w j), so acc[mask] = sum_mu C_mu
     chi^lam(mu) sums every function at once, field j of acc[mask] being the
     numerator of f_j's coefficient at lam.
+
+    acc comes from a walk over the support as a trie over descending parts.
+    p_k s_nu is the signed sum of s_lam over the k-strips lam/nu (Macdonald
+    I.3 Ex. 11), so if F_k holds the terms whose largest part is k, with
+    that part removed, then S(f) = sum_k P_k S(F_k), where P_k adds every
+    k-strip (one _mn_pure._add_strips call).  Applied at every node this is
+    a Horner scheme: a node's vector is its own C_mu at the empty shape plus
+    P_k of each child k's vector, and the root's vector is acc.  A child
+    with at most two terms is not walked: each of its terms adds C_mu times
+    the memoized column of mu less the node's prefix.  At the root that is
+    all of mu, so a sparse support such as the rectangles of the whitehouse
+    deficit reads the same columns as one term at a time would.
 
     The width w comes from an exact bound.  Column orthogonality gives
     sum_lam chi^lam(mu)^2 = z_mu, so |chi^lam(mu)| <= isqrt(z_mu), and every
@@ -123,7 +135,11 @@ def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     w - 1 is the bit length of the largest b_j, so each field lies in
     [-2^(w-1), 2^(w-1)).  Adding 2^(w-1) to every field below the top one
     makes them all nonnegative and carry-free, so field j is a shift and a
-    mask and the top field is a bare shift.
+    mask and the top field is a bare shift.  The walk keeps w exact: it sums
+    the same integers in another order, and Python ints do not overflow.
+    Its inner vectors obey the bound too, since a node rho holds
+    sum_mu C_mu chi^lam(mu - rho) and z_nu <= z_mu when the parts of nu
+    are some of the parts of mu.
 
     The nonzero sums are decoded and sorted once, in descending tuple order
     (the canonical order within one degree); each expansion is then read
@@ -155,10 +171,7 @@ def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     for j, (nums, _) in enumerate(terms):
         for mu, c in nums.items():
             packed[mu] += c << (w * j)
-    acc: defaultdict[int, int] = defaultdict(int)
-    for mu, c in packed.items():
-        for mask, chi in _mn_pure.keyed_column(mu).items():
-            acc[mask] += c * chi
+    acc = _walk(list(packed.items()), 0)
     half = 1 << (w - 1)
     full = (1 << w) - 1
     top = len(fs) - 1
@@ -185,6 +198,33 @@ def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
                     raise NotVirtualCharacter(lam, Fraction(total, den))
                 out.append((lam, q))
         yield SchurExpansion(n, tuple(out))
+
+
+def _walk(terms: list[tuple[tuple, int]], depth: int) -> dict[int, int]:
+    """{mask(lam): sum of c chi^lam(mu[depth:])} over the (mu, c) in terms.
+
+    The mu are distinct partitions of one degree that share their first
+    depth parts: a node of the support trie.  A term that ends here is the
+    empty shape; a child k holding three or more terms is walked and its
+    vector gets every k-strip, and the terms of a smaller child read their
+    memoized columns.
+    """
+    out: dict[int, int] = {}
+    children: defaultdict[int, list[tuple[tuple, int]]] = defaultdict(list)
+    for mu, c in terms:
+        if len(mu) > depth:
+            children[mu[depth]].append((mu, c))
+        else:
+            out[0] = c
+    get = out.get
+    for k, group in children.items():
+        if len(group) > 2:
+            _mn_pure._add_strips(_walk(group, depth + 1), k, out)
+        else:
+            for mu, c in group:
+                for mask, chi in _mn_pure.keyed_column(mu[depth:]).items():
+                    out[mask] = get(mask, 0) + c * chi
+    return out
 
 
 @dataclass(frozen=True)

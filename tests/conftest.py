@@ -157,17 +157,21 @@ def patch_everywhere(monkeypatch, name: str, replacement) -> None:
 
 
 def inject_strip_sign_defect(monkeypatch) -> None:
-    """Give border strips of length 4 added onto two-row shapes the wrong
+    """Give border strips of length 4 that end on two-row shapes the wrong
     sign, and empty the column memo so every character read goes through
-    the defect."""
+    the defect, in a column or in the walk of to_schur_many alike."""
     from plethy import _mn_pure
 
     real = _mn_pure._add_strips
 
-    def wrong_sign(col, k):
-        out = real(col, k)
+    def wrong_sign(col, k, out=None):
+        moved = real(col, k)
         if k == 4:
-            out = {m: -v if len(_mn_pure.decode(m)) == 2 else v for m, v in out.items()}
+            moved = {m: -v if len(_mn_pure.decode(m)) == 2 else v for m, v in moved.items()}
+        if out is None:
+            return moved
+        for m, v in moved.items():
+            out[m] = out.get(m, 0) + v
         return out
 
     monkeypatch.setattr(_mn_pure, "_add_strips", wrong_sign)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import inject_strip_sign_defect, partition_strategy, ref_to_schur
-from plethy.cli import main
+from plethy.cli import MAX_SCHUR_DEGREE, main
 from plethy.partitions import partitions_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -203,6 +203,22 @@ def test_schur_exit_code_contract_fuzz(payload, cut):
         assert json.loads(out.getvalue())["basis"] == "s"
 
 
+def test_schur_command_refuses_a_degree_past_the_bound(capsys):
+    # one short term of huge degree is refused before any character work
+    big = json.dumps({"basis": "p", "terms": [{"partition": [1_000_000], "coeff": 1}]})
+    start = time.perf_counter()
+    code, out, err = run_cli(["schur"], stdin_text=big, capsys=capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("bad input: ") and str(MAX_SCHUR_DEGREE) in err
+    # p_200 = sum over the 200 hooks (200 - i, 1^i) of (-1)^i s
+    hook = json.dumps({"basis": "p", "terms": [{"partition": [200], "coeff": 1}]})
+    code, out, _ = run_cli(["schur"], stdin_text=hook, capsys=capsys)
+    assert code == 0
+    terms = {tuple(t["partition"]): int(t["coeff"]) for t in json.loads(out)["terms"]}
+    assert terms == {(200 - i,) + (1,) * i: (-1) ** i for i in range(200)}
+
+
 def test_schur_command_unreadable_file_exits_2(tmp_path, capsys):
     for path in (tmp_path / "missing.json", tmp_path):
         code, out, err = run_cli(["schur", "--in", str(path)], capsys=capsys)
@@ -362,6 +378,7 @@ def test_upos_json_golden_16(capsys):
         ["compute", "delta", "6", "--basis", "s"],
         ["compute", "sigma", "6", "--basis", "s"],
         ["compute", "ell", "6", "3", "--basis", "s"],
+        ["compute", "u", "14", "6", "--basis", "s"],  # dense: expanded by the trie walk
     ],
     ids=" ".join,
 )

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +23,8 @@ from plethy.schur import (
     to_schur,
     to_schur_many,
 )
-from plethy.symfunc import SymFunc, e, h, p, s
+from plethy.series import SeriesContext
+from plethy.symfunc import SymFunc, e, h, linear_sum, p, s
 
 
 def test_trivial_and_sign_characters():
@@ -363,3 +365,129 @@ def test_positivity_batch_reports_a_failure_before_a_later_raise():
     assert next(results) == Positivity(False, (1, 1, 1), -1)
     with pytest.raises(NotVirtualCharacter):
         next(results)
+
+
+# -- the trie walk ----------------------------------------------------------------
+
+
+def _prefix_counts(support) -> Counter:
+    """{rho: number of mu in support that start with rho} over nonempty rho."""
+    return Counter(mu[:d] for mu in support for d in range(1, len(mu) + 1))
+
+
+# coefficient sizes around the byte boundaries of the packed width
+_SIZES = (1, 9, 2**8 - 1, 2**8, 2**16, 2**16 + 1, 2**64 - 1, 2**64, 10**30)
+
+
+@st.composite
+def trie_batch(draw, max_n=12):
+    """1 to 4 functions of one degree n on a support built to exercise every
+    kind of child in the walk: all the mu below a drawn prefix (three or
+    more terms, walked, wherever the degree has such a prefix), one mu and
+    maybe a sibling that shares its largest part (one or two terms, read as
+    columns), and the mu with parts at most 2 (a walk down a chain of 2s,
+    each node leaving a chain of 1s to a column).  Coefficients straddle
+    byte boundaries.  At n = 3, 4, 5 the batch may also hold the tight
+    triple c - 1, -c, c - 1 times the p_mu where |chi^lam(mu)| reaches
+    isqrt(z_mu), which puts a field at the largest value w allows; those
+    degrees have no child with three terms.  An optional p-term over a
+    small denominator may leave a function short of a virtual character.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    shapes = partitions_of(n)
+    counts = _prefix_counts(shapes)
+    wide = sorted(rho for rho, c in counts.items() if c >= 3)
+    support = set()
+    if wide:
+        rho = draw(st.sampled_from(wide))
+        support.update(mu for mu in shapes if mu[: len(rho)] == rho)
+    mu = draw(st.sampled_from(shapes))
+    support.add(mu)
+    siblings = [nu for nu in shapes if nu[0] == mu[0]]
+    support.add(draw(st.sampled_from(siblings)))
+    support.update(mu for mu in shapes if mu[0] <= 2)
+    support = sorted(support)
+
+    def coeff():
+        size = draw(st.sampled_from(_SIZES))
+        return draw(st.sampled_from((size, -size)))
+
+    batch = []
+    for j in range(draw(st.integers(min_value=1, max_value=4))):
+        picked = support if j == 0 else draw(st.sets(st.sampled_from(support), min_size=1))
+        f = linear_sum((coeff(), p(mu)) for mu in sorted(picked))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            c = Fraction(draw(st.integers(min_value=1, max_value=9)), draw(st.sampled_from((2, 3))))
+            f = f + p(draw(st.sampled_from(shapes))).scale(c)
+        batch.append(f or p(shapes[0]))
+    tight = {3: (3,), 4: (2, 2), 5: (2, 2, 1)}.get(n)
+    if tight and draw(st.booleans()):
+        c = draw(st.sampled_from((2**8, 2**16, 2**64)))
+        at = draw(st.integers(min_value=0, max_value=len(batch)))
+        batch[at:at] = [p(tight).scale(c - 1), p(tight).scale(-c), p(tight).scale(c - 1)]
+    return batch
+
+
+@settings(max_examples=120, deadline=None)
+@given(trie_batch())
+def test_walk_matches_the_per_function_reference(batch):
+    got = to_schur_many(batch)
+    for f in batch:
+        try:
+            want = ref_to_schur(f)
+        except NotVirtualCharacter as exc:
+            with pytest.raises(NotVirtualCharacter) as err:
+                next(got)
+            assert (err.value.partition, err.value.coeff) == (exc.partition, exc.coeff)
+            return
+        assert next(got) == want
+    assert next(got, None) is None
+
+
+def test_degree_zero_is_the_roots_own_coefficient():
+    # mu = () ends at the root: the only node with a coefficient of its own
+    one = SymFunc.one()
+    got = to_schur_many([one, one.scale(-3), one.scale(Fraction(2, 3))])
+    assert [next(got).as_dict(), next(got).as_dict()] == [{(): 1}, {(): -3}]
+    with pytest.raises(NotVirtualCharacter):
+        next(got)
+
+
+@pytest.mark.parametrize("row", ["u_row", "beta_row"])
+def test_positivity_rows_match_the_reference(row):
+    # the batches the U-POS and BETA-POS scans expand, term by term, and the
+    # witness each scan reports: the most negative coefficient, first in
+    # descending partition order
+    def witness(expansion):
+        lam, c = min(expansion.terms, key=lambda term: term[1])
+        return Positivity(True) if c >= 0 else Positivity(False, lam, c)
+
+    ctx = SeriesContext(14)
+    for n in range(2, 15):
+        fs = getattr(ctx, row)(n)
+        wants = [ref_to_schur(f) for f in fs if f]
+        assert list(to_schur_many([f for f in fs if f])) == wants, n
+        refs = iter(wants)
+        witnesses = [witness(next(refs)) if f else Positivity(True) for f in fs]
+        assert list(is_schur_positive_many(fs)) == witnesses, n
+
+
+def test_walk_keeps_only_the_columns_of_small_children():
+    # a dense degree leaves no full table behind: _memo holds the columns a
+    # child with one or two terms read, mu less the prefix of the node it
+    # hangs from, and their ascending prefixes, and nothing else
+    fs = [f for f in SeriesContext(12).u_row(12) if f]
+    support = set().union(*(f.support() for f in fs))
+    assert len(support) == len(partitions_of(12))
+    counts = _prefix_counts(support)
+    expected = set()
+    for mu in support:
+        # the first child on the way down to mu with at most two terms; mu
+        # itself is one, since no other mu of its degree starts with it
+        d = next(d for d in range(len(mu)) if counts[mu[: d + 1]] <= 2)
+        rest = mu[d:][::-1]
+        expected.update(rest[:i] for i in range(1, len(rest) + 1))
+    _mn_pure._memo.clear()
+    list(to_schur_many(fs))
+    assert set(_mn_pure._memo) == expected
+    assert sum(sum(key) == 12 for key in expected) == 5
