@@ -66,8 +66,7 @@ def _odd_part(n: int) -> int:
 class Psi:
     """Named arithmetic weight for the f_n template.
 
-    psi(1) fixes the dimension (n-1)! * psi(1) of f_n.  A custom finite
-    table supports future row-sum variants without new code.
+    psi(1) fixes the dimension (n-1)! * psi(1) of f_n.
     """
 
     name: str
@@ -94,15 +93,6 @@ class Psi:
         # ramanujan_sum(d, two_adic_part(n)) collapses to for every d | n,
         # making lie2 an instance of the f_n template with one fixed psi.
         return cls("two_adic", lambda d: totient(two_adic_part(d)) * mobius(_odd_part(d)))
-
-    @classmethod
-    def from_table(cls, table: dict[int, int], name: str = "custom") -> "Psi":
-        def fn(d: int) -> int:
-            if d not in table:
-                raise KeyError(f"psi table has no entry for d={d}")
-            return table[d]
-
-        return cls(name, fn)
 
 
 def f_from_psi(psi: Psi | Callable[[int], int], n: int) -> SymFunc:

@@ -138,14 +138,6 @@ def _odd_parts_sum(n: int, distinct: bool = False) -> SymFunc:
     )
 
 
-def _kappa_n(n: int) -> SymFunc:
-    return h(n - 1) * h(1) - h(n) if n >= 2 else SymFunc.zero()
-
-
-def _omega_kappa_n(n: int) -> SymFunc:
-    return e(n - 1) * e(1) - e(n) if n >= 2 else SymFunc.zero()
-
-
 # ---------------------------------------------------------------------------
 # regular-representation decompositions and their inverses
 
@@ -314,7 +306,7 @@ def _equiv_pbw_altext(ctx, cap, check):
 def _equiv_pbw_altext_ge2(ctx, cap, check):
     app = ctx.app("E", "lie_ge2")
     for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), _kappa_n(n))
+        check.eq(n, _alt_outer(app, n), ctx.kappa().coeff(n))
 
 
 @_register("EQUIV-PBW-COCHAIN", "signed e-sum over lie_(>=2) collapses to one irreducible")
@@ -323,12 +315,13 @@ def _equiv_pbw_cochain(ctx, cap, check):
     # +kappa identity it is equivalent to (see decisions ledger)
     app = ctx.app("Epm", "lie_ge2")
     for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), -_kappa_n(n))
+        check.eq(n, app.coeff(n), -ctx.kappa().coeff(n))
     # omega-twisted Lefschetz form with (-1)^(n-1)
     appE = ctx.app("E", "lie_ge2")
     for n in range(2, cap + 1):
         acc = linear_sum(((-1) ** (i % 2), appE.graded(n, n - i).omega()) for i in range(n + 1))
-        check.eq(n, acc, _omega_kappa_n(n).scale((-1) ** ((n - 1) % 2)), note="omega-twisted form")
+        rhs = ctx.omega_kappa().coeff(n).scale((-1) ** ((n - 1) % 2))
+        check.eq(n, acc, rhs, note="omega-twisted form")
 
 
 @_register("EQUIV-PBW-FILT-A", "lie_(>=2) = lie composed with the standard-rep series")
@@ -382,18 +375,19 @@ def _equiv_lie2_plinv(ctx, cap, check):
 def _equiv_lie2_ge2(ctx, cap, check):
     app = ctx.app("H", "lie2_ge2")
     for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), _omega_kappa_n(n))
+        check.eq(n, _alt_outer(app, n), ctx.omega_kappa().coeff(n))
 
 
 @_register("EQUIV-LIE2-COCHAIN", "signed h-sum over lie2_(>=2) collapses to one irreducible")
 def _equiv_lie2_cochain(ctx, cap, check):
     app = ctx.app("Hpm", "lie2_ge2")
     for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), -_omega_kappa_n(n))
+        check.eq(n, app.coeff(n), -ctx.omega_kappa().coeff(n))
     appH = ctx.app("H", "lie2_ge2")
     for n in range(2, cap + 1):
         acc = linear_sum(((-1) ** (i % 2), appH.graded(n, n - i).omega()) for i in range(n + 1))
-        check.eq(n, acc, _kappa_n(n).scale((-1) ** ((n - 1) % 2)), note="omega-twisted form")
+        rhs = ctx.kappa().coeff(n).scale((-1) ** ((n - 1) % 2))
+        check.eq(n, acc, rhs, note="omega-twisted form")
 
 
 @_register("EQUIV-LIE2-FILT-A", "lie2_(>=2) = lie2 composed with omega(kappa)")
@@ -590,7 +584,7 @@ def _he_unit(ctx, cap, check):
     # sign-twist lemma: K[-p1] = omega(K)^+- and the induced equivalences
     for fam, outer in (("lie", "H"), ("lie2", "E")):
         K2 = ctx.app(outer, fam + "_alt").drop_grading()
-        omega_pm = K2.map_by_degree(lambda n, f: f.omega().scale((-1) ** (n % 2)))
+        omega_pm = K2.twist()
         sub = plethysm(K2.total(), -p(1), cap)
         for n in range(cap + 1):
             check.eq(n, sub.homogeneous_part(n), omega_pm.coeff(n), note=f"{fam}: K[-p1]")
@@ -611,7 +605,7 @@ def _hodge_filt(ctx, cap, check):
     Ege = ctx.app("E", "lie_ge2")
     Hge2 = ctx.app("H", "lie2_ge2")
     for n in range(2, cap + 1):
-        mid = _omega_kappa_n(n)  # s_(2,1^(n-2))
+        mid = ctx.omega_kappa().coeff(n)  # s_(2,1^(n-2))
         check.eq(n, _alt_outer(Ege, n).omega(), mid, note="alternating omega(e-sum)")
         check.eq(n, _alt_outer(Hge2, n), mid, note="alternating h-sum over lie2_(>=2)")
 
@@ -812,24 +806,23 @@ def _u_closed(ctx, cap, check):
     s22 = schur_s((2, 2))
     s42 = schur_s((4, 2))
     s222 = schur_s((2, 2, 2))
+    kappa = ctx.kappa()
     for n in range(2, cap + 1):
         check.eq(n, ctx.u(n, 0), h(n), note="k=0")
         if n >= 2:
             check.eq(n, ctx.u(n, 1), h(2) * h(n - 2) - h(n), note="k=1")
         if n >= 4:
-            rhs2 = (
-                hh(n - 3) * s21
-                - schur_s((n - 1, 1))
-                - schur_s((n - 2, 2))
-                + hh(n - 4) * (h(4) + s22)
-            )
+            # s_(n-1,1) is kappa_n; s_(n-2,2) = h_(n-2) h_2 - h_(n-1) h_1 (Jacobi-Trudi)
+            s_n1 = kappa.coeff(n)
+            s_n2 = h(n - 2) * h(2) - h(n - 1) * h(1)
+            rhs2 = hh(n - 3) * s21 - s_n1 - s_n2 + hh(n - 4) * (h(4) + s22)
             check.eq(n, ctx.u(n, 2), rhs2, note="k=2")
             rhs3 = (
                 hh(n - 4) * s211
                 + s21 * (hh(n - 5) * h(2) - hh(n - 3))
                 + hh(n - 6) * (h(6) + s42 + s222)
-                + schur_s((n - 1, 1))
-                + schur_s((n - 2, 2))
+                + s_n1
+                + s_n2
             )
             check.eq(n, ctx.u(n, 3), rhs3, note="k=3")
 

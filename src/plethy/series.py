@@ -18,9 +18,11 @@ What a sign rule or a running sum gives is derived, not built again.  A
 sign that depends only on the slot is a slot flip of the cached series:
 Hpm and Epm negate the odd-length slots of H and E (v -> -v), and the
 signed bracket sum negates the odd-corank slots of the unsigned one, since
-(-1)^(|lam| - l(lam)) is fixed by (|lam|, l(lam)).  The truncated
-alternating sums are running sums: u(n, k) = vh(n, k) - u(n, k-1), and
-beta(n, k) likewise over the whitney pieces.
+(-1)^(|lam| - l(lam)) is fixed by (|lam|, l(lam)).  Of the six product
+formulas only two are expanded: v -> -v gives two more, and the twist
+p_m -> -p_m, which is (-1)^n omega in degree n, the last two.  The
+truncated alternating sums are running sums: u(n, k) = vh(n, k) - u(n, k-1),
+and beta(n, k) likewise over the whitney pieces.
 """
 
 from __future__ import annotations
@@ -193,6 +195,11 @@ class Series:
             graded = {key: fn(key[0], f) for key, f in self._graded.items()}
         return Series(self.cap, parts, graded)
 
+    def twist(self) -> "Series":
+        """The ring map p_m -> -p_m, slot by slot: it sends a degree-n piece
+        f to (-1)^n omega(f) (Macdonald, Symmetric Functions, I.2)."""
+        return self.map_by_degree(lambda n, f: -f.omega() if n % 2 else f.omega())
+
 
 def _keyed_sum(fs: Iterable[SymFunc], cap: int) -> Keyed:
     return Keyed.encode(linear_sum((1, f) for f in fs), cap)
@@ -251,6 +258,11 @@ def _negate_slots(A: Series, odd: Callable[[int, int], int]) -> Series:
     """A with every graded slot (n, r) where odd(n, r) is true negated."""
     graded = {(n, r): -f if odd(n, r) else f for (n, r), f in A._graded.items()}
     return _from_graded(A.cap, graded)
+
+
+def _odd_length(n: int, r: int) -> int:
+    """The slots that v -> -v negates."""
+    return r % 2
 
 
 def _from_graded(cap: int, graded: dict[tuple[int, int], SymFunc]) -> Series:
@@ -361,23 +373,13 @@ def restrict_ge2(F: Series) -> Series:
 
 # -- product formulas with a formal v marker ------------------------------------
 #
-# In prod_m (1 + s*p_m)^(g_m(v)) the coefficient of p_lam is
-# prod_m s^(k_m) binom(g_m, k_m)(v), where k_m is the multiplicity of m in
+# In prod_m (1 - p_m)^(g_m(v)) the coefficient of p_lam is
+# prod_m (-1)^(k_m) binom(g_m, k_m)(v), where k_m is the multiplicity of m in
 # lam.  Here g_m = G_m / m for an integer v-polynomial G_m built from psi,
 # so binom(g_m, k) = G_m (G_m - m) ... (G_m - (k-1) m) / (m^k k!), and those
 # denominators multiply to z_lam.  The coefficient of p_lam v^r is therefore
-# s^l(lam) [v^r] N_lam(v) / z_lam, with N_lam the product of the integer
+# (-1)^l(lam) [v^r] N_lam(v) / z_lam, with N_lam the product of the integer
 # numerators.  A v-polynomial is a list of ints indexed by the power of v.
-
-_PRODUCT_VARIANTS = {
-    # variant: (s in the base 1 + s*p_m, sign of the exponent, v -> -v)
-    "sym": (-1, -1, False),  # (1-p_m)^(-f_m(v))
-    "ext": (-1, 1, True),  # (1-p_m)^(f_m(-v))
-    "alt_ext": (1, 1, False),  # (1+p_m)^(f_m(v))
-    "alt_sym": (1, -1, True),  # (1+p_m)^(-f_m(-v))
-    "epm": (-1, 1, False),  # (1-p_m)^(f_m(v))
-    "hpm": (-1, -1, True),  # (1-p_m)^(-f_m(-v))
-}
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -395,19 +397,20 @@ def _over_lcm(terms: list[tuple[tuple, int, int]]) -> SymFunc:
     return _reduced({lam: a * (den // z) for lam, a, z in terms}, den)
 
 
-def product_form(psi, variant: str, cap: int) -> Series:
-    """Expand prod over m of (1 +- p_m)^(+-f_m(+-v)) as a length-graded Series."""
-    try:
-        s, expo_sign, negv = _PRODUCT_VARIANTS[variant]
-    except KeyError:
-        raise ValueError(f"unknown product variant {variant!r}") from None
+def product_form(psi, sign: int, cap: int) -> Series:
+    """Expand prod over m of (1 - p_m)^(sign * f_m(v)) as a length-graded Series.
+
+    f_m(v) = (1/m) sum over d | m of psi(d) v^(m/d).  sign -1 gives H(v)[F]
+    and sign +1 gives E^+-(v)[F], for F the family of psi; SeriesContext.product
+    derives the other variants from these two.
+    """
     # numers[m][k - 1] is the numerator of binom(g_m, k), for m * k <= cap
     numers: dict[int, list[list[int]]] = {}
     for m in range(1, cap + 1):
         G = [0] * (m + 1)
         for d in divisors(m):
             j = m // d
-            G[j] += expo_sign * psi(d) * (-1 if negv and j % 2 else 1)
+            G[j] += sign * psi(d)
         while G and not G[-1]:
             G.pop()
         if not G:
@@ -422,10 +425,10 @@ def product_form(psi, variant: str, cap: int) -> Series:
     stack: list[tuple[tuple, int, list[int], int]] = [((), 0, [1], 1)]  # lam, |lam|, N_lam, z_lam
     while stack:
         lam, n, poly, z = stack.pop()
-        sign = s ** len(lam)
+        odd = len(lam) % 2
         for r, c in enumerate(poly):
             if c:
-                graded_terms.setdefault((n, r), []).append((lam, sign * c, z))
+                graded_terms.setdefault((n, r), []).append((lam, -c if odd else c, z))
         for m in range(1, min(lam[-1] - 1 if lam else cap, cap - n) + 1):
             row = numers.get(m)
             if row is None:
@@ -498,15 +501,8 @@ class SeriesContext:
         )
 
     def alt_omega(self, name: str) -> Series:
-        """sum of (-1)^(n-1) omega(f_n) for the named family."""
-
-        def build():
-            base = self.family(name)
-            return base.map_by_degree(
-                lambda n, f: f.omega().scale((-1) ** ((n - 1) % 2))
-            )
-
-        return self._get(("alt_omega", name), build)
+        """sum of (-1)^(n-1) omega(f_n) for the named family: minus its twist."""
+        return self._get(("alt_omega", name), lambda: self.family(name).twist().scale(-1))
 
     def family(self, name: str) -> Series:
         builders = {
@@ -525,7 +521,7 @@ class SeriesContext:
         negate the odd-length slots of the cached H or E."""
         if kind in ("Hpm", "Epm"):
             return self._get(
-                (kind, name), lambda: _negate_slots(self.app(kind[0], name), lambda n, r: r % 2)
+                (kind, name), lambda: _negate_slots(self.app(kind[0], name), _odd_length)
             )
         return self._get((kind, name), lambda: apply_series(kind, self.family(name)))
 
@@ -543,10 +539,24 @@ class SeriesContext:
         )
 
     def product(self, psi, variant: str) -> Series:
-        """Cached product_form for the given weight."""
-        return self._get(
-            ("product", psi.name, variant), lambda: product_form(psi, variant, self.cap)
-        )
+        """Cached prod over m of (1 -+ p_m)^(+-f_m(+-v)) for the given weight.
+
+        Only "sym" (1 - p_m)^(-f_m(v)) and "epm" (1 - p_m)^(f_m(v)) are
+        expanded.  "hpm" and "ext" put -v for v in them, which negates their
+        odd-length slots, and "alt_sym" (1 + p_m)^(-f_m(-v)) and "alt_ext"
+        (1 + p_m)^(f_m(v)) are the twists p_m -> -p_m of "hpm" and "epm".
+        """
+        builders = {
+            "sym": lambda: product_form(psi, -1, self.cap),
+            "epm": lambda: product_form(psi, 1, self.cap),
+            "hpm": lambda: _negate_slots(self.product(psi, "sym"), _odd_length),
+            "ext": lambda: _negate_slots(self.product(psi, "epm"), _odd_length),
+            "alt_sym": lambda: self.product(psi, "hpm").twist(),
+            "alt_ext": lambda: self.product(psi, "epm").twist(),
+        }
+        if variant not in builders:
+            raise ValueError(f"unknown product variant {variant!r}")
+        return self._get(("product", psi.name, variant), builders[variant])
 
     # standard-representation generators ------------------------------------
 

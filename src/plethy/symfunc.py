@@ -207,13 +207,9 @@ class SymFunc:
             return self.scale(other)
         if not isinstance(other, SymFunc):
             return NotImplemented
-        data: dict[tuple, int] = {}
-        get = data.get
-        for lam, a in self._num.items():
-            for mu, b in other._num.items():
-                key = tuple(sorted(lam + mu, reverse=True))
-                data[key] = get(key, 0) + a * b
-        return _reduced(data, self._den * other._den)
+        # no term of the product passes the sum of the two top degrees
+        top = max(map(sum, self._num), default=0) + max(map(sum, other._num), default=0)
+        return mul_trunc(self, other, top)
 
     def __rmul__(self, other) -> "SymFunc":
         if isinstance(other, (int, Fraction)):

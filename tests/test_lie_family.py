@@ -109,17 +109,6 @@ def test_ell_row_sum_is_the_regular_representation():
         assert total == p((1,) * n)
 
 
-def test_custom_psi_table():
-    psi = Psi.from_table({1: 2, 2: 0, 3: -1, 6: 5})
-    f = f_from_psi(psi, 6)
-    assert f.coeff((1,) * 6) == Fraction(2, 6)
-    assert f.coeff((3, 3)) == Fraction(-1, 6)
-    assert f.coeff((6,)) == Fraction(5, 6)
-    assert f.coeff((2, 2, 2)) == 0
-    with pytest.raises(KeyError):
-        f_from_psi(psi, 4)
-
-
 def test_specialization_relations_metaf():
     weights = [Psi.mobius(), Psi.totient(), Psi.ramanujan(3), Psi.two_adic()]
     for psi in weights:

@@ -58,8 +58,7 @@ def _p3_of_g_even_sign_flipped(f, g, cap=None):
 @pytest.mark.parametrize(
     "name, defect",
     [
-        # verify_all never calls mul_trunc; its products are the one-pair
-        # calls of mul_sum
+        # mul_trunc is the one-pair mul_sum, and SymFunc products call it
         ("mul_sum", _one_pair_mul_sum_drops_top),
         ("mul_sum", _mul_sum_drops_top),
         ("plethysm", _plethysm_drops_top),
@@ -107,15 +106,31 @@ def _newton_sign_error(monkeypatch):
 
 
 def _product_variant_sign_flip(monkeypatch):
-    # "ext" is (1 - p_m)^(f_m(-v)); the flip makes it (1 + p_m)^(f_m(-v))
-    s, expo_sign, negv = series._PRODUCT_VARIANTS["ext"]
-    monkeypatch.setitem(series._PRODUCT_VARIANTS, "ext", (-s, expo_sign, negv))
+    # the sign +1 expansion is (1 - p_m)^(f_m(v)), which "ext" and "alt_ext"
+    # are derived from; the flip makes it (1 + p_m)^(f_m(v)), its twist
+    real = series.product_form
+
+    def base_sign_flipped(psi, sign, cap):
+        out = real(psi, sign, cap)
+        return out.twist() if sign == 1 else out
+
+    monkeypatch.setattr(series, "product_form", base_sign_flipped)
+
+
+def _product_ext_unflipped(monkeypatch):
+    # "ext" is "epm" with v -> -v; the defect serves "epm" unflipped
+    real = series.SeriesContext.product
+
+    def product(self, psi, variant):
+        return real(self, psi, "epm" if variant == "ext" else variant)
+
+    monkeypatch.setattr(series.SeriesContext, "product", product)
 
 
 @pytest.mark.parametrize(
     "inject",
-    [_newton_sign_error, _product_variant_sign_flip],
-    ids=["newton-p2-sign", "product-variant-ext-sign"],
+    [_newton_sign_error, _product_variant_sign_flip, _product_ext_unflipped],
+    ids=["newton-p2-sign", "product-variant-ext-sign", "product-ext-unflipped"],
 )
 def test_series_defect_fails_an_entry(monkeypatch, inject):
     inject(monkeypatch)

@@ -168,3 +168,31 @@ def test_outer_powers_built_once_per_series(monkeypatch):
     monkeypatch.setattr(series, "_outer_powers", counting)
     assert not any(r.failed for r in verify_all(8))
     assert len(calls) == 16
+
+
+def test_products_expanded_once_per_sign(monkeypatch):
+    # of the six product variants per weight, "sym" and "epm" are expanded
+    # and the other four derived: 6 product_form calls at cap 8, 18 before
+    calls = []
+    real = series.product_form
+
+    def counting(psi, sign, cap):
+        calls.append((psi.name, sign))
+        return real(psi, sign, cap)
+
+    monkeypatch.setattr(series, "product_form", counting)
+    assert not any(r.failed for r in verify_all(8))
+    assert sorted(calls) == sorted(
+        (name, sign) for name in ("mobius", "totient", "two_adic") for sign in (1, -1)
+    )
+
+
+def test_u_closed_builds_no_large_character_column(monkeypatch):
+    # s_(n-1,1) and s_(n-2,2) come from h products, so only the Schur
+    # constants of degree <= 6 read character columns
+    from plethy import _mn_pure
+
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    (report,) = verify_all(12, ids=["U-CLOSED"])
+    assert report.passed
+    assert max(map(sum, _mn_pure._memo)) <= 6

@@ -427,8 +427,8 @@ def test_ring_calls_match_reference(monkeypatch):
     """Every plethysm and mul_sum call made by verify_all(8) equals the
     reference ring on the same arguments.
 
-    These two kernels form every truncated product the series layer makes;
-    mul_trunc is the one-pair mul_sum and nothing in verify_all calls it.
+    These two kernels form every product verify_all makes: mul_trunc and
+    SymFunc products are one-pair mul_sum calls.
     The registry asks for some plethysms more than once, so the distinct
     (f, g, cap) are counted: those are the arguments that get checked.
     """
