@@ -521,18 +521,10 @@ def _metage2(fam: str):
         Ege = ctx.app("E", fam + "_ge2")
         Hpmge = ctx.app("Hpm", fam + "_ge2")
         Epmge = ctx.app("Epm", fam + "_ge2")
-        ev = Series(
-            cap,
-            {k: e(k).scale((-1) ** (k % 2)) for k in range(cap + 1)},
-            graded={(k, k): e(k).scale((-1) ** (k % 2)) for k in range(cap + 1)},
-        )
-        hv = Series(
-            cap,
-            {k: h(k).scale((-1) ** (k % 2)) for k in range(cap + 1)},
-            graded={(k, k): h(k).scale((-1) ** (k % 2)) for k in range(cap + 1)},
-        )
-        Hplain = Series(cap, {k: h(k) for k in range(cap + 1)}, graded={(k, k): h(k) for k in range(cap + 1)})
-        Eplain = Series(cap, {k: e(k) for k in range(cap + 1)}, graded={(k, k): e(k) for k in range(cap + 1)})
+        ev = Series(cap, graded={(k, k): e(k).scale((-1) ** (k % 2)) for k in range(cap + 1)})
+        hv = Series(cap, graded={(k, k): h(k).scale((-1) ** (k % 2)) for k in range(cap + 1)})
+        Hplain = Series(cap, graded={(k, k): h(k) for k in range(cap + 1)})
+        Eplain = Series(cap, graded={(k, k): e(k) for k in range(cap + 1)})
         check.eq_graded(Hge, ev * HF)  # H(v)[F>=2] = E(-v) H(v)[F]
         check.eq_graded(Epmge * HF, Hplain)  # E^+-(v)[F>=2] H(v)[F] = H(v)
         check.eq_graded(Ege, hv * EF)  # E(v)[F>=2] = H(-v) E(v)[F]
@@ -557,7 +549,7 @@ def _he_unit(ctx, cap, check):
     for n in range(1, cap + 1):
         acc = linear_sum(((-1) ** ((n - k) % 2), h(k) * e(n - k)) for k in range(n + 1))
         check.eq(n, acc, SymFunc.zero())
-    one = Series.one(cap).drop_grading()
+    one = Series(cap, {0: SymFunc.one()})
 
     # H[F] = G  <=>  E^+-[F] = 1/G  <=>  alternating e-sum = (G-1)/G
     G = ctx.app("H", "lie").drop_grading()

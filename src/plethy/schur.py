@@ -141,11 +141,11 @@ def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     sum_mu C_mu chi^lam(mu - rho) and z_nu <= z_mu when the parts of nu
     are some of the parts of mu.
 
-    The nonzero sums are decoded and sorted once, in descending tuple order
-    (the canonical order within one degree); each expansion is then read
-    off only when it is asked for, so a function that is not a virtual
-    character raises NotVirtualCharacter, naming the first lam in that
-    order, after every expansion before it has been yielded.
+    The nonzero sums are biased, decoded and sorted once, in descending
+    tuple order (the canonical order within one degree); each expansion is
+    then read off only when it is asked for, so a function that is not a
+    virtual character raises NotVirtualCharacter, naming the first lam in
+    that order, after every expansion before it has been yielded.
     """
     fs = list(fs)
     if not fs:
@@ -179,17 +179,15 @@ def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     bias = half * ((1 << (w * top)) - 1) // full
     decode = _mn_pure.decode
     rows = sorted(
-        ((decode(mask), total) for mask, total in acc.items() if total), reverse=True
+        ((decode(mask), total + bias) for mask, total in acc.items() if total), reverse=True
     )
     del acc, packed
     for j, (_, den) in enumerate(terms):
         shift = w * j
         if j < top:
-            fields = ((lam, (((t + bias) >> shift) & full) - half) for lam, t in rows)
-        elif shift:
-            fields = ((lam, (t + bias) >> shift) for lam, t in rows)
-        else:  # a one-element batch: the sums are the numerators
-            fields = rows
+            fields = ((lam, ((t >> shift) & full) - half) for lam, t in rows)
+        else:  # a one-element batch is this field with shift and bias 0
+            fields = ((lam, t >> shift) for lam, t in rows)
         out: list[tuple[tuple, int]] = []
         for lam, total in fields:
             if total:

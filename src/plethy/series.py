@@ -1,10 +1,12 @@
 """Truncated plethystic series and the derived module constructions.
 
-A Series holds one homogeneous SymFunc per degree 0..cap and, when it came
-out of an outer-power operator or a product formula, a second grading by
+A Series is one store of homogeneous SymFuncs in (n, r) slots, 0 <= n <= cap.
+When it came out of an outer-power operator or a product formula, r is the
 outer length (the v-marker): slot (n, r) is the piece of degree n sitting
-under v^r.  Every operation takes the cap from its inputs and never reads
-beyond it; nothing truncates silently.
+under v^r.  Otherwise it is ungraded and keeps degree n in slot (n, 0).
+The degree-n part is the sum of the slots (n, r), derived on first read.
+Every operation takes the cap from its inputs and never reads beyond it;
+nothing truncates silently.
 
 Products stay in the keyed form of symfunc (Keyed, mul_sum): the Newton
 recursion keeps every x_r[F] keyed from one step to the next, bracket_sum
@@ -48,9 +50,15 @@ __all__ = [
 
 
 class Series:
-    """Degree-capped sequence of homogeneous symmetric functions."""
+    """Degree-capped series of homogeneous symmetric functions, kept in slots.
 
-    __slots__ = ("cap", "_parts", "_graded")
+    Slot (n, r) is the piece of degree n under v^r.  A series built from
+    degree parts carries no length grading: it keeps degree n in slot (n, 0),
+    and graded() refuses it.  The degree parts of any series are the sums of
+    its slots, each built once, on first read.
+    """
+
+    __slots__ = ("cap", "_slots", "_graded", "_parts")
 
     def __init__(
         self,
@@ -58,77 +66,86 @@ class Series:
         parts: Iterable[SymFunc] | dict[int, SymFunc] | None = None,
         graded: dict[tuple[int, int], SymFunc] | None = None,
     ):
+        if parts is not None and graded is not None:
+            raise ValueError("a Series takes degree parts or graded slots, not both")
         self.cap = cap
-        slots = [SymFunc.zero()] * (cap + 1)
-        if isinstance(parts, dict):
-            for n, f in parts.items():
-                if n <= cap:
-                    slots[n] = f
-        elif parts is not None:
-            for n, f in enumerate(parts):
-                if n <= cap:
-                    slots[n] = f
-        self._parts = slots
-        if graded:
-            graded = {key: f for key, f in graded.items() if f and key[0] <= cap}
-        self._graded = graded or None
+        self._graded = graded is not None
+        if graded is None:
+            items = parts.items() if isinstance(parts, dict) else enumerate(parts or ())
+            graded = {(n, 0): f for n, f in items}
+        self._slots = {key: f for key, f in graded.items() if f and key[0] <= cap}
+        self._parts: list[SymFunc] | None = None
 
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_function(cls, cap: int, fn: Callable[[int], SymFunc], start: int = 1) -> "Series":
-        return cls(cap, {n: fn(n) for n in range(start, cap + 1)})
+    def from_function(cls, cap: int, fn: Callable[[int], SymFunc]) -> "Series":
+        return cls(cap, {n: fn(n) for n in range(1, cap + 1)})
 
     @classmethod
     def from_symfunc(cls, f: SymFunc, cap: int) -> "Series":
         return cls(cap, f.homogeneous_parts())
 
-    @classmethod
-    def one(cls, cap: int) -> "Series":
-        return cls(cap, {0: SymFunc.one()}, graded={(0, 0): SymFunc.one()})
-
     # -- access ----------------------------------------------------------
+
+    def _degree_parts(self) -> list[SymFunc]:
+        if self._parts is None:
+            terms: list[list[tuple[int, SymFunc]]] = [[] for _ in range(self.cap + 1)]
+            for (n, _), f in self._slots.items():
+                terms[n].append((1, f))
+            self._parts = [linear_sum(t) for t in terms]
+        return self._parts
 
     def coeff(self, n: int) -> SymFunc:
         if not 0 <= n <= self.cap:
             raise IndexError(f"degree {n} outside cap {self.cap}")
-        return self._parts[n]
+        return self._degree_parts()[n]
 
     def graded(self, n: int, r: int) -> SymFunc:
-        if self._graded is None:
+        if not self._graded:
             raise ValueError("series carries no length grading")
         if not 0 <= n <= self.cap:
             raise IndexError(f"degree {n} outside cap {self.cap}")
-        return self._graded.get((n, r), SymFunc.zero())
+        return self._slots.get((n, r), SymFunc.zero())
 
     def graded_keys(self) -> list[tuple[int, int]]:
-        return sorted(self._graded.keys()) if self._graded else []
+        return sorted(self._slots) if self._graded else []
 
     def total(self) -> SymFunc:
-        return linear_sum((1, f) for f in self._parts)
+        return linear_sum((1, f) for f in self._slots.values())
 
     def drop_grading(self) -> "Series":
-        return Series(self.cap, dict(enumerate(self._parts)))
+        return Series(self.cap, self._degree_parts())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.cap == other.cap and self._parts == other._parts
+        return (self.cap, self._graded, self._slots) == (other.cap, other._graded, other._slots)
 
     __hash__ = None
 
     # -- arithmetic --------------------------------------------------------
 
+    def _with_slots(self, slots: dict[tuple[int, int], SymFunc], graded: bool) -> "Series":
+        if graded:
+            return Series(self.cap, graded=slots)
+        return Series(self.cap, {n: f for (n, _), f in slots.items()})
+
+    def _map_slots(self, fn: Callable[[int, int, SymFunc], SymFunc]) -> "Series":
+        """fn(n, r, f) in every slot; fn must send 0 to 0, as empty slots are skipped."""
+        return self._with_slots(
+            {(n, r): fn(n, r, f) for (n, r), f in self._slots.items()}, self._graded
+        )
+
     def _binary(self, other: "Series", op) -> "Series":
         if self.cap != other.cap:
             raise ValueError("cap mismatch")
-        parts = {n: op(self._parts[n], other._parts[n]) for n in range(self.cap + 1)}
-        graded = None
-        if self._graded is not None and other._graded is not None:
-            graded = dict(self._graded)
-            for key, f in other._graded.items():
-                graded[key] = op(graded.get(key, SymFunc.zero()), f)
-        return Series(self.cap, parts, graded)
+        graded = self._graded and other._graded
+        a, b = (self, other) if graded else (self.drop_grading(), other.drop_grading())
+        slots = dict(a._slots)
+        for key, f in b._slots.items():
+            slots[key] = op(slots.get(key, SymFunc.zero()), f)
+        return self._with_slots(slots, graded)
 
     def __add__(self, other: "Series") -> "Series":
         return self._binary(other, lambda a, b: a + b)
@@ -137,63 +154,49 @@ class Series:
         return self._binary(other, lambda a, b: a - b)
 
     def scale(self, c) -> "Series":
-        parts = {n: f.scale(c) for n, f in enumerate(self._parts)}
-        graded = None
-        if self._graded is not None:
-            graded = {key: f.scale(c) for key, f in self._graded.items()}
-        return Series(self.cap, parts, graded)
+        return self._map_slots(lambda n, r, f: f.scale(c))
 
     def __mul__(self, other: "Series") -> "Series":
-        """The truncated product; graded slots multiply when both sides have them.
+        """The truncated product, graded when both sides are.
 
-        Slot n holds degree n, so the degree parts are the degree groups of
-        one keyed product of the two totals.  The graded slots of each
-        length r are summed into one keyed column, so each column is encoded
-        once and output length r is one mul_sum over the column pairs.
+        The slots of each length r are summed into one keyed column, so each
+        column is encoded once and output length r is one mul_sum over the
+        column pairs.  When either side is ungraded, each side is one r = 0
+        column, its total, and so is the product.
         """
         if not isinstance(other, Series):
             return NotImplemented
         if self.cap != other.cap:
             raise ValueError("cap mismatch")
         cap = self.cap
-        totals = (_keyed_sum(self._parts, cap), _keyed_sum(other._parts, cap))
-        parts = mul_sum([totals], cap).parts()
-        graded = None
-        if self._graded is not None and other._graded is not None:
-            pairs: dict[int, list[tuple[Keyed, Keyed]]] = {}
-            columns = _keyed_columns(other._graded, cap)
-            for r1, x in _keyed_columns(self._graded, cap).items():
-                for r2, y in columns.items():
-                    pairs.setdefault(r1 + r2, []).append((x, y))
-            graded = {
-                (n, r): f for r, rp in pairs.items() for n, f in mul_sum(rp, cap).parts().items()
-            }
-        return Series(cap, parts, graded)
+        graded = self._graded and other._graded
+        pairs: dict[int, list[tuple[Keyed, Keyed]]] = {}
+        columns = _keyed_columns(other, graded)
+        for r1, x in _keyed_columns(self, graded).items():
+            for r2, y in columns.items():
+                pairs.setdefault(r1 + r2, []).append((x, y))
+        slots = {(n, r): f for r, rp in pairs.items() for n, f in mul_sum(rp, cap).parts().items()}
+        return self._with_slots(slots, graded)
 
     def reciprocal(self) -> "Series":
         """1/self for a series with constant term 1; result is ungraded."""
-        if self._parts[0] != SymFunc.one():
+        parts = self._degree_parts()
+        if parts[0] != SymFunc.one():
             raise ValueError("reciprocal needs constant term 1")
         cap = self.cap
-        neg = [Keyed.encode(-f, cap) for f in self._parts]
+        neg = [Keyed.encode(-f, cap) for f in parts]
         inv = [Keyed.encode(SymFunc.one(), cap)]
         for n in range(1, cap + 1):
             inv.append(mul_sum([(neg[k], inv[n - k]) for k in range(1, n + 1)], cap))
         return Series(cap, [x.symfunc() for x in inv])
 
     def map(self, fn: Callable[[SymFunc], SymFunc]) -> "Series":
-        parts = {n: fn(f) for n, f in enumerate(self._parts)}
-        graded = None
-        if self._graded is not None:
-            graded = {key: fn(f) for key, f in self._graded.items()}
-        return Series(self.cap, parts, graded)
+        """fn slot by slot, for a linear fn."""
+        return self._map_slots(lambda n, r, f: fn(f))
 
     def map_by_degree(self, fn: Callable[[int, SymFunc], SymFunc]) -> "Series":
-        parts = {n: fn(n, f) for n, f in enumerate(self._parts)}
-        graded = None
-        if self._graded is not None:
-            graded = {key: fn(key[0], f) for key, f in self._graded.items()}
-        return Series(self.cap, parts, graded)
+        """fn(n, f) on every slot f of degree n, for fn linear in f."""
+        return self._map_slots(lambda n, r, f: fn(n, f))
 
     def twist(self) -> "Series":
         """The ring map p_m -> -p_m, slot by slot: it sends a degree-n piece
@@ -201,16 +204,13 @@ class Series:
         return self.map_by_degree(lambda n, f: -f.omega() if n % 2 else f.omega())
 
 
-def _keyed_sum(fs: Iterable[SymFunc], cap: int) -> Keyed:
-    return Keyed.encode(linear_sum((1, f) for f in fs), cap)
-
-
-def _keyed_columns(graded: dict[tuple[int, int], SymFunc], cap: int) -> dict[int, Keyed]:
-    """{r: the sum over n of slot (n, r)}, keyed for the cap."""
-    columns: dict[int, list[SymFunc]] = {}
-    for (_, r), f in graded.items():
-        columns.setdefault(r, []).append(f)
-    return {r: _keyed_sum(fs, cap) for r, fs in columns.items()}
+def _keyed_columns(S: Series, graded: bool) -> dict[int, Keyed]:
+    """{r: the sum over n of slot (n, r)}, keyed for the cap; one r = 0
+    column, the total, when graded is false."""
+    columns: dict[int, list[tuple[int, SymFunc]]] = {}
+    for (_, r), f in S._slots.items():
+        columns.setdefault(r if graded else 0, []).append((1, f))
+    return {r: Keyed.encode(linear_sum(fs), S.cap) for r, fs in columns.items()}
 
 
 # -- the H/E outer operators ----------------------------------------------------
@@ -251,26 +251,17 @@ def apply_series(kind: str, F: Series, cap: int | None = None) -> Series:
     for r, xr in enumerate(_outer_powers(base, F, cap)):
         for n, f in xr.parts().items():
             graded[(n, r)] = f
-    return _from_graded(cap, graded)
+    return Series(cap, graded=graded)
 
 
 def _negate_slots(A: Series, odd: Callable[[int, int], int]) -> Series:
-    """A with every graded slot (n, r) where odd(n, r) is true negated."""
-    graded = {(n, r): -f if odd(n, r) else f for (n, r), f in A._graded.items()}
-    return _from_graded(A.cap, graded)
+    """A with every slot (n, r) where odd(n, r) is true negated."""
+    return A._map_slots(lambda n, r, f: -f if odd(n, r) else f)
 
 
 def _odd_length(n: int, r: int) -> int:
     """The slots that v -> -v negates."""
     return r % 2
-
-
-def _from_graded(cap: int, graded: dict[tuple[int, int], SymFunc]) -> Series:
-    """The Series whose degree-n part is the sum of the (n, r) slots."""
-    by_deg: dict[int, list[tuple[int, SymFunc]]] = {}
-    for (n, _), piece in graded.items():
-        by_deg.setdefault(n, []).append((1, piece))
-    return Series(cap, {n: linear_sum(terms) for n, terms in by_deg.items()}, graded)
 
 
 def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
@@ -327,7 +318,7 @@ def bracket_sum(kind: str, Q: Series, cap: int | None = None) -> Series:
                 if part > 1 and size < cap:  # room for a smaller part below it
                     stack.append((part, size, length + m, mul_sum([(prod, x)], cap)))
     graded = {key: mul_sum(pairs, cap).symfunc() for key, pairs in slots.items()}
-    return _from_graded(cap, graded)
+    return Series(cap, graded=graded)
 
 
 def series_plethysm(F: Series, G: Series, cap: int | None = None) -> Series:
@@ -437,7 +428,7 @@ def product_form(psi, sign: int, cap: int) -> Series:
             for k in range(1, (cap - n) // m + 1):
                 zm *= m * k
                 stack.append((lam + (m,) * k, n + m * k, _poly_mul(poly, row[k - 1]), zm))
-    return _from_graded(cap, {key: _over_lcm(terms) for key, terms in graded_terms.items()})
+    return Series(cap, graded={key: _over_lcm(terms) for key, terms in graded_terms.items()})
 
 
 # -- convenience sums over restricted partition classes --------------------------

@@ -533,13 +533,6 @@ class Keyed:
     def __bool__(self) -> bool:
         return bool(self.groups)
 
-    def scale(self, c: int) -> "Keyed":
-        """c * self for an int c, over the same denominator."""
-        if not c:
-            return Keyed(self.keys, [])
-        groups = [(d, [(k, c * v) for k, v in terms]) for d, terms in self.groups]
-        return Keyed(self.keys, groups, self.den)
-
     def symfunc(self) -> SymFunc:
         return self.keys.to_symfunc({k: v for _, terms in self.groups for k, v in terms}, self.den)
 

@@ -118,10 +118,7 @@ def product_form(psi, variant: str, cap: int) -> Series:
                     continue
                 new[key] = new.get(key, SymFunc.zero()) + prod
         graded = {key: f for key, f in new.items() if f}
-    parts: dict[int, SymFunc] = {}
-    for (n, _), f in graded.items():
-        parts[n] = parts.get(n, SymFunc.zero()) + f
-    return Series(cap, parts, graded)
+    return Series(cap, graded=graded)
 
 
 def plethystic_inverse(G: Series, cap: int | None = None) -> Series:
@@ -161,26 +158,19 @@ def outer_powers(base: str, F: Series, cap: int) -> list[SymFunc]:
     return out
 
 
-def _from_graded(cap: int, graded: dict[tuple[int, int], SymFunc]) -> Series:
-    parts: dict[int, SymFunc] = {}
-    for (n, _), piece in graded.items():
-        parts[n] = parts.get(n, SymFunc.zero()) + piece
-    return Series(cap, parts, graded)
-
-
 def apply_series(kind: str, F: Series) -> Series:
     """H or E of F with slot (n, r) the degree-n part of x_r[F]."""
     graded: dict[tuple[int, int], SymFunc] = {}
     for r, fr in enumerate(outer_powers(kind.lower(), F, F.cap)):
         for n in fr.degrees():
             graded[(n, r)] = fr.homogeneous_part(n)
-    return _from_graded(F.cap, graded)
+    return Series(F.cap, graded=graded)
 
 
 def negate_odd_lengths(A: Series) -> Series:
     """A(-v), so H gives Hpm and E gives Epm."""
     graded = {(n, r): A.graded(n, r).scale((-1) ** r) for n, r in A.graded_keys()}
-    return _from_graded(A.cap, graded)
+    return Series(A.cap, graded=graded)
 
 
 def bracket_sum(kind: str, Q: Series, sign=None) -> Series:
@@ -200,17 +190,12 @@ def bracket_sum(kind: str, Q: Series, sign=None) -> Series:
                 f = f.scale(sign(lam))
             key = (n, len(lam))
             graded[key] = graded.get(key, SymFunc.zero()) + f
-    return _from_graded(Q.cap, graded)
+    return Series(Q.cap, graded=graded)
 
 
 def series_mul(A: Series, B: Series) -> Series:
     """A * B slot by slot; graded when both sides are."""
     cap = A.cap
-    parts: dict[int, SymFunc] = {}
-    for n1 in range(cap + 1):
-        for n2 in range(cap - n1 + 1):
-            parts[n1 + n2] = parts.get(n1 + n2, SymFunc.zero()) + A.coeff(n1) * B.coeff(n2)
-    graded = None
     if A.graded_keys() and B.graded_keys():
         graded = {}
         for n1, r1 in A.graded_keys():
@@ -219,7 +204,12 @@ def series_mul(A: Series, B: Series) -> Series:
                     key = (n1 + n2, r1 + r2)
                     prod = A.graded(n1, r1) * B.graded(n2, r2)
                     graded[key] = graded.get(key, SymFunc.zero()) + prod
-    return Series(cap, parts, graded)
+        return Series(cap, graded=graded)
+    parts: dict[int, SymFunc] = {}
+    for n1 in range(cap + 1):
+        for n2 in range(cap - n1 + 1):
+            parts[n1 + n2] = parts.get(n1 + n2, SymFunc.zero()) + A.coeff(n1) * B.coeff(n2)
+    return Series(cap, parts)
 
 
 def reciprocal(A: Series) -> Series:

@@ -367,6 +367,13 @@ def test_upos_json_golden_16(capsys):
     assert out == (GOLDEN / "conjecture-upos-16.jsonl").read_text()
 
 
+def test_whitehouse_json_golden_32(capsys):
+    # the bytes the benchmark's whitehouse-32 workload checks, witness tie-break included
+    code, out, _ = run_cli(["conjecture", "whitehouse", "--max-n", "32", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "conjecture-whitehouse-32.jsonl").read_text()
+
+
 @pytest.mark.parametrize(
     "args",
     [

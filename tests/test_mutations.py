@@ -15,7 +15,7 @@ import plethy.series as series
 from conftest import inject_strip_sign_defect, patch_everywhere
 from plethy.registry import verify_all
 from plethy.series import Series, bracket_sum
-from plethy.symfunc import Keyed, SymFunc, linear_sum, mul_sum, p, plethysm
+from plethy.symfunc import Keyed, SymFunc, mul_sum, p, plethysm
 
 
 def _drop_top(out: Keyed, cap: int) -> Keyed:
@@ -145,8 +145,7 @@ def _bracket_sum_slot_2_negated(kind, Q, cap=None):
     graded = {}
     for n, r in out.graded_keys():
         graded[n, r] = -out.graded(n, r) if r == 2 and n >= 4 else out.graded(n, r)
-    parts = {n: linear_sum((1, f) for (d, _), f in graded.items() if d == n) for n, _ in graded}
-    return Series(out.cap, parts, graded)
+    return Series(out.cap, graded=graded)
 
 
 def test_bracket_defect_reaches_the_signed_sums(monkeypatch):
