@@ -12,7 +12,7 @@ the column of every ascending prefix, so cycle types that share their
 small parts share the work: the rectangle (d^m) is one strip away from
 (d^(m-1)).  Values are Python ints, exact at every degree.  Its readers
 are schur.character(), symfunc.s() and the small subtrees of the walk in
-schur.to_schur_many, which adds strips to whole vectors and so does not
+schur._expand, which adds strips to whole vectors and so does not
 keep the full table of a dense degree here.
 
 Columns are keyed by bead bitmasks.  A partition lam of length L is the

@@ -205,10 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan an open positivity conjecture",
         description="Each degree is expanded in the Schur basis by a walk over the trie "
         "of its p-basis support that adds border strips to whole vectors; a child of the "
-        "trie with one or two terms reads memoized character columns instead.  The "
+        "trie with one or two terms reads memoized character columns instead.  The scans "
+        "read each sign and witness off the walk's sums without decoding every shape.  The "
         "whitehouse deficit touches only rectangles (d^m) and (d^m,1), so that scan reads "
-        "a few columns per degree and reaches n = 32 in about a second; the upos support "
-        "is every partition of n, and that scan grows with p(n).",
+        "a few columns per degree and takes about 0.4 s to n = 32 and 2 s to n = 40; the "
+        "upos support is every partition of n, and that scan grows with p(n).",
     )
     c.add_argument("which", choices=("whitehouse", "upos"))
     c.add_argument("--max-n", type=positive_int, default=12)

@@ -3,16 +3,18 @@
 Characters come from one builder, plethy._mn_pure, which runs the
 Murnaghan-Nakayama rule forward and returns whole columns {lam: chi^lam(mu)},
 memoized for the life of the process and keyed by the bead bitmask of lam
-(see plethy._mn_pure): a border strip is a bit move there.  to_schur_many
+(see plethy._mn_pure): a border strip is a bit move there.  _expand
 expands a batch of functions of one degree by a Horner walk over the trie
 of their support: the integer numerators of the batch at mu are packed
 into one int, one field of w bits per function, and the walk adds border
 strips to vectors of packed ints, so each strip serves the whole batch and
 a dense support never builds a full character table.  w is exact, not a
 guess: |chi^lam(mu)| <= isqrt(z_mu) by column orthogonality, which bounds
-every field.  Only the shapes whose sum is nonzero are decoded; to_schur
-is the one-element batch.  character() reads one entry of a column
-through the mask of lam.
+every field.  Two readers take the sums: to_schur_many decodes and sorts
+every shape whose sum is nonzero, and is_schur_positive_many scans each
+field for its least value and decodes only the shapes that reach it.
+to_schur and is_schur_positive are their one-element batches.
+character() reads one entry of a column through the mask of lam.
 """
 
 from __future__ import annotations
@@ -111,11 +113,39 @@ def to_schur(f: SymFunc) -> SchurExpansion:
 def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     """Yield the Schur expansions of nonzero functions of one degree, in order.
 
-    Coefficient of s_lam in f_j is sum_mu c_j(mu) chi^lam(mu) over the mu
-    in the support of the batch.  The integer numerators at mu are packed
-    into one int C_mu = sum_j c_j(mu) 2^(w j), so acc[mask] = sum_mu C_mu
-    chi^lam(mu) sums every function at once, field j of acc[mask] being the
-    numerator of f_j's coefficient at lam.
+    The nonzero sums of _expand are decoded and sorted once, in descending
+    tuple order (the canonical order within one degree); each expansion is
+    then read off only when it is asked for, so a function that is not a
+    virtual character raises NotVirtualCharacter, naming the first lam in
+    that order, after every expansion before it has been yielded.
+    """
+    fs = list(fs)
+    if not fs:
+        return
+    acc, w, dens = _expand(fs)
+    decode = _mn_pure.decode
+    rows = sorted(((decode(mask), t) for mask, t in acc.items() if t), reverse=True)
+    del acc
+    n = fs[0].degree()
+    for j, den in enumerate(dens):
+        out: list[tuple[tuple, int]] = []
+        for (lam, _), total in zip(rows, _fields((t for _, t in rows), w, j, len(fs))):
+            if total:
+                q, r = divmod(total, den)
+                if r:
+                    raise NotVirtualCharacter(lam, Fraction(total, den))
+                out.append((lam, q))
+        yield SchurExpansion(n, tuple(out))
+
+
+def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
+    """(acc, w, dens) for a nonempty batch of nonzero functions of one degree.
+
+    Coefficient of s_lam in f_j is sum_mu c_j(mu) chi^lam(mu) / dens[j]
+    over the mu in the support of the batch.  The integer numerators at mu
+    are packed into one int C_mu = sum_j c_j(mu) 2^(w j), so acc[mask] =
+    sum_mu C_mu chi^lam(mu) sums every function at once, field j of
+    acc[mask] being the numerator of f_j's coefficient at lam.
 
     acc comes from a walk over the support as a trie over descending parts.
     p_k s_nu is the signed sum of s_lam over the k-strips lam/nu (Macdonald
@@ -133,23 +163,12 @@ def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     sum_lam chi^lam(mu)^2 = z_mu, so |chi^lam(mu)| <= isqrt(z_mu), and every
     field of f_j is at most b_j = sum_mu |c_j(mu)| isqrt(z_mu) in size;
     w - 1 is the bit length of the largest b_j, so each field lies in
-    [-2^(w-1), 2^(w-1)).  Adding 2^(w-1) to every field below the top one
-    makes them all nonnegative and carry-free, so field j is a shift and a
-    mask and the top field is a bare shift.  The walk keeps w exact: it sums
-    the same integers in another order, and Python ints do not overflow.
-    Its inner vectors obey the bound too, since a node rho holds
-    sum_mu C_mu chi^lam(mu - rho) and z_nu <= z_mu when the parts of nu
-    are some of the parts of mu.
-
-    The nonzero sums are biased, decoded and sorted once, in descending
-    tuple order (the canonical order within one degree); each expansion is
-    then read off only when it is asked for, so a function that is not a
-    virtual character raises NotVirtualCharacter, naming the first lam in
-    that order, after every expansion before it has been yielded.
+    [-2^(w-1), 2^(w-1)), and _fields reads them back.  The walk keeps w
+    exact: it sums the same integers in another order, and Python ints do
+    not overflow.  Its inner vectors obey the bound too, since a node rho
+    holds sum_mu C_mu chi^lam(mu - rho) and z_nu <= z_mu when the parts of
+    nu are some of the parts of mu.
     """
-    fs = list(fs)
-    if not fs:
-        return
     if not all(fs):
         raise ValueError("to_schur needs a nonzero homogeneous function (got 0)")
     n = fs[0].degree()
@@ -171,31 +190,17 @@ def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     for j, (nums, _) in enumerate(terms):
         for mu, c in nums.items():
             packed[mu] += c << (w * j)
-    acc = _walk(list(packed.items()), 0)
-    half = 1 << (w - 1)
-    full = (1 << w) - 1
-    top = len(fs) - 1
-    # 2^(w-1) in every field below the top one
-    bias = half * ((1 << (w * top)) - 1) // full
-    decode = _mn_pure.decode
-    rows = sorted(
-        ((decode(mask), total + bias) for mask, total in acc.items() if total), reverse=True
-    )
-    del acc, packed
-    for j, (_, den) in enumerate(terms):
-        shift = w * j
-        if j < top:
-            fields = ((lam, ((t >> shift) & full) - half) for lam, t in rows)
-        else:  # a one-element batch is this field with shift and bias 0
-            fields = ((lam, t >> shift) for lam, t in rows)
-        out: list[tuple[tuple, int]] = []
-        for lam, total in fields:
-            if total:
-                q, r = divmod(total, den)
-                if r:
-                    raise NotVirtualCharacter(lam, Fraction(total, den))
-                out.append((lam, q))
-        yield SchurExpansion(n, tuple(out))
+    return _walk(list(packed.items()), 0), w, [den for _, den in terms]
+
+
+def _fields(totals: Iterable[int], w: int, j: int, count: int) -> Iterator[int]:
+    """Field j of each sum in totals, packed from a batch of count by _expand:
+    with 2^(w-1) added to every field, none is negative or carries."""
+    if count == 1:
+        return iter(totals)
+    half, full = 1 << (w - 1), (1 << w) - 1
+    bias, shift = half * ((1 << (w * count)) - 1) // full, w * j
+    return ((((t + bias) >> shift) & full) - half for t in totals)
 
 
 def _walk(terms: list[tuple[tuple, int]], depth: int) -> dict[int, int]:
@@ -238,26 +243,37 @@ class Positivity:
 
 
 def is_schur_positive(f: SymFunc) -> Positivity:
-    return _positivity(to_schur(f)) if f else Positivity(True)
+    return next(_positivity_many([f])) if f else Positivity(True)
 
 
 def is_schur_positive_many(fs: Iterable[SymFunc]) -> Iterator[Positivity]:
-    """Yield is_schur_positive(f) for each f, expanding the nonzero ones as
-    one to_schur_many batch; a zero is positive and is not expanded."""
+    """Yield is_schur_positive(f) for each f, reading the nonzero ones off
+    one _expand batch; a zero is positive and is not expanded."""
     fs = list(fs)
-    expansions = to_schur_many([f for f in fs if f])
+    results = _positivity_many([f for f in fs if f])
     for f in fs:
-        yield _positivity(next(expansions)) if f else Positivity(True)
+        yield next(results) if f else Positivity(True)
 
 
-def _positivity(expansion: SchurExpansion) -> Positivity:
-    worst = None
-    for lam, c in expansion.terms:
-        if c < 0 and (worst is None or c < worst[1]):
-            worst = (lam, c)
-    if worst is None:
-        return Positivity(True)
-    return Positivity(False, worst[0], worst[1])
+def _positivity_many(fs: list[SymFunc]) -> Iterator[Positivity]:
+    """One pass per field of _expand's sums keeps the least numerator, the
+    masks that reach it and those that den does not divide; the witness or
+    NotVirtualCharacter names the largest such lam, as to_schur_many would."""
+    acc, w, dens = _expand(fs)
+    decode = _mn_pure.decode
+    for j, den in enumerate(dens):
+        low, ties, bad = -1, [], []
+        for mask, v in zip(acc, _fields(acc.values(), w, j, len(fs))):
+            if v <= low:
+                if v < low:
+                    low, ties = v, []
+                ties.append(mask)
+            if v % den:
+                bad.append((decode(mask), v))
+        if bad:
+            lam, v = max(bad)
+            raise NotVirtualCharacter(lam, Fraction(v, den))
+        yield Positivity(False, max(map(decode, ties)), low // den) if ties else Positivity(True)
 
 
 def hook_dimension(lam: tuple) -> int:

@@ -141,6 +141,17 @@ def ref_to_schur(f: SymFunc):
     return SchurExpansion(f.degree(), tuple(out))
 
 
+def ref_positivity(f: SymFunc):
+    """is_schur_positive from the full reference expansion: the least
+    coefficient, the first in descending partition order on a tie."""
+    from plethy.schur import Positivity
+
+    if not f:
+        return Positivity(True)
+    lam, c = min(ref_to_schur(f).terms, key=lambda term: term[1])
+    return Positivity(True) if c >= 0 else Positivity(False, lam, c)
+
+
 def ref_hall_inner(a: dict, b: dict) -> Fraction:
     return sum((v * b[lam] * z_of(lam) for lam, v in a.items() if lam in b), Fraction(0))
 

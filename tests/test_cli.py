@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import inject_strip_sign_defect, partition_strategy, ref_to_schur
+from conftest import inject_strip_sign_defect, partition_strategy, ref_positivity
 from plethy.cli import MAX_SCHUR_DEGREE, main
 from plethy.partitions import partitions_of
 
@@ -286,14 +286,8 @@ def test_identity_that_raises_is_a_failure(monkeypatch, capsys):
 def _positivity_one_at_a_time(fs):
     """The positivity scan without batching: each function expanded alone,
     in order, and only when the scan asks for it."""
-    from plethy.schur import Positivity
-
     for f in fs:
-        if not f:
-            yield Positivity(True)
-            continue
-        lam, c = min(ref_to_schur(f).terms, key=lambda term: term[1])
-        yield Positivity(True) if c >= 0 else Positivity(False, lam, c)
+        yield ref_positivity(f)
 
 
 @pytest.mark.parametrize("entry", ["U-POS", "BETA-POS"])
@@ -372,6 +366,13 @@ def test_whitehouse_json_golden_32(capsys):
     code, out, _ = run_cli(["conjecture", "whitehouse", "--max-n", "32", "--json"], capsys=capsys)
     assert code == 0
     assert out == (GOLDEN / "conjecture-whitehouse-32.jsonl").read_text()
+
+
+def test_whitehouse_json_golden_40(capsys):
+    # past the benchmark's range: pins the witnesses of n = 33..40 too
+    code, out, _ = run_cli(["conjecture", "whitehouse", "--max-n", "40", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "conjecture-whitehouse-40.jsonl").read_text()
 
 
 @pytest.mark.parametrize(

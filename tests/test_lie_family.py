@@ -245,3 +245,10 @@ def test_whitehouse_examples():
         whitehouse_deficit(4, "nope")
     with pytest.raises(ValueError):
         whitehouse_deficit(1, "lie")
+
+
+@pytest.mark.parametrize("family, build", [("lie", lie), ("lie2", lie2)])
+def test_whitehouse_deficit_matches_the_ring_product(family, build):
+    # the deficit appends a part 1 to each term instead of multiplying by p_1
+    for n in range(2, 41):
+        assert whitehouse_deficit(n, family) == p(1) * build(n - 1) - build(n), n

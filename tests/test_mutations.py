@@ -3,16 +3,23 @@
 Each defect replaces a function or table of the package from the outside,
 so the test does not depend on how the kernels are written.  verify_all(10)
 has to report at least one failure, and no exception may escape it (an
-entry that raises is itself a failure report).
+entry that raises is itself a failure report).  A defect in the positivity
+reader must instead fail the test in test_schur that pins the behaviour it
+breaks: the witness tie-break or the integrality check.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import plethy.lie_family as lie_family
+import plethy.schur as schur
 import plethy.series as series
+import test_schur
 from conftest import inject_strip_sign_defect, patch_everywhere
+from plethy import _mn_pure
 from plethy.registry import verify_all
 from plethy.series import Series, bracket_sum
 from plethy.symfunc import Keyed, SymFunc, mul_sum, p, plethysm
@@ -171,3 +178,45 @@ def test_family_defect_fails_an_entry(monkeypatch, family, degree):
     monkeypatch.setattr(lie_family, family, with_extra_term)
     failed = [r.id for r in verify_all(10) if r.failed]
     assert failed, f"an extra term in {family}({degree}) went unnoticed at cap 10"
+
+
+def _positivity_reader(tie, integral=True):
+    """A positivity reader on the packed sums of schur._expand that picks
+    the witness among the tied shapes with tie and, unless integral is
+    false, refuses a function that is not a virtual character."""
+
+    def read(fs):
+        acc, w, dens = schur._expand(fs)
+        for j, den in enumerate(dens):
+            field = dict(zip(acc, schur._fields(acc.values(), w, j, len(fs))))
+            bad = [(_mn_pure.decode(m), v) for m, v in field.items() if v % den]
+            if integral and bad:
+                lam, v = max(bad)
+                raise schur.NotVirtualCharacter(lam, Fraction(v, den))
+            low = min(field.values())
+            if low >= 0:
+                yield schur.Positivity(True)
+                continue
+            ties = [_mn_pure.decode(m) for m, v in field.items() if v == low]
+            yield schur.Positivity(False, tie(ties), low // den)
+
+    return read
+
+
+def test_the_positivity_reader_stand_in_passes_when_sound(monkeypatch):
+    monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(max))
+    test_schur.test_positivity_witness()
+    test_schur.test_positivity_batch_reports_a_failure_before_a_later_raise()
+
+
+def test_a_tie_break_toward_the_smaller_shape_fails_the_witness(monkeypatch):
+    # at n = 8 the lie2 deficit is -1 at (8,), (4,4) and (2,2,2,2)
+    monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(min))
+    with pytest.raises(AssertionError):
+        test_schur.test_positivity_witness()
+
+
+def test_a_skipped_integrality_check_fails_the_batch_raise(monkeypatch):
+    monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(max, integral=False))
+    with pytest.raises(pytest.fail.Exception):
+        test_schur.test_positivity_batch_reports_a_failure_before_a_later_raise()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_type, ref_to_schur
+from conftest import cycle_type, ref_positivity, ref_to_schur
 from mn_oracle import mn_character as oracle_character
 from mn_oracle import mn_table as oracle_table
 from plethy import _mn_pure
@@ -367,6 +367,19 @@ def test_positivity_batch_reports_a_failure_before_a_later_raise():
         next(results)
 
 
+@pytest.mark.parametrize("family", ["lie", "lie2"])
+def test_positivity_reader_matches_the_reference_on_the_deficits(family):
+    # n = 4, 8, 16, 32 are the lie2 failures; at n = 8 three shapes tie at -1
+    from plethy.lie_family import whitehouse_deficit
+
+    if family == "lie2":
+        tied = ref_to_schur(whitehouse_deficit(8, family)).terms
+        assert [lam for lam, c in tied if c == -1] == [(8,), (4, 4), (2, 2, 2, 2)]
+    for n in range(2, 37):
+        f = whitehouse_deficit(n, family)
+        assert is_schur_positive(f) == ref_positivity(f), n
+
+
 # -- the trie walk ----------------------------------------------------------------
 
 
@@ -435,6 +448,22 @@ def test_walk_matches_the_per_function_reference(batch):
     for f in batch:
         try:
             want = ref_to_schur(f)
+        except NotVirtualCharacter as exc:
+            with pytest.raises(NotVirtualCharacter) as err:
+                next(got)
+            assert (err.value.partition, err.value.coeff) == (exc.partition, exc.coeff)
+            return
+        assert next(got) == want
+    assert next(got, None) is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(trie_batch())
+def test_positivity_reader_matches_the_reference_on_walked_batches(batch):
+    got = is_schur_positive_many(batch)
+    for f in batch:
+        try:
+            want = ref_positivity(f)
         except NotVirtualCharacter as exc:
             with pytest.raises(NotVirtualCharacter) as err:
                 next(got)
