@@ -196,8 +196,6 @@ def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
 def _fields(totals: Iterable[int], w: int, j: int, count: int) -> Iterator[int]:
     """Field j of each sum in totals, packed from a batch of count by _expand:
     with 2^(w-1) added to every field, none is negative or carries."""
-    if count == 1:
-        return iter(totals)
     half, full = 1 << (w - 1), (1 << w) - 1
     bias, shift = half * ((1 << (w * count)) - 1) // full, w * j
     return ((((t + bias) >> shift) & full) - half for t in totals)

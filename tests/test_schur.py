@@ -487,18 +487,12 @@ def test_positivity_rows_match_the_reference(row):
     # the batches the U-POS and BETA-POS scans expand, term by term, and the
     # witness each scan reports: the most negative coefficient, first in
     # descending partition order
-    def witness(expansion):
-        lam, c = min(expansion.terms, key=lambda term: term[1])
-        return Positivity(True) if c >= 0 else Positivity(False, lam, c)
-
     ctx = SeriesContext(14)
     for n in range(2, 15):
         fs = getattr(ctx, row)(n)
         wants = [ref_to_schur(f) for f in fs if f]
         assert list(to_schur_many([f for f in fs if f])) == wants, n
-        refs = iter(wants)
-        witnesses = [witness(next(refs)) if f else Positivity(True) for f in fs]
-        assert list(is_schur_positive_many(fs)) == witnesses, n
+        assert list(is_schur_positive_many(fs)) == [ref_positivity(f) for f in fs], n
 
 
 def test_walk_keeps_only_the_columns_of_small_children():
