@@ -226,5 +226,4 @@ def whitehouse_deficit(n: int, family: str = "lie") -> SymFunc:
     build = {"lie": lie, "lie2": lie2}.get(family)
     if build is None:
         raise ValueError("family must be 'lie' or 'lie2'")
-    # p_1 p_lambda = p_(lambda, 1)
-    return SymFunc({lam + (1,): c for lam, c in build(n - 1).items()}) - build(n)
+    return p(1) * build(n - 1) - build(n)

@@ -207,6 +207,13 @@ class SymFunc:
             return self.scale(other)
         if not isinstance(other, SymFunc):
             return NotImplemented
+        one, many = (self, other) if len(self._num) == 1 else (other, self)
+        if len(one._num) == 1:
+            # p_lam * sum c_mu p_mu = sum c_mu p_(lam u mu): distinct mu give
+            # distinct lam u mu, so the product is a relabelling
+            ((lam, a),) = one._num.items()
+            num = {tuple(sorted(lam + mu, reverse=True)): a * v for mu, v in many._num.items()}
+            return _reduced(num, one._den * many._den)
         # no term of the product passes the sum of the two top degrees
         top = max(map(sum, self._num), default=0) + max(map(sum, other._num), default=0)
         return mul_trunc(self, other, top)

@@ -27,6 +27,11 @@ from plethy.series import SeriesContext
 from plethy.symfunc import SymFunc, e, h, linear_sum, p, s
 
 
+def _column(mu: tuple) -> dict[tuple, int]:
+    """{lam: chi^lam(mu)}, decoded from the memoized column of mu."""
+    return {_mn_pure.decode(m): v for m, v in _mn_pure.keyed_column(mu).items()}
+
+
 def test_trivial_and_sign_characters():
     for n in range(1, 9):
         for mu in partitions_of(n):
@@ -110,7 +115,7 @@ def test_columns_match_oracle_tables():
         parts = partitions_of(n)
         expected = oracle_table(parts)
         for c, mu in enumerate(parts):
-            column = _mn_pure.mn_column(mu)
+            column = _column(mu)
             assert all(column.values()) and set(column) <= set(parts)
             assert [column.get(lam, 0) for lam in parts] == [row[c] for row in expected]
         assert [[character(lam, mu) for mu in parts] for lam in parts] == expected
@@ -129,7 +134,7 @@ def test_rectangle_columns_match_oracle_at_32():
     )
     mus = [(d,) * (32 // d) for d in (1, 2, 4, 8, 16, 32)] + [(31, 1)]
     for mu in mus:
-        column = _mn_pure.mn_column(mu)
+        column = _column(mu)
         for lam in sample:
             assert column.get(lam, 0) == oracle_character(lam, mu), (lam, mu)
 
@@ -137,7 +142,7 @@ def test_rectangle_columns_match_oracle_at_32():
 def test_column_orthogonality():
     for n in range(1, 13):
         parts = partitions_of(n)
-        cols = [_mn_pure.mn_column(mu) for mu in parts]
+        cols = [_column(mu) for mu in parts]
         for a, mu in enumerate(parts):
             col_mu = cols[a]
             for nu, col_nu in zip(parts[a:], cols[a:]):
@@ -169,13 +174,83 @@ def test_strips_on_the_empty_shape_are_the_hooks():
         assert {_mn_pure.decode(m): v for m, v in col.items()} == hooks, k
 
 
-def test_memo_keeps_every_ascending_prefix():
-    _mn_pure._memo.clear()
-    _mn_pure.mn_column((3, 2, 1))
+def test_one_strips_match_the_oracle():
+    # the 1-strip path of _add_strips on every column of degree <= 13, and
+    # in its out= form on a signed vector of packed ints, summed into what
+    # out already holds
+    encode = _mn_pure.encode
+    for n in range(0, 14):
+        parts, up = partitions_of(n), partitions_of(n + 1)
+        for mu in parts:
+            got = _mn_pure._add_strips(_mn_pure.keyed_column(mu), 1)
+            want = {lam: oracle_character(lam, mu + (1,)) for lam in up}
+            assert got == {encode(lam): v for lam, v in want.items() if v}, mu
+        cs = {mu: (-1) ** i * (2**70 + i) << (80 * (i % 3)) for i, mu in enumerate(parts)}
+        vec: dict[int, int] = {}
+        for mu, c in cs.items():
+            for m, v in _mn_pure.keyed_column(mu).items():
+                vec[m] = vec.get(m, 0) + c * v
+        out = {encode(lam): i - 3 for i, lam in enumerate(up)}
+        base = dict(out)
+        assert _mn_pure._add_strips(vec, 1, out) is out
+        assert set(out) == set(base)
+        for lam in up:
+            moved = sum(c * oracle_character(lam, mu + (1,)) for mu, c in cs.items())
+            assert out[encode(lam)] == base[encode(lam)] + moved, lam
+
+
+def test_memo_keeps_every_ascending_prefix(monkeypatch):
+    # a partial read stores every prefix it builds
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    _column((3, 2, 1))
     assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3)}
-    _mn_pure.mn_column((3, 3, 2, 1))  # extends the stored prefix (1, 2, 3)
+    _column((3, 3, 2, 1))  # extends the stored prefix (1, 2, 3)
     assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3), (1, 2, 3, 3)}
-    assert _mn_pure.mn_column(()) == {(): 1}
+    assert _column(()) == {(): 1}
+
+
+def test_a_whole_term_read_replaces_its_prefix(monkeypatch):
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    _column((3, 2, 1))
+    held = _mn_pure.term_column((4, 3, 2, 1))  # built from (1, 2, 3), stored alone
+    assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3, 4)}
+    kept = dict(held)
+    _mn_pure.term_column((4, 4, 3, 2, 1))
+    assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3, 4, 4)}
+    assert held == kept  # a caller's dropped column is left as it was
+    assert _mn_pure.term_column((4, 4, 3, 2, 1)) is _mn_pure.keyed_column((4, 4, 3, 2, 1))
+    assert _mn_pure.term_column(()) == {0: 1} and set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3, 4, 4)}
+
+
+@pytest.mark.parametrize("read", ["keyed_column", "term_column"])
+def test_a_dropped_column_is_rebuilt_exactly(monkeypatch, read):
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    for mu in ((2, 2), (2, 2, 2, 2), (3, 2, 2, 2, 2), (3, 1, 1), (5, 3, 1, 1)):
+        _mn_pure.term_column(mu)
+    assert set(_mn_pure._memo) == {(2, 2, 2, 2, 3), (1, 1, 3, 5)}
+    for mu in ((2, 2), (2, 2, 2, 2), (3, 1, 1), (1, 1), (3, 2, 2, 2, 2)):
+        want = {lam: oracle_character(lam, mu) for lam in partitions_of(sum(mu))}
+        col = getattr(_mn_pure, read)(mu)
+        assert col == {_mn_pure.encode(lam): v for lam, v in want.items() if v}, mu
+
+
+def test_whitehouse_scan_keeps_the_last_column_of_each_chain(monkeypatch):
+    # the deficit's support is (d^m) and (d^m, 1), so the scan reads whole
+    # terms on the chains (1^n), (d^m) and (1, d^m), each read a few strips
+    # past the one before: the memo ends with the last term read on each
+    from plethy.lie_family import whitehouse_deficit
+
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    last = {}
+    for n in range(2, 25):
+        f = whitehouse_deficit(n, "lie2")
+        for mu in f.support():
+            assert set(mu[:-1]) <= {mu[0]}, mu
+            last[mu[0], mu[-1]] = mu[::-1]
+        is_schur_positive(f)
+    keys = set(_mn_pure._memo)
+    assert keys == set(last.values())
+    assert not any(a != b and b[: len(a)] == a for a in keys for b in keys)
 
 
 def test_to_schur_round_trip():
@@ -495,22 +570,39 @@ def test_positivity_rows_match_the_reference(row):
         assert list(is_schur_positive_many(fs)) == [ref_positivity(f) for f in fs], n
 
 
-def test_walk_keeps_only_the_columns_of_small_children():
-    # a dense degree leaves no full table behind: _memo holds the columns a
-    # child with one or two terms read, mu less the prefix of the node it
-    # hangs from, and their ascending prefixes, and nothing else
+def test_walk_keeps_only_the_columns_of_small_children(monkeypatch):
+    # a dense degree leaves no full table behind.  A child of the root with
+    # one or two terms reads whole terms, a smaller child deeper down reads
+    # mu less the prefix of its node, and _memo holds what the retention
+    # rule makes of those reads in the order they came, and nothing else
     fs = [f for f in SeriesContext(12).u_row(12) if f]
     support = set().union(*(f.support() for f in fs))
     assert len(support) == len(partitions_of(12))
     counts = _prefix_counts(support)
-    expected = set()
+    whole, partial = set(), set()
     for mu in support:
         # the first child on the way down to mu with at most two terms; mu
         # itself is one, since no other mu of its degree starts with it
         d = next(d for d in range(len(mu)) if counts[mu[: d + 1]] <= 2)
-        rest = mu[d:][::-1]
-        expected.update(rest[:i] for i in range(1, len(rest) + 1))
-    _mn_pure._memo.clear()
+        (partial if d else whole).add(mu[d:])
+    reads = []
+    for name, is_whole in (("keyed_column", False), ("term_column", True)):
+        real = getattr(_mn_pure, name)
+        monkeypatch.setattr(
+            _mn_pure, name, lambda mu, real=real, w=is_whole: reads.append((w, mu)) or real(mu)
+        )
+    monkeypatch.setattr(_mn_pure, "_memo", {})
     list(to_schur_many(fs))
+    assert {mu for w, mu in reads if w} == whole
+    assert {mu for w, mu in reads if not w} == partial
+    expected: set[tuple] = set()
+    for w, mu in reads:
+        rest = mu[::-1]
+        k = max(i for i in range(len(rest) + 1) if i == 0 or rest[:i] in expected)
+        if not w:
+            expected.update(rest[:i] for i in range(k + 1, len(rest) + 1))
+        elif k < len(rest):
+            expected.discard(rest[:k])
+            expected.add(rest)
     assert set(_mn_pure._memo) == expected
-    assert sum(sum(key) == 12 for key in expected) == 5
+    assert sum(sum(key) == 12 for key in expected) == len(whole) == 5

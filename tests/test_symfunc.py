@@ -374,6 +374,18 @@ def test_add_sub_mul_match_reference(f, g):
         _agrees(mul_sum([(kf, kg), (kg, kg)], cap, 3).symfunc(), want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(symfunc_strategy(max_deg=5, max_terms=1), symfunc_strategy(max_deg=5, max_terms=5))
+def test_one_term_factor_is_a_relabelling(t, f):
+    # a one-term factor on either side relabels the other's terms, and the
+    # keyed product is the oracle; 2/3 against a denominator 3 must reduce
+    for one in (t, SymFunc.one(), SymFunc({(): Fraction(-2, 3)}), SymFunc({(2, 1): Fraction(3, 4)})):
+        want = mul_trunc(one, f, 10)
+        for got in (one * f, f * one):
+            assert got == want
+            assert_canonical(got)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     symfunc_strategy(max_deg=3, max_terms=3),
