@@ -10,17 +10,14 @@ part k is
 (Macdonald, Symmetric Functions and Hall Polynomials, I.7).  A column is
 built from the longest ascending prefix of mu in _memo, so the rectangle
 (d^m) is one strip away from (d^(m-1)).  Values are Python ints, exact at
-every degree.  A partial read, keyed_column, stores every prefix it builds:
-schur.character(), symfunc.s() and the deeper small children of the walk in
-schur._expand make these, and the walk adds strips to whole vectors, so a
-dense degree leaves no full table here.  A whole-term read, term_column, is
-a child of that walk's root with one or two terms: its column replaces the
-prefix it was built from, and nothing in between is stored.  So the
-whitehouse scan, which reads whole terms on the chains (1^n), (d^m) and
-(1, d^m), keeps one column per chain: after n = 32 the memo holds 54
-columns with 35,981 entries, where keeping every prefix left 189 with
-103,441.  Stored columns are never changed, so a caller holding a dropped
-one still holds a valid column, and a dropped column is rebuilt exactly.
+every degree.  The one store rule: keyed_column stores the column of mu in
+place of the prefix it was built from, and nothing in between.  So a chain
+of reads that each extend the one before keeps one column, as the
+whitehouse scan does on (1^n), (d^m) and (1, d^m), and the walk in
+schur._expand, which adds strips to whole vectors, leaves no full table at
+a dense degree.  Stored columns are never changed, so a caller holding a
+dropped one still holds a valid column, and a dropped column is rebuilt
+exactly.
 
 Columns are keyed by bead bitmasks.  A partition lam of length L is the
 int mask(lam) = sum over rows i = 1..L of 2^(lam_i + L - i): one bead per
@@ -107,36 +104,18 @@ def _add_strips(
     return acc if out is not None else {m: v for m, v in acc.items() if v}
 
 
-def _stored_prefix(parts: tuple) -> tuple[int, dict[int, int]]:
-    """(k, column of parts[:k]) for the longest ascending prefix parts[:k]
-    in _memo; k is 0, with the column of the empty shape, if there is none."""
-    k = len(parts)
-    while k and parts[:k] not in _memo:
-        k -= 1
-    return k, _memo[parts[:k]] if k else {0: 1}
-
-
 def keyed_column(mu: tuple) -> dict[int, int]:
     """{mask(lam): chi^lam(mu)} for the lam where it is nonzero.
 
-    mu is a partition.  Every ascending prefix built on the way is stored.
-    The result is the memoized column itself, so callers must not change it.
+    mu is a partition.  The column is built from the longest ascending
+    prefix of mu in _memo and stored in place of it.  The result is the
+    memoized column itself, so callers must not change it.
     """
     parts = mu[::-1]
-    k, col = _stored_prefix(parts)
-    for k in range(k, len(parts)):
-        col = _add_strips(col, parts[k])
-        _memo[parts[: k + 1]] = col
-    return col
-
-
-def term_column(mu: tuple) -> dict[int, int]:
-    """keyed_column(mu), stored in place of the prefix it was built from and
-    with no prefix on the way stored, so a chain of reads that each extend
-    the one before keeps one column.  Callers must not change the result.
-    """
-    parts = mu[::-1]
-    k, col = _stored_prefix(parts)
+    k = len(parts)
+    while k and parts[:k] not in _memo:
+        k -= 1
+    col = _memo[parts[:k]] if k else {0: 1}
     if k < len(parts):
         _memo.pop(parts[:k], None)
         for part in parts[k:]:

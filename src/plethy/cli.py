@@ -203,15 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser(
         "conjecture",
         help="scan an open positivity conjecture",
-        description="Each degree is expanded in the Schur basis by a walk over the trie "
-        "of its p-basis support that adds border strips to whole vectors; a child of the "
-        "trie with one or two terms reads memoized character columns instead.  The scans "
-        "read each sign and witness off the walk's sums without decoding every shape.  The "
-        "whitehouse deficit touches only rectangles (d^m) and (d^m,1), so that scan reads "
-        "a few columns per degree, each stored in place of the shorter one it extends; it "
-        "keeps one column per chain and takes about 0.4 s and 22 MB to n = 32, 2 s and "
-        "40 MB to n = 40, and 9 s and 104 MB to n = 48.  The upos support is every "
-        "partition of n, and that scan grows with p(n).",
+        description="whitehouse checks that the lie2 lifting deficit p_1 Lie2_(n-1) - "
+        "Lie2_n fails to be Schur-positive exactly at the powers of two n >= 4; upos checks "
+        "that every truncated alternating sum u(n, k) is Schur-positive.  Each degree is "
+        "expanded in the Schur basis over its p-basis support.  The whitehouse deficit "
+        "touches only the rectangles (d^m) and (d^m,1), so that scan reads a few character "
+        "columns per degree, and the largest, (1^n), has p(n) entries.  The upos support is "
+        "every partition of n, and that scan grows with p(n).",
     )
     c.add_argument("which", choices=("whitehouse", "upos"))
     c.add_argument("--max-n", type=positive_int, default=12)

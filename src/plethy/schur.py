@@ -70,9 +70,6 @@ class SchurExpansion:
                 return c
         return 0
 
-    def as_dict(self) -> dict[tuple, int]:
-        return dict(self.terms)
-
     def dimension(self) -> int:
         return sum(c * hook_dimension(lam) for lam, c in self.terms)
 
@@ -157,9 +154,7 @@ def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
     with at most two terms is not walked: each of its terms adds C_mu times
     the memoized column of mu less the node's prefix.  At the root that is
     all of mu, so a sparse support such as the rectangles of the whitehouse
-    deficit reads the same columns as one term at a time would, and each
-    such column replaces the stored prefix it extends (_mn_pure.term_column):
-    the whitehouse scan keeps one column per chain of rectangles.
+    deficit reads the same columns as one term at a time would.
 
     The width w comes from an exact bound.  Column orthogonality gives
     sum_lam chi^lam(mu)^2 = z_mu, so |chi^lam(mu)| <= isqrt(z_mu), and every
@@ -209,10 +204,8 @@ def _walk(terms: list[tuple[tuple, int]], depth: int) -> dict[int, int]:
     The mu are distinct partitions of one degree that share their first
     depth parts: a node of the support trie.  A term that ends here is the
     empty shape; a child k holding three or more terms is walked and its
-    vector gets every k-strip, and the terms of a smaller child read their
-    memoized columns: whole terms at the root through term_column, which
-    stores a column in place of its prefix, and deeper ones through
-    keyed_column, which stores every prefix.
+    vector gets every k-strip, and each term of a smaller child reads the
+    memoized column of mu[depth:] through keyed_column.
     """
     out: dict[int, int] = {}
     children: defaultdict[int, list[tuple[tuple, int]]] = defaultdict(list)
@@ -222,13 +215,12 @@ def _walk(terms: list[tuple[tuple, int]], depth: int) -> dict[int, int]:
         else:
             out[0] = c
     get = out.get
-    column = _mn_pure.keyed_column if depth else _mn_pure.term_column
     for k, group in children.items():
         if len(group) > 2:
             _mn_pure._add_strips(_walk(group, depth + 1), k, out)
         else:
             for mu, c in group:
-                for mask, chi in column(mu[depth:]).items():
+                for mask, chi in _mn_pure.keyed_column(mu[depth:]).items():
                     out[mask] = get(mask, 0) + c * chi
     return out
 

@@ -32,13 +32,12 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Iterable
 
-from .partitions import divisors, multiplicities, partitions_of
+from .partitions import divisors, partitions_of
 from .symfunc import Keyed, SymFunc, _reduced, e, h, linear_sum, mul_sum, p, plethysm
 
 __all__ = [
     "Series",
     "apply_series",
-    "higher_bracket",
     "bracket_sum",
     "series_plethysm",
     "plethystic_inverse",
@@ -264,21 +263,6 @@ def _odd_length(n: int, r: int) -> int:
     return r % 2
 
 
-def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
-    """H_lam[Q] or E_lam[Q]: product over part values i of x_{m_i}[q_i]."""
-    if kind not in ("H", "E"):
-        raise ValueError("kind must be 'H' or 'E'")
-    if sum(lam) > Q.cap:
-        raise IndexError(f"|lam| = {sum(lam)} exceeds series cap {Q.cap}")
-    base = h if kind == "H" else e
-    out = SymFunc.one()
-    for part, m in multiplicities(lam).items():
-        out = out * plethysm(base(m), Q.coeff(part))
-        if not out:
-            break
-    return out
-
-
 def bracket_sum(kind: str, Q: Series, cap: int | None = None) -> Series:
     """sum over partitions of v^l(lam) * bracket, as a graded Series.
 
@@ -483,14 +467,6 @@ class SeriesContext:
 
         return self._get("conj", lambda: Series.from_function(self.cap, conj))
 
-    def psi_family(self, psi) -> Series:
-        from .lie_family import f_from_psi
-
-        return self._get(
-            ("psi", psi.name),
-            lambda: Series.from_function(self.cap, lambda n: f_from_psi(psi, n)),
-        )
-
     def alt_omega(self, name: str) -> Series:
         """sum of (-1)^(n-1) omega(f_n) for the named family: minus its twist."""
         return self._get(("alt_omega", name), lambda: self.family(name).twist().scale(-1))
@@ -625,14 +601,6 @@ class SeriesContext:
         return linear_sum(
             ((-1) ** (k % 2), p((1,) * (n - k)) * h(k) if n > k else h(k)) for k in range(n + 1)
         )
-
-    def delta_part(self, n: int, k: int) -> SymFunc:
-        """e_k[lie2_(>=2)]|_n."""
-        return self.app("E", "lie2_ge2").graded(n, k)
-
-    def hodge_part(self, n: int, k: int) -> SymFunc:
-        """h_k[lie_(>=2)]|_n."""
-        return self.app("H", "lie_ge2").graded(n, k)
 
     def g_fn(self, n: int) -> SymFunc:
         """Dimension-zero virtual piece: sum of p_lam, parts powers of 2, no 1s."""

@@ -9,6 +9,10 @@ bracket_sum multiplies out each partition's bracket on its own, and u and
 beta_rank sum their k + 1 signed pieces at once, not as running sums.  They
 share no expansion code with plethy.series: every product here is
 SymFunc.__mul__, never the keyed mul_sum kernel, so each checks the other.
+
+The last section holds what only the tests read: a single bracket H_lam[Q]
+or E_lam[Q], and the paper objects e_k[lie2_(>=2)], h_k[lie_(>=2)] and the
+family series of a psi, read off a SeriesContext.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from plethy.lie_family import f_from_psi
 from plethy.partitions import divisors, multiplicities, partitions_of
 from plethy.series import Series
 from plethy.symfunc import SymFunc, e, h, linear_sum, p, plethysm
@@ -231,3 +236,36 @@ def u(ctx, n: int, k: int) -> SymFunc:
 def beta_rank(ctx, n: int, k: int) -> SymFunc:
     """whitney(n, k) - whitney(n, k-1) + ... +- whitney(n, 0), as one alternating sum."""
     return linear_sum(((-1) ** ((k - j) % 2), ctx.whitney(n, j)) for j in range(k + 1))
+
+
+# -- single brackets and named pieces, read off a SeriesContext
+
+
+def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
+    """H_lam[Q] or E_lam[Q]: product over part values i of x_{m_i}[q_i]."""
+    if kind not in ("H", "E"):
+        raise ValueError("kind must be 'H' or 'E'")
+    if sum(lam) > Q.cap:
+        raise IndexError(f"|lam| = {sum(lam)} exceeds series cap {Q.cap}")
+    base = h if kind == "H" else e
+    out = SymFunc.one()
+    for part, m in multiplicities(lam).items():
+        out = out * plethysm(base(m), Q.coeff(part))
+        if not out:
+            break
+    return out
+
+
+def delta_part(ctx, n: int, k: int) -> SymFunc:
+    """e_k[lie2_(>=2)]|_n."""
+    return ctx.app("E", "lie2_ge2").graded(n, k)
+
+
+def hodge_part(ctx, n: int, k: int) -> SymFunc:
+    """h_k[lie_(>=2)]|_n."""
+    return ctx.app("H", "lie_ge2").graded(n, k)
+
+
+def psi_family(ctx, psi) -> Series:
+    """The series of f_from_psi(psi, n), 1 <= n <= ctx.cap."""
+    return Series.from_function(ctx.cap, lambda n: f_from_psi(psi, n))

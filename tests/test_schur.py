@@ -199,38 +199,38 @@ def test_one_strips_match_the_oracle():
             assert out[encode(lam)] == base[encode(lam)] + moved, lam
 
 
-def test_memo_keeps_every_ascending_prefix(monkeypatch):
-    # a partial read stores every prefix it builds
-    monkeypatch.setattr(_mn_pure, "_memo", {})
-    _column((3, 2, 1))
-    assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3)}
-    _column((3, 3, 2, 1))  # extends the stored prefix (1, 2, 3)
-    assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3), (1, 2, 3, 3)}
-    assert _column(()) == {(): 1}
-
-
 def test_a_whole_term_read_replaces_its_prefix(monkeypatch):
     monkeypatch.setattr(_mn_pure, "_memo", {})
-    _column((3, 2, 1))
-    held = _mn_pure.term_column((4, 3, 2, 1))  # built from (1, 2, 3), stored alone
+    for mu in ((3, 2, 1), (2, 1), (1,)):  # a shorter read keeps the longer column
+        _mn_pure.keyed_column(mu)
+    assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3)}
+    held = _mn_pure.keyed_column((4, 3, 2, 1))  # built from (1, 2, 3), stored alone
     assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3, 4)}
     kept = dict(held)
-    _mn_pure.term_column((4, 4, 3, 2, 1))
+    _mn_pure.keyed_column((4, 4, 3, 2, 1))
     assert set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3, 4, 4)}
     assert held == kept  # a caller's dropped column is left as it was
-    assert _mn_pure.term_column((4, 4, 3, 2, 1)) is _mn_pure.keyed_column((4, 4, 3, 2, 1))
-    assert _mn_pure.term_column(()) == {0: 1} and set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3, 4, 4)}
+    assert _mn_pure.keyed_column((4, 4, 3, 2, 1)) is _mn_pure.keyed_column((4, 4, 3, 2, 1))
+    assert _mn_pure.keyed_column(()) == {0: 1} and set(_mn_pure._memo) == {(1,), (1, 2), (1, 2, 3, 4, 4)}
 
 
-@pytest.mark.parametrize("read", ["keyed_column", "term_column"])
-def test_a_dropped_column_is_rebuilt_exactly(monkeypatch, read):
+def test_a_partial_read_leaves_only_what_it_read(monkeypatch):
+    # s(lam) reads the column of every mu of its degree, and no ascending
+    # prefix of one of them is a whole partition of that degree
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    s((3, 2, 1))
+    assert set(_mn_pure._memo) == {mu[::-1] for mu in partitions_of(6)}
+    assert len(_mn_pure._memo) == 11
+
+
+def test_a_dropped_column_is_rebuilt_exactly(monkeypatch):
     monkeypatch.setattr(_mn_pure, "_memo", {})
     for mu in ((2, 2), (2, 2, 2, 2), (3, 2, 2, 2, 2), (3, 1, 1), (5, 3, 1, 1)):
-        _mn_pure.term_column(mu)
+        _mn_pure.keyed_column(mu)
     assert set(_mn_pure._memo) == {(2, 2, 2, 2, 3), (1, 1, 3, 5)}
     for mu in ((2, 2), (2, 2, 2, 2), (3, 1, 1), (1, 1), (3, 2, 2, 2, 2)):
         want = {lam: oracle_character(lam, mu) for lam in partitions_of(sum(mu))}
-        col = getattr(_mn_pure, read)(mu)
+        col = _mn_pure.keyed_column(mu)
         assert col == {_mn_pure.encode(lam): v for lam, v in want.items() if v}, mu
 
 
@@ -257,15 +257,15 @@ def test_to_schur_round_trip():
     for n in range(1, 9):
         for lam in partitions_of(n):
             exp = to_schur(s(lam))
-            assert exp.as_dict() == {lam: 1}
+            assert dict(exp.terms) == {lam: 1}
 
 
 def test_to_schur_reference_values():
     from plethy.lie_family import lie, lie2
 
-    assert to_schur(lie(4)).as_dict() == {(3, 1): 1, (2, 1, 1): 1}
-    assert to_schur(lie2(4)).as_dict() == {(4,): 1, (2, 2): 1, (2, 1, 1): 1}
-    assert to_schur(lie(5)).as_dict() == {
+    assert dict(to_schur(lie(4)).terms) == {(3, 1): 1, (2, 1, 1): 1}
+    assert dict(to_schur(lie2(4)).terms) == {(4,): 1, (2, 2): 1, (2, 1, 1): 1}
+    assert dict(to_schur(lie(5)).terms) == {
         (4, 1): 1,
         (3, 2): 1,
         (3, 1, 1): 1,
@@ -398,8 +398,8 @@ def test_to_schur_many_fields_round_a_byte_boundary(c):
     batch = [p(3).scale(c - 1), p(3).scale(-c), p(3).scale(c - 1)]
     below = {(3,): c - 1, (2, 1): 1 - c, (1, 1, 1): c - 1}
     above = {(3,): -c, (2, 1): c, (1, 1, 1): -c}
-    assert [e.as_dict() for e in to_schur_many(batch)] == [below, above, below]
-    assert [to_schur(f).as_dict() for f in batch] == [below, above, below]
+    assert [dict(e.terms) for e in to_schur_many(batch)] == [below, above, below]
+    assert [dict(to_schur(f).terms) for f in batch] == [below, above, below]
 
 
 def test_to_schur_many_yields_up_to_the_first_non_virtual_function():
@@ -552,7 +552,7 @@ def test_degree_zero_is_the_roots_own_coefficient():
     # mu = () ends at the root: the only node with a coefficient of its own
     one = SymFunc.one()
     got = to_schur_many([one, one.scale(-3), one.scale(Fraction(2, 3))])
-    assert [next(got).as_dict(), next(got).as_dict()] == [{(): 1}, {(): -3}]
+    assert [dict(next(got).terms), dict(next(got).terms)] == [{(): 1}, {(): -3}]
     with pytest.raises(NotVirtualCharacter):
         next(got)
 
@@ -573,8 +573,8 @@ def test_positivity_rows_match_the_reference(row):
 def test_walk_keeps_only_the_columns_of_small_children(monkeypatch):
     # a dense degree leaves no full table behind.  A child of the root with
     # one or two terms reads whole terms, a smaller child deeper down reads
-    # mu less the prefix of its node, and _memo holds what the retention
-    # rule makes of those reads in the order they came, and nothing else
+    # mu less the prefix of its node, and _memo holds what the store rule
+    # makes of those reads in the order they came, and nothing else
     fs = [f for f in SeriesContext(12).u_row(12) if f]
     support = set().union(*(f.support() for f in fs))
     assert len(support) == len(partitions_of(12))
@@ -586,22 +586,17 @@ def test_walk_keeps_only_the_columns_of_small_children(monkeypatch):
         d = next(d for d in range(len(mu)) if counts[mu[: d + 1]] <= 2)
         (partial if d else whole).add(mu[d:])
     reads = []
-    for name, is_whole in (("keyed_column", False), ("term_column", True)):
-        real = getattr(_mn_pure, name)
-        monkeypatch.setattr(
-            _mn_pure, name, lambda mu, real=real, w=is_whole: reads.append((w, mu)) or real(mu)
-        )
+    real = _mn_pure.keyed_column
+    monkeypatch.setattr(_mn_pure, "keyed_column", lambda mu: reads.append(mu) or real(mu))
     monkeypatch.setattr(_mn_pure, "_memo", {})
     list(to_schur_many(fs))
-    assert {mu for w, mu in reads if w} == whole
-    assert {mu for w, mu in reads if not w} == partial
+    assert {mu for mu in reads if sum(mu) == 12} == whole
+    assert {mu for mu in reads if sum(mu) < 12} == partial
     expected: set[tuple] = set()
-    for w, mu in reads:
+    for mu in reads:
         rest = mu[::-1]
         k = max(i for i in range(len(rest) + 1) if i == 0 or rest[:i] in expected)
-        if not w:
-            expected.update(rest[:i] for i in range(k + 1, len(rest) + 1))
-        elif k < len(rest):
+        if k < len(rest):
             expected.discard(rest[:k])
             expected.add(rest)
     assert set(_mn_pure._memo) == expected
