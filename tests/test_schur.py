@@ -16,6 +16,7 @@ from plethy.schur import (
     NotVirtualCharacter,
     Positivity,
     SchurExpansion,
+    _walk,
     character,
     hook_dimension,
     is_schur_positive,
@@ -223,14 +224,20 @@ def test_a_partial_read_leaves_only_what_it_read(monkeypatch):
     assert len(_mn_pure._memo) == 11
 
 
-def test_a_dropped_column_is_rebuilt_exactly(monkeypatch):
+def _term_column(mu: tuple) -> dict[int, int]:
+    """The column of mu as the Schur walk reads one whole term."""
+    return _walk([(mu, 1)], 0)
+
+
+@pytest.mark.parametrize("read", [_mn_pure.keyed_column, _term_column], ids=["keyed_column", "term_column"])
+def test_a_dropped_column_is_rebuilt_exactly(monkeypatch, read):
     monkeypatch.setattr(_mn_pure, "_memo", {})
     for mu in ((2, 2), (2, 2, 2, 2), (3, 2, 2, 2, 2), (3, 1, 1), (5, 3, 1, 1)):
         _mn_pure.keyed_column(mu)
     assert set(_mn_pure._memo) == {(2, 2, 2, 2, 3), (1, 1, 3, 5)}
     for mu in ((2, 2), (2, 2, 2, 2), (3, 1, 1), (1, 1), (3, 2, 2, 2, 2)):
         want = {lam: oracle_character(lam, mu) for lam in partitions_of(sum(mu))}
-        col = _mn_pure.keyed_column(mu)
+        col = read(mu)
         assert col == {_mn_pure.encode(lam): v for lam, v in want.items() if v}, mu
 
 
