@@ -22,9 +22,13 @@ Hpm and Epm negate the odd-length slots of H and E (v -> -v), and the
 signed bracket sum negates the odd-corank slots of the unsigned one, since
 (-1)^(|lam| - l(lam)) is fixed by (|lam|, l(lam)).  Of the six product
 formulas only two are expanded: v -> -v gives two more, and the twist
-p_m -> -p_m, which is (-1)^n omega in degree n, the last two.  The
-truncated alternating sums are running sums: u(n, k) = vh(n, k) - u(n, k-1),
-and beta(n, k) likewise over the whitney pieces.
+p_m -> -p_m, which is (-1)^n omega in degree n, the last two.
+
+The truncated alternating sums u(n, k) and beta(n, k) are read straight off
+the integer numerators N_lam(v) of the product formulas, one degree at a
+time.  One walk over the partitions mu with no part 1 gives each N_mu and
+z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
+rows both assemble their slots from them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Iterable
 
+from .lie_family import Psi
 from .partitions import divisors, partitions_of
 from .symfunc import Keyed, SymFunc, _reduced, e, h, linear_sum, mul_sum, p, plethysm
 
@@ -215,25 +220,32 @@ def _keyed_columns(S: Series, graded: bool) -> dict[int, Keyed]:
 # -- the H/E outer operators ----------------------------------------------------
 
 
-def _outer_powers(base: str, F: Series, cap: int) -> list[Keyed]:
-    """[x_0[F], x_1[F], ...] truncated to degree cap, x in {h, e}, keyed for the cap.
+def _power_sums(F: Series, cap: int) -> list[SymFunc]:
+    """[p_1[F], ..., p_cap[F]], truncated to degree cap."""
+    tot = F.total()
+    if tot.coeff(()):
+        raise ValueError("outer application needs a series with no degree-0 term")
+    return [plethysm(p(k), tot, cap) for k in range(1, cap + 1)]
+
+
+def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
+    """H or E of the family F with pk = [p_1[F], p_2[F], ...], truncated to
+    degree cap: slot (n, r) is the degree-n part of x_r[F], x = h or e.
 
     Newton recursion r*x_r = sum over k of (+-) p_k[F] x_{r-k}, the sign -1
     for even k when x = e, pushed through the ring endomorphism given by
     plethysm with F.  Each signed p_k[F] is encoded once and every x_r stays
     keyed, so step r is one mul_sum over its r pairs, divided by r.
     """
-    tot = F.total()
-    if tot.coeff(()):
-        raise ValueError("outer application needs a series with no degree-0 term")
-    pk: list = [None]  # pk[k] is the signed p_k[F]
-    for k in range(1, cap + 1):
-        piece = plethysm(p(k), tot, cap)
-        pk.append(Keyed.encode(-piece if base == "e" and k % 2 == 0 else piece, cap))
+    flip_even = {"H": False, "E": True}[kind]
+    signed = [
+        Keyed.encode(-f if flip_even and k % 2 == 0 else f, cap) for k, f in enumerate(pk, 1)
+    ]
     out = [Keyed.encode(SymFunc.one(), cap)]
     for r in range(1, cap + 1):
-        out.append(mul_sum([(pk[k], out[r - k]) for k in range(1, r + 1)], cap, r))
-    return out
+        out.append(mul_sum([(signed[k - 1], out[r - k]) for k in range(1, r + 1)], cap, r))
+    graded = {(n, r): f for r, xr in enumerate(out) for n, f in xr.parts().items()}
+    return Series(cap, graded=graded)
 
 
 def apply_series(kind: str, F: Series, cap: int | None = None) -> Series:
@@ -245,12 +257,7 @@ def apply_series(kind: str, F: Series, cap: int | None = None) -> Series:
         cap = F.cap
     if cap > F.cap:
         raise IndexError(f"cap {cap} exceeds the argument's cap {F.cap}")
-    base = {"H": "h", "E": "e"}[kind]
-    graded: dict[tuple[int, int], SymFunc] = {}
-    for r, xr in enumerate(_outer_powers(base, F, cap)):
-        for n, f in xr.parts().items():
-            graded[(n, r)] = f
-    return Series(cap, graded=graded)
+    return _outer_powers(kind, _power_sums(F, cap), cap)
 
 
 def _negate_slots(A: Series, odd: Callable[[int, int], int]) -> Series:
@@ -366,10 +373,63 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _over_lcm(terms: list[tuple[tuple, int, int]]) -> SymFunc:
-    """sum of (a / z) * p_lam over (lam, a, z), over the lcm of the z."""
+def _numerator_rows(psi, sign: int, cap: int) -> dict[int, list[list[int]]]:
+    """{m: row}, row[k - 1] the numerator of binom(g_m, k) for m * k <= cap,
+    with g_m = sign * f_m(v); m is left out where g_m = 0, as its factor is 1."""
+    numers: dict[int, list[list[int]]] = {}
+    for m in range(1, cap + 1):
+        G = [0] * (m + 1)
+        for d in divisors(m):
+            G[m // d] += sign * psi(d)
+        while G and not G[-1]:
+            G.pop()
+        if not G:
+            continue
+        row = [G]
+        for k in range(1, cap // m):
+            row.append(_poly_mul(row[-1], [-k * m] + G[1:]))
+        numers[m] = row
+    return numers
+
+
+def _product_walk(psi, sign: int, cap: int) -> tuple[list[list[int]], list[list[tuple]]]:
+    """(ones, by_size) for prod over m of (1 - p_m)^(sign * f_m(v)).
+
+    by_size[s] lists (mu, N_mu, z_mu) over the partitions mu of s with no
+    part 1 and a nonzero coefficient, walked depth first with parts
+    descending, so a prefix's polynomial and z are shared by every mu that
+    extends it.  ones[j] is the numerator of binom(g_1, j), ones[0] = [1].
+    """
+    numers = _numerator_rows(psi, sign, cap)
+    ones = [[1], *numers.get(1, ())]
+    by_size: list[list[tuple]] = [[] for _ in range(cap + 1)]
+    stack: list[tuple[tuple, int, list[int], int]] = [((), 0, [1], 1)]  # mu, |mu|, N_mu, z_mu
+    while stack:
+        mu, n, poly, z = stack.pop()
+        by_size[n].append((mu, poly, z))
+        for m in range(2, min(mu[-1] - 1 if mu else cap, cap - n) + 1):
+            row = numers.get(m)
+            if row is None:
+                continue
+            zm = z
+            for k in range(1, (cap - n) // m + 1):
+                zm *= m * k
+                stack.append((mu + (m,) * k, n + m * k, _poly_mul(poly, row[k - 1]), zm))
+    return ones, by_size
+
+
+def _degree_terms(walk, n: int) -> tuple[int, list[tuple[tuple, list[int], int]]]:
+    """(den, [(lam, N_lam, den // z_lam)]) over the partitions lam = mu + 1^j
+    of n in the walk, with den the lcm of their z_lam."""
+    ones, by_size = walk
+    terms = []
+    zj = 1  # j!
+    for j in range(min(n, len(ones) - 1) + 1):
+        zj *= j or 1
+        for mu, poly, z in by_size[n - j]:
+            terms.append((mu + (1,) * j, _poly_mul(poly, ones[j]) if j else poly, z * zj))
     den = lcm(*(z for _, _, z in terms))
-    return _reduced({lam: a * (den // z) for lam, a, z in terms}, den)
+    return den, [(lam, poly, den // z) for lam, poly, z in terms]
 
 
 def product_form(psi, sign: int, cap: int) -> Series:
@@ -379,40 +439,39 @@ def product_form(psi, sign: int, cap: int) -> Series:
     and sign +1 gives E^+-(v)[F], for F the family of psi; SeriesContext.product
     derives the other variants from these two.
     """
-    # numers[m][k - 1] is the numerator of binom(g_m, k), for m * k <= cap
-    numers: dict[int, list[list[int]]] = {}
-    for m in range(1, cap + 1):
-        G = [0] * (m + 1)
-        for d in divisors(m):
-            j = m // d
-            G[j] += sign * psi(d)
-        while G and not G[-1]:
-            G.pop()
-        if not G:
-            continue  # g_m = 0: the factor is 1
-        row = [G]
-        for k in range(1, cap // m):
-            row.append(_poly_mul(row[-1], [-k * m] + G[1:]))
-        numers[m] = row
-    # walk the partitions depth first, parts descending; a prefix's
-    # polynomial is shared by every partition extending it
-    graded_terms: dict[tuple[int, int], list[tuple[tuple, int, int]]] = {}
-    stack: list[tuple[tuple, int, list[int], int]] = [((), 0, [1], 1)]  # lam, |lam|, N_lam, z_lam
-    while stack:
-        lam, n, poly, z = stack.pop()
-        odd = len(lam) % 2
-        for r, c in enumerate(poly):
-            if c:
-                graded_terms.setdefault((n, r), []).append((lam, -c if odd else c, z))
-        for m in range(1, min(lam[-1] - 1 if lam else cap, cap - n) + 1):
-            row = numers.get(m)
-            if row is None:
-                continue
-            zm = z
-            for k in range(1, (cap - n) // m + 1):
-                zm *= m * k
-                stack.append((lam + (m,) * k, n + m * k, _poly_mul(poly, row[k - 1]), zm))
-    return Series(cap, graded={key: _over_lcm(terms) for key, terms in graded_terms.items()})
+    walk = _product_walk(psi, sign, cap)
+    graded: dict[tuple[int, int], SymFunc] = {}
+    for n in range(cap + 1):
+        den, terms = _degree_terms(walk, n)
+        slots: dict[int, dict[tuple, int]] = {}
+        for lam, poly, q in terms:
+            if len(lam) % 2:
+                q = -q
+            for r, c in enumerate(poly):
+                if c:
+                    slots.setdefault(r, {})[lam] = c * q
+        for r, num in slots.items():
+            graded[n, r] = _reduced(num, den)
+    return Series(cap, graded=graded)
+
+
+def _alternating_row(walk, n: int, by_length: bool) -> list[SymFunc]:
+    """[t_0, ..., t_(n-1)] with t_k = x_k - t_(k-1), where x_k has the
+    coefficient (+-)[v^(n-k)] N_lam / z_lam on p_lam: the sign is
+    (-1)^l(lam) if by_length, else (-1)^k."""
+    den, terms = _degree_terms(walk, n)
+    rows: list[dict[tuple, int]] = [{} for _ in range(n)]
+    for lam, poly, q in terms:
+        s = -q if by_length and len(lam) % 2 else q
+        t = 0
+        for k in range(n):
+            r = n - k
+            t = (s * poly[r] if r < len(poly) else 0) - t
+            if not by_length:
+                s = -s
+            if t:
+                rows[k][lam] = t
+    return [_reduced(num, den) for num in rows]
 
 
 # -- convenience sums over restricted partition classes --------------------------
@@ -424,14 +483,6 @@ def p_sum_over(n: int, filter: str = "all") -> SymFunc:
 
 
 # -- the named constructions, sharing one cache per cap ---------------------------
-
-
-def _running_sums(pieces: Iterable[SymFunc]) -> list[SymFunc]:
-    """[a_0, a_1 - a_0, a_2 - a_1 + a_0, ...]: term k is a_k minus term k - 1."""
-    out: list[SymFunc] = []
-    for f in pieces:
-        out.append(f - out[-1] if out else f)
-    return out
 
 
 class SeriesContext:
@@ -490,7 +541,12 @@ class SeriesContext:
             return self._get(
                 (kind, name), lambda: _negate_slots(self.app(kind[0], name), _odd_length)
             )
-        return self._get((kind, name), lambda: apply_series(kind, self.family(name)))
+        return self._get((kind, name), lambda: _outer_powers(kind, self._pieces(name), self.cap))
+
+    def _pieces(self, name: str) -> list[SymFunc]:
+        """Cached [p_1[F], ..., p_cap[F]] for the named family F, shared by
+        its H, E and conj_from."""
+        return self._get(("p_k", name), lambda: _power_sums(self.family(name), self.cap))
 
     def brackets(self, kind: str, name: str, signed: bool = False) -> Series:
         """Cached bracket_sum over the named family, optionally with the
@@ -559,36 +615,46 @@ class SeriesContext:
     # single-value constructions ------------------------------------------
 
     def whitney(self, n: int, k: int) -> SymFunc:
-        """Graded piece k of the partition-lattice invariant: omega(e_(n-k)[lie])|_n."""
+        """Graded piece k of the partition-lattice invariant: omega(e_(n-k)[lie])|_n,
+        read off the Mobius product E(v)[lie]."""
         if not 0 <= k <= n - 1:
             raise ValueError("whitney needs 0 <= k <= n-1")
-        return self.app("E", "lie").graded(n, n - k).omega()
+        return self.product(Psi.mobius(), "ext").graded(n, n - k).omega()
 
     def vh(self, n: int, k: int) -> SymFunc:
-        """h_(n-k)[lie2]|_n."""
+        """h_(n-k)[lie2]|_n, read off the two-adic product H(v)[lie2]."""
         if not 0 <= k <= n - 1:
             raise ValueError("vh needs 0 <= k <= n-1")
-        return self.app("H", "lie2").graded(n, n - k)
+        return self.product(Psi.two_adic(), "sym").graded(n, n - k)
 
     def u(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum vh(n,k) - vh(n,k-1) + ... +- vh(n,0)."""
         if not 0 <= k <= n - 1:
             raise ValueError("u needs 0 <= k <= n-1")
-        return _running_sums(self.vh(n, j) for j in range(k + 1))[k]
+        return self.u_row(n)[k]
 
     def beta_rank(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum of whitney pieces (rank-selected homology)."""
         if not 0 <= k <= n - 1:
             raise ValueError("beta needs 0 <= k <= n-1")
-        return _running_sums(self.whitney(n, j) for j in range(k + 1))[k]
+        return self.beta_row(n)[k]
+
+    def _walk(self, psi, sign: int) -> tuple:
+        """The cached partition walk of product_form(psi, sign, cap)."""
+        return self._get(("walk", psi.name, sign), lambda: _product_walk(psi, sign, self.cap))
 
     def u_row(self, n: int) -> list[SymFunc]:
-        """[u(n, 0), ..., u(n, n-1)], one subtraction each."""
-        return _running_sums(self.vh(n, k) for k in range(n))
+        """[u(n, 0), ..., u(n, n-1)] off the numerators of the two-adic
+        product H(v)[lie2]: the coefficient of p_lam in u(n, k) is
+        (-1)^l(lam) U_k / z_lam, with U_k = [v^(n-k)] N_lam - U_(k-1)."""
+        return _alternating_row(self._walk(Psi.two_adic(), -1), n, by_length=True)
 
     def beta_row(self, n: int) -> list[SymFunc]:
-        """[beta_rank(n, 0), ..., beta_rank(n, n-1)], one subtraction each."""
-        return _running_sums(self.whitney(n, k) for k in range(n))
+        """[beta_rank(n, 0), ..., beta_rank(n, n-1)] off the numerators of the
+        Mobius product E(v)[lie]: the coefficient of p_lam in beta(n, k) is
+        (-1)^k B_k / z_lam, with B_k = [v^(n-k)] N_lam + B_(k-1), the sign
+        coming from v -> -v and omega."""
+        return _alternating_row(self._walk(Psi.mobius(), 1), n, by_length=False)
 
     def delta(self, n: int) -> SymFunc:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""
@@ -632,17 +698,12 @@ class SeriesContext:
         """sum of p_k[lie] over k >= 1, or p_(2k-1)[lie2] over k >= 1."""
 
         def build():
-            cap = self.cap
             if family == "lie":
-                ks = range(1, cap + 1)
-                base = self.lie()
+                pieces = self._pieces("lie")
             elif family == "lie2":
-                ks = range(1, cap + 1, 2)
-                base = self.lie2()
+                pieces = self._pieces("lie2")[::2]  # the odd k
             else:
                 raise ValueError("family must be 'lie' or 'lie2'")
-            tot = base.total()
-            out = linear_sum((1, plethysm(p(k), tot, cap)) for k in ks)
-            return Series.from_symfunc(out, cap)
+            return Series.from_symfunc(linear_sum((1, f) for f in pieces), self.cap)
 
         return self._get(("conj_from", family), build)

@@ -177,9 +177,6 @@ class SymFunc:
             by_deg.setdefault(sum(lam), {})[lam] = v
         return {n: _reduced(num, self._den) for n, num in by_deg.items()}
 
-    def truncate(self, cap: int) -> "SymFunc":
-        return _reduced({lam: v for lam, v in self._num.items() if sum(lam) <= cap}, self._den)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "SymFunc") -> "SymFunc":

@@ -189,6 +189,11 @@ def inject_strip_sign_defect(monkeypatch) -> None:
     monkeypatch.setattr(_mn_pure, "_memo", {})
 
 
+def truncate(f: SymFunc, cap: int) -> SymFunc:
+    """The terms of f of degree <= cap."""
+    return SymFunc({lam: c for lam, c in f.items() if sum(lam) <= cap})
+
+
 def assert_canonical(f: SymFunc) -> None:
     """Lowest terms: positive den, no zero numerator, gcd of all of them 1."""
     nums, den = f._int_terms()

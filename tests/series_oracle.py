@@ -6,9 +6,11 @@ SymFunc factor per m with Fraction-valued v-polynomials, plethystic_inverse
 recomposes the whole partial inverse with G at every degree, the Newton
 recursion and the Series product multiply one pair of SymFuncs at a time,
 bracket_sum multiplies out each partition's bracket on its own, and u and
-beta_rank sum their k + 1 signed pieces at once, not as running sums.  They
-share no expansion code with plethy.series: every product here is
-SymFunc.__mul__, never the keyed mul_sum kernel, so each checks the other.
+beta_rank sum their k + 1 signed pieces at once, not as running sums, with
+vh and whitney read off this module's own Newton recursion, not off the
+product formulas.  They share no expansion code with plethy.series: every
+product here is SymFunc.__mul__, never the keyed mul_sum kernel, so each
+checks the other.
 
 The last section holds what only the tests read: a single bracket H_lam[Q]
 or E_lam[Q], and the paper objects e_k[lie2_(>=2)], h_k[lie_(>=2)] and the
@@ -18,8 +20,10 @@ family series of a psi, read off a SeriesContext.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
+from conftest import truncate
 from plethy.lie_family import f_from_psi
 from plethy.partitions import divisors, multiplicities, partitions_of
 from plethy.series import Series
@@ -155,7 +159,7 @@ def outer_powers(base: str, F: Series, cap: int) -> list[SymFunc]:
     for r in range(1, cap + 1):
         acc = SymFunc.zero()
         for k in range(1, r + 1):
-            term = (pk[k] * out[r - k]).truncate(cap)
+            term = truncate(pk[k] * out[r - k], cap)
             if base == "e" and k % 2 == 0:
                 term = -term
             acc = acc + term
@@ -228,14 +232,30 @@ def reciprocal(A: Series) -> Series:
     return Series(A.cap, inv)
 
 
+@lru_cache(maxsize=None)
+def newton_slots(ctx, kind: str, name: str) -> Series:
+    """apply_series above on ctx's named family, once per (ctx, kind, name)."""
+    return apply_series(kind, ctx.family(name))
+
+
+def vh(ctx, n: int, k: int) -> SymFunc:
+    """h_(n-k)[lie2]|_n from the Newton slots of H[lie2]."""
+    return newton_slots(ctx, "H", "lie2").graded(n, n - k)
+
+
+def whitney(ctx, n: int, k: int) -> SymFunc:
+    """omega(e_(n-k)[lie]|_n) from the Newton slots of E[lie]."""
+    return newton_slots(ctx, "E", "lie").graded(n, n - k).omega()
+
+
 def u(ctx, n: int, k: int) -> SymFunc:
     """vh(n, k) - vh(n, k-1) + ... +- vh(n, 0), as one alternating sum."""
-    return linear_sum(((-1) ** ((k - j) % 2), ctx.vh(n, j)) for j in range(k + 1))
+    return linear_sum(((-1) ** ((k - j) % 2), vh(ctx, n, j)) for j in range(k + 1))
 
 
 def beta_rank(ctx, n: int, k: int) -> SymFunc:
     """whitney(n, k) - whitney(n, k-1) + ... +- whitney(n, 0), as one alternating sum."""
-    return linear_sum(((-1) ** ((k - j) % 2), ctx.whitney(n, j)) for j in range(k + 1))
+    return linear_sum(((-1) ** ((k - j) % 2), whitney(ctx, n, j)) for j in range(k + 1))
 
 
 # -- single brackets and named pieces, read off a SeriesContext

@@ -361,6 +361,13 @@ def test_upos_json_golden_16(capsys):
     assert out == (GOLDEN / "conjecture-upos-16.jsonl").read_text()
 
 
+def test_upos_json_golden_20(capsys):
+    # past the benchmark's range: the rows of n = 17..20 too
+    code, out, _ = run_cli(["conjecture", "upos", "--max-n", "20", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "conjecture-upos-20.jsonl").read_text()
+
+
 def test_whitehouse_json_golden_32(capsys):
     # the bytes the benchmark's whitehouse-32 workload checks, witness tie-break included
     code, out, _ = run_cli(["conjecture", "whitehouse", "--max-n", "32", "--json"], capsys=capsys)

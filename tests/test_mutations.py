@@ -5,7 +5,8 @@ so the test does not depend on how the kernels are written.  verify_all(10)
 has to report at least one failure, and no exception may escape it (an
 entry that raises is itself a failure report).  A defect in the positivity
 reader must instead fail the test in test_schur that pins the behaviour it
-breaks: the witness tie-break or the integrality check.
+breaks: the witness tie-break or the integrality check.  A defect in the u
+rows must fail both an entry and the oracle test in test_series.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import plethy.lie_family as lie_family
 import plethy.schur as schur
 import plethy.series as series
 import test_schur
-from conftest import inject_strip_sign_defect, patch_everywhere
+import test_series
+from conftest import inject_strip_sign_defect, patch_everywhere, truncate
 from plethy import _mn_pure
 from plethy.registry import verify_all
 from plethy.series import Series, bracket_sum
-from plethy.symfunc import Keyed, SymFunc, mul_sum, p, plethysm
+from plethy.symfunc import Keyed, SymFunc, _reduced, mul_sum, p, plethysm
 
 
 def _drop_top(out: Keyed, cap: int) -> Keyed:
@@ -43,7 +45,7 @@ def _one_pair_mul_sum_drops_top(pairs, cap, divisor=1):
 
 def _plethysm_drops_top(f, g, cap=None):
     out = plethysm(f, g, cap)
-    return out if cap is None else out.truncate(cap - 1)
+    return out if cap is None else truncate(out, cap - 1)
 
 
 def _plethysm_budget_off_by_one(f, g, cap=None):
@@ -94,18 +96,14 @@ def test_character_sign_defect_fails_an_entry(monkeypatch):
     assert failed, "the _add_strips sign defect went unnoticed at cap 10"
 
 
-def _newton_p2_sign_flipped(base, F, cap):
+_outer_powers = series._outer_powers
+_alternating_row = series._alternating_row
+
+
+def _newton_p2_sign_flipped(kind, pk, cap):
     """The Newton recursion r*x_r = sum of (+-) p_k[F] x_(r-k) with the
     sign of the p_2[F] term flipped, for h and e alike."""
-    tot = F.total()
-    pk = [None]
-    for k in range(1, cap + 1):
-        sign = -1 if (base == "e" and k % 2 == 0) != (k == 2) else 1
-        pk.append(Keyed.encode(plethysm(p(k), tot, cap).scale(sign), cap))
-    out = [Keyed.encode(SymFunc.one(), cap)]
-    for r in range(1, cap + 1):
-        out.append(mul_sum([(pk[k], out[r - k]) for k in range(1, r + 1)], cap, r))
-    return out
+    return _outer_powers(kind, [-f if k == 2 else f for k, f in enumerate(pk, 1)], cap)
 
 
 def _newton_sign_error(monkeypatch):
@@ -144,6 +142,42 @@ def test_series_defect_fails_an_entry(monkeypatch, inject):
     reports = verify_all(10)
     failed = [r.id for r in reports if r.failed]
     assert failed, f"{inject.__name__} went unnoticed at cap 10"
+
+
+def _u_row_stand_in(step):
+    """The rows with the u rows' running sum U_k = [v^(n-k)] N_lam + step * U_(k-1):
+    step -1 is the package's rule, +1 the defect.  The beta rows are left as
+    they are."""
+
+    def row(walk, n, by_length):
+        if not by_length:
+            return _alternating_row(walk, n, by_length)
+        den, terms = series._degree_terms(walk, n)
+        rows = [{} for _ in range(n)]
+        for lam, poly, q in terms:
+            s = -q if len(lam) % 2 else q
+            t = 0
+            for k in range(n):
+                r = n - k
+                t = (s * poly[r] if r < len(poly) else 0) + step * t
+                if t:
+                    rows[k][lam] = t
+        return [_reduced(num, den) for num in rows]
+
+    return row
+
+
+def test_the_u_row_stand_in_passes_when_sound(monkeypatch):
+    monkeypatch.setattr(series, "_alternating_row", _u_row_stand_in(-1))
+    test_series.test_alternating_sums_match_oracle()
+
+
+def test_a_flipped_u_running_sum_fails_an_entry_and_the_oracle(monkeypatch):
+    monkeypatch.setattr(series, "_alternating_row", _u_row_stand_in(1))
+    failed = [r.id for r in verify_all(10) if r.failed]
+    assert "U-CLOSED" in failed, failed
+    with pytest.raises(AssertionError):
+        test_series.test_alternating_sums_match_oracle()
 
 
 def _bracket_sum_slot_2_negated(kind, Q, cap=None):

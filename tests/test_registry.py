@@ -161,9 +161,9 @@ def test_outer_powers_built_once_per_series(monkeypatch):
     calls = []
     real = series._outer_powers
 
-    def counting(base, F, cap):
-        calls.append(base)
-        return real(base, F, cap)
+    def counting(kind, pk, cap):
+        calls.append(kind)
+        return real(kind, pk, cap)
 
     monkeypatch.setattr(series, "_outer_powers", counting)
     assert not any(r.failed for r in verify_all(8))
@@ -185,6 +185,16 @@ def test_products_expanded_once_per_sign(monkeypatch):
     assert sorted(calls) == sorted(
         (name, sign) for name in ("mobius", "totient", "two_adic") for sign in (1, -1)
     )
+
+
+def test_positivity_scans_skip_the_newton_route():
+    # the u and beta rows are read off the product numerators, so neither
+    # scan builds H[lie2] or E[lie] by the Newton recursion
+    ctx = SeriesContext(16)
+    for id in ("U-POS", "BETA-POS"):
+        assert verify_identity(id, 16, ctx).passed
+    assert ("H", "lie2") not in ctx._memo
+    assert ("E", "lie") not in ctx._memo
 
 
 def test_u_closed_builds_no_large_character_column(monkeypatch):

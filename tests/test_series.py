@@ -304,9 +304,18 @@ def test_product_form_grading_matches_operator(ctx8):
         assert A.graded(n, r) == B.graded(n, r), (n, r)
 
 
+def test_vh_and_whitney_match_the_newton_slots():
+    # the readers go through the product formulas; the oracle through Newton
+    ctx = SeriesContext(12)
+    for n in range(1, 13):
+        for k in range(n):
+            assert ctx.vh(n, k) == series_oracle.vh(ctx, n, k), (n, k)
+            assert ctx.whitney(n, k) == series_oracle.whitney(ctx, n, k), (n, k)
+
+
 def test_alternating_sums_match_oracle():
-    ctx = SeriesContext(10)
-    for n in range(1, 11):
+    ctx = SeriesContext(14)
+    for n in range(1, 15):
         for one, row, oracle in (
             (ctx.u, ctx.u_row(n), series_oracle.u),
             (ctx.beta_rank, ctx.beta_row(n), series_oracle.beta_rank),
