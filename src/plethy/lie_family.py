@@ -24,7 +24,7 @@ from .partitions import (
     totient,
     two_adic_part,
 )
-from .symfunc import SymFunc, p, plethysm
+from .symfunc import SymFunc, p
 
 __all__ = [
     "Psi",
@@ -34,8 +34,6 @@ __all__ = [
     "lie",
     "conj",
     "lie2",
-    "lie2_via_lie",
-    "lie_via_lie2",
     "standard_tableaux",
     "descent_set",
     "major_index",
@@ -134,29 +132,6 @@ def lie2(n: int) -> SymFunc:
     is a consequence checked in tests, not the definition.
     """
     return ell(n, two_adic_part(n))
-
-
-def lie2_via_lie(n: int) -> SymFunc:
-    """Degree-n term of sum over k >= 0 of lie composed with p_{2^k}."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    total = SymFunc.zero()
-    k = 1
-    while k <= n:
-        if n % k == 0:
-            total = total + plethysm(lie(n // k), p(k))
-        k *= 2
-    return total
-
-
-def lie_via_lie2(n: int) -> SymFunc:
-    """Degree-n term of lie2 - lie2 composed with p_2."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    out = lie2(n)
-    if n % 2 == 0:
-        out = out - plethysm(lie2(n // 2), p(2))
-    return out
 
 
 # -- standard Young tableaux ---------------------------------------------------

@@ -326,7 +326,7 @@ def _equiv_pbw_cochain(ctx, cap, check):
 
 @_register("EQUIV-PBW-FILT-A", "lie_(>=2) = lie composed with the standard-rep series")
 def _equiv_pbw_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.lie(), ctx.kappa(), cap)
+    rhs = series_plethysm(ctx.family("lie"), ctx.kappa())
     lhs = ctx.family("lie_ge2")
     for n in range(cap + 1):
         check.eq(n, lhs.coeff(n), rhs.coeff(n))
@@ -334,8 +334,7 @@ def _equiv_pbw_filt_a(ctx, cap, check):
 
 @_register("EQUIV-PBW-FILT-B", "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)")
 def _equiv_pbw_filt_b(ctx, cap, check):
-    depth = max(2, cap.bit_length())
-    sums = ctx.iterate_generator(ctx.kappa(), depth)
+    sums = ctx.iterate_generator(ctx.kappa())
     if sums[-1] != sums[-2]:
         check.fail(cap, "iteration did not stabilize at the cap")
         return
@@ -392,7 +391,7 @@ def _equiv_lie2_cochain(ctx, cap, check):
 
 @_register("EQUIV-LIE2-FILT-A", "lie2_(>=2) = lie2 composed with omega(kappa)")
 def _equiv_lie2_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.lie2(), ctx.omega_kappa(), cap)
+    rhs = series_plethysm(ctx.family("lie2"), ctx.omega_kappa())
     lhs = ctx.family("lie2_ge2")
     for n in range(cap + 1):
         check.eq(n, lhs.coeff(n), rhs.coeff(n))
@@ -400,8 +399,7 @@ def _equiv_lie2_filt_a(ctx, cap, check):
 
 @_register("EQUIV-LIE2-FILT-B", "lie2_(>=2) = omega(kappa) iterated (stabilized)")
 def _equiv_lie2_filt_b(ctx, cap, check):
-    depth = max(2, cap.bit_length())
-    sums = ctx.iterate_generator(ctx.omega_kappa(), depth)
+    sums = ctx.iterate_generator(ctx.omega_kappa())
     if sums[-1] != sums[-2]:
         check.fail(cap, "iteration did not stabilize at the cap")
         return
@@ -678,35 +676,35 @@ def _ind_lie2(ctx, cap, check):
 def _conj_from_lie(ctx, cap, check):
     S = ctx.conj_from("lie")
     for n in range(1, cap + 1):
-        check.eq(n, S.coeff(n), ctx.conj().coeff(n))
-    conj_tot = ctx.conj().total()
-    back = linear_sum((mobius(k), plethysm(p(k), conj_tot, cap)) for k in range(1, cap + 1))
+        check.eq(n, S.coeff(n), ctx.family("conj").coeff(n))
+    pk = ctx.power_sums("conj")
+    back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1))
     for n in range(1, cap + 1):
-        check.eq(n, back.homogeneous_part(n), ctx.lie().coeff(n), note="inverse direction")
+        check.eq(n, back.homogeneous_part(n), ctx.family("lie").coeff(n), note="inverse direction")
 
 
 @_register("CONJ-FROM-LIE2", "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse")
 def _conj_from_lie2(ctx, cap, check):
     S = ctx.conj_from("lie2")
     for n in range(1, cap + 1):
-        check.eq(n, S.coeff(n), ctx.conj().coeff(n))
-    conj_tot = ctx.conj().total()
-    back = linear_sum((mobius(k), plethysm(p(k), conj_tot, cap)) for k in range(1, cap + 1, 2))
+        check.eq(n, S.coeff(n), ctx.family("conj").coeff(n))
+    pk = ctx.power_sums("conj")
+    back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1, 2))
     for n in range(1, cap + 1):
-        check.eq(n, back.homogeneous_part(n), ctx.lie2().coeff(n), note="inverse direction")
+        check.eq(n, back.homogeneous_part(n), ctx.family("lie2").coeff(n), note="inverse direction")
 
 
 @_register("LIE2-FROM-LIE", "lie2 = sum of lie[p_(2^j)]; lie = lie2 - lie2[p_2]")
 def _lie2_from_lie(ctx, cap, check):
-    lie_tot = ctx.lie().total()
+    lie_tot = ctx.family("lie").total()
     # the powers of two 2^j <= cap are the j below cap's bit length
     fwd = linear_sum((1, plethysm(lie_tot, p(1 << j), cap)) for j in range(cap.bit_length()))
     for n in range(1, cap + 1):
-        check.eq(n, fwd.homogeneous_part(n), ctx.lie2().coeff(n))
-    lie2_tot = ctx.lie2().total()
+        check.eq(n, fwd.homogeneous_part(n), ctx.family("lie2").coeff(n))
+    lie2_tot = ctx.family("lie2").total()
     bwd = lie2_tot - plethysm(lie2_tot, p(2), cap)
     for n in range(1, cap + 1):
-        check.eq(n, bwd.homogeneous_part(n), ctx.lie().coeff(n), note="inverse direction")
+        check.eq(n, bwd.homogeneous_part(n), ctx.family("lie").coeff(n), note="inverse direction")
 
 
 # ---------------------------------------------------------------------------
@@ -800,15 +798,15 @@ def _u_closed(ctx, cap, check):
     s222 = schur_s((2, 2, 2))
     kappa = ctx.kappa()
     for n in range(2, cap + 1):
-        check.eq(n, ctx.u(n, 0), h(n), note="k=0")
-        if n >= 2:
-            check.eq(n, ctx.u(n, 1), h(2) * h(n - 2) - h(n), note="k=1")
+        row = ctx.u_row(n)
+        check.eq(n, row[0], h(n), note="k=0")
+        check.eq(n, row[1], h(2) * h(n - 2) - h(n), note="k=1")
         if n >= 4:
             # s_(n-1,1) is kappa_n; s_(n-2,2) = h_(n-2) h_2 - h_(n-1) h_1 (Jacobi-Trudi)
             s_n1 = kappa.coeff(n)
             s_n2 = h(n - 2) * h(2) - h(n - 1) * h(1)
             rhs2 = hh(n - 3) * s21 - s_n1 - s_n2 + hh(n - 4) * (h(4) + s22)
-            check.eq(n, ctx.u(n, 2), rhs2, note="k=2")
+            check.eq(n, row[2], rhs2, note="k=2")
             rhs3 = (
                 hh(n - 4) * s211
                 + s21 * (hh(n - 5) * h(2) - hh(n - 3))
@@ -816,7 +814,7 @@ def _u_closed(ctx, cap, check):
                 + s_n1
                 + s_n2
             )
-            check.eq(n, ctx.u(n, 3), rhs3, note="k=3")
+            check.eq(n, row[3], rhs3, note="k=3")
 
 
 @_register("BETA-POS", "truncated alternating whitney sums are Schur-positive")

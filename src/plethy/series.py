@@ -29,6 +29,10 @@ the integer numerators N_lam(v) of the product formulas, one degree at a
 time.  One walk over the partitions mu with no part 1 gives each N_mu and
 z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
 rows both assemble their slots from them.
+
+Each job has one way in.  SeriesContext.app is the one entry to the Newton
+route, over the cached p_k[F] pieces of SeriesContext.power_sums, and
+SeriesContext.family the one accessor of the families.
 """
 
 from __future__ import annotations
@@ -36,13 +40,13 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Iterable
 
+from . import lie_family
 from .lie_family import Psi
 from .partitions import divisors, partitions_of
 from .symfunc import Keyed, SymFunc, _reduced, e, h, linear_sum, mul_sum, p, plethysm
 
 __all__ = [
     "Series",
-    "apply_series",
     "bracket_sum",
     "series_plethysm",
     "plethystic_inverse",
@@ -248,18 +252,6 @@ def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
     return Series(cap, graded=graded)
 
 
-def apply_series(kind: str, F: Series, cap: int | None = None) -> Series:
-    """H or E applied plethystically to F, with length grading.
-
-    Slot (n, r) is the degree-n part of h_r[F] (resp. e_r[F]).
-    """
-    if cap is None:
-        cap = F.cap
-    if cap > F.cap:
-        raise IndexError(f"cap {cap} exceeds the argument's cap {F.cap}")
-    return _outer_powers(kind, _power_sums(F, cap), cap)
-
-
 def _negate_slots(A: Series, odd: Callable[[int, int], int]) -> Series:
     """A with every slot (n, r) where odd(n, r) is true negated."""
     return A._map_slots(lambda n, r, f: -f if odd(n, r) else f)
@@ -270,10 +262,10 @@ def _odd_length(n: int, r: int) -> int:
     return r % 2
 
 
-def bracket_sum(kind: str, Q: Series, cap: int | None = None) -> Series:
+def bracket_sum(kind: str, Q: Series) -> Series:
     """sum over partitions of v^l(lam) * bracket, as a graded Series.
 
-    The independent route to apply_series: products of small plethysms
+    The independent route to SeriesContext.app: products of small plethysms
     instead of the Newton recursion.  The partitions of every degree up to
     the cap are walked as a trie over their (part, multiplicity) groups,
     parts descending.  Each factor x_m[q_part] is built and encoded once,
@@ -285,10 +277,7 @@ def bracket_sum(kind: str, Q: Series, cap: int | None = None) -> Series:
     """
     if kind not in ("H", "E"):
         raise ValueError("kind must be 'H' or 'E'")
-    if cap is None:
-        cap = Q.cap
-    if cap > Q.cap:
-        raise IndexError(f"cap {cap} exceeds the series cap {Q.cap}")
+    cap = Q.cap
     base = h if kind == "H" else e
     one = Keyed.encode(SymFunc.one(), cap)
     factors: dict[tuple[int, int], Keyed] = {}  # (part, m) -> x_m[q_part]
@@ -312,21 +301,15 @@ def bracket_sum(kind: str, Q: Series, cap: int | None = None) -> Series:
     return Series(cap, graded=graded)
 
 
-def series_plethysm(F: Series, G: Series, cap: int | None = None) -> Series:
-    """F composed with G, degree by degree."""
-    if cap is None:
-        cap = min(F.cap, G.cap)
-    if cap > min(F.cap, G.cap):
-        raise IndexError(f"cap {cap} exceeds the arguments' caps {F.cap}, {G.cap}")
+def series_plethysm(F: Series, G: Series) -> Series:
+    """F composed with G, degree by degree, up to the smaller cap."""
+    cap = min(F.cap, G.cap)
     return Series.from_symfunc(plethysm(F.total(), G.total(), cap), cap)
 
 
-def plethystic_inverse(G: Series, cap: int | None = None) -> Series:
-    """The series F with F o G = p_1 = G o F up to the cap."""
-    if cap is None:
-        cap = G.cap
-    if cap > G.cap:
-        raise IndexError(f"cap {cap} exceeds the argument's cap {G.cap}")
+def plethystic_inverse(G: Series) -> Series:
+    """The series F with F o G = p_1 = G o F up to the cap of G."""
+    cap = G.cap
     g1 = G.coeff(1)
     c = g1.coeff((1,))
     if not c or g1 != p(1).scale(c):
@@ -503,36 +486,19 @@ class SeriesContext:
 
     # base families ------------------------------------------------------
 
-    def lie(self) -> Series:
-        from .lie_family import lie
-
-        return self._get("lie", lambda: Series.from_function(self.cap, lie))
-
-    def lie2(self) -> Series:
-        from .lie_family import lie2
-
-        return self._get("lie2", lambda: Series.from_function(self.cap, lie2))
-
-    def conj(self) -> Series:
-        from .lie_family import conj
-
-        return self._get("conj", lambda: Series.from_function(self.cap, conj))
-
-    def alt_omega(self, name: str) -> Series:
-        """sum of (-1)^(n-1) omega(f_n) for the named family: minus its twist."""
-        return self._get(("alt_omega", name), lambda: self.family(name).twist().scale(-1))
-
     def family(self, name: str) -> Series:
-        builders = {
-            "lie": self.lie,
-            "lie2": self.lie2,
-            "conj": self.conj,
-            "lie_ge2": lambda: self._get("lie_ge2", lambda: restrict_ge2(self.lie())),
-            "lie2_ge2": lambda: self._get("lie2_ge2", lambda: restrict_ge2(self.lie2())),
-        }
+        """The cached family lie, lie2 or conj; lie_ge2 and lie2_ge2 drop the
+        degree-1 slot, and F_alt, the sum of (-1)^(n-1) omega(f_n), is minus
+        the twist of F."""
         if name.endswith("_alt"):
-            return self.alt_omega(name[:-4])
-        return builders[name]()
+            base = name[:-4]
+            return self._get(("alt_omega", base), lambda: self.family(base).twist().scale(-1))
+        if name in ("lie_ge2", "lie2_ge2"):
+            return self._get(name, lambda: restrict_ge2(self.family(name[:-4])))
+        if name not in ("lie", "lie2", "conj"):
+            raise KeyError(name)
+        # the builder is looked up at call time, so a rebound one is used
+        return self._get(name, lambda: Series.from_function(self.cap, getattr(lie_family, name)))
 
     def app(self, kind: str, name: str) -> Series:
         """Cached H, E, Hpm or Epm of the named family; the signed kinds
@@ -541,11 +507,13 @@ class SeriesContext:
             return self._get(
                 (kind, name), lambda: _negate_slots(self.app(kind[0], name), _odd_length)
             )
-        return self._get((kind, name), lambda: _outer_powers(kind, self._pieces(name), self.cap))
+        return self._get(
+            (kind, name), lambda: _outer_powers(kind, self.power_sums(name), self.cap)
+        )
 
-    def _pieces(self, name: str) -> list[SymFunc]:
+    def power_sums(self, name: str) -> list[SymFunc]:
         """Cached [p_1[F], ..., p_cap[F]] for the named family F, shared by
-        its H, E and conj_from."""
+        its H, E, conj_from and the registry's CONJ-FROM entries."""
         return self._get(("p_k", name), lambda: _power_sums(self.family(name), self.cap))
 
     def brackets(self, kind: str, name: str, signed: bool = False) -> Series:
@@ -596,19 +564,21 @@ class SeriesContext:
     def omega_kappa(self) -> Series:
         return self._get("omega_kappa", lambda: self.kappa().map(lambda f: f.omega()))
 
-    def iterate_generator(self, gen: Series, depth: int) -> list[Series]:
+    def iterate_generator(self, gen: Series) -> list[Series]:
         """Partial sums of gen + gen o gen + gen o (gen o gen) + ...
 
         Term j is the j-fold self-plethysm; with the generator supported in
         degrees >= 2, term j starts at degree 2^j, so the partial sums
-        stabilize once 2^depth exceeds the cap.
+        stabilize once 2^depth exceeds the cap.  The depth is the bit length
+        of the cap, the least with 2^depth > cap, and at least 2, so that
+        there are two sums to compare.
         """
         sums = []
         term = gen
         acc = gen
-        for _ in range(depth):
+        for _ in range(max(2, self.cap.bit_length())):
             sums.append(acc)
-            term = series_plethysm(gen, term, self.cap)
+            term = series_plethysm(gen, term)
             acc = acc + term
         return sums
 
@@ -699,9 +669,9 @@ class SeriesContext:
 
         def build():
             if family == "lie":
-                pieces = self._pieces("lie")
+                pieces = self.power_sums("lie")
             elif family == "lie2":
-                pieces = self._pieces("lie2")[::2]  # the odd k
+                pieces = self.power_sums("lie2")[::2]  # the odd k
             else:
                 raise ValueError("family must be 'lie' or 'lie2'")
             return Series.from_symfunc(linear_sum((1, f) for f in pieces), self.cap)

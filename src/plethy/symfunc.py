@@ -220,18 +220,6 @@ class SymFunc:
             return self.scale(other)
         return NotImplemented
 
-    def __pow__(self, k: int) -> "SymFunc":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = SymFunc.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     # -- the classical operators -------------------------------------------
 
     def omega(self) -> "SymFunc":

@@ -11,8 +11,6 @@ from plethy.lie_family import (
     f_from_psi,
     lie,
     lie2,
-    lie2_via_lie,
-    lie_via_lie2,
     major_index,
     ramanujan_sum,
     standard_tableaux,
@@ -84,12 +82,6 @@ def test_lie2_is_a_single_psi_family():
     psi = Psi.two_adic()
     for n in range(1, 17):
         assert f_from_psi(psi, n) == lie2(n)
-
-
-def test_lie2_transfer_both_ways():
-    for n in range(1, 11):
-        assert lie2_via_lie(n) == lie2(n)
-        assert lie_via_lie2(n) == lie(n)
 
 
 def test_ell_dimensions_and_integrality():

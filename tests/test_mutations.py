@@ -180,9 +180,9 @@ def test_a_flipped_u_running_sum_fails_an_entry_and_the_oracle(monkeypatch):
         test_series.test_alternating_sums_match_oracle()
 
 
-def _bracket_sum_slot_2_negated(kind, Q, cap=None):
+def _bracket_sum_slot_2_negated(kind, Q):
     """bracket_sum with slot (n, 2) negated for n >= 4."""
-    out = bracket_sum(kind, Q, cap)
+    out = bracket_sum(kind, Q)
     graded = {}
     for n, r in out.graded_keys():
         graded[n, r] = -out.graded(n, r) if r == 2 and n >= 4 else out.graded(n, r)

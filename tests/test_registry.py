@@ -187,6 +187,41 @@ def test_products_expanded_once_per_sign(monkeypatch):
     )
 
 
+def test_u_closed_reads_one_u_row_per_degree(monkeypatch):
+    # k = 0..3 are read off one row per degree: 7 rows for n = 2..8, 24 before
+    calls = []
+    real = series._alternating_row
+
+    def counting(walk, n, by_length):
+        calls.append(n)
+        return real(walk, n, by_length)
+
+    monkeypatch.setattr(series, "_alternating_row", counting)
+    assert verify_identity("U-CLOSED", 8, SeriesContext(8)).passed
+    assert calls == list(range(2, 9))
+
+
+def test_conj_from_entries_sum_the_cached_pieces(monkeypatch):
+    # the inverse directions sum the p_k[conj] pieces that H[conj] cached:
+    # no plethysm of their own at cap 8, 12 before
+    from plethy import registry
+
+    ctx = SeriesContext(8)
+    ctx.app("H", "lie")
+    ctx.app("H", "conj")
+    calls = []
+    real = registry.plethysm
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(registry, "plethysm", counting)
+    for id in ("CONJ-FROM-LIE", "CONJ-FROM-LIE2"):
+        assert verify_identity(id, 8, ctx).passed
+    assert len(calls) == 0
+
+
 def test_positivity_scans_skip_the_newton_route():
     # the u and beta rows are read off the product numerators, so neither
     # scan builds H[lie2] or E[lie] by the Newton recursion
