@@ -19,10 +19,10 @@ from .series import SeriesContext
 from .symfunc import SymFunc
 from .tables import TABLE_NUMBERS, render_table, table_json
 
-# The largest degree `plethy schur` expands, checked before any character
-# work.  One p-term with a part N expands over all N hooks, so a payload of
-# a few bytes would cost work and output that grow as N squared; a dense
-# support is out of reach far below this degree.
+# The largest degree `plethy schur` and `compute --basis s` expand, checked
+# before any character work.  One p-term with a part N expands over all N
+# hooks, so a payload of a few bytes would cost work and output that grow as
+# N squared; a dense support is out of reach far below this degree.
 MAX_SCHUR_DEGREE = 256
 
 _OBJECTS = {
@@ -55,6 +55,12 @@ def _cmd_compute(args) -> int:
     if len(args.extra) != nargs:
         print(
             f"{args.object} takes {nargs} extra parameter(s), got {len(args.extra)}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.basis == "s" and args.n > MAX_SCHUR_DEGREE:
+        print(
+            f"error: degree {args.n} is above the limit of {MAX_SCHUR_DEGREE}",
             file=sys.stderr,
         )
         return 2

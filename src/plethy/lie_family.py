@@ -12,10 +12,9 @@ independent combinatorial route to the same Schur coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .partitions import (
     check_partition,
@@ -60,8 +59,7 @@ def _odd_part(n: int) -> int:
     return n // two_adic_part(n)
 
 
-@dataclass(frozen=True)
-class Psi:
+class Psi(NamedTuple):
     """Named arithmetic weight for the f_n template.
 
     psi(1) fixes the dimension (n-1)! * psi(1) of f_n.

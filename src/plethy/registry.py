@@ -9,8 +9,7 @@ are findings either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .partitions import mobius, partitions_of
 from .schur import is_schur_positive, is_schur_positive_many
@@ -28,8 +27,7 @@ __all__ = ["IdentityReport", "verify_identity", "verify_all", "registry_ids", "T
 TIERS = ("theorem", "conjecture")
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: str
     tier: str
     cap: int
@@ -88,8 +86,7 @@ class _Check:
             self.notes.append(note)
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     id: str
     tier: str
     description: str

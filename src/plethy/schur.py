@@ -20,10 +20,9 @@ character() reads one entry of a column through the mask of lam.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import _mn_pure
 from .partitions import check_partition, conjugate, format_partition, z_of
@@ -57,8 +56,7 @@ class NotVirtualCharacter(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
+class SchurExpansion(NamedTuple):
     """Integer Schur-basis expansion of a homogeneous virtual character."""
 
     degree: int
@@ -225,15 +223,14 @@ def _walk(terms: list[tuple[tuple, int]], depth: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class Positivity:
+class Positivity(NamedTuple):
     """Outcome of a Schur-positivity test; witness is the most negative term."""
 
     positive: bool
     witness_partition: tuple | None = None
     witness_coeff: int | None = None
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # a tuple of three fields is always truthy
         return self.positive
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import inject_strip_sign_defect, partition_strategy, ref_positivity
+from plethy import cli
 from plethy.cli import MAX_SCHUR_DEGREE, main
 from plethy.partitions import partitions_of
 
@@ -70,6 +72,21 @@ def test_compute_usage_errors(capsys):
     for obj, n, k in (("u", "0", "0"), ("beta", "3", "7")):
         code, out, err = run_cli(["compute", obj, n, k], capsys=capsys)
         assert code == 2 and out == "" and f"{obj} needs 0 <= k <= n-1" in err
+
+
+def test_compute_schur_basis_refuses_a_degree_past_the_bound(monkeypatch, capsys):
+    # refused before any character work: the (1^n) column alone has p(n) entries
+    def no_expansion(f):
+        raise AssertionError("to_schur called past the degree bound")
+
+    monkeypatch.setattr(cli, "to_schur", no_expansion)
+    n = str(MAX_SCHUR_DEGREE + 1)
+    code, out, err = run_cli(["compute", "lie", n, "--basis", "s"], capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(MAX_SCHUR_DEGREE) in err
+    # the p basis has no such bound
+    code, out, _ = run_cli(["compute", "lie", n], capsys=capsys)
+    assert code == 0 and json.loads(out)["basis"] == "p"
 
 
 def test_schur_command_round_trip(capsys):
@@ -431,6 +448,27 @@ def test_conjecture_commands(capsys):
     code, out, _ = run_cli(["conjecture", "upos", "--max-n", "8"], capsys=capsys)
     assert code == 0
     assert "PASS" in out
+
+
+def test_startup_imports_nothing_from_the_dataclasses_chain():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 8 ms of every
+    # call; modules the host's site already loaded do not count
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import plethy.cli\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_console_entry_point():

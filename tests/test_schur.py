@@ -315,6 +315,7 @@ def test_positivity_witness():
     assert is_schur_positive(whitehouse_deficit(6, "lie2")).positive
     assert is_schur_positive(SymFunc.zero()).positive
     assert bool(Positivity(True)) is True
+    assert bool(Positivity(False, (8,), -1)) is False
 
 
 def test_exponent_rendering():
