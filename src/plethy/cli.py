@@ -46,11 +46,7 @@ def _dump(payload) -> None:
 
 
 def _cmd_compute(args) -> int:
-    spec = _OBJECTS.get(args.object)
-    if spec is None:
-        print(f"unknown object {args.object!r}", file=sys.stderr)
-        return 2
-    nargs, builder = spec
+    nargs, builder = _OBJECTS[args.object]  # argparse's choices reject an unknown name
     params = [args.n] + list(args.extra)
     if len(args.extra) != nargs:
         print(

@@ -5,22 +5,23 @@ compares them coefficient-for-coefficient per degree (and per length slot
 where the statement carries the v marker).  Theorem-tier failures are bugs;
 conjecture-tier entries scan open positivity statements, so their reports
 are findings either way.
+
+This module holds the report type, the driver and the two conjecture-tier
+scans, U-POS and WHITEHOUSE.  The 56 theorem-tier entries live in
+plethy.theorems, which registers them when it is imported.  The registry
+imports it the first time registry_ids() runs or an id not registered yet
+is looked up, never at load, so a run of the two scans does not load
+them.  Registry order is the theorems in their module's order, then the
+conjectures.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .partitions import mobius, partitions_of
 from .schur import is_schur_positive, is_schur_positive_many
-from .series import (
-    Series,
-    SeriesContext,
-    p_sum_over,
-    plethystic_inverse,
-    series_plethysm,
-)
-from .symfunc import SymFunc, e, h, linear_sum, p, plethysm
+from .series import Series, SeriesContext
+from .symfunc import SymFunc
 
 __all__ = ["IdentityReport", "verify_identity", "verify_all", "registry_ids", "TIERS"]
 
@@ -94,733 +95,24 @@ class _Entry(NamedTuple):
     min_cap: int = 2
 
 
-_ENTRIES: list[_Entry] = []
+# every entry by id, in registration order
+_ENTRIES: dict[str, _Entry] = {}
 
 
 def _register(id: str, description: str, tier: str = "theorem", min_cap: int = 2):
     def deco(fn):
-        _ENTRIES.append(_Entry(id, tier, description, fn, min_cap))
+        _ENTRIES[id] = _Entry(id, tier, description, fn, min_cap)
         return fn
 
     return deco
 
 
-def _p1n(n: int) -> SymFunc:
-    return p((1,) * n) if n else SymFunc.one()
-
-
-def _alt_outer(app: Series, n: int) -> SymFunc:
-    """sum over r >= 1 of (-1)^(r-1) times the (n, r) slot."""
-    return linear_sum((1 if r % 2 else -1, app.graded(n, r)) for r in range(1, n + 1))
-
-
-def _pieces_sum(piece: Callable, n: int, start: int = 0, step: int = 1) -> SymFunc:
-    """sum of piece(n, k) over k = start, start + step, ... below n."""
-    return linear_sum((1, piece(n, k)) for k in range(start, n, step))
-
-
-def _distinct_powers_sum(n: int, signed: bool) -> SymFunc:
-    return linear_sum(
-        ((-1) ** (len(lam) - 1) if signed else 1, p(lam))
-        for lam in partitions_of(n, "parts_powers_of_two")
-        if len(set(lam)) == len(lam)
-    )
-
-
-def _odd_parts_sum(n: int, distinct: bool = False) -> SymFunc:
-    return linear_sum(
-        (1, p(lam))
-        for lam in partitions_of(n)
-        if all(part % 2 for part in lam) and (not distinct or len(set(lam)) == len(lam))
-    )
+def _load_theorems() -> None:
+    from . import theorems  # noqa: F401  (importing it registers the theorem tier)
 
 
 # ---------------------------------------------------------------------------
-# regular-representation decompositions and their inverses
-
-
-@_register("THRALL", "symmetric powers of lie rebuild the regular representation")
-def _thrall(ctx, cap, check):
-    app = ctx.brackets("H", "lie")
-    for n in range(cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
-
-
-@_register("CADOGAN", "alternating omega(lie) inverts the homogeneous series")
-def _cadogan(ctx, cap, check):
-    app = ctx.app("H", "lie_alt")
-    check.eq(1, app.coeff(1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), SymFunc.zero())
-    # and the inverse computed from scratch matches the family
-    inv = plethystic_inverse(Series(cap, {n: h(n) for n in range(1, cap + 1)}))
-    for n in range(1, cap + 1):
-        check.eq(n, inv.coeff(n), ctx.family("lie_alt").coeff(n))
-
-
-@_register("SOLOMON", "symmetric powers of conj give all partitions")
-def _solomon(ctx, cap, check):
-    app = ctx.app("H", "conj")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), p_sum_over(n))
-
-
-@_register("EXT-REG", "exterior powers of lie2 rebuild the regular representation")
-def _ext_reg(ctx, cap, check):
-    app = ctx.brackets("E", "lie2")
-    for n in range(cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
-
-
-@_register("PLINV-E", "alternating omega(lie2) inverts the elementary series")
-def _plinv_e(ctx, cap, check):
-    app = ctx.app("E", "lie2_alt")
-    check.eq(1, app.coeff(1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), SymFunc.zero())
-    inv = plethystic_inverse(Series(cap, {n: e(n) for n in range(1, cap + 1)}))
-    for n in range(1, cap + 1):
-        check.eq(n, inv.coeff(n), ctx.family("lie2_alt").coeff(n))
-
-
-@_register("SYM-LIE2", "symmetric powers of lie2 give the power-of-two classes")
-def _sym_lie2(ctx, cap, check):
-    app = ctx.app("H", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), p_sum_over(n, "parts_powers_of_two"))
-
-
-@_register("ALT-E-LIE2", "alternating exterior sum of lie2: distinct two-power classes")
-def _alt_e_lie2(ctx, cap, check):
-    app = ctx.app("E", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, _alt_outer(app, n), _distinct_powers_sum(n, signed=True))
-
-
-@_register("ALT-H-LIE", "alternating symmetric sum of lie collapses to two-row classes")
-def _alt_h_lie(ctx, cap, check):
-    app = ctx.app("H", "lie")
-    for n in range(1, cap + 1):
-        if n % 2:
-            rhs = p(1) * p((2,) * (n // 2)) if n > 1 else p(1)
-        else:
-            rhs = -p((2,) * (n // 2))
-        check.eq(n, _alt_outer(app, n), rhs)
-
-
-@_register("ALT-H-LIE-PROD", "signed bracket sum over lie equals (1+p1)/(1-p2)")
-def _alt_h_lie_prod(ctx, cap, check):
-    signed = ctx.brackets("H", "lie", signed=True)
-    appalt = ctx.app("E", "lie_alt")
-    for n in range(1, cap + 1):
-        if n % 2:
-            rhs = p(1) * p((2,) * (n // 2)) if n > 1 else p(1)
-        else:
-            rhs = p((2,) * (n // 2))
-        check.eq(n, signed.coeff(n), rhs)
-        # middle member: omega(E[omega(lie) alternating])
-        check.eq(n, appalt.coeff(n).omega(), rhs, note="omega(E[lie_alt]) form")
-
-
-@_register("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)")
-def _ext_lie(ctx, cap, check):
-    app = ctx.app("E", "lie")
-    for n in range(1, cap + 1):
-        rhs = _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero())
-        check.eq(n, app.coeff(n), rhs)
-
-
-@_register("EXT-CONJ", "exterior powers of conj give the odd classes")
-def _ext_conj(ctx, cap, check):
-    app = ctx.app("E", "conj")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _odd_parts_sum(n))
-
-
-@_register("ALT-CONJ", "exterior powers of alternating omega(conj): distinct odd classes")
-def _alt_conj(ctx, cap, check):
-    app = ctx.app("E", "conj_alt")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _odd_parts_sum(n, distinct=True))
-
-
-@_register("ACYC-LIE", "signed exterior bracket sum over lie vanishes (n >= 2)")
-def _acyc_lie(ctx, cap, check):
-    signed = ctx.brackets("E", "lie", signed=True)
-    for n in range(2, cap + 1):
-        check.eq(n, signed.coeff(n), SymFunc.zero())
-
-
-@_register("ACYC-LIE2", "signed symmetric bracket sum over lie2 vanishes (n >= 2)")
-def _acyc_lie2(ctx, cap, check):
-    signed = ctx.brackets("H", "lie2", signed=True)
-    for n in range(2, cap + 1):
-        check.eq(n, signed.coeff(n), SymFunc.zero())
-
-
-@_register("TOTALCOH-LIE", "total exterior bracket sum over lie is 2 e2 p1^(n-2)")
-def _totalcoh_lie(ctx, cap, check):
-    total = ctx.brackets("E", "lie")
-    for n in range(2, cap + 1):
-        check.eq(n, total.coeff(n), (e(2) * _p1n(n - 2)).scale(2))
-
-
-@_register("TOTALCOH-LIE2", "total symmetric bracket sum over lie2: two-power classes")
-def _totalcoh_lie2(ctx, cap, check):
-    total = ctx.brackets("H", "lie2")
-    for n in range(2, cap + 1):
-        check.eq(n, total.coeff(n), p_sum_over(n, "parts_powers_of_two"))
-
-
-# ---------------------------------------------------------------------------
-# the two equivalence chains
-
-
-@_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n")
-def _equiv_pbw_sym(ctx, cap, check):
-    app = ctx.app("H", "lie")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
-
-
-@_register("EQUIV-PBW-CADOGAN", "(H-1) inverse is the alternating omega(lie)")
-def _equiv_pbw_cadogan(ctx, cap, check):
-    app = ctx.brackets("H", "lie_alt")
-    check.eq(1, app.coeff(1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), SymFunc.zero())
-
-
-@_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1")
-def _equiv_pbw_altext(ctx, cap, check):
-    app = ctx.app("E", "lie")
-    check.eq(1, _alt_outer(app, 1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), SymFunc.zero())
-
-
-@_register("EQUIV-PBW-ALTEXT-GE2", "alternating e-sum over lie_(>=2) is the standard representation")
-def _equiv_pbw_altext_ge2(ctx, cap, check):
-    app = ctx.app("E", "lie_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), ctx.kappa().coeff(n))
-
-
-@_register("EQUIV-PBW-COCHAIN", "signed e-sum over lie_(>=2) collapses to one irreducible")
-def _equiv_pbw_cochain(ctx, cap, check):
-    # E^+-[lie_(>=2)]|_n = -s_(n-1,1); sign normalization follows the
-    # +kappa identity it is equivalent to (see decisions ledger)
-    app = ctx.app("Epm", "lie_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), -ctx.kappa().coeff(n))
-    # omega-twisted Lefschetz form with (-1)^(n-1)
-    appE = ctx.app("E", "lie_ge2")
-    for n in range(2, cap + 1):
-        acc = linear_sum(((-1) ** (i % 2), appE.graded(n, n - i).omega()) for i in range(n + 1))
-        rhs = ctx.omega_kappa().coeff(n).scale((-1) ** ((n - 1) % 2))
-        check.eq(n, acc, rhs, note="omega-twisted form")
-
-
-@_register("EQUIV-PBW-FILT-A", "lie_(>=2) = lie composed with the standard-rep series")
-def _equiv_pbw_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.family("lie"), ctx.kappa())
-    lhs = ctx.family("lie_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), rhs.coeff(n))
-
-
-@_register("EQUIV-PBW-FILT-B", "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)")
-def _equiv_pbw_filt_b(ctx, cap, check):
-    sums = ctx.iterate_generator(ctx.kappa())
-    if sums[-1] != sums[-2]:
-        check.fail(cap, "iteration did not stabilize at the cap")
-        return
-    lhs = ctx.family("lie_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), sums[-1].coeff(n))
-
-
-@_register("EQUIV-PBW-HODGE", "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k")
-def _equiv_pbw_hodge(ctx, cap, check):
-    app = ctx.app("H", "lie_ge2")
-    geom = Series(cap, {n: _p1n(n) for n in range(cap + 1)})
-    epm = Series(cap, {n: e(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
-    middle = geom * epm
-    for n in range(2, cap + 1):
-        rhs = linear_sum(((-1) ** (k % 2), _p1n(n - k) * e(k)) for k in range(n + 1))
-        check.eq(n, app.coeff(n), rhs)
-        check.eq(n, app.coeff(n), middle.coeff(n), note="(1-p1)^-1 E^+- form")
-
-
-@_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n")
-def _equiv_lie2_ext(ctx, cap, check):
-    app = ctx.app("E", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
-
-
-@_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1")
-def _equiv_lie2_plinv(ctx, cap, check):
-    app = ctx.app("H", "lie2")
-    check.eq(1, _alt_outer(app, 1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), SymFunc.zero())
-
-
-@_register("EQUIV-LIE2-GE2", "alternating h-sum over lie2_(>=2) is omega(kappa)")
-def _equiv_lie2_ge2(ctx, cap, check):
-    app = ctx.app("H", "lie2_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), ctx.omega_kappa().coeff(n))
-
-
-@_register("EQUIV-LIE2-COCHAIN", "signed h-sum over lie2_(>=2) collapses to one irreducible")
-def _equiv_lie2_cochain(ctx, cap, check):
-    app = ctx.app("Hpm", "lie2_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), -ctx.omega_kappa().coeff(n))
-    appH = ctx.app("H", "lie2_ge2")
-    for n in range(2, cap + 1):
-        acc = linear_sum(((-1) ** (i % 2), appH.graded(n, n - i).omega()) for i in range(n + 1))
-        rhs = ctx.kappa().coeff(n).scale((-1) ** ((n - 1) % 2))
-        check.eq(n, acc, rhs, note="omega-twisted form")
-
-
-@_register("EQUIV-LIE2-FILT-A", "lie2_(>=2) = lie2 composed with omega(kappa)")
-def _equiv_lie2_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.family("lie2"), ctx.omega_kappa())
-    lhs = ctx.family("lie2_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), rhs.coeff(n))
-
-
-@_register("EQUIV-LIE2-FILT-B", "lie2_(>=2) = omega(kappa) iterated (stabilized)")
-def _equiv_lie2_filt_b(ctx, cap, check):
-    sums = ctx.iterate_generator(ctx.omega_kappa())
-    if sums[-1] != sums[-2]:
-        check.fail(cap, "iteration did not stabilize at the cap")
-        return
-    lhs = ctx.family("lie2_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), sums[-1].coeff(n))
-
-
-@_register("EQUIV-LIE2-HODGE", "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k")
-def _equiv_lie2_hodge(ctx, cap, check):
-    app = ctx.app("E", "lie2_ge2")
-    geom = Series(cap, {n: _p1n(n) for n in range(cap + 1)})
-    hpm = Series(cap, {n: h(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
-    middle = geom * hpm
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), ctx.delta(n))
-        check.eq(n, app.coeff(n), middle.coeff(n), note="(1-p1)^-1 H^+- form")
-
-
-@_register("SU1-LOG", "log of the weighted products recovers the family and its twist")
-def _su1_log(ctx, cap, check):
-    # log prod (1 - p_d)^(-psi(d)/d) = sum of f_n, and
-    # log prod (1 + p_d)^(psi(d)/d) = sum of (-1)^(n-1) omega(f_n)
-    from fractions import Fraction
-
-    for name in ("lie", "conj", "lie2"):
-        psi = _psi_of({"lie": "mobius", "conj": "totient", "lie2": "two_adic"}[name])
-        plain: dict[int, SymFunc] = {}
-        alt: dict[int, SymFunc] = {}
-        for d in range(1, cap + 1):
-            weight = Fraction(psi(d), d)
-            if not weight:
-                continue
-            for j in range(1, cap // d + 1):
-                term = p((d,) * j).scale(weight * Fraction(1, j))
-                n = d * j
-                plain[n] = plain.get(n, SymFunc.zero()) + term
-                alt[n] = alt.get(n, SymFunc.zero()) + (term if j % 2 else -term)
-        fam = ctx.family(name)
-        twisted = ctx.family(name + "_alt")
-        for n in range(1, cap + 1):
-            check.eq(n, plain.get(n, SymFunc.zero()), fam.coeff(n), note=f"{name} log form")
-            check.eq(
-                n, alt.get(n, SymFunc.zero()), twisted.coeff(n), note=f"{name} alternating log form"
-            )
-
-
-# ---------------------------------------------------------------------------
-# the product meta-identities
-
-
-def _meta_family(name: str):
-    return {"mobius": "lie", "totient": "conj", "two_adic": "lie2"}[name]
-
-
-def _psi_of(name: str):
-    from .lie_family import Psi
-
-    return {"mobius": Psi.mobius(), "totient": Psi.totient(), "two_adic": Psi.two_adic()}[name]
-
-
-def _meta_products(psi_name: str):
-    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        fam = _meta_family(psi_name)
-        psi = _psi_of(psi_name)
-        # symmetric powers
-        A1 = ctx.app("H", fam)
-        A2 = ctx.brackets("H", fam)
-        A3 = ctx.product(psi, "sym")
-        check.eq_graded(A1, A2)
-        check.eq_graded(A1, A3)
-        # exterior powers
-        B1 = ctx.app("E", fam)
-        B2 = ctx.brackets("E", fam)
-        B3 = ctx.product(psi, "ext")
-        check.eq_graded(B1, B2)
-        check.eq_graded(B1, B3)
-        # alternating exterior powers
-        C1 = ctx.app("H", fam + "_alt")
-        C2 = ctx.brackets("E", fam, signed=True).map(lambda f: f.omega())
-        C3 = ctx.product(psi, "alt_ext")
-        check.eq_graded(C1, C2)
-        check.eq_graded(C1, C3)
-        # alternating symmetric powers
-        D1 = ctx.app("E", fam + "_alt")
-        D2 = ctx.brackets("H", fam, signed=True).map(lambda f: f.omega())
-        D3 = ctx.product(psi, "alt_sym")
-        check.eq_graded(D1, D2)
-        check.eq_graded(D1, D3)
-        # the signed-operator equivalents
-        E1 = ctx.app("Epm", fam)
-        E3 = ctx.product(psi, "epm")
-        check.eq_graded(E1, E3)
-        H1 = ctx.app("Hpm", fam)
-        H3 = ctx.product(psi, "hpm")
-        check.eq_graded(H1, H3)
-
-    return fn
-
-
-for _name in ("mobius", "totient", "two_adic"):
-    _ENTRIES.append(
-        _Entry(
-            f"META-PRODUCTS-{_name.upper().replace('_', '')}",
-            "theorem",
-            f"product generating functions for psi = {_name}, v-graded",
-            _meta_products(_name),
-        )
-    )
-
-
-def _metage2(fam: str):
-    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        HF = ctx.app("H", fam)
-        EF = ctx.app("E", fam)
-        Hge = ctx.app("H", fam + "_ge2")
-        Ege = ctx.app("E", fam + "_ge2")
-        Hpmge = ctx.app("Hpm", fam + "_ge2")
-        Epmge = ctx.app("Epm", fam + "_ge2")
-        ev = Series(cap, graded={(k, k): e(k).scale((-1) ** (k % 2)) for k in range(cap + 1)})
-        hv = Series(cap, graded={(k, k): h(k).scale((-1) ** (k % 2)) for k in range(cap + 1)})
-        Hplain = Series(cap, graded={(k, k): h(k) for k in range(cap + 1)})
-        Eplain = Series(cap, graded={(k, k): e(k) for k in range(cap + 1)})
-        check.eq_graded(Hge, ev * HF)  # H(v)[F>=2] = E(-v) H(v)[F]
-        check.eq_graded(Epmge * HF, Hplain)  # E^+-(v)[F>=2] H(v)[F] = H(v)
-        check.eq_graded(Ege, hv * EF)  # E(v)[F>=2] = H(-v) E(v)[F]
-        check.eq_graded(Hpmge * EF, Eplain)  # H^+-(v)[F>=2] E(v)[F] = E(v)
-
-    return fn
-
-
-for _fam in ("lie", "lie2"):
-    _ENTRIES.append(
-        _Entry(
-            f"METAGE2-{_fam.upper()}",
-            "theorem",
-            f"degree >= 2 restriction identities for {_fam}, v-graded",
-            _metage2(_fam),
-        )
-    )
-
-
-@_register("HE-UNIT", "H(t) E(-t) = 1 plus the reciprocal-series lemmas on lie and lie2")
-def _he_unit(ctx, cap, check):
-    for n in range(1, cap + 1):
-        acc = linear_sum(((-1) ** ((n - k) % 2), h(k) * e(n - k)) for k in range(n + 1))
-        check.eq(n, acc, SymFunc.zero())
-    one = Series(cap, {0: SymFunc.one()})
-
-    # H[F] = G  <=>  E^+-[F] = 1/G  <=>  alternating e-sum = (G-1)/G
-    G = ctx.app("H", "lie").drop_grading()
-    Ginv = G.reciprocal()
-    Epm_lie = ctx.app("Epm", "lie")
-    for n in range(cap + 1):
-        check.eq(n, Epm_lie.coeff(n), Ginv.coeff(n), note="E^+-[lie] = 1/H[lie]")
-    alt_target = (G - one) * Ginv
-    appE = ctx.app("E", "lie")
-    for n in range(1, cap + 1):
-        check.eq(n, _alt_outer(appE, n), alt_target.coeff(n), note="(G-1)/G form")
-
-    # E[F] = K  <=>  H^+-[F] = 1/K  <=>  alternating h-sum = (K-1)/K
-    K = ctx.app("E", "lie2").drop_grading()
-    Kinv = K.reciprocal()
-    Hpm_lie2 = ctx.app("Hpm", "lie2")
-    for n in range(cap + 1):
-        check.eq(n, Hpm_lie2.coeff(n), Kinv.coeff(n), note="H^+-[lie2] = 1/E[lie2]")
-    alt_target2 = (K - one) * Kinv
-    appH = ctx.app("H", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, _alt_outer(appH, n), alt_target2.coeff(n), note="(K-1)/K form")
-
-    # sign-twist lemma: K[-p1] = omega(K)^+- and the induced equivalences
-    for fam, outer in (("lie", "H"), ("lie2", "E")):
-        K2 = ctx.app(outer, fam + "_alt").drop_grading()
-        omega_pm = K2.twist()
-        sub = plethysm(K2.total(), -p(1), cap)
-        for n in range(cap + 1):
-            check.eq(n, sub.homogeneous_part(n), omega_pm.coeff(n), note=f"{fam}: K[-p1]")
-        base = ctx.app(outer, fam).drop_grading()
-        prod = base * omega_pm
-        for n in range(cap + 1):
-            check.eq(n, prod.coeff(n), one.coeff(n), note=f"{fam}: {outer}[F] * omega(K)^+- = 1")
-
-
-@_register("HODGE-FILT", "the two split decompositions over lie and lie2 agree")
-def _hodge_filt(ctx, cap, check):
-    Hge = ctx.app("H", "lie_ge2")
-    Ege2 = ctx.app("E", "lie2_ge2")
-    for n in range(2, cap + 1):
-        mid = ctx.delta(n)
-        check.eq(n, Hge.coeff(n).omega(), mid, note="omega(h-sum over lie_(>=2))")
-        check.eq(n, Ege2.coeff(n), mid, note="e-sum over lie2_(>=2)")
-    Ege = ctx.app("E", "lie_ge2")
-    Hge2 = ctx.app("H", "lie2_ge2")
-    for n in range(2, cap + 1):
-        mid = ctx.omega_kappa().coeff(n)  # s_(2,1^(n-2))
-        check.eq(n, _alt_outer(Ege, n).omega(), mid, note="alternating omega(e-sum)")
-        check.eq(n, _alt_outer(Hge2, n), mid, note="alternating h-sum over lie2_(>=2)")
-
-
-# ---------------------------------------------------------------------------
-# Whitney-homology shaped identities
-
-
-@_register("LEHRER", "total graded invariant of the partition lattice is 2 h2 p1^(n-2)")
-def _lehrer(ctx, cap, check):
-    for n in range(2, cap + 1):
-        check.eq(n, _pieces_sum(ctx.whitney, n), (h(2) * _p1n(n - 2)).scale(2))
-
-
-@_register("EVENODD", "odd and even graded pieces agree over lie")
-def _evenodd(ctx, cap, check):
-    for n in range(2, cap + 1):
-        check.eq(n, _pieces_sum(ctx.whitney, n, 1, 2), _pieces_sum(ctx.whitney, n, 0, 2))
-
-
-@_register("HL-REG", "odd pieces plus sign-twisted even pieces give the regular rep")
-def _hl_reg(ctx, cap, check):
-    for n in range(2, cap + 1):
-        odd = _pieces_sum(ctx.whitney, n, 1, 2)
-        even = _pieces_sum(ctx.whitney, n, 0, 2)
-        check.eq(n, odd + even.omega(), _p1n(n))
-
-
-@_register("IND-CONF", "total invariant at n+1 is the induction of the one at n", min_cap=3)
-def _ind_conf(ctx, cap, check):
-    prev = _pieces_sum(ctx.whitney, 2)
-    for n in range(3, cap + 1):
-        cur = _pieces_sum(ctx.whitney, n)
-        check.eq(n, cur, p(1) * prev)
-        prev = cur
-
-
-@_register("LEHRER-LIE2", "total symmetric pieces of lie2 give the two-power classes")
-def _lehrer_lie2(ctx, cap, check):
-    for n in range(2, cap + 1):
-        check.eq(n, _pieces_sum(ctx.vh, n), p_sum_over(n, "parts_powers_of_two"))
-
-
-@_register("EVENODD-LIE2", "odd/even vh pieces agree and give half the two-power classes")
-def _evenodd_lie2(ctx, cap, check):
-    from fractions import Fraction
-
-    for n in range(2, cap + 1):
-        odd = _pieces_sum(ctx.vh, n, 1, 2)
-        check.eq(n, odd, _pieces_sum(ctx.vh, n, 0, 2))
-        half = p_sum_over(n, "parts_powers_of_two").scale(Fraction(1, 2))
-        check.eq(n, odd, half, note="half-sum form")
-
-
-@_register("HL-LIE2", "odd vh plus its sign twist: two-power classes of even corank")
-def _hl_lie2(ctx, cap, check):
-    for n in range(2, cap + 1):
-        odd = _pieces_sum(ctx.vh, n, 1, 2)
-        rhs = linear_sum(
-            (1, p(lam))
-            for lam in partitions_of(n, "parts_powers_of_two")
-            if (n - len(lam)) % 2 == 0
-        )
-        check.eq(n, odd + odd.omega(), rhs)
-
-
-@_register("IND-LIE2", "total vh at odd degree is the induction from one below", min_cap=3)
-def _ind_lie2(ctx, cap, check):
-    for n in range(3, cap + 1, 2):
-        check.eq(n, _pieces_sum(ctx.vh, n), p(1) * _pieces_sum(ctx.vh, n - 1))
-
-
-# ---------------------------------------------------------------------------
-# power-sum transfer identities
-
-
-@_register("CONJ-FROM-LIE", "conj = sum of p_k[lie]; lie = mobius-weighted inverse")
-def _conj_from_lie(ctx, cap, check):
-    S = ctx.conj_from("lie")
-    for n in range(1, cap + 1):
-        check.eq(n, S.coeff(n), ctx.family("conj").coeff(n))
-    pk = ctx.power_sums("conj")
-    back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1))
-    for n in range(1, cap + 1):
-        check.eq(n, back.homogeneous_part(n), ctx.family("lie").coeff(n), note="inverse direction")
-
-
-@_register("CONJ-FROM-LIE2", "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse")
-def _conj_from_lie2(ctx, cap, check):
-    S = ctx.conj_from("lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, S.coeff(n), ctx.family("conj").coeff(n))
-    pk = ctx.power_sums("conj")
-    back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1, 2))
-    for n in range(1, cap + 1):
-        check.eq(n, back.homogeneous_part(n), ctx.family("lie2").coeff(n), note="inverse direction")
-
-
-@_register("LIE2-FROM-LIE", "lie2 = sum of lie[p_(2^j)]; lie = lie2 - lie2[p_2]")
-def _lie2_from_lie(ctx, cap, check):
-    lie_tot = ctx.family("lie").total()
-    # the powers of two 2^j <= cap are the j below cap's bit length
-    fwd = linear_sum((1, plethysm(lie_tot, p(1 << j), cap)) for j in range(cap.bit_length()))
-    for n in range(1, cap + 1):
-        check.eq(n, fwd.homogeneous_part(n), ctx.family("lie2").coeff(n))
-    lie2_tot = ctx.family("lie2").total()
-    bwd = lie2_tot - plethysm(lie2_tot, p(2), cap)
-    for n in range(1, cap + 1):
-        check.eq(n, bwd.homogeneous_part(n), ctx.family("lie").coeff(n), note="inverse direction")
-
-
-# ---------------------------------------------------------------------------
-# restriction recurrences
-
-
-@_register("SIGMA-REC", "h-sum over lie2_(>=2) satisfies the sigma recurrence")
-def _sigma_rec(ctx, cap, check):
-    alpha = ctx.app("H", "lie2_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = alpha.coeff(n)
-        rhs = p(1) * prev + ctx.sigma(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs)
-        prev = cur
-    # lie analogue: the correction term is just e_n
-    alpha_lie = ctx.app("H", "lie_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = alpha_lie.coeff(n)
-        rhs = p(1) * prev + e(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs, note="lie side")
-        prev = cur
-
-
-@_register("TAU-REC", "e-sum over lie_(>=2) satisfies the tau recurrence")
-def _tau_rec(ctx, cap, check):
-    beta = ctx.app("E", "lie_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = beta.coeff(n)
-        rhs = p(1) * prev + ctx.tau(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs)
-        prev = cur
-    # lie2 analogue: the correction term is h_n (injective-words recurrence)
-    beta2 = ctx.app("E", "lie2_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = beta2.coeff(n)
-        rhs = p(1) * prev + h(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs, note="lie2 side")
-        prev = cur
-
-
-def _restrict_rec(fam: str):
-    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        for kind in ("H", "E"):
-            app = ctx.app(kind, fam)
-            for n in range(1, cap + 1):
-                for r in range(0, n + 1):
-                    lhs = app.graded(n, r).partial_p1()
-                    rhs = app.graded(n - 1, r - 1) if r >= 1 else SymFunc.zero()
-                    rhs = rhs + p(1) * app.graded(n - 1, r).partial_p1()
-                    check.eq(n, lhs, rhs, note=f"{kind} r={r}")
-            appg = ctx.app(kind, fam + "_ge2")
-            for n in range(2, cap + 1):
-                for r in range(1, n):
-                    lhs = appg.graded(n, r).partial_p1()
-                    inner = appg.graded(n - 1, r).partial_p1() + appg.graded(n - 2, r - 1)
-                    check.eq(n, lhs, p(1) * inner, note=f"{kind} ge2 r={r}")
-
-    return fn
-
-
-for _fam in ("lie", "lie2"):
-    _ENTRIES.append(
-        _Entry(
-            f"RESTRICT-REC-{_fam.upper()}",
-            "theorem",
-            f"restriction recurrences for symmetric/exterior pieces of {_fam}",
-            _restrict_rec(_fam),
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
-# closed forms and positivity
-
-
-@_register("U-CLOSED", "closed forms of the first four truncated alternating sums", min_cap=4)
-def _u_closed(ctx, cap, check):
-    from .symfunc import s as schur_s
-
-    def hh(k):
-        return h(k) if k >= 0 else SymFunc.zero()
-
-    s21 = schur_s((2, 1))
-    s211 = schur_s((2, 1, 1))
-    s22 = schur_s((2, 2))
-    s42 = schur_s((4, 2))
-    s222 = schur_s((2, 2, 2))
-    kappa = ctx.kappa()
-    for n in range(2, cap + 1):
-        row = ctx.u_row(n)
-        check.eq(n, row[0], h(n), note="k=0")
-        check.eq(n, row[1], h(2) * h(n - 2) - h(n), note="k=1")
-        if n >= 4:
-            # s_(n-1,1) is kappa_n; s_(n-2,2) = h_(n-2) h_2 - h_(n-1) h_1 (Jacobi-Trudi)
-            s_n1 = kappa.coeff(n)
-            s_n2 = h(n - 2) * h(2) - h(n - 1) * h(1)
-            rhs2 = hh(n - 3) * s21 - s_n1 - s_n2 + hh(n - 4) * (h(4) + s22)
-            check.eq(n, row[2], rhs2, note="k=2")
-            rhs3 = (
-                hh(n - 4) * s211
-                + s21 * (hh(n - 5) * h(2) - hh(n - 3))
-                + hh(n - 6) * (h(6) + s42 + s222)
-                + s_n1
-                + s_n2
-            )
-            check.eq(n, row[3], rhs3, note="k=3")
-
-
-@_register("BETA-POS", "truncated alternating whitney sums are Schur-positive")
-def _beta_pos(ctx, cap, check):
-    for n in range(2, cap + 1):
-        for k, res in enumerate(is_schur_positive_many(ctx.beta_row(n))):
-            if not res.positive:
-                check.fail(n, f"beta({n},{k}) negative at {res.witness_partition}: {res.witness_coeff}")
-                return
+# the conjecture tier
 
 
 @_register("U-POS", "truncated alternating vh sums are Schur-positive", tier="conjecture")
@@ -861,17 +153,27 @@ def _whitehouse(ctx, cap, check):
 # driver
 
 
-_BY_ID = {entry.id: entry for entry in _ENTRIES}
-
-
 def registry_ids(tier: str | None = None) -> list[str]:
-    return [entry.id for entry in _ENTRIES if tier is None or entry.tier == tier]
+    _load_theorems()
+    return [
+        entry.id
+        for t in TIERS
+        if tier in (None, t)
+        for entry in _ENTRIES.values()
+        if entry.tier == t
+    ]
+
+
+def _entry(id: str) -> _Entry:
+    if id not in _ENTRIES:
+        _load_theorems()
+    if id not in _ENTRIES:
+        raise KeyError(f"unknown identity id {id!r}")
+    return _ENTRIES[id]
 
 
 def verify_identity(id: str, cap: int, ctx: SeriesContext | None = None) -> IdentityReport:
-    entry = _BY_ID.get(id)
-    if entry is None:
-        raise KeyError(f"unknown identity id {id!r}")
+    entry = _entry(id)
     if cap < entry.min_cap:
         raise ValueError(f"{id} needs cap >= {entry.min_cap}")
     if ctx is None:
@@ -904,21 +206,19 @@ def verify_all(cap: int, ids: list[str] | None = None) -> list[IdentityReport]:
     "skip".
     """
     wanted = ids if ids is not None else registry_ids()
-    for id in wanted:
-        if id not in _BY_ID:
-            raise KeyError(f"unknown identity id {id!r}")
+    entries = [_entry(id) for id in wanted]
     if cap < 1:
         raise ValueError("cap must be >= 1")
     reports = {
-        id: IdentityReport(
-            id=id,
-            tier=_BY_ID[id].tier,
+        entry.id: IdentityReport(
+            id=entry.id,
+            tier=entry.tier,
             cap=cap,
             status="skip",
-            detail=(f"needs cap >= {_BY_ID[id].min_cap}",),
+            detail=(f"needs cap >= {entry.min_cap}",),
         )
-        for id in wanted
-        if cap < _BY_ID[id].min_cap
+        for entry in entries
+        if cap < entry.min_cap
     }
     ctx = SeriesContext(cap)
     for id in wanted:

@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from plethy.lie_family import ell, lie2, standard_tableaux, major_index, whitehouse_deficit
+from plethy.lie_family import ell, lie2, whitehouse_deficit
 from plethy.partitions import partitions_of
 from plethy.registry import registry_ids, verify_all, verify_identity
 from plethy.schur import is_schur_positive, to_schur
@@ -25,6 +25,7 @@ from plethy.series import SeriesContext
 from plethy.symfunc import SymFunc, p, plethysm
 from plethy.tables import table_data
 from series_oracle import delta_part, hodge_part
+from tableau_oracle import major_index, standard_tableaux
 
 ACCEPTANCE_LINES: list[str] = []
 

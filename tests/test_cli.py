@@ -309,12 +309,14 @@ def _positivity_one_at_a_time(fs):
 
 @pytest.mark.parametrize("entry", ["U-POS", "BETA-POS"])
 def test_batched_positivity_scan_reports_like_one_at_a_time(monkeypatch, capsys, entry):
-    from plethy import registry
+    from plethy import registry, theorems
 
+    # U-POS is a conjecture-tier scan in the registry, BETA-POS a theorem
+    home = registry if entry == "U-POS" else theorems
     inject_strip_sign_defect(monkeypatch)
     args = ["verify", "--id", entry, "--cap", "10", "--json"]
     batched = run_cli(args, capsys=capsys)[:2]
-    monkeypatch.setattr(registry, "is_schur_positive_many", _positivity_one_at_a_time)
+    monkeypatch.setattr(home, "is_schur_positive_many", _positivity_one_at_a_time)
     assert run_cli(args, capsys=capsys)[:2] == batched
     assert batched[0] == 1 and "NotVirtualCharacter" in batched[1]
 
@@ -469,6 +471,49 @@ def test_startup_imports_nothing_from_the_dataclasses_chain():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# the registry's ids in registry order: the theorem tier, then the two scans
+REGISTRY_IDS = (
+    "THRALL CADOGAN SOLOMON EXT-REG PLINV-E SYM-LIE2 ALT-E-LIE2 ALT-H-LIE ALT-H-LIE-PROD "
+    "EXT-LIE EXT-CONJ ALT-CONJ ACYC-LIE ACYC-LIE2 TOTALCOH-LIE TOTALCOH-LIE2 EQUIV-PBW-SYM "
+    "EQUIV-PBW-CADOGAN EQUIV-PBW-ALTEXT EQUIV-PBW-ALTEXT-GE2 EQUIV-PBW-COCHAIN "
+    "EQUIV-PBW-FILT-A EQUIV-PBW-FILT-B EQUIV-PBW-HODGE EQUIV-LIE2-EXT EQUIV-LIE2-PLINV "
+    "EQUIV-LIE2-GE2 EQUIV-LIE2-COCHAIN EQUIV-LIE2-FILT-A EQUIV-LIE2-FILT-B EQUIV-LIE2-HODGE "
+    "SU1-LOG META-PRODUCTS-MOBIUS META-PRODUCTS-TOTIENT META-PRODUCTS-TWOADIC METAGE2-LIE "
+    "METAGE2-LIE2 HE-UNIT HODGE-FILT LEHRER EVENODD HL-REG IND-CONF LEHRER-LIE2 EVENODD-LIE2 "
+    "HL-LIE2 IND-LIE2 CONJ-FROM-LIE CONJ-FROM-LIE2 LIE2-FROM-LIE SIGMA-REC TAU-REC "
+    "RESTRICT-REC-LIE RESTRICT-REC-LIE2 U-CLOSED BETA-POS U-POS WHITEHOUSE"
+).split()
+
+
+def test_scans_do_not_load_the_theorem_tier():
+    # conjecture runs only U-POS or WHITEHOUSE, so it never compiles the 56
+    # theorem entries; verify loads them
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from plethy.cli import main\n"
+        "from plethy.registry import registry_ids\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['conjecture', 'upos', '--max-n', '4']),\n"
+        "             main(['conjecture', 'whitehouse', '--max-n', '4'])]\n"
+        "    after_scans = 'plethy.theorems' in sys.modules\n"
+        "    codes.append(main(['verify', '--id', 'THRALL', '--cap', '4']))\n"
+        "print(json.dumps([codes, after_scans, 'plethy.theorems' in sys.modules, registry_ids()]))"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    codes, after_scans, after_verify, ids = json.loads(result.stdout)
+    assert codes == [0, 0, 0]
+    assert not after_scans
+    assert after_verify
+    assert ids == REGISTRY_IDS
 
 
 def test_console_entry_point():

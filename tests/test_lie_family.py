@@ -6,20 +6,17 @@ import pytest
 from plethy.lie_family import (
     Psi,
     conj,
-    descent_set,
     ell,
     f_from_psi,
     lie,
     lie2,
-    major_index,
     ramanujan_sum,
-    standard_tableaux,
-    syt_multiplicity,
     whitehouse_deficit,
 )
 from plethy.partitions import mobius, partitions_of, totient
 from plethy.schur import hook_dimension, is_schur_positive, to_schur
 from plethy.symfunc import SymFunc, e, h, mul_trunc, p, plethysm
+from tableau_oracle import descent_set, major_index, standard_tableaux, syt_multiplicity
 
 
 def test_f_from_psi_values():

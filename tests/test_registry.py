@@ -204,19 +204,24 @@ def test_u_closed_reads_one_u_row_per_degree(monkeypatch):
 def test_conj_from_entries_sum_the_cached_pieces(monkeypatch):
     # the inverse directions sum the p_k[conj] pieces that H[conj] cached:
     # no plethysm of their own at cap 8, 12 before
-    from plethy import registry
+    from plethy import theorems
 
-    ctx = SeriesContext(8)
-    ctx.app("H", "lie")
-    ctx.app("H", "conj")
     calls = []
-    real = registry.plethysm
+    real = theorems.plethysm
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(registry, "plethysm", counting)
+    monkeypatch.setattr(theorems, "plethysm", counting)
+    # positive control: the same patch sees the entries' plethysms when the
+    # pieces are not cached
+    assert verify_identity("LIE2-FROM-LIE", 8, SeriesContext(8)).passed
+    assert len(calls) > 0
+    calls.clear()
+    ctx = SeriesContext(8)
+    ctx.app("H", "lie")
+    ctx.app("H", "conj")
     for id in ("CONJ-FROM-LIE", "CONJ-FROM-LIE2"):
         assert verify_identity(id, 8, ctx).passed
     assert len(calls) == 0
