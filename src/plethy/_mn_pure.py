@@ -13,7 +13,7 @@ built from the longest ascending prefix of mu in _memo, so the rectangle
 every degree.  The one store rule: keyed_column stores the column of mu in
 place of the prefix it was built from, and nothing in between.  So a chain
 of reads that each extend the one before keeps one column, as the
-whitehouse scan does on (1^n), (d^m) and (1, d^m), and the walk in
+whitehouse scan does on each rectangle (d^m), and the walk in
 schur._expand, which adds strips to whole vectors, leaves no full table at
 a dense degree.  Stored columns are never changed, so a caller holding a
 dropped one still holds a valid column, and a dropped column is rebuilt

@@ -208,10 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="whitehouse checks that the lie2 lifting deficit p_1 Lie2_(n-1) - "
         "Lie2_n fails to be Schur-positive exactly at the powers of two n >= 4; upos checks "
         "that every truncated alternating sum u(n, k) is Schur-positive.  Each degree is "
-        "expanded in the Schur basis over its p-basis support.  The whitehouse deficit "
-        "touches only the rectangles (d^m) and (d^m,1), so that scan reads a few character "
-        "columns per degree, and the largest, (1^n), has p(n) entries.  The upos support is "
-        "every partition of n, and that scan grows with p(n).",
+        "expanded in the Schur basis.  The whitehouse scan carries each degree's Schur "
+        "numerators to the next, so p_1 Lie2_(n-1) is one box added to every shape of n-1, "
+        "and it reads only the rectangle columns (d^m) for d | n; it keeps one value per "
+        "partition of n, p(n) in all.  The upos scan expands each u(n, k) over its p-basis "
+        "support, every partition of n, and grows with p(n).",
     )
     c.add_argument("which", choices=("whitehouse", "upos"))
     c.add_argument("--max-n", type=positive_int, default=12)

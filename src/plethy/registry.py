@@ -7,7 +7,9 @@ conjecture-tier entries scan open positivity statements, so their reports
 are findings either way.
 
 This module holds the report type, the driver and the two conjecture-tier
-scans, U-POS and WHITEHOUSE.  The 56 theorem-tier entries live in
+scans: U-POS reads the u rows with is_schur_positive_many, and WHITEHOUSE
+reads the lie2 deficit with schur.deficit_positivity, which carries each
+degree's Schur numerators to the next.  The 56 theorem-tier entries live in
 plethy.theorems, which registers them when it is imported.  The registry
 imports it the first time registry_ids() runs or an id not registered yet
 is looked up, never at load, so a run of the two scans does not load
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .schur import is_schur_positive, is_schur_positive_many
+from .schur import deficit_positivity, is_schur_positive_many
 from .series import Series, SeriesContext
 from .symfunc import SymFunc
 
@@ -127,11 +129,10 @@ def _u_pos(ctx, cap, check):
 
 @_register("WHITEHOUSE", "lifting deficit positive exactly away from powers of two", tier="conjecture")
 def _whitehouse(ctx, cap, check):
-    from .lie_family import whitehouse_deficit
+    from .lie_family import Psi
     from .partitions import format_partition
 
-    for n in range(2, cap + 1):
-        res = is_schur_positive(whitehouse_deficit(n, "lie2"))
+    for n, res in enumerate(deficit_positivity(Psi.two_adic(), cap), 2):
         # n = 2 sits outside the pattern: the deficit there is e_2, a true
         # module, because the degree-1 family term still contains the trivial
         power = (n & (n - 1)) == 0 and n >= 4

@@ -13,7 +13,11 @@ guess: |chi^lam(mu)| <= isqrt(z_mu) by column orthogonality, which bounds
 every field.  Two readers take the sums: to_schur_many decodes and sorts
 every shape whose sum is nonzero, and is_schur_positive_many scans each
 field for its least value and decodes only the shapes that reach it.
-to_schur and is_schur_positive are their one-element batches.
+to_schur and is_schur_positive are their one-element batches.  A third
+reader, deficit_positivity, scans the whitehouse deficit p_1 f_(n-1) - f_n
+degree by degree without _expand: each shape carries its Schur numerators
+from one degree to the next, so p_1 f_(n-1) costs one 1-strip pass, and
+only the rectangle columns (d^m) are read.
 character() reads one entry of a column through the mask of lam.
 """
 
@@ -22,10 +26,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import factorial, isqrt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _mn_pure
-from .partitions import check_partition, conjugate, format_partition, z_of
+from .partitions import check_partition, conjugate, divisors, format_partition, z_of
 from .symfunc import SymFunc
 
 
@@ -262,6 +266,71 @@ def _positivity_many(fs: list[SymFunc]) -> Iterator[Positivity]:
                 ties.append(mask)
             if v % den:
                 bad.append((decode(mask), v))
+        if bad:
+            lam, v = max(bad)
+            raise NotVirtualCharacter(lam, Fraction(v, den))
+        yield Positivity(False, max(map(decode, ties)), low // den) if ties else Positivity(True)
+
+
+def deficit_positivity(psi: Callable[[int], int], max_n: int) -> Iterator[Positivity]:
+    """Yield the Positivity of p_1 f_(n-1) - f_n for n = 2 .. max_n, where
+    f_n = (1/n) sum_(d|n) psi(d) p_d^(n/d): the whitehouse deficit of psi.
+
+    With f^lam = chi^lam(1^n) and R_n = sum_(d|n, d>1) psi(d) chi(d^(n/d)),
+    the coefficient of s_lam is N_n[lam] / (n(n-1)), where
+
+        N_n[lam] = psi(1) f^lam + n Ind(R_(n-1))[lam] - (n-1) R_n[lam]
+
+    and Ind(g)[lam] = sum_(mu = lam - box) g[mu] is p_1 times g, the
+    branching rule (Macdonald I.7); it also gives f^lam = Ind(f)[lam].  So
+    each degree is one 1-strip pass over the last: every shape of n-1
+    carries f^mu + R_(n-1)[mu] 2^w in one int, and _add_strips(packed, 1)
+    gives f^lam + Ind(R_(n-1))[lam] 2^w for every lam of n.  w is the bit
+    length of isqrt(n!), and f^lam <= isqrt(n!) since sum_lam (f^lam)^2 =
+    n!, so the low field f^lam >= 0 never carries into the high one.  Only
+    the rectangles (d^m), d > 1, are read as columns.
+
+    One pass over the shapes of n then computes N_n, keeps the least value,
+    the shapes that reach it and those that n(n-1) does not divide, with
+    the rules of _positivity_many, and writes the shape's packed value for
+    degree n+1 back into the same dict.  It also sums f^lam N_n[lam], which
+    column orthogonality fixes at psi(1) n! (n(n-1) times the dimension
+    psi(1) (n-2)! of the deficit); any other sum raises ValueError.  The
+    ledger is checked before integrality, so a wrong character column is
+    reported as one.
+    """
+    psi1 = psi(1)
+    decode, column = _mn_pure.decode, _mn_pure.keyed_column
+    packed = {_mn_pure.encode((1,)): 1}  # degree 1: f^(1) = 1 and R_1 = 0
+    fact = 1
+    for n in range(2, max_n + 1):
+        fact *= n
+        w, w_next = isqrt(fact).bit_length(), isqrt(fact * (n + 1)).bit_length()
+        packed = _mn_pure._add_strips(packed, 1)
+        r_n: dict[int, int] = {}
+        for d in divisors(n)[1:]:
+            c = psi(d)
+            if c:
+                for mask, chi in column((d,) * (n // d)).items():
+                    r_n[mask] = r_n.get(mask, 0) + c * chi
+        den, low_field, get = n * (n - 1), (1 << w) - 1, r_n.get
+        low, ties, bad, ledger = -1, [], [], 0
+        for mask, v in packed.items():
+            f, r = v & low_field, get(mask, 0)
+            num = psi1 * f + n * (v >> w) - (n - 1) * r
+            ledger += f * num
+            if num <= low:
+                if num < low:
+                    low, ties = num, []
+                ties.append(mask)
+            if num % den:
+                bad.append((decode(mask), num))
+            packed[mask] = f + (r << w_next)
+        if ledger != psi1 * fact:
+            raise ValueError(
+                f"dimension ledger fails at n={n}: sum of f^lam N_n(lam) is {ledger}, "
+                f"not psi(1) n! = {psi1 * fact}"
+            )
         if bad:
             lam, v = max(bad)
             raise NotVirtualCharacter(lam, Fraction(v, den))

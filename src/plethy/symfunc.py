@@ -157,9 +157,6 @@ class SymFunc:
     def degrees(self) -> set[int]:
         return {sum(lam) for lam in self._num}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         """Degree of a nonzero homogeneous function."""
         degs = self.degrees()
@@ -242,17 +239,6 @@ class SymFunc:
                 # distinct lam give distinct lam[:-1], so nothing cancels
                 data[lam[:-1]] = m1 * v
         return _reduced(data, self._den)
-
-    def point_specialize(self, t: Scalar) -> Fraction:
-        """Substitute p_k -> t for every k, so p_lambda -> t^l(lambda).
-
-        Only defined per homogeneous degree; inhomogeneous input is rejected
-        rather than silently summed.
-        """
-        if not self.is_homogeneous():
-            raise ValueError("point_specialize needs homogeneous input")
-        t = _exact(t)
-        return sum((v * t ** len(lam) for lam, v in self._num.items()), Fraction(0)) / self._den
 
     def dimension(self) -> Fraction:
         """<f, p_1^n> for homogeneous f of degree n: the virtual dimension."""

@@ -18,7 +18,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from plethy.partitions import partitions_of, z_of
-from plethy.symfunc import SymFunc
+from plethy.symfunc import SymFunc, _exact
 
 # property checks here verify theorems, so replay adds nothing; keep runs
 # reproducible instead
@@ -207,6 +207,22 @@ def assert_canonical(f: SymFunc) -> None:
 
 def power_sum_at(k: int, xs: list[Fraction]) -> Fraction:
     return sum((x**k for x in xs), Fraction(0))
+
+
+def is_homogeneous(f: SymFunc) -> bool:
+    return len(f.degrees()) <= 1
+
+
+def point_specialize(f: SymFunc, t) -> Fraction:
+    """Substitute p_k -> t for every k, so p_lambda -> t^l(lambda).
+
+    Only defined per homogeneous degree; inhomogeneous input is rejected
+    rather than silently summed, and a float t is refused, not rounded.
+    """
+    if not is_homogeneous(f):
+        raise ValueError("point_specialize needs homogeneous input")
+    t = _exact(t)
+    return sum((c * t ** len(lam) for lam, c in f.items()), Fraction(0))
 
 
 def eval_at(f: SymFunc, xs: list[Fraction]) -> Fraction:

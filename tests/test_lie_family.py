@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from conftest import point_specialize
 from plethy.lie_family import (
     Psi,
     conj,
@@ -101,8 +102,8 @@ def test_ell_row_sum_is_the_regular_representation():
 def test_specialization_relations_metaf():
     weights = [Psi.mobius(), Psi.totient(), Psi.ramanujan(3), Psi.two_adic()]
     for psi in weights:
-        values = {n: f_from_psi(psi, n).point_specialize(1) for n in range(1, 21)}
-        neg = {n: f_from_psi(psi, n).point_specialize(-1) for n in range(1, 21)}
+        values = {n: point_specialize(f_from_psi(psi, n), 1) for n in range(1, 21)}
+        neg = {n: point_specialize(f_from_psi(psi, n), -1) for n in range(1, 21)}
         for m in range(0, 10):
             if 2 * m + 1 <= 20:
                 assert neg[2 * m + 1] == -values[2 * m + 1]

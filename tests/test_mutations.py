@@ -5,8 +5,10 @@ so the test does not depend on how the kernels are written.  verify_all(10)
 has to report at least one failure, and no exception may escape it (an
 entry that raises is itself a failure report).  A defect in the positivity
 reader must instead fail the test in test_schur that pins the behaviour it
-breaks: the witness tie-break or the integrality check.  A defect in the u
-rows must fail both an entry and the oracle test in test_series.
+breaks: the witness tie-break or the integrality check; so must one in the
+whitehouse deficit scan, and a strip-sign defect must fire that scan's
+dimension ledger.  A defect in the u rows must fail both an entry and the
+oracle test in test_series.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import plethy.cli as cli
 import plethy.lie_family as lie_family
 import plethy.schur as schur
 import plethy.series as series
@@ -237,6 +240,18 @@ def _positivity_reader(tie, integral=True):
     return read
 
 
+def _deficit_reader(tie, integral=True):
+    """deficit_positivity rebuilt on _positivity_reader: each degree's
+    deficit is built in the p basis and read with tie and integral."""
+    read = _positivity_reader(tie, integral)
+
+    def scan(psi, max_n):
+        for n in range(2, max_n + 1):
+            yield next(read([p(1) * lie_family.f_from_psi(psi, n - 1) - lie_family.f_from_psi(psi, n)]))
+
+    return scan
+
+
 def test_the_positivity_reader_stand_in_passes_when_sound(monkeypatch):
     monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(max))
     test_schur.test_positivity_witness()
@@ -254,3 +269,34 @@ def test_a_skipped_integrality_check_fails_the_batch_raise(monkeypatch):
     monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(max, integral=False))
     with pytest.raises(pytest.fail.Exception):
         test_schur.test_positivity_batch_reports_a_failure_before_a_later_raise()
+
+
+def test_the_deficit_reader_stand_in_passes_when_sound(monkeypatch):
+    monkeypatch.setattr(schur, "deficit_positivity", _deficit_reader(max))
+    test_schur.test_deficit_positivity_witness()
+    test_schur.test_deficit_positivity_refuses_a_non_integral_coefficient()
+
+
+def test_a_deficit_tie_break_toward_the_smaller_shape_fails_the_witness(monkeypatch):
+    monkeypatch.setattr(schur, "deficit_positivity", _deficit_reader(min))
+    with pytest.raises(AssertionError):
+        test_schur.test_deficit_positivity_witness()
+
+
+def test_a_skipped_deficit_integrality_check_fails_its_raise(monkeypatch):
+    monkeypatch.setattr(schur, "deficit_positivity", _deficit_reader(max, integral=False))
+    with pytest.raises(pytest.fail.Exception):
+        test_schur.test_deficit_positivity_refuses_a_non_integral_coefficient()
+
+
+def test_a_strip_sign_defect_fails_the_deficit_ledger(monkeypatch, capsys):
+    # the sign of the 4-strips onto two-row shapes breaks chi(4), so the
+    # ledger sum over f^lam N_4(lam) is no longer 4!
+    inject_strip_sign_defect(monkeypatch)
+    with pytest.raises(ValueError, match="dimension ledger fails at n=4:") as exc:
+        list(schur.deficit_positivity(lie_family.Psi.two_adic(), 8))
+    assert not isinstance(exc.value, schur.NotVirtualCharacter)
+    assert cli.main(["conjecture", "whitehouse", "--max-n", "8"]) == 1
+    out = capsys.readouterr().out
+    assert "raised ValueError: dimension ledger fails at n=4:" in out
+    assert out.endswith("FAIL  WHITEHOUSE scanned to n = 8\n")

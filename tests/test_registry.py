@@ -202,26 +202,25 @@ def test_u_closed_reads_one_u_row_per_degree(monkeypatch):
 
 
 def test_conj_from_entries_sum_the_cached_pieces(monkeypatch):
-    # the inverse directions sum the p_k[conj] pieces that H[conj] cached:
-    # no plethysm of their own at cap 8, 12 before
-    from plethy import theorems
+    # the entries read p_k[lie], p_k[lie2] and p_k[conj] through
+    # ctx.power_sums, which computes them by series.plethysm once per context
+    from plethy import series
 
     calls = []
-    real = theorems.plethysm
+    real = series.plethysm
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(theorems, "plethysm", counting)
-    # positive control: the same patch sees the entries' plethysms when the
-    # pieces are not cached
-    assert verify_identity("LIE2-FROM-LIE", 8, SeriesContext(8)).passed
+    monkeypatch.setattr(series, "plethysm", counting)
+    # positive control: a cold context computes the pieces
+    assert verify_identity("CONJ-FROM-LIE", 8, SeriesContext(8)).passed
     assert len(calls) > 0
-    calls.clear()
     ctx = SeriesContext(8)
-    ctx.app("H", "lie")
-    ctx.app("H", "conj")
+    for name in ("lie", "lie2", "conj"):
+        ctx.power_sums(name)
+    calls.clear()
     for id in ("CONJ-FROM-LIE", "CONJ-FROM-LIE2"):
         assert verify_identity(id, 8, ctx).passed
     assert len(calls) == 0

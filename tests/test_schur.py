@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import cycle_type, ref_positivity, ref_to_schur
 from mn_oracle import mn_character as oracle_character
 from mn_oracle import mn_table as oracle_table
-from plethy import _mn_pure
+from plethy import _mn_pure, schur
+from plethy.lie_family import Psi, f_from_psi, whitehouse_deficit
 from plethy.partitions import partitions_of, z_of
 from plethy.schur import (
     NotVirtualCharacter,
@@ -461,6 +462,47 @@ def test_positivity_reader_matches_the_reference_on_the_deficits(family):
     for n in range(2, 37):
         f = whitehouse_deficit(n, family)
         assert is_schur_positive(f) == ref_positivity(f), n
+
+
+# -- the deficit scan --------------------------------------------------------------
+# these call schur.deficit_positivity through the module, so that the stand-ins
+# of test_mutations, set on the module, are what runs
+
+
+@pytest.mark.parametrize(
+    "psi, family", [(Psi.two_adic(), "lie2"), (Psi.mobius(), "lie")], ids=["two_adic", "mobius"]
+)
+def test_deficit_positivity_matches_the_expansion(psi, family):
+    want = [is_schur_positive(whitehouse_deficit(n, family)) for n in range(2, 37)]
+    assert list(schur.deficit_positivity(psi, 36)) == want
+
+
+def test_deficit_positivity_witness():
+    # at n = 8 the lie2 deficit is -1 at (8,), (4,4) and (2,2,2,2)
+    *_, at_8 = schur.deficit_positivity(Psi.two_adic(), 8)
+    assert at_8 == Positivity(False, (8,), -1)
+
+
+def test_deficit_positivity_refuses_a_non_integral_coefficient():
+    # psi = 1 makes f_3 = (p_1^3 + p_3)/3, which is not a virtual character
+    one = Psi("one", lambda d: 1)
+    scan = schur.deficit_positivity(one, 3)
+    assert next(scan) == is_schur_positive(p(1) * f_from_psi(one, 1) - f_from_psi(one, 2))
+    with pytest.raises(NotVirtualCharacter) as want:
+        is_schur_positive(p(1) * f_from_psi(one, 2) - f_from_psi(one, 3))
+    with pytest.raises(NotVirtualCharacter) as got:
+        next(scan)
+    assert (got.value.partition, got.value.coeff) == (want.value.partition, want.value.coeff)
+
+
+def test_deficit_scan_reads_only_rectangle_columns(monkeypatch):
+    # p_1 f_(n-1) comes from the last degree's numerators, so no (1^n) or
+    # (1, d^m) column is built
+    monkeypatch.setattr(_mn_pure, "_memo", {})
+    list(schur.deficit_positivity(Psi.two_adic(), 24))
+    assert _mn_pure._memo
+    for key in _mn_pure._memo:
+        assert key[0] > 1 and set(key) == {key[0]}, key
 
 
 # -- the trie walk ----------------------------------------------------------------

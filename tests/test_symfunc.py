@@ -14,7 +14,9 @@ from conftest import (
     brute_s,
     count_derangements,
     eval_at,
+    is_homogeneous,
     patch_everywhere,
+    point_specialize,
     ref_add,
     ref_hall_inner,
     ref_mul,
@@ -238,11 +240,11 @@ def test_hall_inner_values():
 
 
 def test_point_specialize():
-    assert h(3).point_specialize(1) == 1
+    assert point_specialize(h(3), 1) == 1
     f = p((2, 1)).scale(3)
-    assert f.point_specialize(Fraction(1, 2)) == Fraction(3, 4)
+    assert point_specialize(f, Fraction(1, 2)) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        (h(1) + h(2)).point_specialize(1)
+        point_specialize(h(1) + h(2), 1)
 
 
 @settings(max_examples=30)
@@ -254,7 +256,7 @@ def test_point_specialize_multiplicative(f, g):
     if not f or not g:
         return
     t = Fraction(2, 3)
-    assert (f * g).point_specialize(t) == f.point_specialize(t) * g.point_specialize(t)
+    assert point_specialize(f * g, t) == point_specialize(f, t) * point_specialize(g, t)
 
 
 def test_partial_p1():
@@ -288,7 +290,7 @@ def test_dimension():
 def test_degree_utilities():
     f = h(2) + p(3)
     assert f.degrees() == {2, 3}
-    assert not f.is_homogeneous()
+    assert not is_homogeneous(f)
     assert f.homogeneous_part(2) == h(2)
     assert truncate(f, 2) == h(2)
     with pytest.raises(ValueError):
@@ -501,7 +503,7 @@ def test_floats_are_refused():
     with pytest.raises(TypeError):
         p(1).scale(0.1)
     with pytest.raises(TypeError):
-        p(1).point_specialize(0.5)
+        point_specialize(p(1), 0.5)
     with pytest.raises(ValueError):
         SymFunc.from_dict({"basis": "p", "terms": [{"partition": [1], "coeff": 0.1}]})
 
