@@ -29,13 +29,7 @@ __all__ = [
     "exponent_str",
 ]
 
-FILTERS = (
-    "all",
-    "distinct_parts",
-    "parts_powers_of_two",
-    "no_part_equal_1",
-    "powers_of_two_and_no_1",
-)
+FILTERS = ("all", "parts_powers_of_two", "powers_of_two_and_no_1")
 
 
 def is_partition(lam) -> bool:
@@ -63,12 +57,8 @@ def _is_power_of_two(k: int) -> bool:
 def _passes(lam: tuple, which: str) -> bool:
     if which == "all":
         return True
-    if which == "distinct_parts":
-        return len(set(lam)) == len(lam)
     if which == "parts_powers_of_two":
         return all(_is_power_of_two(part) for part in lam)
-    if which == "no_part_equal_1":
-        return 1 not in lam
     if which == "powers_of_two_and_no_1":
         return 1 not in lam and all(_is_power_of_two(part) for part in lam)
     raise ValueError(f"unknown partition filter {which!r}")

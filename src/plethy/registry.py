@@ -76,11 +76,8 @@ class _Check:
             if note:
                 self.notes.append(f"mismatch at degree {degree}: {note}")
 
-    def eq_graded(self, A: Series, B: Series, nmin: int = 0) -> None:
-        keys = sorted(set(A.graded_keys()) | set(B.graded_keys()))
-        for n, r in keys:
-            if n < nmin:
-                continue
+    def eq_graded(self, A: Series, B: Series) -> None:
+        for n, r in sorted(set(A.graded_keys()) | set(B.graded_keys())):
             self.eq(n, A.graded(n, r), B.graded(n, r), note=f"length slot r={r}")
 
     def fail(self, degree: int, note: str) -> None:

@@ -1,12 +1,15 @@
 """Truncated plethystic series and the derived module constructions.
 
-A Series is one store of homogeneous SymFuncs in (n, r) slots, 0 <= n <= cap.
-When it came out of an outer-power operator or a product formula, r is the
-outer length (the v-marker): slot (n, r) is the piece of degree n sitting
-under v^r.  Otherwise it is ungraded and keeps degree n in slot (n, 0).
-The degree-n part is the sum of the slots (n, r), derived on first read.
-Every operation takes the cap from its inputs and never reads beyond it;
-nothing truncates silently.
+A Series is one map from (n, r) slots, 0 <= n <= cap, to homogeneous
+SymFuncs: slot (n, r) is the piece of degree n under v^r.  For a series out
+of an outer-power operator or a product formula, r is the outer length (the
+v-marker); a series built from degree parts keeps degree n in slot (n, 0).
+Each operation has one rule over the slots: a sum adds them slot by slot,
+and a product multiplies length columns, so (n1, r1) times (n2, r2) lands in
+(n1 + n2, r1 + r2).  drop_grading is the one collapse of a series to its
+(n, 0) slots.  The degree-n part is the sum of the slots (n, r), derived on
+first read.  Every operation takes the cap from its inputs and never reads
+beyond it; a slot above the cap is refused, so nothing truncates silently.
 
 Products stay in the keyed form of symfunc (Keyed, mul_sum): the Newton
 recursion keeps every x_r[F] keyed from one step to the next, bracket_sum
@@ -58,15 +61,15 @@ __all__ = [
 
 
 class Series:
-    """Degree-capped series of homogeneous symmetric functions, kept in slots.
+    """Degree-capped series of homogeneous symmetric functions in (n, r) slots.
 
-    Slot (n, r) is the piece of degree n under v^r.  A series built from
-    degree parts carries no length grading: it keeps degree n in slot (n, 0),
-    and graded() refuses it.  The degree parts of any series are the sums of
-    its slots, each built once, on first read.
+    Series(cap, parts) puts the degree-n part at slot (n, 0), and
+    Series(cap, graded=slots) fills the slots directly.  A slot whose degree
+    is outside 0..cap is refused.  The degree parts are the sums of the
+    slots, each built once, on first read.
     """
 
-    __slots__ = ("cap", "_slots", "_graded", "_parts")
+    __slots__ = ("cap", "_slots", "_parts")
 
     def __init__(
         self,
@@ -76,23 +79,15 @@ class Series:
     ):
         if parts is not None and graded is not None:
             raise ValueError("a Series takes degree parts or graded slots, not both")
-        self.cap = cap
-        self._graded = graded is not None
         if graded is None:
             items = parts.items() if isinstance(parts, dict) else enumerate(parts or ())
             graded = {(n, 0): f for n, f in items}
-        self._slots = {key: f for key, f in graded.items() if f and key[0] <= cap}
+        for n, r in graded:
+            if not 0 <= n <= cap:
+                raise ValueError(f"slot ({n}, {r}) outside degrees 0..{cap}")
+        self.cap = cap
+        self._slots = {key: f for key, f in graded.items() if f}
         self._parts: list[SymFunc] | None = None
-
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_function(cls, cap: int, fn: Callable[[int], SymFunc]) -> "Series":
-        return cls(cap, {n: fn(n) for n in range(1, cap + 1)})
-
-    @classmethod
-    def from_symfunc(cls, f: SymFunc, cap: int) -> "Series":
-        return cls(cap, f.homogeneous_parts())
 
     # -- access ----------------------------------------------------------
 
@@ -110,14 +105,12 @@ class Series:
         return self._degree_parts()[n]
 
     def graded(self, n: int, r: int) -> SymFunc:
-        if not self._graded:
-            raise ValueError("series carries no length grading")
         if not 0 <= n <= self.cap:
             raise IndexError(f"degree {n} outside cap {self.cap}")
         return self._slots.get((n, r), SymFunc.zero())
 
     def graded_keys(self) -> list[tuple[int, int]]:
-        return sorted(self._slots) if self._graded else []
+        return sorted(self._slots)
 
     def total(self) -> SymFunc:
         return linear_sum((1, f) for f in self._slots.values())
@@ -128,32 +121,23 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.cap, self._graded, self._slots) == (other.cap, other._graded, other._slots)
+        return (self.cap, self._slots) == (other.cap, other._slots)
 
     __hash__ = None
 
     # -- arithmetic --------------------------------------------------------
 
-    def _with_slots(self, slots: dict[tuple[int, int], SymFunc], graded: bool) -> "Series":
-        if graded:
-            return Series(self.cap, graded=slots)
-        return Series(self.cap, {n: f for (n, _), f in slots.items()})
-
     def _map_slots(self, fn: Callable[[int, int, SymFunc], SymFunc]) -> "Series":
         """fn(n, r, f) in every slot; fn must send 0 to 0, as empty slots are skipped."""
-        return self._with_slots(
-            {(n, r): fn(n, r, f) for (n, r), f in self._slots.items()}, self._graded
-        )
+        return Series(self.cap, graded={(n, r): fn(n, r, f) for (n, r), f in self._slots.items()})
 
     def _binary(self, other: "Series", op) -> "Series":
         if self.cap != other.cap:
             raise ValueError("cap mismatch")
-        graded = self._graded and other._graded
-        a, b = (self, other) if graded else (self.drop_grading(), other.drop_grading())
-        slots = dict(a._slots)
-        for key, f in b._slots.items():
+        slots = dict(self._slots)
+        for key, f in other._slots.items():
             slots[key] = op(slots.get(key, SymFunc.zero()), f)
-        return self._with_slots(slots, graded)
+        return Series(self.cap, graded=slots)
 
     def __add__(self, other: "Series") -> "Series":
         return self._binary(other, lambda a, b: a + b)
@@ -165,29 +149,28 @@ class Series:
         return self._map_slots(lambda n, r, f: f.scale(c))
 
     def __mul__(self, other: "Series") -> "Series":
-        """The truncated product, graded when both sides are.
+        """The truncated product: slot (n1, r1) times slot (n2, r2) lands in
+        (n1 + n2, r1 + r2).
 
         The slots of each length r are summed into one keyed column, so each
         column is encoded once and output length r is one mul_sum over the
-        column pairs.  When either side is ungraded, each side is one r = 0
-        column, its total, and so is the product.
+        column pairs.  Two series of degree parts are one r = 0 column each.
         """
         if not isinstance(other, Series):
             return NotImplemented
         if self.cap != other.cap:
             raise ValueError("cap mismatch")
         cap = self.cap
-        graded = self._graded and other._graded
         pairs: dict[int, list[tuple[Keyed, Keyed]]] = {}
-        columns = _keyed_columns(other, graded)
-        for r1, x in _keyed_columns(self, graded).items():
+        columns = _keyed_columns(other)
+        for r1, x in _keyed_columns(self).items():
             for r2, y in columns.items():
                 pairs.setdefault(r1 + r2, []).append((x, y))
         slots = {(n, r): f for r, rp in pairs.items() for n, f in mul_sum(rp, cap).parts().items()}
-        return self._with_slots(slots, graded)
+        return Series(cap, graded=slots)
 
     def reciprocal(self) -> "Series":
-        """1/self for a series with constant term 1; result is ungraded."""
+        """1/self for a series with constant term 1, in (n, 0) slots."""
         parts = self._degree_parts()
         if parts[0] != SymFunc.one():
             raise ValueError("reciprocal needs constant term 1")
@@ -202,22 +185,17 @@ class Series:
         """fn slot by slot, for a linear fn."""
         return self._map_slots(lambda n, r, f: fn(f))
 
-    def map_by_degree(self, fn: Callable[[int, SymFunc], SymFunc]) -> "Series":
-        """fn(n, f) on every slot f of degree n, for fn linear in f."""
-        return self._map_slots(lambda n, r, f: fn(n, f))
-
     def twist(self) -> "Series":
         """The ring map p_m -> -p_m, slot by slot: it sends a degree-n piece
         f to (-1)^n omega(f) (Macdonald, Symmetric Functions, I.2)."""
-        return self.map_by_degree(lambda n, f: -f.omega() if n % 2 else f.omega())
+        return self._map_slots(lambda n, r, f: -f.omega() if n % 2 else f.omega())
 
 
-def _keyed_columns(S: Series, graded: bool) -> dict[int, Keyed]:
-    """{r: the sum over n of slot (n, r)}, keyed for the cap; one r = 0
-    column, the total, when graded is false."""
+def _keyed_columns(S: Series) -> dict[int, Keyed]:
+    """{r: the sum over n of slot (n, r)}, keyed for the cap."""
     columns: dict[int, list[tuple[int, SymFunc]]] = {}
     for (_, r), f in S._slots.items():
-        columns.setdefault(r if graded else 0, []).append((1, f))
+        columns.setdefault(r, []).append((1, f))
     return {r: Keyed.encode(linear_sum(fs), S.cap) for r, fs in columns.items()}
 
 
@@ -304,7 +282,7 @@ def bracket_sum(kind: str, Q: Series) -> Series:
 def series_plethysm(F: Series, G: Series) -> Series:
     """F composed with G, degree by degree, up to the smaller cap."""
     cap = min(F.cap, G.cap)
-    return Series.from_symfunc(plethysm(F.total(), G.total(), cap), cap)
+    return Series(cap, plethysm(F.total(), G.total(), cap).homogeneous_parts())
 
 
 def plethystic_inverse(G: Series) -> Series:
@@ -497,8 +475,13 @@ class SeriesContext:
             return self._get(name, lambda: restrict_ge2(self.family(name[:-4])))
         if name not in ("lie", "lie2", "conj"):
             raise KeyError(name)
-        # the builder is looked up at call time, so a rebound one is used
-        return self._get(name, lambda: Series.from_function(self.cap, getattr(lie_family, name)))
+
+        def build():
+            # the builder is looked up at call time, so a rebound one is used
+            fn = getattr(lie_family, name)
+            return Series(self.cap, {n: fn(n) for n in range(1, self.cap + 1)})
+
+        return self._get(name, build)
 
     def app(self, kind: str, name: str) -> Series:
         """Cached H, E, Hpm or Epm of the named family; the signed kinds
@@ -674,6 +657,6 @@ class SeriesContext:
                 pieces = self.power_sums("lie2")[::2]  # the odd k
             else:
                 raise ValueError("family must be 'lie' or 'lie2'")
-            return Series.from_symfunc(linear_sum((1, f) for f in pieces), self.cap)
+            return Series(self.cap, linear_sum((1, f) for f in pieces).homogeneous_parts())
 
         return self._get(("conj_from", family), build)

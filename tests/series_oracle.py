@@ -147,7 +147,7 @@ def plethystic_inverse(G: Series, cap: int | None = None) -> Series:
         # resid = F_n[c * p_1], which scales p_lam by c^l(lam); undo that
         fn = SymFunc({lam: v / c ** len(lam) for lam, v in resid.items()})
         acc = acc + fn
-    return Series.from_symfunc(acc, cap)
+    return Series(cap, acc.homogeneous_parts())
 
 
 def outer_powers(base: str, F: Series, cap: int) -> list[SymFunc]:
@@ -203,22 +203,16 @@ def bracket_sum(kind: str, Q: Series, sign=None) -> Series:
 
 
 def series_mul(A: Series, B: Series) -> Series:
-    """A * B slot by slot; graded when both sides are."""
+    """A * B slot by slot: (n1, r1) times (n2, r2) lands in (n1 + n2, r1 + r2)."""
     cap = A.cap
-    if A.graded_keys() and B.graded_keys():
-        graded = {}
-        for n1, r1 in A.graded_keys():
-            for n2, r2 in B.graded_keys():
-                if n1 + n2 <= cap:
-                    key = (n1 + n2, r1 + r2)
-                    prod = A.graded(n1, r1) * B.graded(n2, r2)
-                    graded[key] = graded.get(key, SymFunc.zero()) + prod
-        return Series(cap, graded=graded)
-    parts: dict[int, SymFunc] = {}
-    for n1 in range(cap + 1):
-        for n2 in range(cap - n1 + 1):
-            parts[n1 + n2] = parts.get(n1 + n2, SymFunc.zero()) + A.coeff(n1) * B.coeff(n2)
-    return Series(cap, parts)
+    graded: dict[tuple[int, int], SymFunc] = {}
+    for n1, r1 in A.graded_keys():
+        for n2, r2 in B.graded_keys():
+            if n1 + n2 <= cap:
+                key = (n1 + n2, r1 + r2)
+                prod = A.graded(n1, r1) * B.graded(n2, r2)
+                graded[key] = graded.get(key, SymFunc.zero()) + prod
+    return Series(cap, graded=graded)
 
 
 def reciprocal(A: Series) -> Series:
@@ -288,4 +282,4 @@ def hodge_part(ctx, n: int, k: int) -> SymFunc:
 
 def psi_family(ctx, psi) -> Series:
     """The series of f_from_psi(psi, n), 1 <= n <= ctx.cap."""
-    return Series.from_function(ctx.cap, lambda n: f_from_psi(psi, n))
+    return Series(ctx.cap, {n: f_from_psi(psi, n) for n in range(1, ctx.cap + 1)})

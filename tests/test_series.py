@@ -201,8 +201,8 @@ def _signed(lam):
 def _same_series(got: Series, want: Series, label) -> None:
     """Every graded slot and every part equal, each result in lowest terms.
 
-    The parts of a graded want are summed here from its slots, one + at a
-    time, not read from want.coeff, which Series derives itself.
+    The parts of want are summed here from its slots, one + at a time, not
+    read from want.coeff, which Series derives itself.
     """
     keys = want.graded_keys()
     assert got.graded_keys() == keys, label
@@ -210,13 +210,10 @@ def _same_series(got: Series, want: Series, label) -> None:
         assert_canonical(got.graded(*key))
         assert got.graded(*key) == want.graded(*key), (label, key)
     for n in range(want.cap + 1):
-        if keys:
-            part = SymFunc.zero()
-            for d, r in keys:
-                if d == n:
-                    part = part + want.graded(d, r)
-        else:
-            part = want.coeff(n)
+        part = SymFunc.zero()
+        for d, r in keys:
+            if d == n:
+                part = part + want.graded(d, r)
         assert_canonical(got.coeff(n))
         assert got.coeff(n) == part, (label, n)
 
@@ -479,3 +476,29 @@ def test_graded_series_compare_by_slots():
 def test_series_takes_one_store():
     with pytest.raises(ValueError, match="not both"):
         Series(4, {2: h(2)}, {(2, 1): h(2)})
+
+
+def test_degree_parts_sit_in_length_zero_slots():
+    S = Series(4, {2: h(2)})
+    assert S.graded(2, 0) == h(2)
+    assert S.graded_keys() == [(2, 0)]
+    assert S == Series(4, graded={(2, 0): h(2)})
+
+
+def test_sum_of_graded_and_degree_parts_is_slot_by_slot(ctx8):
+    H = ctx8.app("H", "lie")
+    kappa = ctx8.kappa()
+    S = H + kappa
+    assert S.graded_keys() == sorted(set(H.graded_keys()) | set(kappa.graded_keys()))
+    for n, r in S.graded_keys():
+        assert S.graded(n, r) == H.graded(n, r) + kappa.graded(n, r), (n, r)
+    for n in range(9):
+        assert S.graded(n, 0) == H.graded(n, 0) + kappa.coeff(n)
+        assert S.coeff(n) == H.coeff(n) + kappa.coeff(n)
+
+
+def test_slot_above_the_cap_is_refused():
+    with pytest.raises(ValueError, match="outside degrees"):
+        Series(4, {5: h(5)})
+    with pytest.raises(ValueError, match="outside degrees"):
+        Series(4, graded={(5, 1): h(5)})
