@@ -14,7 +14,7 @@ import sys
 
 from . import lie_family
 from .registry import registry_ids, verify_all
-from .schur import to_schur
+from .schur import SchurExpansion, to_schur
 from .series import SeriesContext
 from .symfunc import SymFunc
 from .tables import TABLE_NUMBERS, render_table, table_json
@@ -45,6 +45,11 @@ def _dump(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
+def _schur_payload(f: SymFunc, degree: int) -> dict:
+    """f's Schur-basis wire payload; zero is the empty expansion of degree."""
+    return to_schur(f).to_dict() if f else SchurExpansion(degree, ()).to_dict()
+
+
 def _cmd_compute(args) -> int:
     nargs, builder = _OBJECTS[args.object]  # argparse's choices reject an unknown name
     params = [args.n] + list(args.extra)
@@ -66,13 +71,7 @@ def _cmd_compute(args) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.basis == "s":
-        if not value:
-            _dump({"basis": "s", "degree": args.n, "terms": []})
-            return 0
-        _dump(to_schur(value).to_dict())
-    else:
-        _dump(value.to_dict())
+    _dump(_schur_payload(value, args.n) if args.basis == "s" else value.to_dict())
     return 0
 
 
@@ -84,14 +83,11 @@ def _cmd_schur(args) -> int:
         else:
             raw = sys.stdin.read()
         f = SymFunc.from_dict(json.loads(raw))
-        if not f:
-            _dump({"basis": "s", "degree": 0, "terms": []})
-            return 0
-        degree = max(f.degrees())
+        degree = max(f.degrees(), default=0)
         if degree > MAX_SCHUR_DEGREE:
             raise ValueError(f"degree {degree} is above the limit of {MAX_SCHUR_DEGREE}")
         # to_dict inside the try: a coefficient past the int-to-str digit limit raises here
-        expansion = to_schur(f).to_dict()
+        expansion = _schur_payload(f, degree)
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2

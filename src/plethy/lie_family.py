@@ -71,10 +71,6 @@ class Psi(NamedTuple):
         return cls("totient", totient)
 
     @classmethod
-    def ramanujan(cls, r: int) -> "Psi":
-        return cls(f"ramanujan({r})", lambda d: ramanujan_sum(d, r))
-
-    @classmethod
     def two_adic(cls) -> "Psi":
         # phi on the 2-part times mu on the odd part; this is what
         # ramanujan_sum(d, two_adic_part(n)) collapses to for every d | n,

@@ -9,23 +9,19 @@ n = 4: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 __all__ = [
     "is_partition",
     "check_partition",
     "partitions_of",
-    "npartitions",
     "multiplicities",
     "z_of",
     "conjugate",
     "mobius",
     "totient",
     "divisors",
-    "gcd",
     "two_adic_part",
     "format_partition",
-    "parse_partition",
     "exponent_str",
 ]
 
@@ -95,10 +91,6 @@ def partitions_of(n: int, filter: str = "all") -> tuple[tuple[int, ...], ...]:
     if filter not in FILTERS:
         raise ValueError(f"unknown partition filter {filter!r}")
     return tuple(lam for lam in _gen_partitions(n) if _passes(lam, filter))
-
-
-def npartitions(n: int) -> int:
-    return len(partitions_of(n))
 
 
 def multiplicities(lam: tuple) -> dict[int, int]:
@@ -190,16 +182,6 @@ def two_adic_part(n: int) -> int:
 def format_partition(lam: tuple) -> str:
     """Wire form: comma-separated parts in brackets, e.g. [2,1,1]."""
     return "[" + ",".join(str(part) for part in lam) + "]"
-
-
-def parse_partition(text: str) -> tuple:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"bad partition literal {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return ()
-    return check_partition(tuple(int(tok) for tok in body.split(",")))
 
 
 def exponent_str(lam: tuple) -> str:

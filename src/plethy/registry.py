@@ -7,20 +7,23 @@ conjecture-tier entries scan open positivity statements, so their reports
 are findings either way.
 
 This module holds the report type, the driver and the two conjecture-tier
-scans: U-POS reads the u rows with is_schur_positive_many, and WHITEHOUSE
-reads the lie2 deficit with schur.deficit_positivity, which carries each
-degree's Schur numerators to the next.  The 56 theorem-tier entries live in
-plethy.theorems, which registers them when it is imported.  The registry
-imports it the first time registry_ids() runs or an id not registered yet
-is looked up, never at load, so a run of the two scans does not load
-them.  Registry order is the theorems in their module's order, then the
-conjectures.
+scans.  U-POS reads the u rows through _rows_positive, the one positivity
+loop over is_schur_positive_many, which the theorem BETA-POS shares for the
+beta rows.  WHITEHOUSE reads the lie2 deficit with schur.deficit_positivity,
+which carries each degree's Schur numerators to the next.  The 56
+theorem-tier entries live in plethy.theorems, which registers them when it
+is imported.  The registry imports it the first time registry_ids() runs or
+an id not registered yet is looked up, never at load, so a run of the two
+scans does not load them.  Registry order is the theorems in their
+module's order, then the conjectures.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from .lie_family import Psi
+from .partitions import format_partition
 from .schur import deficit_positivity, is_schur_positive_many
 from .series import Series, SeriesContext
 from .symfunc import SymFunc
@@ -114,21 +117,26 @@ def _load_theorems() -> None:
 # the conjecture tier
 
 
+def _rows_positive(check: _Check, name: str, row: Callable, cap: int) -> bool:
+    """Scan name(n, k) = row(n)[k] for 2 <= n <= cap; the first function that
+    is not Schur-positive fails check, and the scan says whether none did."""
+    for n in range(2, cap + 1):
+        for k, res in enumerate(is_schur_positive_many(row(n))):
+            if not res.positive:
+                where = f"{res.witness_partition}: {res.witness_coeff}"
+                check.fail(n, f"{name}({n},{k}) negative at {where}")
+                return False
+    return True
+
+
 @_register("U-POS", "truncated alternating vh sums are Schur-positive", tier="conjecture")
 def _u_pos(ctx, cap, check):
-    for n in range(2, cap + 1):
-        for k, res in enumerate(is_schur_positive_many(ctx.u_row(n))):
-            if not res.positive:
-                check.fail(n, f"u({n},{k}) negative at {res.witness_partition}: {res.witness_coeff}")
-                return
-    check.notes.append(f"u(n,k) Schur-positive for all 2 <= n <= {cap}, 0 <= k <= n-1")
+    if _rows_positive(check, "u", ctx.u_row, cap):
+        check.notes.append(f"u(n,k) Schur-positive for all 2 <= n <= {cap}, 0 <= k <= n-1")
 
 
 @_register("WHITEHOUSE", "lifting deficit positive exactly away from powers of two", tier="conjecture")
 def _whitehouse(ctx, cap, check):
-    from .lie_family import Psi
-    from .partitions import format_partition
-
     for n, res in enumerate(deficit_positivity(Psi.two_adic(), cap), 2):
         # n = 2 sits outside the pattern: the deficit there is e_2, a true
         # module, because the degree-1 family term still contains the trivial

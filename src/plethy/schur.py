@@ -29,7 +29,7 @@ from math import factorial, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _mn_pure
-from .partitions import check_partition, conjugate, divisors, format_partition, z_of
+from .partitions import check_partition, conjugate, divisors, exponent_str, format_partition, z_of
 from .symfunc import SymFunc
 
 
@@ -86,8 +86,6 @@ class SchurExpansion(NamedTuple):
 
     def exponent_str(self) -> str:
         """Cell form used by the printed tables, e.g. (3,1)+2(2^2,1)."""
-        from .partitions import exponent_str
-
         if not self.terms:
             return "0"
         bits = []

@@ -36,11 +36,11 @@ __all__ = [
 ]
 
 
-def _excerpt(value, width: int = 40) -> str:
-    """repr(value), cut to its first width characters plus "..." if longer, so
+def _excerpt(value) -> str:
+    """repr(value), cut to its first 40 characters plus "..." if longer, so
     an error message about outside input stays short."""
     text = repr(value)
-    return text if len(text) <= width else text[:width] + "..."
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def _check_coeff_size(text: str) -> None:

@@ -3,8 +3,10 @@
 Tables 1 and 2 break the regular representation of S_4 / S_5 into graded
 pieces three ways (symmetric powers of lie, exterior powers of lie2, and
 the partition-lattice column, sign-twisted on even coranks).  Tables 3 and
-4 list the truncated alternating sums u(n, k) for n = 6, 7.  Cells are
-Schur expansions rendered in canonical order with exponent notation.
+4 list the truncated alternating sums u(n, k) for n = 6, 7.  table_data
+builds the cells of one table as Schur expansions in its own context;
+render_table prints them in canonical order with exponent notation, and
+table_json swaps each cell for its wire payload.
 """
 
 from __future__ import annotations
@@ -44,49 +46,40 @@ def _decomposition_rows(n: int, ctx: SeriesContext) -> list[dict]:
     return rows
 
 
-def _alternating_rows(n: int, ctx: SeriesContext) -> list[dict]:
-    """Rows k = 0..n-2 of the truncated-alternating-sum table (k = n-1 is 0)."""
-    us = to_schur_many(ctx.u_row(n)[:-1])
-    return [{"k": k, "u": u} for k, u in enumerate(us)]
-
-
-def table_data(which: int, ctx: SeriesContext | None = None) -> dict:
-    """Structured cells for one table; all values are SchurExpansion."""
+def table_data(which: int) -> dict:
+    """Structured cells for one table (of S_n, n = which + 3); every cell
+    is a SchurExpansion.  Tables 3 and 4 stop at k = n-2, as u(n, n-1) is 0."""
     if which not in TABLE_NUMBERS:
         raise ValueError("table number must be 1, 2, 3 or 4")
-    if which in (1, 2):
-        n = 4 if which == 1 else 5
-        ctx = ctx or SeriesContext(n)
-        return {
-            "table": which,
-            "n": n,
-            "kind": "regular-decompositions",
-            "poincare": _POINCARE[n],
-            "rows": _decomposition_rows(n, ctx),
-        }
-    n = 6 if which == 3 else 7
-    ctx = ctx or SeriesContext(n)
+    n = which + 3
+    ctx = SeriesContext(n)
+    if which > 2:
+        us = to_schur_many(ctx.u_row(n)[:-1])
+        rows = [{"k": k, "u": u} for k, u in enumerate(us)]
+        return {"table": which, "n": n, "kind": "alternating-sums", "rows": rows}
     return {
         "table": which,
         "n": n,
-        "kind": "alternating-sums",
-        "rows": _alternating_rows(n, ctx),
+        "kind": "regular-decompositions",
+        "rows": _decomposition_rows(n, ctx),
+        "poincare": _POINCARE[n],
     }
 
 
-def _fmt_columns(rows: list[list[str]], sep: str = "  ") -> list[str]:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    return [sep.join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
+def _fmt_columns(rows: list[list[str]]) -> list[str]:
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows]
 
 
-def render_table(which: int, ctx: SeriesContext | None = None) -> str:
+def render_table(which: int) -> str:
     """Plain-text rendering; byte-stable across runs."""
-    data = table_data(which, ctx)
+    data = table_data(which)
     n = data["n"]
-    lines = []
     if data["kind"] == "regular-decompositions":
-        lines.append(f"Table {which}: the regular representation of S{n}")
-        lines.append(f"Poincare polynomial: {data['poincare']}")
+        lines = [
+            f"Table {which}: the regular representation of S{n}",
+            f"Poincare polynomial: {data['poincare']}",
+        ]
         grid = [["classes", "PBW h_l[lie]", "Ext e_l[lie2]", "Whitney"]]
         for row in data["rows"]:
             grid.append(
@@ -97,34 +90,18 @@ def render_table(which: int, ctx: SeriesContext | None = None) -> str:
                     f"{row['whitney_label']}: {row['whitney'].exponent_str()}",
                 ]
             )
-        lines.extend(_fmt_columns(grid))
     else:
-        lines.append(f"Table {which}: truncated alternating sums u({n},k)")
+        lines = [f"Table {which}: truncated alternating sums u({n},k)"]
         grid = [["k", f"u({n},k)"]]
-        for row in data["rows"]:
-            grid.append([str(row["k"]), row["u"].exponent_str()])
-        lines.extend(_fmt_columns(grid))
-    return "\n".join(lines) + "\n"
+        grid += [[str(row["k"]), row["u"].exponent_str()] for row in data["rows"]]
+    return "\n".join(lines + _fmt_columns(grid)) + "\n"
 
 
-def table_json(which: int, ctx: SeriesContext | None = None) -> dict:
-    """Machine form of one table (SchurExpansion wire payloads)."""
-    data = table_data(which, ctx)
-    out = {"table": data["table"], "n": data["n"], "kind": data["kind"], "rows": []}
-    if "poincare" in data:
-        out["poincare"] = data["poincare"]
-    for row in data["rows"]:
-        if data["kind"] == "regular-decompositions":
-            out["rows"].append(
-                {
-                    "length": row["length"],
-                    "classes": row["classes"],
-                    "pbw": row["pbw"].to_dict(),
-                    "ext": row["ext"].to_dict(),
-                    "whitney": row["whitney"].to_dict(),
-                    "whitney_label": row["whitney_label"],
-                }
-            )
-        else:
-            out["rows"].append({"k": row["k"], "u": row["u"].to_dict()})
-    return out
+def table_json(which: int) -> dict:
+    """Machine form of one table: table_data with each cell's wire payload."""
+    data = table_data(which)
+    data["rows"] = [
+        {key: v.to_dict() if isinstance(v, SchurExpansion) else v for key, v in row.items()}
+        for row in data["rows"]
+    ]
+    return data

@@ -6,16 +6,20 @@ statement carries the v marker); a failure here is a bug.  Importing this
 module registers the entries with plethy.registry, in the order below,
 which the registry does the first time a command asks for a theorem id or
 for the whole list.  The two conjecture-tier scans stay in the registry, so
-`conjecture` never compiles this module.
+`conjecture` never compiles this module.  Rules that several entries share
+are stated once: _PSI maps each family to its weight psi, _p1_recurrence is
+the restriction recurrence S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and
+TAU-REC, and BETA-POS scans its rows with the registry's _rows_positive.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
+from .lie_family import Psi
 from .partitions import mobius, partitions_of
-from .registry import _Check, _register
-from .schur import is_schur_positive_many
+from .registry import _Check, _register, _rows_positive
 from .series import (
     Series,
     SeriesContext,
@@ -23,7 +27,10 @@ from .series import (
     plethystic_inverse,
     series_plethysm,
 )
-from .symfunc import SymFunc, e, h, linear_sum, p, plethysm
+from .symfunc import SymFunc, e, h, linear_sum, p, plethysm, s
+
+# the weight psi of each family's template f_n = (1/n) sum over d | n of psi(d) p_d^(n/d)
+_PSI = {"lie": Psi.mobius(), "conj": Psi.totient(), "lie2": Psi.two_adic()}
 
 
 def _p1n(n: int) -> SymFunc:
@@ -341,10 +348,7 @@ def _equiv_lie2_hodge(ctx, cap, check):
 def _su1_log(ctx, cap, check):
     # log prod (1 - p_d)^(-psi(d)/d) = sum of f_n, and
     # log prod (1 + p_d)^(psi(d)/d) = sum of (-1)^(n-1) omega(f_n)
-    from fractions import Fraction
-
-    for name in ("lie", "conj", "lie2"):
-        psi = _psi_of({"lie": "mobius", "conj": "totient", "lie2": "two_adic"}[name])
+    for name, psi in _PSI.items():
         plain: dict[int, SymFunc] = {}
         alt: dict[int, SymFunc] = {}
         for d in range(1, cap + 1):
@@ -369,20 +373,9 @@ def _su1_log(ctx, cap, check):
 # the product meta-identities
 
 
-def _meta_family(name: str):
-    return {"mobius": "lie", "totient": "conj", "two_adic": "lie2"}[name]
-
-
-def _psi_of(name: str):
-    from .lie_family import Psi
-
-    return {"mobius": Psi.mobius(), "totient": Psi.totient(), "two_adic": Psi.two_adic()}[name]
-
-
-def _meta_products(psi_name: str):
+def _meta_products(fam: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        fam = _meta_family(psi_name)
-        psi = _psi_of(psi_name)
+        psi = _PSI[fam]
         # symmetric powers
         A1 = ctx.app("H", fam)
         A2 = ctx.brackets("H", fam)
@@ -418,11 +411,11 @@ def _meta_products(psi_name: str):
     return fn
 
 
-for _name in ("mobius", "totient", "two_adic"):
+for _fam, _psi in _PSI.items():
     _register(
-        f"META-PRODUCTS-{_name.upper().replace('_', '')}",
-        f"product generating functions for psi = {_name}, v-graded",
-    )(_meta_products(_name))
+        f"META-PRODUCTS-{_psi.name.upper().replace('_', '')}",
+        f"product generating functions for psi = {_psi.name}, v-graded",
+    )(_meta_products(_fam))
 
 
 def _metage2(fam: str):
@@ -551,8 +544,6 @@ def _lehrer_lie2(ctx, cap, check):
 
 @_register("EVENODD-LIE2", "odd/even vh pieces agree and give half the two-power classes")
 def _evenodd_lie2(ctx, cap, check):
-    from fractions import Fraction
-
     for n in range(2, cap + 1):
         odd = _pieces_sum(ctx.vh, n, 1, 2)
         check.eq(n, odd, _pieces_sum(ctx.vh, n, 0, 2))
@@ -621,42 +612,27 @@ def _lie2_from_lie(ctx, cap, check):
 # restriction recurrences
 
 
+def _p1_recurrence(check: _Check, app: Series, c: Callable, cap: int, note: str = "") -> None:
+    """S_n = p_1 S_(n-1) + (-1)^n c(n) for the degree-n parts S_n of app, S_0 = 1."""
+    prev = SymFunc.one()
+    for n in range(1, cap + 1):
+        cur = app.coeff(n)
+        check.eq(n, cur, p(1) * prev + c(n).scale((-1) ** (n % 2)), note=note)
+        prev = cur
+
+
 @_register("SIGMA-REC", "h-sum over lie2_(>=2) satisfies the sigma recurrence")
 def _sigma_rec(ctx, cap, check):
-    alpha = ctx.app("H", "lie2_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = alpha.coeff(n)
-        rhs = p(1) * prev + ctx.sigma(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs)
-        prev = cur
+    _p1_recurrence(check, ctx.app("H", "lie2_ge2"), ctx.sigma, cap)
     # lie analogue: the correction term is just e_n
-    alpha_lie = ctx.app("H", "lie_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = alpha_lie.coeff(n)
-        rhs = p(1) * prev + e(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs, note="lie side")
-        prev = cur
+    _p1_recurrence(check, ctx.app("H", "lie_ge2"), e, cap, note="lie side")
 
 
 @_register("TAU-REC", "e-sum over lie_(>=2) satisfies the tau recurrence")
 def _tau_rec(ctx, cap, check):
-    beta = ctx.app("E", "lie_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = beta.coeff(n)
-        rhs = p(1) * prev + ctx.tau(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs)
-        prev = cur
+    _p1_recurrence(check, ctx.app("E", "lie_ge2"), ctx.tau, cap)
     # lie2 analogue: the correction term is h_n (injective-words recurrence)
-    beta2 = ctx.app("E", "lie2_ge2")
-    prev = SymFunc.one()
-    for n in range(1, cap + 1):
-        cur = beta2.coeff(n)
-        rhs = p(1) * prev + h(n).scale((-1) ** (n % 2))
-        check.eq(n, cur, rhs, note="lie2 side")
-        prev = cur
+    _p1_recurrence(check, ctx.app("E", "lie2_ge2"), h, cap, note="lie2 side")
 
 
 def _restrict_rec(fam: str):
@@ -692,16 +668,14 @@ for _fam in ("lie", "lie2"):
 
 @_register("U-CLOSED", "closed forms of the first four truncated alternating sums", min_cap=4)
 def _u_closed(ctx, cap, check):
-    from .symfunc import s as schur_s
-
     def hh(k):
         return h(k) if k >= 0 else SymFunc.zero()
 
-    s21 = schur_s((2, 1))
-    s211 = schur_s((2, 1, 1))
-    s22 = schur_s((2, 2))
-    s42 = schur_s((4, 2))
-    s222 = schur_s((2, 2, 2))
+    s21 = s((2, 1))
+    s211 = s((2, 1, 1))
+    s22 = s((2, 2))
+    s42 = s((4, 2))
+    s222 = s((2, 2, 2))
     kappa = ctx.kappa()
     for n in range(2, cap + 1):
         row = ctx.u_row(n)
@@ -725,9 +699,5 @@ def _u_closed(ctx, cap, check):
 
 @_register("BETA-POS", "truncated alternating whitney sums are Schur-positive")
 def _beta_pos(ctx, cap, check):
-    for n in range(2, cap + 1):
-        for k, res in enumerate(is_schur_positive_many(ctx.beta_row(n))):
-            if not res.positive:
-                check.fail(n, f"beta({n},{k}) negative at {res.witness_partition}: {res.witness_coeff}")
-                return
+    _rows_positive(check, "beta", ctx.beta_row, cap)
 

@@ -289,7 +289,7 @@ def test_criterion_6_dimension_ledgers():
     # in tables 3 and 4 the hook-length route and the p-basis route agree
     for which, n in ((3, 6), (4, 7)):
         ctx_n = SeriesContext(n)
-        for row in table_data(which, ctx_n)["rows"]:
+        for row in table_data(which)["rows"]:
             assert row["u"].dimension() == ctx_n.u(n, row["k"]).dimension()
     ctx = SeriesContext(12)
     dims = {1: 0}

@@ -100,7 +100,8 @@ def test_ell_row_sum_is_the_regular_representation():
 
 
 def test_specialization_relations_metaf():
-    weights = [Psi.mobius(), Psi.totient(), Psi.ramanujan(3), Psi.two_adic()]
+    ramanujan3 = Psi("ramanujan(3)", lambda d: ramanujan_sum(d, 3))
+    weights = [Psi.mobius(), Psi.totient(), ramanujan3, Psi.two_adic()]
     for psi in weights:
         values = {n: point_specialize(f_from_psi(psi, n), 1) for n in range(1, 21)}
         neg = {n: point_specialize(f_from_psi(psi, n), -1) for n in range(1, 21)}
