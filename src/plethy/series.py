@@ -17,7 +17,8 @@ walks the partitions as a trie of keyed prefix products, and a Series
 product multiplies keyed columns.  Each operand is encoded once, each sum
 of products is accumulated over one common denominator, and each result
 slot is reduced and decoded once.  Sums of many SymFuncs are one
-linear_sum, not a chain of +.
+linear_sum, not a chain of +.  Plethysms into one inner g share one
+_Powers memo, so each p_lam[g] is built once.
 
 What a sign rule or a running sum gives is derived, not built again.  A
 sign that depends only on the slot is a slot flip of the cached series:
@@ -31,7 +32,7 @@ The truncated alternating sums u(n, k) and beta(n, k) are read straight off
 the integer numerators N_lam(v) of the product formulas, one degree at a
 time.  One walk over the partitions mu with no part 1 gives each N_mu and
 z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
-rows both assemble their slots from them.
+rows both assemble their slots from the one walk SeriesContext caches.
 
 Each job has one way in.  SeriesContext.app is the one entry to the Newton
 route, over the cached p_k[F] pieces of SeriesContext.power_sums, and
@@ -46,7 +47,7 @@ from typing import Callable, Iterable
 from . import lie_family
 from .lie_family import Psi
 from .partitions import divisors, partitions_of
-from .symfunc import Keyed, SymFunc, _reduced, e, h, linear_sum, mul_sum, p, plethysm
+from .symfunc import Keyed, SymFunc, _Powers, _reduced, e, h, linear_sum, mul_sum, p, plethysm
 
 __all__ = [
     "Series",
@@ -207,7 +208,8 @@ def _power_sums(F: Series, cap: int) -> list[SymFunc]:
     tot = F.total()
     if tot.coeff(()):
         raise ValueError("outer application needs a series with no degree-0 term")
-    return [plethysm(p(k), tot, cap) for k in range(1, cap + 1)]
+    powers = _Powers(tot, cap)
+    return [powers.apply(p(k)).symfunc() for k in range(1, cap + 1)]
 
 
 def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
@@ -244,14 +246,12 @@ def bracket_sum(kind: str, Q: Series) -> Series:
     """sum over partitions of v^l(lam) * bracket, as a graded Series.
 
     The independent route to SeriesContext.app: products of small plethysms
-    instead of the Newton recursion.  The partitions of every degree up to
-    the cap are walked as a trie over their (part, multiplicity) groups,
-    parts descending.  Each factor x_m[q_part] is built and encoded once,
-    and the keyed product of a prefix's factors is built once and shared by
-    every lam that extends it.  A lam enters its slot (|lam|, l(lam)) as the
-    pair (its prefix, its last factor), so slot (n, l) is one mul_sum over
-    its pairs, decoded once, and the product of a lam that no longer lam
-    extends is never built on its own.
+    instead of the Newton recursion.  Each factor x_m[q_part] is built once,
+    off one _Powers memo per part.  The partitions up to the cap are walked
+    as a trie over their (part, multiplicity) groups, parts descending; the
+    keyed product of a prefix's factors is built once for the lams below it.
+    A lam enters its slot (|lam|, l(lam)) as that product, or as the pair
+    (its prefix, its last factor) if none was built: one mul_sum per slot.
     """
     if kind not in ("H", "E"):
         raise ValueError("kind must be 'H' or 'E'")
@@ -259,22 +259,25 @@ def bracket_sum(kind: str, Q: Series) -> Series:
     base = h if kind == "H" else e
     one = Keyed.encode(SymFunc.one(), cap)
     factors: dict[tuple[int, int], Keyed] = {}  # (part, m) -> x_m[q_part]
+    for part in range(1, cap + 1):
+        powers = _Powers(Q.coeff(part), cap)
+        factors.update({(part, m): powers.apply(base(m)) for m in range(1, cap // part + 1)})
     slots: dict[tuple[int, int], list[tuple[Keyed, Keyed]]] = {(0, 0): [(one, one)]}
     stack = [(cap + 1, 0, 0, one)]  # (smallest part of lam, |lam|, l(lam), keyed bracket)
     while stack:
         last, n, length, prod = stack.pop()
         for part in range(min(last - 1, cap - n), 0, -1):
             for m in range(1, (cap - n) // part + 1):
-                x = factors.get((part, m))
-                if x is None:
-                    x = factors[part, m] = Keyed.encode(plethysm(base(m), Q.coeff(part)), cap)
+                x = factors[part, m]
                 # a zero factor zeroes every lam below it
                 if not x:
                     continue
                 size = n + part * m
-                slots.setdefault((size, length + m), []).append((prod, x))
+                pair = (prod, x)
                 if part > 1 and size < cap:  # room for a smaller part below it
-                    stack.append((part, size, length + m, mul_sum([(prod, x)], cap)))
+                    pair = (mul_sum([pair], cap), one)
+                    stack.append((part, size, length + m, pair[0]))
+                slots.setdefault((size, length + m), []).append(pair)
     graded = {key: mul_sum(pairs, cap).symfunc() for key, pairs in slots.items()}
     return Series(cap, graded=graded)
 
@@ -292,7 +295,7 @@ def plethystic_inverse(G: Series) -> Series:
     c = g1.coeff((1,))
     if not c or g1 != p(1).scale(c):
         raise ValueError("plethystic inverse needs an invertible degree-1 term c*p_1")
-    gtot = G.total()
+    powers = _Powers(G.total(), cap)
     pieces: dict[int, SymFunc] = {}  # F_n
     composed: dict[int, list[tuple[int, SymFunc]]] = {}  # degree-d parts of each F_j o G
     for n in range(1, cap + 1):
@@ -301,7 +304,7 @@ def plethystic_inverse(G: Series) -> Series:
         # resid = F_n[c * p_1], which scales p_lam by c^l(lam); undo that
         fn = pieces[n] = SymFunc({lam: v / c ** len(lam) for lam, v in resid.items()})
         if fn and n < cap:
-            for d, f in plethysm(fn, gtot, cap).homogeneous_parts().items():
+            for d, f in powers.apply(fn).parts().items():
                 composed.setdefault(d, []).append((-1, f))
     return Series(cap, pieces)
 
@@ -393,14 +396,14 @@ def _degree_terms(walk, n: int) -> tuple[int, list[tuple[tuple, list[int], int]]
     return den, [(lam, poly, den // z) for lam, poly, z in terms]
 
 
-def product_form(psi, sign: int, cap: int) -> Series:
+def product_form(psi, sign: int, cap: int, walk: tuple | None = None) -> Series:
     """Expand prod over m of (1 - p_m)^(sign * f_m(v)) as a length-graded Series.
 
     f_m(v) = (1/m) sum over d | m of psi(d) v^(m/d).  sign -1 gives H(v)[F]
     and sign +1 gives E^+-(v)[F], for F the family of psi; SeriesContext.product
-    derives the other variants from these two.
+    derives the other variants from these two, from its cached walk.
     """
-    walk = _product_walk(psi, sign, cap)
+    walk = walk or _product_walk(psi, sign, cap)
     graded: dict[tuple[int, int], SymFunc] = {}
     for n in range(cap + 1):
         den, terms = _degree_terms(walk, n)
@@ -521,8 +524,8 @@ class SeriesContext:
         (1 + p_m)^(f_m(v)) are the twists p_m -> -p_m of "hpm" and "epm".
         """
         builders = {
-            "sym": lambda: product_form(psi, -1, self.cap),
-            "epm": lambda: product_form(psi, 1, self.cap),
+            "sym": lambda: product_form(psi, -1, self.cap, self._walk(psi, -1)),
+            "epm": lambda: product_form(psi, 1, self.cap, self._walk(psi, 1)),
             "hpm": lambda: _negate_slots(self.product(psi, "sym"), _odd_length),
             "ext": lambda: _negate_slots(self.product(psi, "epm"), _odd_length),
             "alt_sym": lambda: self.product(psi, "hpm").twist(),

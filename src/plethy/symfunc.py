@@ -379,10 +379,11 @@ def s(lam) -> SymFunc:
 # p_lambda * p_mu is key(lambda) + key(mu), with no sorting.  Terms travel as
 # [(degree, [(key, numerator), ...]), ...] with degrees ascending, so a
 # product loop stops as soon as the degree passes its budget.  There is one
-# product loop, _mul_grouped.  plethysm drives it along a trie of prefixes;
-# mul_sum drives it for a whole sum of products over one common denominator,
-# which is how the series layer multiplies: each operand is encoded once as
-# a Keyed value, and each result is reduced and decoded once.
+# product loop, _mul_grouped.  _Powers drives it to build each p_lambda[g]
+# once per inner g, and every plethysm is a _Powers apply; mul_sum drives it
+# for a whole sum of products over one common denominator, which is how the
+# series layer multiplies: each operand is encoded once as a Keyed value, and
+# each result is reduced and decoded once.
 
 
 class _PartitionKeys:
@@ -437,10 +438,6 @@ class _PartitionKeys:
                 else:
                     group.append((key, v))
         return sorted(by_deg.items())
-
-    def to_symfunc(self, num: dict[int, int], den: int) -> SymFunc:
-        decode = self.decode
-        return _reduced({decode(k): v for k, v in num.items()}, den)
 
 
 @lru_cache(maxsize=64)
@@ -512,7 +509,8 @@ class Keyed:
         return bool(self.groups)
 
     def symfunc(self) -> SymFunc:
-        return self.keys.to_symfunc({k: v for _, terms in self.groups for k, v in terms}, self.den)
+        decode = self.keys.decode
+        return _reduced({decode(k): v for _, terms in self.groups for k, v in terms}, self.den)
 
     def parts(self) -> dict[int, SymFunc]:
         """{n: the degree-n part} for every degree present, each in lowest terms."""
@@ -539,8 +537,12 @@ def mul_sum(pairs: Iterable[tuple[Keyed, Keyed]], cap: int, divisor: int = 1) ->
     out: dict = {}
     for a, b in pairs:
         _mul_grouped(a.groups, b.groups, cap, out, den // (a.den * b.den))
+    return _lowest_terms(keys, out, den * divisor)
+
+
+def _lowest_terms(keys: _PartitionKeys, out: dict, den: int) -> Keyed:
+    """The _mul_grouped accumulator out over den, as a Keyed value in lowest terms."""
     groups = _as_groups(out)
-    den *= divisor
     g = gcd(den, *(v for _, terms in groups for _, v in terms))
     if g != 1:
         groups = [(d, [(k, v // g) for k, v in terms]) for d, terms in groups]
@@ -555,79 +557,74 @@ def mul_trunc(a: SymFunc, b: SymFunc, cap: int) -> SymFunc:
     return mul_sum([(Keyed.encode(a, cap), Keyed.encode(b, cap))], cap).symfunc()
 
 
+class _Powers:
+    """The keyed p_lambda[g] of one inner g at one cap, each built once for
+    every f applied to g.
+
+    p_lambda[g] is the product over the parts m of p_m[g], which replaces
+    every p_mu in g by p_{m mu}.  As each part m adds degree >= m * gmin,
+    gmin the lowest degree in g, the memo keeps per lambda (budget,
+    p_lambda[g] complete up to degree budget <= cap) over g._den^l(lambda),
+    and a higher budget rebuilds it as p_(lambda minus its last part m)[g],
+    complete up to budget - gmin * m, times p_m[g].
+    """
+
+    __slots__ = ("g", "cap", "keys", "gmin", "_memo")
+
+    def __init__(self, g: SymFunc, cap: int):
+        if () in g._num:
+            raise ValueError("plethysm: right argument has a degree-0 term")
+        self.g = g
+        self.cap = cap
+        self.keys = _partition_keys(cap)
+        # for g = 0 only the constant term of an f passes the degree test of apply
+        self.gmin = min(map(sum, g._num), default=cap + 1)
+        self._memo: dict[tuple, tuple[int, list]] = {(): (cap, [(0, [(0, 1)])])}
+
+    def power(self, lam: tuple, budget: int) -> list:
+        """Keyed p_lam[g], every term of degree <= budget <= cap present."""
+        entry = self._memo.get(lam)
+        if entry is None or entry[0] < budget:
+            m, cap = lam[-1], self.cap
+            if len(lam) == 1:
+                # mu -> m * mu is one to one, so no key repeats
+                terms = self.g._num.items()
+                pm = [(tuple(m * x for x in mu), v) for mu, v in terms if m * sum(mu) <= cap]
+                entry = (cap, self.keys.grouped(pm, cap))
+            else:
+                prefix = self.power(lam[:-1], budget - self.gmin * m)
+                entry = (budget, _as_groups(_mul_grouped(prefix, self.power((m,), cap), budget)))
+            self._memo[lam] = entry
+        return entry[1]
+
+    def apply(self, f: SymFunc) -> Keyed:
+        """f[g] cut to degree <= cap, in lowest terms.  The lambda of f with
+        gmin * |lambda| <= cap are taken smallest first, so in one call each
+        prefix is first asked for at the largest budget it needs."""
+        cap, gmin, gden = self.cap, self.gmin, self.g._den
+        items = sorted((sum(lam), lam, c) for lam, c in f._num.items() if gmin * sum(lam) <= cap)
+        longest = max((len(lam) for _, lam, _ in items), default=0)
+        out: dict[int, dict[int, int]] = {}
+        for _, lam, c in items:
+            c *= gden ** (longest - len(lam))
+            for d, terms in self.power(lam, cap):
+                acc = out.setdefault(d, {})
+                get = acc.get
+                for k, v in terms:
+                    acc[k] = get(k, 0) + c * v
+        return _lowest_terms(self.keys, out, f._den * gden**longest)
+
+
 def plethysm(f: SymFunc, g: SymFunc, cap: int | None = None) -> SymFunc:
-    """Plethysm f o g, truncated to total degree <= cap.
+    """Plethysm f o g, truncated to total degree <= cap: one _Powers(g, cap).
 
     g must have no degree-0 term (composition into a series with constant
-    term is undefined here).  Bilinear in f; in g only power sums distribute:
-    p_lambda[g] is the product over the parts m of p_m[g], which replaces
-    every p_mu in g by p_{m mu}.  cap=None means no truncation and is run as
+    term is undefined here).  cap=None means no truncation and is run as
     cap = maxdeg(f) * maxdeg(g), which no term can pass, so there is one path.
-
-    The support of f is walked as a trie: its partitions (parts descending)
-    are visited in lexicographic order, so the prefix product
-    p_(lambda_1..lambda_j)[g] is built once and shared by every lambda that
-    extends it.  Each part m still to come adds degree >= m * gmin, gmin the
-    lowest degree in g, so a prefix is cut to degree <= cap - gmin * R, R the
-    smallest remaining part-sum among the lambda below it, and a lambda with
-    gmin * |lambda| > cap is skipped.  Prefixes and the sum stay int-keyed: a
-    prefix of j parts holds numerators over g._den^j, the sum holds them over
-    g._den^l for the longest l, and the result is decoded and reduced once.
     """
-    if () in g._num:
-        raise ValueError("plethysm: right argument has a degree-0 term")
-    gdeg = {mu: sum(mu) for mu in g._num}
     if cap is None:
-        cap = max(map(sum, f._num), default=0) * max(gdeg.values(), default=0)
-    # for g = 0 only the constant term of f passes the degree test below
-    gmin = min(gdeg.values(), default=cap + 1)
-    items = sorted(
-        (lam, sum(lam), c) for lam, c in f._num.items() if gmin * sum(lam) <= cap
-    )
-    if not items:
-        return SymFunc.zero()
-    keys = _partition_keys(cap)
-    # floor[prefix]: the smallest |lambda| among the lambda that extend prefix
-    floor: dict[tuple, int] = {}
-    for lam, size, _ in items:
-        for j in range(1, len(lam) + 1):
-            pre = lam[:j]
-            if floor.get(pre, size + 1) > size:
-                floor[pre] = size
-    pk_cache: dict[int, list] = {}
-
-    def pk(m: int) -> list:
-        out = pk_cache.get(m)
-        if out is None:
-            out = pk_cache[m] = keys.grouped(
-                ((tuple(m * x for x in mu), v) for mu, v in g._num.items() if m * gdeg[mu] <= cap),
-                cap,
-            )
-        return out
-
-    gden = g._den
-    longest = max(len(lam) for lam, _, _ in items)
-    total: dict[int, int] = {}
-    get = total.get
-    # stack[j] = (|lambda[:j]|, p_lambda[:j][g]) for the lambda last visited
-    stack = [(0, [(0, [(0, 1)])])]
-    prev: tuple = ()
-    for lam, _, c in items:
-        j = 0
-        while j < len(prev) and j < len(lam) and prev[j] == lam[j]:
-            j += 1
-        del stack[j + 1 :]
-        for i in range(j, len(lam)):
-            size, prefix = stack[-1]
-            size += lam[i]
-            budget = cap - gmin * (floor[lam[: i + 1]] - size)
-            stack.append((size, _as_groups(_mul_grouped(prefix, pk(lam[i]), budget))))
-        prev = lam
-        c *= gden ** (longest - len(lam))
-        for _, terms in stack[-1][1]:
-            for k, v in terms:
-                total[k] = get(k, 0) + c * v
-    return keys.to_symfunc(total, f._den * gden**longest)
+        cap = max(map(sum, f._num), default=0) * max(map(sum, g._num), default=0)
+    return _Powers(g, cap).apply(f).symfunc()
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> Fraction:

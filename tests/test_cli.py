@@ -377,6 +377,14 @@ def test_verify_json_golden_cap12(capsys):
     assert out == (GOLDEN / "verify-cap12.jsonl").read_text()
 
 
+def test_verify_json_golden_cap14(capsys):
+    # cap 14 reaches degrees the cap-12 golden does not, where bracket_sum
+    # and plethystic_inverse share their memos across more degrees
+    code, out, _ = run_cli(["verify", "--all", "--cap", "14", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "verify-cap14.jsonl").read_text()
+
+
 @pytest.mark.parametrize("family", ["lie", "lie2"])
 def test_verify_failure_golden(monkeypatch, capsys, family):
     # pins every failing report, notes included, when the family has one

@@ -23,11 +23,12 @@ import plethy.schur as schur
 import plethy.series as series
 import test_schur
 import test_series
-from conftest import inject_strip_sign_defect, patch_everywhere, truncate
+import test_symfunc
+from conftest import inject_strip_sign_defect, patch_everywhere
 from plethy import _mn_pure
 from plethy.registry import verify_all
 from plethy.series import Series, bracket_sum
-from plethy.symfunc import Keyed, SymFunc, _reduced, mul_sum, p, plethysm
+from plethy.symfunc import Keyed, SymFunc, _Powers, _reduced, mul_sum, p
 
 
 def _drop_top(out: Keyed, cap: int) -> Keyed:
@@ -46,25 +47,29 @@ def _one_pair_mul_sum_drops_top(pairs, cap, divisor=1):
     return _drop_top(out, cap) if len(pairs) == 1 else out
 
 
-def _plethysm_drops_top(f, g, cap=None):
-    out = plethysm(f, g, cap)
-    return out if cap is None else truncate(out, cap - 1)
+# every plethysm is the apply of a _Powers memo: the one-off plethysm, and
+# the memos shared by bracket_sum, plethystic_inverse and the power sums
+_apply = _Powers.apply
 
 
-def _plethysm_budget_off_by_one(f, g, cap=None):
+def _apply_drops_top(self, f):
+    return _drop_top(_apply(self, f), self.cap)
+
+
+def _apply_budget_off_by_one(self, f):
     """Terms p_lambda of f with two or more parts are cut one degree short."""
-    if cap is None:
-        return plethysm(f, g)
     long = SymFunc({lam: c for lam, c in f.items() if len(lam) >= 2})
-    return plethysm(f - long, g, cap) + plethysm(long, g, cap - 1)
+    short = _apply(_Powers(self.g, self.cap - 1), long).symfunc()
+    return Keyed.encode(_apply(self, f - long).symfunc() + short, self.cap)
 
 
-def _p3_of_g_even_sign_flipped(f, g, cap=None):
+def _p3_of_g_even_sign_flipped(self, f):
     """p_3 o g with the sign of its even-length terms flipped."""
-    out = plethysm(f, g, cap)
+    out = _apply(self, f)
     if f != p(3):
         return out
-    return SymFunc({mu: -c if len(mu) % 2 == 0 else c for mu, c in out.items()})
+    flipped = SymFunc({mu: -c if len(mu) % 2 == 0 else c for mu, c in out.symfunc().items()})
+    return Keyed.encode(flipped, self.cap)
 
 
 @pytest.mark.parametrize(
@@ -73,9 +78,9 @@ def _p3_of_g_even_sign_flipped(f, g, cap=None):
         # mul_trunc is the one-pair mul_sum, and SymFunc products call it
         ("mul_sum", _one_pair_mul_sum_drops_top),
         ("mul_sum", _mul_sum_drops_top),
-        ("plethysm", _plethysm_drops_top),
-        ("plethysm", _plethysm_budget_off_by_one),
-        ("plethysm", _p3_of_g_even_sign_flipped),
+        ("_Powers.apply", _apply_drops_top),
+        ("_Powers.apply", _apply_budget_off_by_one),
+        ("_Powers.apply", _p3_of_g_even_sign_flipped),
     ],
     ids=[
         "mul_trunc-drops-degree-cap",
@@ -86,10 +91,27 @@ def _p3_of_g_even_sign_flipped(f, g, cap=None):
     ],
 )
 def test_ring_defect_fails_an_entry(monkeypatch, name, defect):
-    patch_everywhere(monkeypatch, name, defect)
+    if name == "_Powers.apply":
+        monkeypatch.setattr(_Powers, "apply", defect)
+    else:
+        patch_everywhere(monkeypatch, name, defect)
     reports = verify_all(10)
     failed = [r.id for r in reports if r.failed]
     assert failed, f"{defect.__name__} went unnoticed at cap 10"
+
+
+def test_a_memo_that_ignores_the_budget_fails_the_memo_test(monkeypatch):
+    # the defect serves any stored p_lam[g], though it may have been built
+    # for a lower budget than the one asked for
+    power = _Powers.power
+
+    def stale(self, lam, budget):
+        entry = self._memo.get(lam)
+        return entry[1] if entry is not None else power(self, lam, budget)
+
+    monkeypatch.setattr(_Powers, "power", stale)
+    with pytest.raises(AssertionError):
+        test_symfunc.test_memo_shared_by_several_f_matches_reference()
 
 
 def test_character_sign_defect_fails_an_entry(monkeypatch):
@@ -114,15 +136,24 @@ def _newton_sign_error(monkeypatch):
 
 
 def _product_variant_sign_flip(monkeypatch):
-    # the sign +1 expansion is (1 - p_m)^(f_m(v)), which "ext" and "alt_ext"
-    # are derived from; the flip makes it (1 + p_m)^(f_m(v)), its twist
-    real = series.product_form
+    # the sign +1 walk expands (1 - p_m)^(f_m(v)), which "epm", "ext" and
+    # "alt_ext" are read from; the flip makes it (1 + p_m)^(f_m(v)), its
+    # twist, which multiplies N_lam by (-1)^l(lam)
+    real = series._product_walk
+
+    def flip(poly, length):
+        return [-c for c in poly] if length % 2 else poly
 
     def base_sign_flipped(psi, sign, cap):
-        out = real(psi, sign, cap)
-        return out.twist() if sign == 1 else out
+        ones, by_size = real(psi, sign, cap)
+        if sign != 1:
+            return ones, by_size
+        return (
+            [flip(poly, j) for j, poly in enumerate(ones)],
+            [[(mu, flip(poly, len(mu)), z) for mu, poly, z in row] for row in by_size],
+        )
 
-    monkeypatch.setattr(series, "product_form", base_sign_flipped)
+    monkeypatch.setattr(series, "_product_walk", base_sign_flipped)
 
 
 def _product_ext_unflipped(monkeypatch):

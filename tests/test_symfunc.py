@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,6 +32,7 @@ from plethy.partitions import partitions_of
 from plethy.symfunc import (
     Keyed,
     SymFunc,
+    _Powers,
     e,
     h,
     hall_inner,
@@ -432,11 +433,12 @@ def test_plethysm_fixed_edge_cases():
 
 
 def test_ring_calls_match_reference(monkeypatch):
-    """Every plethysm and mul_sum call made by verify_all(8) equals the
-    reference ring on the same arguments.
+    """Every plethysm (a _Powers apply) and mul_sum call made by
+    verify_all(8) equals the reference ring on the same arguments.
 
     These two kernels form every product verify_all makes: mul_trunc and
-    SymFunc products are one-pair mul_sum calls.
+    SymFunc products are one-pair mul_sum calls, and plethysm, bracket_sum,
+    plethystic_inverse and the power sums all apply a _Powers memo.
     The registry asks for some plethysms more than once, so the distinct
     (f, g, cap) are counted: those are the arguments that get checked.
     """
@@ -444,11 +446,14 @@ def test_ring_calls_match_reference(monkeypatch):
 
     calls = {"mul_sum": 0}
     distinct = set()
+    real_apply = _Powers.apply
 
-    def checked_plethysm(f, g, cap=None):
-        out = plethysm(f, g, cap)
-        _agrees(out, ref_plethysm(ref_terms(f), ref_terms(g), cap))
-        distinct.add((tuple(f.items()), tuple(g.items()), cap))
+    def checked_apply(self, f):
+        out = real_apply(self, f)
+        _agrees(out.symfunc(), ref_plethysm(ref_terms(f), ref_terms(self.g), self.cap))
+        nums = [v for _, terms in out.groups for _, v in terms]
+        assert all(nums) and gcd(out.den, *nums) == 1  # reduced once, in the memo
+        distinct.add((tuple(f.items()), tuple(self.g.items()), self.cap))
         return out
 
     def checked_mul_sum(pairs, cap, divisor=1):
@@ -463,11 +468,54 @@ def test_ring_calls_match_reference(monkeypatch):
         calls["mul_sum"] += 1
         return out
 
-    patch_everywhere(monkeypatch, "plethysm", checked_plethysm)
+    monkeypatch.setattr(_Powers, "apply", checked_apply)
     patch_everywhere(monkeypatch, "mul_sum", checked_mul_sum)
     reports = verify_all(8)
     assert not any(r.failed for r in reports)
     assert len(distinct) > 150 and calls["mul_sum"] > 400, (len(distinct), calls)
+
+
+@st.composite
+def shared_inner_requests(draw):
+    """One inner g and an interleaved run of requests on one _Powers memo
+    per cap: ("apply", cap, f) for several f, and ("power", cap, lam,
+    budget) for a single p_lam[g] cut to a budget <= cap."""
+    g = draw(inner_with_low_degree())
+    caps = draw(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=2, unique=True))
+    fs = draw(st.lists(symfunc_strategy(max_deg=5, max_terms=4), min_size=2, max_size=4))
+    requests = [("apply", cap, f) for f in fs for cap in caps]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        cap = draw(st.sampled_from(caps))
+        lam = draw(st.sampled_from([lam for n in range(1, 5) for lam in partitions_of(n)]))
+        requests.append(("power", cap, lam, draw(st.integers(min_value=0, max_value=cap))))
+    return g, draw(st.permutations(requests))
+
+
+# p_(2,1)[g] is first built as a prefix of p_(2,1,1)[g], one degree of g short
+@example((p(2) + p(3), [("apply", 9, p((2, 1, 1))), ("apply", 9, p((2, 1)))]))
+@settings(max_examples=60, deadline=None)
+@given(shared_inner_requests())
+def test_memo_shared_by_several_f_matches_reference(case):
+    """Whatever the order of requests, a memo entry built for a lower
+    budget is never served to a higher one: every apply equals the
+    reference plethysm, and every p_lam[g] holds each term of degree <=
+    budget and only exact terms above it."""
+    g, requests = case
+    b = ref_terms(g)
+    memos = {cap: _Powers(g, cap) for _, cap, *_ in requests}
+    for kind, cap, *rest in requests:
+        memo = memos[cap]
+        if kind == "apply":
+            (f,) = rest
+            _agrees(memo.apply(f).symfunc(), ref_plethysm(ref_terms(f), b, cap))
+        else:
+            lam, budget = rest
+            got = ref_terms(Keyed(memo.keys, memo.power(lam, budget), g._den ** len(lam)).symfunc())
+            full = ref_plethysm({lam: Fraction(1)}, b, cap)
+            assert {mu: v for mu, v in got.items() if sum(mu) <= budget} == {
+                mu: v for mu, v in full.items() if sum(mu) <= budget
+            }
+            assert all(full.get(mu) == v for mu, v in got.items())
 
 
 @settings(max_examples=60, deadline=None)
