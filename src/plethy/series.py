@@ -208,8 +208,7 @@ def _power_sums(F: Series, cap: int) -> list[SymFunc]:
     tot = F.total()
     if tot.coeff(()):
         raise ValueError("outer application needs a series with no degree-0 term")
-    powers = _Powers(tot, cap)
-    return [powers.apply(p(k)).symfunc() for k in range(1, cap + 1)]
+    return [plethysm(p(k), tot, cap) for k in range(1, cap + 1)]
 
 
 def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
@@ -396,14 +395,14 @@ def _degree_terms(walk, n: int) -> tuple[int, list[tuple[tuple, list[int], int]]
     return den, [(lam, poly, den // z) for lam, poly, z in terms]
 
 
-def product_form(psi, sign: int, cap: int, walk: tuple | None = None) -> Series:
-    """Expand prod over m of (1 - p_m)^(sign * f_m(v)) as a length-graded Series.
+def product_form(walk, cap: int) -> Series:
+    """Expand prod over m of (1 - p_m)^(sign * f_m(v)) as a length-graded Series,
+    from walk = _product_walk(psi, sign, cap).
 
     f_m(v) = (1/m) sum over d | m of psi(d) v^(m/d).  sign -1 gives H(v)[F]
     and sign +1 gives E^+-(v)[F], for F the family of psi; SeriesContext.product
-    derives the other variants from these two, from its cached walk.
+    derives the other variants from these two.
     """
-    walk = walk or _product_walk(psi, sign, cap)
     graded: dict[tuple[int, int], SymFunc] = {}
     for n in range(cap + 1):
         den, terms = _degree_terms(walk, n)
@@ -524,8 +523,8 @@ class SeriesContext:
         (1 + p_m)^(f_m(v)) are the twists p_m -> -p_m of "hpm" and "epm".
         """
         builders = {
-            "sym": lambda: product_form(psi, -1, self.cap, self._walk(psi, -1)),
-            "epm": lambda: product_form(psi, 1, self.cap, self._walk(psi, 1)),
+            "sym": lambda: product_form(self._walk(psi, -1), self.cap),
+            "epm": lambda: product_form(self._walk(psi, 1), self.cap),
             "hpm": lambda: _negate_slots(self.product(psi, "sym"), _odd_length),
             "ext": lambda: _negate_slots(self.product(psi, "epm"), _odd_length),
             "alt_sym": lambda: self.product(psi, "hpm").twist(),
@@ -596,7 +595,7 @@ class SeriesContext:
         return self.beta_row(n)[k]
 
     def _walk(self, psi, sign: int) -> tuple:
-        """The cached partition walk of product_form(psi, sign, cap)."""
+        """The cached _product_walk(psi, sign, cap)."""
         return self._get(("walk", psi.name, sign), lambda: _product_walk(psi, sign, self.cap))
 
     def u_row(self, n: int) -> list[SymFunc]:

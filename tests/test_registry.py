@@ -172,20 +172,26 @@ def test_outer_powers_built_once_per_series(monkeypatch):
 
 def test_products_expanded_once_per_sign(monkeypatch):
     # of the six product variants per weight, "sym" and "epm" are expanded
-    # and the other four derived, and the u and beta rows read the same
-    # cached walks: 6 partition walks at cap 8, one per (weight, sign)
-    calls = []
-    real = series._product_walk
+    # and the other four derived: 6 product_form calls at cap 8, 18 before.
+    # Each expands the walk of its (weight, sign), which the u and beta rows
+    # read from the same cache: 6 partition walks, 8 before
+    walks, expanded = [], []  # ((weight, sign), walk); (weight, sign)
+    real_walk, real_form = series._product_walk, series.product_form
 
-    def counting(psi, sign, cap):
-        calls.append((psi.name, sign))
-        return real(psi, sign, cap)
+    def counting_walk(psi, sign, cap):
+        walks.append(((psi.name, sign), real_walk(psi, sign, cap)))
+        return walks[-1][1]
 
-    monkeypatch.setattr(series, "_product_walk", counting)
+    def counting_form(walk, cap):
+        expanded.extend(key for key, w in walks if w is walk)
+        return real_form(walk, cap)
+
+    monkeypatch.setattr(series, "_product_walk", counting_walk)
+    monkeypatch.setattr(series, "product_form", counting_form)
     assert not any(r.failed for r in verify_all(8))
-    assert sorted(calls) == sorted(
-        (name, sign) for name in ("mobius", "totient", "two_adic") for sign in (1, -1)
-    )
+    six = sorted((name, sign) for name in ("mobius", "totient", "two_adic") for sign in (1, -1))
+    assert sorted(key for key, _ in walks) == six
+    assert sorted(expanded) == six
 
 
 def test_u_closed_reads_one_u_row_per_degree(monkeypatch):
@@ -204,18 +210,17 @@ def test_u_closed_reads_one_u_row_per_degree(monkeypatch):
 
 def test_conj_from_entries_sum_the_cached_pieces(monkeypatch):
     # the entries read p_k[lie], p_k[lie2] and p_k[conj] through
-    # ctx.power_sums, which applies one _Powers memo of the series layer per
-    # family and context
+    # ctx.power_sums, which computes them by series.plethysm once per context
     from plethy import series
 
     calls = []
-    real = series._Powers
+    real = series.plethysm
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(series, "_Powers", counting)
+    monkeypatch.setattr(series, "plethysm", counting)
     # positive control: a cold context computes the pieces
     assert verify_identity("CONJ-FROM-LIE", 8, SeriesContext(8)).passed
     assert len(calls) > 0

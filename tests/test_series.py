@@ -11,6 +11,7 @@ from plethy.series import (
     Series,
     SeriesContext,
     bracket_sum,
+    _product_walk,
     p_sum_over,
     plethystic_inverse,
     product_form,
@@ -130,15 +131,15 @@ def test_restrict_ge2_guard():
 
 def test_product_form_ungraded_fold():
     # at psi = mobius the symmetric-power product collapses to 1/(1-p1)
-    S = product_form(Psi.mobius(), -1, 6)
+    S = product_form(_product_walk(Psi.mobius(), -1, 6), 6)
     for n in range(7):
         assert S.coeff(n) == (p((1,) * n) if n else SymFunc.one())
     # totient: all partitions
-    S2 = product_form(Psi.totient(), -1, 6)
+    S2 = product_form(_product_walk(Psi.totient(), -1, 6), 6)
     for n in range(1, 7):
         assert S2.coeff(n) == p_sum_over(n)
     # two-adic: partitions into powers of two
-    S3 = product_form(Psi.two_adic(), -1, 8)
+    S3 = product_form(_product_walk(Psi.two_adic(), -1, 8), 8)
     for n in range(1, 9):
         assert S3.coeff(n) == p_sum_over(n, "parts_powers_of_two")
 
