@@ -7,15 +7,18 @@ conjecture-tier entries scan open positivity statements, so their reports
 are findings either way.
 
 This module holds the report type, the driver and the two conjecture-tier
-scans.  U-POS reads the u rows through _rows_positive, the one positivity
-loop over is_schur_positive_many, which the theorem BETA-POS shares for the
-beta rows.  WHITEHOUSE reads the lie2 deficit with schur.deficit_positivity,
-which carries each degree's Schur numerators to the next.  The 56
-theorem-tier entries live in plethy.theorems, which registers them when it
-is imported.  The registry imports it the first time registry_ids() runs or
-an id not registered yet is looked up, never at load, so a run of the two
-scans does not load them.  Registry order is the theorems in their
-module's order, then the conjectures.
+scans.  verify_identity is the one runner: it runs an entry on a context of
+its cap, or reports a skip below the entry's min_cap, and verify_all calls
+it for each id on one shared context.  U-POS reads the u rows through
+_rows_positive, the one positivity loop over is_schur_positive_many, which
+the theorem BETA-POS shares for the beta rows.  WHITEHOUSE reads the lie2
+deficit with schur.deficit_positivity, which carries each degree's Schur
+numerators to the next; both take their verdicts from one rule in
+plethy.schur.  The 56 theorem-tier entries live in plethy.theorems, which
+registers them when it is imported.  The registry imports it the first
+time registry_ids() runs or an id not registered yet is looked up, never
+at load, so a run of the two scans does not load them.  Registry order is
+the theorems in their module's order, then the conjectures.
 """
 
 from __future__ import annotations
@@ -179,11 +182,18 @@ def _entry(id: str) -> _Entry:
 
 
 def verify_identity(id: str, cap: int, ctx: SeriesContext | None = None) -> IdentityReport:
+    """Run one entry at cap on ctx, a context of that cap (a new one if None).
+
+    An entry whose min_cap is above cap is not run; its report has status
+    "skip".
+    """
     entry = _entry(id)
-    if cap < entry.min_cap:
-        raise ValueError(f"{id} needs cap >= {entry.min_cap}")
     if ctx is None:
         ctx = SeriesContext(cap)
+    elif ctx.cap != cap:
+        raise ValueError(f"a context of cap {ctx.cap} cannot run {id} at cap {cap}")
+    if cap < entry.min_cap:
+        return IdentityReport(id, entry.tier, cap, "skip", detail=(f"needs cap >= {entry.min_cap}",))
     check = _Check()
     raised = False
     try:
@@ -206,28 +216,11 @@ def verify_identity(id: str, cap: int, ctx: SeriesContext | None = None) -> Iden
 
 
 def verify_all(cap: int, ids: list[str] | None = None) -> list[IdentityReport]:
-    """Run the registry (or a subset) and return reports in registry order.
-
-    An entry whose min_cap is above cap is not run; its report has status
-    "skip".
-    """
+    """verify_identity for each id (the whole registry if None), in that
+    order, on one shared context; an unknown id raises KeyError before any
+    entry runs."""
     wanted = ids if ids is not None else registry_ids()
-    entries = [_entry(id) for id in wanted]
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    reports = {
-        entry.id: IdentityReport(
-            id=entry.id,
-            tier=entry.tier,
-            cap=cap,
-            status="skip",
-            detail=(f"needs cap >= {entry.min_cap}",),
-        )
-        for entry in entries
-        if cap < entry.min_cap
-    }
-    ctx = SeriesContext(cap)
     for id in wanted:
-        if id not in reports:
-            reports[id] = verify_identity(id, cap, ctx)
-    return [reports[id] for id in wanted]
+        _entry(id)
+    ctx = SeriesContext(cap)
+    return [verify_identity(id, cap, ctx) for id in wanted]

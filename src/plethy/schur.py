@@ -11,13 +11,14 @@ strips to vectors of packed ints, so each strip serves the whole batch and
 a dense support never builds a full character table.  w is exact, not a
 guess: |chi^lam(mu)| <= isqrt(z_mu) by column orthogonality, which bounds
 every field.  Two readers take the sums: to_schur_many decodes and sorts
-every shape whose sum is nonzero, and is_schur_positive_many scans each
-field for its least value and decodes only the shapes that reach it.
-to_schur and is_schur_positive are their one-element batches.  A third
-reader, deficit_positivity, scans the whitehouse deficit p_1 f_(n-1) - f_n
+every shape whose sum is nonzero, and is_schur_positive_many streams each
+field through _verdict, the one positivity rule, which decodes only the
+shapes it names.  to_schur and is_schur_positive are their one-element
+batches.  deficit_positivity scans the whitehouse deficit p_1 f_(n-1) - f_n
 degree by degree without _expand: each shape carries its Schur numerators
-from one degree to the next, so p_1 f_(n-1) costs one 1-strip pass, and
-only the rectangle columns (d^m) are read.
+from one degree to the next, so p_1 f_(n-1) costs one 1-strip pass, only
+the rectangle columns (d^m) are read, and _verdict gets the few negative
+or non-integral numerators of each degree.
 character() reads one entry of a column through the mask of lam.
 """
 
@@ -152,9 +153,11 @@ def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
     a Horner scheme: a node's vector is its own C_mu at the empty shape plus
     P_k of each child k's vector, and the root's vector is acc.  A child
     with at most two terms is not walked: each of its terms adds C_mu times
-    the memoized column of mu less the node's prefix.  At the root that is
-    all of mu, so a sparse support such as the rectangles of the whitehouse
-    deficit reads the same columns as one term at a time would.
+    the memoized column of mu less the node's prefix.  The deep children of
+    the dense u and beta rows are mostly that small, and at the root the
+    column is all of mu, so a sparse support, such as that of
+    compute lie n --basis s, reads the same columns as one term at a time
+    would.
 
     The width w comes from an exact bound.  Column orthogonality gives
     sum_lam chi^lam(mu)^2 = z_mu, so |chi^lam(mu)| <= isqrt(z_mu), and every
@@ -171,12 +174,11 @@ def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
     n = fs[0].degree()
     if any(f.degree() != n for f in fs[1:]):
         raise ValueError("to_schur_many needs functions of one degree")
-    terms = [f._int_terms() for f in fs]
     roots: dict[tuple, int] = {}
     bound = 0
-    for nums, _ in terms:
+    for f in fs:
         b = 0
-        for mu, c in nums.items():
+        for mu, c in f._num.items():
             r = roots.get(mu)
             if r is None:
                 r = roots[mu] = isqrt(z_of(mu))
@@ -184,10 +186,10 @@ def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
         bound = max(bound, b)
     w = bound.bit_length() + 1
     packed: defaultdict[tuple, int] = defaultdict(int)
-    for j, (nums, _) in enumerate(terms):
-        for mu, c in nums.items():
+    for j, f in enumerate(fs):
+        for mu, c in f._num.items():
             packed[mu] += c << (w * j)
-    return _walk(list(packed.items()), 0), w, [den for _, den in terms]
+    return _walk(list(packed.items()), 0), w, [f._den for f in fs]
 
 
 def _fields(totals: Iterable[int], w: int, j: int, count: int) -> Iterator[int]:
@@ -237,37 +239,43 @@ class Positivity(NamedTuple):
 
 
 def is_schur_positive(f: SymFunc) -> Positivity:
-    return next(_positivity_many([f])) if f else Positivity(True)
+    return next(is_schur_positive_many([f]))
 
 
 def is_schur_positive_many(fs: Iterable[SymFunc]) -> Iterator[Positivity]:
-    """Yield is_schur_positive(f) for each f, reading the nonzero ones off
-    one _expand batch; a zero is positive and is not expanded."""
+    """Yield is_schur_positive(f) for each f: every field of one _expand
+    batch of the nonzero f goes through _verdict; a zero is positive and is
+    not expanded."""
     fs = list(fs)
-    results = _positivity_many([f for f in fs if f])
+    nonzero = [f for f in fs if f]
+    acc, w, dens = _expand(nonzero) if nonzero else ({}, 0, [])
+    verdicts = (
+        _verdict(zip(acc, _fields(acc.values(), w, j, len(nonzero))), den)
+        for j, den in enumerate(dens)
+    )
     for f in fs:
-        yield next(results) if f else Positivity(True)
+        yield next(verdicts) if f else Positivity(True)
 
 
-def _positivity_many(fs: list[SymFunc]) -> Iterator[Positivity]:
-    """One pass per field of _expand's sums keeps the least numerator, the
-    masks that reach it and those that den does not divide; the witness or
-    NotVirtualCharacter names the largest such lam, as to_schur_many would."""
-    acc, w, dens = _expand(fs)
+def _verdict(pairs: Iterable[tuple[int, int]], den: int) -> Positivity:
+    """The Positivity of a function whose coefficient of s_lam is num / den,
+    read from (mask(lam), num) pairs that hold every negative num and every
+    num that den does not divide.  The witness is the least num, at the
+    largest of the shapes that reach it, and NotVirtualCharacter names the
+    largest shape whose num den does not divide, as to_schur_many would."""
     decode = _mn_pure.decode
-    for j, den in enumerate(dens):
-        low, ties, bad = -1, [], []
-        for mask, v in zip(acc, _fields(acc.values(), w, j, len(fs))):
-            if v <= low:
-                if v < low:
-                    low, ties = v, []
-                ties.append(mask)
-            if v % den:
-                bad.append((decode(mask), v))
-        if bad:
-            lam, v = max(bad)
-            raise NotVirtualCharacter(lam, Fraction(v, den))
-        yield Positivity(False, max(map(decode, ties)), low // den) if ties else Positivity(True)
+    low, ties, bad = -1, [], []
+    for mask, v in pairs:
+        if v <= low:
+            if v < low:
+                low, ties = v, []
+            ties.append(mask)
+        if v % den:
+            bad.append((decode(mask), v))
+    if bad:
+        lam, v = max(bad)
+        raise NotVirtualCharacter(lam, Fraction(v, den))
+    return Positivity(False, max(map(decode, ties)), low // den) if ties else Positivity(True)
 
 
 def deficit_positivity(psi: Callable[[int], int], max_n: int) -> Iterator[Positivity]:
@@ -288,17 +296,17 @@ def deficit_positivity(psi: Callable[[int], int], max_n: int) -> Iterator[Positi
     n!, so the low field f^lam >= 0 never carries into the high one.  Only
     the rectangles (d^m), d > 1, are read as columns.
 
-    One pass over the shapes of n then computes N_n, keeps the least value,
-    the shapes that reach it and those that n(n-1) does not divide, with
-    the rules of _positivity_many, and writes the shape's packed value for
-    degree n+1 back into the same dict.  It also sums f^lam N_n[lam], which
+    One pass over the shapes of n then computes N_n, keeps the (mask, N_n)
+    pairs that are negative or that n(n-1) does not divide, and writes the
+    shape's packed value for degree n+1 back into the same dict; _verdict
+    reads the verdict off the kept pairs.  It also sums f^lam N_n[lam], which
     column orthogonality fixes at psi(1) n! (n(n-1) times the dimension
     psi(1) (n-2)! of the deficit); any other sum raises ValueError.  The
     ledger is checked before integrality, so a wrong character column is
     reported as one.
     """
     psi1 = psi(1)
-    decode, column = _mn_pure.decode, _mn_pure.keyed_column
+    column = _mn_pure.keyed_column
     packed = {_mn_pure.encode((1,)): 1}  # degree 1: f^(1) = 1 and R_1 = 0
     fact = 1
     for n in range(2, max_n + 1):
@@ -312,27 +320,20 @@ def deficit_positivity(psi: Callable[[int], int], max_n: int) -> Iterator[Positi
                 for mask, chi in column((d,) * (n // d)).items():
                     r_n[mask] = r_n.get(mask, 0) + c * chi
         den, low_field, get = n * (n - 1), (1 << w) - 1, r_n.get
-        low, ties, bad, ledger = -1, [], [], 0
+        kept, ledger = [], 0
         for mask, v in packed.items():
             f, r = v & low_field, get(mask, 0)
             num = psi1 * f + n * (v >> w) - (n - 1) * r
             ledger += f * num
-            if num <= low:
-                if num < low:
-                    low, ties = num, []
-                ties.append(mask)
-            if num % den:
-                bad.append((decode(mask), num))
+            if num < 0 or num % den:
+                kept.append((mask, num))
             packed[mask] = f + (r << w_next)
         if ledger != psi1 * fact:
             raise ValueError(
                 f"dimension ledger fails at n={n}: sum of f^lam N_n(lam) is {ledger}, "
                 f"not psi(1) n! = {psi1 * fact}"
             )
-        if bad:
-            lam, v = max(bad)
-            raise NotVirtualCharacter(lam, Fraction(v, den))
-        yield Positivity(False, max(map(decode, ties)), low // den) if ties else Positivity(True)
+        yield _verdict(kept, den)
 
 
 def hook_dimension(lam: tuple) -> int:

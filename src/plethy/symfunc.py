@@ -131,13 +131,6 @@ class SymFunc:
         ordered = sorted(self._num.items(), key=lambda kv: (sum(kv[0]), tuple(-x for x in kv[0])))
         return iter([(lam, Fraction(v, den)) for lam, v in ordered])
 
-    def _int_terms(self) -> tuple[dict[tuple, int], int]:
-        """(numerators, den): the coefficient of p_lambda is numerators[lambda] / den.
-
-        The dict is the instance's own storage; callers must not mutate it.
-        """
-        return self._num, self._den
-
     def support(self) -> Iterable[tuple]:
         return self._num.keys()
 

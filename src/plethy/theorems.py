@@ -452,27 +452,18 @@ def _he_unit(ctx, cap, check):
         check.eq(n, acc, SymFunc.zero())
     one = Series(cap, {0: SymFunc.one()})
 
-    # H[F] = G  <=>  E^+-[F] = 1/G  <=>  alternating e-sum = (G-1)/G
-    G = ctx.app("H", "lie").drop_grading()
-    Ginv = G.reciprocal()
-    Epm_lie = ctx.app("Epm", "lie")
-    for n in range(cap + 1):
-        check.eq(n, Epm_lie.coeff(n), Ginv.coeff(n), note="E^+-[lie] = 1/H[lie]")
-    alt_target = (G - one) * Ginv
-    appE = ctx.app("E", "lie")
-    for n in range(1, cap + 1):
-        check.eq(n, _alt_outer(appE, n), alt_target.coeff(n), note="(G-1)/G form")
-
-    # E[F] = K  <=>  H^+-[F] = 1/K  <=>  alternating h-sum = (K-1)/K
-    K = ctx.app("E", "lie2").drop_grading()
-    Kinv = K.reciprocal()
-    Hpm_lie2 = ctx.app("Hpm", "lie2")
-    for n in range(cap + 1):
-        check.eq(n, Hpm_lie2.coeff(n), Kinv.coeff(n), note="H^+-[lie2] = 1/E[lie2]")
-    alt_target2 = (K - one) * Kinv
-    appH = ctx.app("H", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, _alt_outer(appH, n), alt_target2.coeff(n), note="(K-1)/K form")
+    # H[F] = G  <=>  E^+-[F] = 1/G  <=>  alternating e-sum = (G-1)/G on lie,
+    # E[F] = K  <=>  H^+-[F] = 1/K  <=>  alternating h-sum = (K-1)/K on lie2
+    for fam, outer, other, name in (("lie", "H", "E", "G"), ("lie2", "E", "H", "K")):
+        G = ctx.app(outer, fam).drop_grading()
+        Ginv = G.reciprocal()
+        pm = ctx.app(other + "pm", fam)
+        for n in range(cap + 1):
+            check.eq(n, pm.coeff(n), Ginv.coeff(n), note=f"{other}^+-[{fam}] = 1/{outer}[{fam}]")
+        alt_target = (G - one) * Ginv
+        alt = ctx.app(other, fam)
+        for n in range(1, cap + 1):
+            check.eq(n, _alt_outer(alt, n), alt_target.coeff(n), note=f"({name}-1)/{name} form")
 
     # sign-twist lemma: K[-p1] = omega(K)^+- and the induced equivalences
     for fam, outer in (("lie", "H"), ("lie2", "E")):

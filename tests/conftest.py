@@ -125,7 +125,7 @@ def ref_to_schur(f: SymFunc):
     from plethy import _mn_pure
     from plethy.schur import NotVirtualCharacter, SchurExpansion
 
-    nums, den = f._int_terms()
+    nums, den = f._num, f._den
     acc: dict[int, int] = {}
     for mu, c in nums.items():
         for mask, chi in _mn_pure.keyed_column(mu).items():
@@ -196,7 +196,7 @@ def truncate(f: SymFunc, cap: int) -> SymFunc:
 
 def assert_canonical(f: SymFunc) -> None:
     """Lowest terms: positive den, no zero numerator, gcd of all of them 1."""
-    nums, den = f._int_terms()
+    nums, den = f._num, f._den
     assert type(den) is int and den > 0
     assert all(type(v) is int and v for v in nums.values())
     assert gcd(den, *nums.values()) == 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import inject_strip_sign_defect, partition_strategy, ref_positivity
-from plethy import cli, lie_family
+from plethy import _mn_pure, cli, lie_family
 from plethy.cli import MAX_SCHUR_DEGREE, main
 from plethy.partitions import partitions_of
 from plethy.series import SeriesContext
@@ -552,6 +552,24 @@ def test_scans_do_not_load_the_theorem_tier():
     assert not after_scans
     assert after_verify
     assert ids == REGISTRY_IDS
+
+
+def test_benchmark_entry_points_run():
+    # the benchmark's child process probes the import (reading
+    # schur.kernel_name) and runs one CLI call; a name it needs that goes
+    # missing would fail every benchmark run, so both are run here
+    root = pathlib.Path(__file__).resolve().parent.parent
+    child = [sys.executable, str(root / "perfbench" / "child.py")]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = subprocess.run(child + ["import"], capture_output=True, text=True, env=env)
+    assert probe.returncode == 0, probe.stderr
+    info = json.loads(probe.stdout)
+    assert info["kernel"] == _mn_pure.KERNEL_NAME
+    assert pathlib.Path(info["plethy_file"]).resolve().is_relative_to(root / "src")
+    argv = ["call", "--", "conjecture", "whitehouse", "--max-n", "6", "--json"]
+    call = subprocess.run(child + argv, capture_output=True, text=True, env=env)
+    assert call.returncode == 0, call.stderr
+    assert json.loads(call.stdout)["status"] == "pass"
 
 
 def test_console_entry_point():

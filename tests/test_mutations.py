@@ -6,9 +6,10 @@ has to report at least one failure, and no exception may escape it (an
 entry that raises is itself a failure report).  A defect in the positivity
 reader must instead fail the test in test_schur that pins the behaviour it
 breaks: the witness tie-break or the integrality check; so must one in the
-whitehouse deficit scan, and a strip-sign defect must fire that scan's
-dimension ledger.  A defect in the u rows must fail both an entry and the
-oracle test in test_series.
+whitehouse deficit scan.  One in schur._verdict, the rule both scans
+share, must fail the tests of both, and a strip-sign defect must fire the
+deficit scan's dimension ledger.  A defect in the u rows must fail both an
+entry and the oracle test in test_series.
 """
 
 from __future__ import annotations
@@ -248,25 +249,37 @@ def test_family_defect_fails_an_entry(monkeypatch, family, degree):
     assert failed, f"an extra term in {family}({degree}) went unnoticed at cap 10"
 
 
+def _verdict_rule(tie, integral=True):
+    """A stand-in for schur._verdict that picks the witness among the tied
+    shapes with tie and, unless integral is false, refuses a function that
+    is not a virtual character."""
+
+    def verdict(pairs, den):
+        field = {_mn_pure.decode(m): v for m, v in pairs}
+        bad = [(lam, v) for lam, v in field.items() if v % den]
+        if integral and bad:
+            lam, v = max(bad)
+            raise schur.NotVirtualCharacter(lam, Fraction(v, den))
+        low = min(field.values(), default=0)
+        if low >= 0:
+            return schur.Positivity(True)
+        return schur.Positivity(False, tie(lam for lam, v in field.items() if v == low), low // den)
+
+    return verdict
+
+
 def _positivity_reader(tie, integral=True):
-    """A positivity reader on the packed sums of schur._expand that picks
-    the witness among the tied shapes with tie and, unless integral is
-    false, refuses a function that is not a virtual character."""
+    """A stand-in for schur.is_schur_positive_many that expands one function
+    at a time and reads the packed sums of schur._expand with _verdict_rule."""
+    verdict = _verdict_rule(tie, integral)
 
     def read(fs):
-        acc, w, dens = schur._expand(fs)
-        for j, den in enumerate(dens):
-            field = dict(zip(acc, schur._fields(acc.values(), w, j, len(fs))))
-            bad = [(_mn_pure.decode(m), v) for m, v in field.items() if v % den]
-            if integral and bad:
-                lam, v = max(bad)
-                raise schur.NotVirtualCharacter(lam, Fraction(v, den))
-            low = min(field.values())
-            if low >= 0:
+        for f in fs:
+            if not f:
                 yield schur.Positivity(True)
                 continue
-            ties = [_mn_pure.decode(m) for m, v in field.items() if v == low]
-            yield schur.Positivity(False, tie(ties), low // den)
+            acc, w, (den,) = schur._expand([f])
+            yield verdict(zip(acc, schur._fields(acc.values(), w, 0, 1)), den)
 
     return read
 
@@ -284,20 +297,20 @@ def _deficit_reader(tie, integral=True):
 
 
 def test_the_positivity_reader_stand_in_passes_when_sound(monkeypatch):
-    monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(max))
+    monkeypatch.setattr(schur, "is_schur_positive_many", _positivity_reader(max))
     test_schur.test_positivity_witness()
     test_schur.test_positivity_batch_reports_a_failure_before_a_later_raise()
 
 
 def test_a_tie_break_toward_the_smaller_shape_fails_the_witness(monkeypatch):
     # at n = 8 the lie2 deficit is -1 at (8,), (4,4) and (2,2,2,2)
-    monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(min))
+    monkeypatch.setattr(schur, "is_schur_positive_many", _positivity_reader(min))
     with pytest.raises(AssertionError):
         test_schur.test_positivity_witness()
 
 
 def test_a_skipped_integrality_check_fails_the_batch_raise(monkeypatch):
-    monkeypatch.setattr(schur, "_positivity_many", _positivity_reader(max, integral=False))
+    monkeypatch.setattr(schur, "is_schur_positive_many", _positivity_reader(max, integral=False))
     with pytest.raises(pytest.fail.Exception):
         test_schur.test_positivity_batch_reports_a_failure_before_a_later_raise()
 
@@ -316,6 +329,34 @@ def test_a_deficit_tie_break_toward_the_smaller_shape_fails_the_witness(monkeypa
 
 def test_a_skipped_deficit_integrality_check_fails_its_raise(monkeypatch):
     monkeypatch.setattr(schur, "deficit_positivity", _deficit_reader(max, integral=False))
+    with pytest.raises(pytest.fail.Exception):
+        test_schur.test_deficit_positivity_refuses_a_non_integral_coefficient()
+
+
+# both scans read their verdict from schur._verdict, so one defect there
+# must fail the tests of both
+
+
+def test_the_verdict_stand_in_passes_when_sound(monkeypatch):
+    monkeypatch.setattr(schur, "_verdict", _verdict_rule(max))
+    test_schur.test_positivity_witness()
+    test_schur.test_deficit_positivity_witness()
+    test_schur.test_positivity_batch_reports_a_failure_before_a_later_raise()
+    test_schur.test_deficit_positivity_refuses_a_non_integral_coefficient()
+
+
+def test_a_verdict_tie_break_toward_the_smaller_shape_fails_both_witnesses(monkeypatch):
+    monkeypatch.setattr(schur, "_verdict", _verdict_rule(min))
+    with pytest.raises(AssertionError):
+        test_schur.test_positivity_witness()
+    with pytest.raises(AssertionError):
+        test_schur.test_deficit_positivity_witness()
+
+
+def test_a_verdict_without_the_integrality_raise_fails_both_raises(monkeypatch):
+    monkeypatch.setattr(schur, "_verdict", _verdict_rule(max, integral=False))
+    with pytest.raises(pytest.fail.Exception):
+        test_schur.test_positivity_batch_reports_a_failure_before_a_later_raise()
     with pytest.raises(pytest.fail.Exception):
         test_schur.test_deficit_positivity_refuses_a_non_integral_coefficient()
 

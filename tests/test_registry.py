@@ -106,8 +106,26 @@ def test_unknown_identity():
 
 
 def test_min_cap_enforced():
-    with pytest.raises(ValueError):
-        verify_identity("THRALL", 1)
+    # an entry below its min_cap is not run: verify_identity reports the skip
+    # that verify_all lists
+    rep = verify_identity("THRALL", 1)
+    assert rep == verify_all(1, ids=["THRALL"])[0]
+    assert rep.to_dict() == {
+        "id": "THRALL",
+        "tier": "theorem",
+        "cap": 1,
+        "status": "skip",
+        "detail": ["needs cap >= 2"],
+    }
+
+
+@pytest.mark.parametrize("cap, ctx_cap", [(8, 6), (6, 8)])
+def test_a_context_of_another_cap_is_refused(cap, ctx_cap):
+    # a smaller context would fail THRALL on a degree it does not hold, and a
+    # larger one would pass it on series built past cap
+    want = f"context of cap {ctx_cap} cannot run THRALL at cap {cap}"
+    with pytest.raises(ValueError, match=want):
+        verify_identity("THRALL", cap, SeriesContext(ctx_cap))
 
 
 def test_verify_all_skips_entries_below_min_cap():

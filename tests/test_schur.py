@@ -339,7 +339,7 @@ def test_to_schur_matches_oracle():
     from plethy.lie_family import whitehouse_deficit
 
     f = whitehouse_deficit(13, "lie2")
-    nums, den = f._int_terms()
+    nums, den = f._num, f._den
     expected = []
     for lam in partitions_of(13):
         total = sum(c * oracle_character(lam, mu) for mu, c in nums.items())
@@ -445,7 +445,8 @@ def test_positivity_batch_matches_one_at_a_time():
 
 
 def test_positivity_batch_reports_a_failure_before_a_later_raise():
-    results = is_schur_positive_many([p((2, 1)), p(3).scale(Fraction(1, 2))])
+    # called through the module, so that a stand-in of test_mutations runs
+    results = schur.is_schur_positive_many([p((2, 1)), p(3).scale(Fraction(1, 2))])
     assert next(results) == Positivity(False, (1, 1, 1), -1)
     with pytest.raises(NotVirtualCharacter):
         next(results)
