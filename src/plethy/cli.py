@@ -103,7 +103,7 @@ def _cmd_verify(args) -> int:
     try:
         reports = verify_all(args.cap, ids=ids)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0]}", file=sys.stderr)  # str(KeyError) would quote it
         return 2
     failures = skipped = 0
     for rep in reports:

@@ -100,14 +100,21 @@ def ell(n: int, r: int) -> SymFunc:
     return f_from_psi(lambda d: ramanujan_sum(d, r), n)
 
 
+def _degree(name: str, n: int) -> int:
+    """n itself; a degree below 1 is refused in the family's own name."""
+    if n < 1:
+        raise ValueError(f"{name} needs n >= 1")
+    return n
+
+
 def lie(n: int) -> SymFunc:
     """Multilinear free-Lie-algebra character: psi = mobius."""
-    return f_from_psi(Psi.mobius(), n)
+    return f_from_psi(Psi.mobius(), _degree("lie", n))
 
 
 def conj(n: int) -> SymFunc:
     """Conjugacy action on n-cycles: psi = totient."""
-    return f_from_psi(Psi.totient(), n)
+    return f_from_psi(Psi.totient(), _degree("conj", n))
 
 
 def lie2(n: int) -> SymFunc:
@@ -116,7 +123,7 @@ def lie2(n: int) -> SymFunc:
     The odd / power-of-two / twice-odd trichotomy (= lie, conj, omega(lie))
     is a consequence checked in tests, not the definition.
     """
-    return ell(n, two_adic_part(n))
+    return ell(n, two_adic_part(_degree("lie2", n)))
 
 
 def whitehouse_deficit(n: int, family: str = "lie") -> SymFunc:

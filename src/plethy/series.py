@@ -615,18 +615,10 @@ class SeriesContext:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""
         if n < 0:
             raise ValueError("delta needs n >= 0")
-        if n == 0:
-            return SymFunc.one()
-        if n == 1:
-            return SymFunc.zero()
-        return linear_sum(
-            ((-1) ** (k % 2), p((1,) * (n - k)) * h(k) if n > k else h(k)) for k in range(n + 1)
-        )
+        return linear_sum(((-1) ** (k % 2), p((1,) * (n - k)) * h(k)) for k in range(n + 1))
 
     def g_fn(self, n: int) -> SymFunc:
         """Dimension-zero virtual piece: sum of p_lam, parts powers of 2, no 1s."""
-        if n == 0:
-            return SymFunc.one()
         return p_sum_over(n, "powers_of_two_and_no_1")
 
     def sigma(self, n: int) -> SymFunc:

@@ -7,14 +7,18 @@ module registers the entries with plethy.registry, in the order below,
 which the registry does the first time a command asks for a theorem id or
 for the whole list.  The two conjecture-tier scans stay in the registry, so
 `conjecture` never compiles this module.  Rules that several entries share
-are stated once: _PSI maps each family to its weight psi, _p1_recurrence is
-the restriction recurrence S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and
-TAU-REC, and BETA-POS scans its rows with the registry's _rows_positive.
+are stated once: _degrees_equal is the per-degree comparison of two sides,
+each lie/lie2 counterpart pair is one factory body over the family, its
+outer kind (H/E) and its generator (kappa/omega(kappa)), _PSI maps each
+family to its weight psi, _p1_recurrence is the restriction recurrence
+S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and TAU-REC, and BETA-POS
+scans its rows with the registry's _rows_positive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .lie_family import Psi
@@ -33,8 +37,32 @@ from .symfunc import SymFunc, e, h, linear_sum, p, plethysm, s
 _PSI = {"lie": Psi.mobius(), "conj": Psi.totient(), "lie2": Psi.two_adic()}
 
 
+def _degrees_equal(check: _Check, lhs: Callable, rhs: Callable, start: int, cap: int) -> None:
+    """lhs(n) = rhs(n) for the degrees start <= n <= cap, in order."""
+    for n in range(start, cap + 1):
+        check.eq(n, lhs(n), rhs(n))
+
+
 def _p1n(n: int) -> SymFunc:
-    return p((1,) * n) if n else SymFunc.one()
+    return p((1,) * n)
+
+
+def _p1_only(n: int) -> SymFunc:
+    """The degree-n part of the series p_1: p_1 at degree 1, else 0."""
+    return p(1) if n == 1 else SymFunc.zero()
+
+
+def _zero(n: int) -> SymFunc:
+    return SymFunc.zero()
+
+
+def _two_powers(n: int) -> SymFunc:
+    return p_sum_over(n, "parts_powers_of_two")
+
+
+def _p2_p1(n: int) -> SymFunc:
+    """p_2^(n/2) for even n, p_2^((n-1)/2) p_1 for odd n."""
+    return p((2,) * (n // 2) + (1,) * (n % 2))
 
 
 def _alt_outer(app: Series, n: int) -> SymFunc:
@@ -47,9 +75,9 @@ def _pieces_sum(piece: Callable, n: int, start: int = 0, step: int = 1) -> SymFu
     return linear_sum((1, piece(n, k)) for k in range(start, n, step))
 
 
-def _distinct_powers_sum(n: int, signed: bool) -> SymFunc:
+def _distinct_powers_sum(n: int) -> SymFunc:
     return linear_sum(
-        ((-1) ** (len(lam) - 1) if signed else 1, p(lam))
+        ((-1) ** (len(lam) - 1), p(lam))
         for lam in partitions_of(n, "parts_powers_of_two")
         if len(set(lam)) == len(lam)
     )
@@ -67,73 +95,57 @@ def _odd_parts_sum(n: int, distinct: bool = False) -> SymFunc:
 # regular-representation decompositions and their inverses
 
 
+def _plinv(outer: str, fam: str, gen: Callable):
+    """outer[fam] = p_1, and fam is the plethystic inverse of sum of gen(n), n >= 1."""
+
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        _degrees_equal(check, ctx.app(outer, fam).coeff, _p1_only, 1, cap)
+        # and the inverse computed from scratch matches the family
+        inv = plethystic_inverse(Series(cap, {n: gen(n) for n in range(1, cap + 1)}))
+        _degrees_equal(check, inv.coeff, ctx.family(fam).coeff, 1, cap)
+
+    return fn
+
+
 @_register("THRALL", "symmetric powers of lie rebuild the regular representation")
 def _thrall(ctx, cap, check):
-    app = ctx.brackets("H", "lie")
-    for n in range(cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
+    _degrees_equal(check, ctx.brackets("H", "lie").coeff, _p1n, 0, cap)
 
 
-@_register("CADOGAN", "alternating omega(lie) inverts the homogeneous series")
-def _cadogan(ctx, cap, check):
-    app = ctx.app("H", "lie_alt")
-    check.eq(1, app.coeff(1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), SymFunc.zero())
-    # and the inverse computed from scratch matches the family
-    inv = plethystic_inverse(Series(cap, {n: h(n) for n in range(1, cap + 1)}))
-    for n in range(1, cap + 1):
-        check.eq(n, inv.coeff(n), ctx.family("lie_alt").coeff(n))
+_register("CADOGAN", "alternating omega(lie) inverts the homogeneous series")(
+    _plinv("H", "lie_alt", h)
+)
 
 
 @_register("SOLOMON", "symmetric powers of conj give all partitions")
 def _solomon(ctx, cap, check):
-    app = ctx.app("H", "conj")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), p_sum_over(n))
+    _degrees_equal(check, ctx.app("H", "conj").coeff, p_sum_over, 1, cap)
 
 
 @_register("EXT-REG", "exterior powers of lie2 rebuild the regular representation")
 def _ext_reg(ctx, cap, check):
-    app = ctx.brackets("E", "lie2")
-    for n in range(cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
+    _degrees_equal(check, ctx.brackets("E", "lie2").coeff, _p1n, 0, cap)
 
 
-@_register("PLINV-E", "alternating omega(lie2) inverts the elementary series")
-def _plinv_e(ctx, cap, check):
-    app = ctx.app("E", "lie2_alt")
-    check.eq(1, app.coeff(1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), SymFunc.zero())
-    inv = plethystic_inverse(Series(cap, {n: e(n) for n in range(1, cap + 1)}))
-    for n in range(1, cap + 1):
-        check.eq(n, inv.coeff(n), ctx.family("lie2_alt").coeff(n))
+_register("PLINV-E", "alternating omega(lie2) inverts the elementary series")(
+    _plinv("E", "lie2_alt", e)
+)
 
 
 @_register("SYM-LIE2", "symmetric powers of lie2 give the power-of-two classes")
 def _sym_lie2(ctx, cap, check):
-    app = ctx.app("H", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), p_sum_over(n, "parts_powers_of_two"))
+    _degrees_equal(check, ctx.app("H", "lie2").coeff, _two_powers, 1, cap)
 
 
 @_register("ALT-E-LIE2", "alternating exterior sum of lie2: distinct two-power classes")
 def _alt_e_lie2(ctx, cap, check):
-    app = ctx.app("E", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, _alt_outer(app, n), _distinct_powers_sum(n, signed=True))
+    _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie2")), _distinct_powers_sum, 1, cap)
 
 
 @_register("ALT-H-LIE", "alternating symmetric sum of lie collapses to two-row classes")
 def _alt_h_lie(ctx, cap, check):
-    app = ctx.app("H", "lie")
-    for n in range(1, cap + 1):
-        if n % 2:
-            rhs = p(1) * p((2,) * (n // 2)) if n > 1 else p(1)
-        else:
-            rhs = -p((2,) * (n // 2))
-        check.eq(n, _alt_outer(app, n), rhs)
+    lhs = partial(_alt_outer, ctx.app("H", "lie"))
+    _degrees_equal(check, lhs, lambda n: _p2_p1(n) if n % 2 else -_p2_p1(n), 1, cap)
 
 
 @_register("ALT-H-LIE-PROD", "signed bracket sum over lie equals (1+p1)/(1-p2)")
@@ -141,207 +153,179 @@ def _alt_h_lie_prod(ctx, cap, check):
     signed = ctx.brackets("H", "lie", signed=True)
     appalt = ctx.app("E", "lie_alt")
     for n in range(1, cap + 1):
-        if n % 2:
-            rhs = p(1) * p((2,) * (n // 2)) if n > 1 else p(1)
-        else:
-            rhs = p((2,) * (n // 2))
-        check.eq(n, signed.coeff(n), rhs)
+        check.eq(n, signed.coeff(n), _p2_p1(n))
         # middle member: omega(E[omega(lie) alternating])
-        check.eq(n, appalt.coeff(n).omega(), rhs, note="omega(E[lie_alt]) form")
+        check.eq(n, appalt.coeff(n).omega(), _p2_p1(n), note="omega(E[lie_alt]) form")
 
 
 @_register("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)")
 def _ext_lie(ctx, cap, check):
-    app = ctx.app("E", "lie")
-    for n in range(1, cap + 1):
-        rhs = _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero())
-        check.eq(n, app.coeff(n), rhs)
+    def rhs(n):
+        return _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero())
+
+    _degrees_equal(check, ctx.app("E", "lie").coeff, rhs, 1, cap)
 
 
 @_register("EXT-CONJ", "exterior powers of conj give the odd classes")
 def _ext_conj(ctx, cap, check):
-    app = ctx.app("E", "conj")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _odd_parts_sum(n))
+    _degrees_equal(check, ctx.app("E", "conj").coeff, _odd_parts_sum, 1, cap)
 
 
 @_register("ALT-CONJ", "exterior powers of alternating omega(conj): distinct odd classes")
 def _alt_conj(ctx, cap, check):
-    app = ctx.app("E", "conj_alt")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _odd_parts_sum(n, distinct=True))
+    rhs = partial(_odd_parts_sum, distinct=True)
+    _degrees_equal(check, ctx.app("E", "conj_alt").coeff, rhs, 1, cap)
 
 
 @_register("ACYC-LIE", "signed exterior bracket sum over lie vanishes (n >= 2)")
 def _acyc_lie(ctx, cap, check):
-    signed = ctx.brackets("E", "lie", signed=True)
-    for n in range(2, cap + 1):
-        check.eq(n, signed.coeff(n), SymFunc.zero())
+    _degrees_equal(check, ctx.brackets("E", "lie", signed=True).coeff, _zero, 2, cap)
 
 
 @_register("ACYC-LIE2", "signed symmetric bracket sum over lie2 vanishes (n >= 2)")
 def _acyc_lie2(ctx, cap, check):
-    signed = ctx.brackets("H", "lie2", signed=True)
-    for n in range(2, cap + 1):
-        check.eq(n, signed.coeff(n), SymFunc.zero())
+    _degrees_equal(check, ctx.brackets("H", "lie2", signed=True).coeff, _zero, 2, cap)
 
 
 @_register("TOTALCOH-LIE", "total exterior bracket sum over lie is 2 e2 p1^(n-2)")
 def _totalcoh_lie(ctx, cap, check):
-    total = ctx.brackets("E", "lie")
-    for n in range(2, cap + 1):
-        check.eq(n, total.coeff(n), (e(2) * _p1n(n - 2)).scale(2))
+    lhs = ctx.brackets("E", "lie").coeff
+    _degrees_equal(check, lhs, lambda n: (e(2) * _p1n(n - 2)).scale(2), 2, cap)
 
 
 @_register("TOTALCOH-LIE2", "total symmetric bracket sum over lie2: two-power classes")
 def _totalcoh_lie2(ctx, cap, check):
-    total = ctx.brackets("H", "lie2")
-    for n in range(2, cap + 1):
-        check.eq(n, total.coeff(n), p_sum_over(n, "parts_powers_of_two"))
+    _degrees_equal(check, ctx.brackets("H", "lie2").coeff, _two_powers, 2, cap)
 
 
 # ---------------------------------------------------------------------------
-# the two equivalence chains
+# the two equivalence chains: each lie link and its lie2 counterpart swap the
+# family, the outer kind (H <-> E) and the generator (kappa <-> omega(kappa))
+
+
+def _cochain(outer: str, fam: str, gen: str, dual: str):
+    """gen and dual name the SeriesContext generators, kappa and omega_kappa."""
+
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        # the signed sum is -gen_n; sign normalization follows the +gen
+        # identity it is equivalent to
+        lhs = ctx.app(outer + "pm", fam).coeff
+        _degrees_equal(check, lhs, lambda n: -getattr(ctx, gen)().coeff(n), 2, cap)
+        # omega-twisted Lefschetz form with (-1)^(n-1)
+        app = ctx.app(outer, fam)
+        for n in range(2, cap + 1):
+            acc = linear_sum(((-1) ** (i % 2), app.graded(n, n - i).omega()) for i in range(n + 1))
+            rhs = getattr(ctx, dual)().coeff(n).scale((-1) ** ((n - 1) % 2))
+            check.eq(n, acc, rhs, note="omega-twisted form")
+
+    return fn
+
+
+def _filt_b(fam: str, gen: str):
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        sums = ctx.iterate_generator(getattr(ctx, gen)())
+        if sums[-1] != sums[-2]:
+            check.fail(cap, "iteration did not stabilize at the cap")
+            return
+        _degrees_equal(check, ctx.family(fam).coeff, sums[-1].coeff, 0, cap)
+
+    return fn
+
+
+def _e_delta(ctx: SeriesContext, n: int) -> SymFunc:
+    """sum of (-1)^k p1^(n-k) e_k, the e-counterpart of ctx.delta(n)."""
+    return linear_sum(((-1) ** (k % 2), _p1n(n - k) * e(k)) for k in range(n + 1))
+
+
+def _hodge(outer: str, fam: str, gen: Callable, name: str, closed: Callable):
+    """outer[fam]|_n = closed(ctx, n) = sum of (-1)^k p1^(n-k) gen_k, and the
+    same as the product of (1-p1)^-1 and name^+- = sum of (-1)^k gen_k."""
+
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        app = ctx.app(outer, fam)
+        geom = Series(cap, {n: _p1n(n) for n in range(cap + 1)})
+        signed = Series(cap, {n: gen(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
+        middle = geom * signed
+        for n in range(2, cap + 1):
+            check.eq(n, app.coeff(n), closed(ctx, n))
+            check.eq(n, app.coeff(n), middle.coeff(n), note=f"(1-p1)^-1 {name}^+- form")
+
+    return fn
 
 
 @_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n")
 def _equiv_pbw_sym(ctx, cap, check):
-    app = ctx.app("H", "lie")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
+    _degrees_equal(check, ctx.app("H", "lie").coeff, _p1n, 1, cap)
 
 
 @_register("EQUIV-PBW-CADOGAN", "(H-1) inverse is the alternating omega(lie)")
 def _equiv_pbw_cadogan(ctx, cap, check):
-    app = ctx.brackets("H", "lie_alt")
-    check.eq(1, app.coeff(1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), SymFunc.zero())
+    _degrees_equal(check, ctx.brackets("H", "lie_alt").coeff, _p1_only, 1, cap)
 
 
 @_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1")
 def _equiv_pbw_altext(ctx, cap, check):
-    app = ctx.app("E", "lie")
-    check.eq(1, _alt_outer(app, 1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), SymFunc.zero())
+    _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie")), _p1_only, 1, cap)
 
 
 @_register("EQUIV-PBW-ALTEXT-GE2", "alternating e-sum over lie_(>=2) is the standard representation")
 def _equiv_pbw_altext_ge2(ctx, cap, check):
-    app = ctx.app("E", "lie_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), ctx.kappa().coeff(n))
+    lhs = partial(_alt_outer, ctx.app("E", "lie_ge2"))
+    _degrees_equal(check, lhs, ctx.kappa().coeff, 2, cap)
 
 
-@_register("EQUIV-PBW-COCHAIN", "signed e-sum over lie_(>=2) collapses to one irreducible")
-def _equiv_pbw_cochain(ctx, cap, check):
-    # E^+-[lie_(>=2)]|_n = -s_(n-1,1); sign normalization follows the
-    # +kappa identity it is equivalent to (see decisions ledger)
-    app = ctx.app("Epm", "lie_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), -ctx.kappa().coeff(n))
-    # omega-twisted Lefschetz form with (-1)^(n-1)
-    appE = ctx.app("E", "lie_ge2")
-    for n in range(2, cap + 1):
-        acc = linear_sum(((-1) ** (i % 2), appE.graded(n, n - i).omega()) for i in range(n + 1))
-        rhs = ctx.omega_kappa().coeff(n).scale((-1) ** ((n - 1) % 2))
-        check.eq(n, acc, rhs, note="omega-twisted form")
+_register("EQUIV-PBW-COCHAIN", "signed e-sum over lie_(>=2) collapses to one irreducible")(
+    _cochain("E", "lie_ge2", "kappa", "omega_kappa")
+)
 
 
 @_register("EQUIV-PBW-FILT-A", "lie_(>=2) = lie composed with the standard-rep series")
 def _equiv_pbw_filt_a(ctx, cap, check):
     rhs = series_plethysm(ctx.family("lie"), ctx.kappa())
-    lhs = ctx.family("lie_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), rhs.coeff(n))
+    _degrees_equal(check, ctx.family("lie_ge2").coeff, rhs.coeff, 0, cap)
 
 
-@_register("EQUIV-PBW-FILT-B", "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)")
-def _equiv_pbw_filt_b(ctx, cap, check):
-    sums = ctx.iterate_generator(ctx.kappa())
-    if sums[-1] != sums[-2]:
-        check.fail(cap, "iteration did not stabilize at the cap")
-        return
-    lhs = ctx.family("lie_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), sums[-1].coeff(n))
-
-
-@_register("EQUIV-PBW-HODGE", "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k")
-def _equiv_pbw_hodge(ctx, cap, check):
-    app = ctx.app("H", "lie_ge2")
-    geom = Series(cap, {n: _p1n(n) for n in range(cap + 1)})
-    epm = Series(cap, {n: e(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
-    middle = geom * epm
-    for n in range(2, cap + 1):
-        rhs = linear_sum(((-1) ** (k % 2), _p1n(n - k) * e(k)) for k in range(n + 1))
-        check.eq(n, app.coeff(n), rhs)
-        check.eq(n, app.coeff(n), middle.coeff(n), note="(1-p1)^-1 E^+- form")
+_register("EQUIV-PBW-FILT-B", "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)")(
+    _filt_b("lie_ge2", "kappa")
+)
+_register("EQUIV-PBW-HODGE", "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k")(
+    _hodge("H", "lie_ge2", e, "E", _e_delta)
+)
 
 
 @_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n")
 def _equiv_lie2_ext(ctx, cap, check):
-    app = ctx.app("E", "lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, app.coeff(n), _p1n(n))
+    _degrees_equal(check, ctx.app("E", "lie2").coeff, _p1n, 1, cap)
 
 
 @_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1")
 def _equiv_lie2_plinv(ctx, cap, check):
-    app = ctx.app("H", "lie2")
-    check.eq(1, _alt_outer(app, 1), p(1))
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), SymFunc.zero())
+    _degrees_equal(check, partial(_alt_outer, ctx.app("H", "lie2")), _p1_only, 1, cap)
 
 
 @_register("EQUIV-LIE2-GE2", "alternating h-sum over lie2_(>=2) is omega(kappa)")
 def _equiv_lie2_ge2(ctx, cap, check):
-    app = ctx.app("H", "lie2_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, _alt_outer(app, n), ctx.omega_kappa().coeff(n))
+    lhs = partial(_alt_outer, ctx.app("H", "lie2_ge2"))
+    _degrees_equal(check, lhs, ctx.omega_kappa().coeff, 2, cap)
 
 
-@_register("EQUIV-LIE2-COCHAIN", "signed h-sum over lie2_(>=2) collapses to one irreducible")
-def _equiv_lie2_cochain(ctx, cap, check):
-    app = ctx.app("Hpm", "lie2_ge2")
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), -ctx.omega_kappa().coeff(n))
-    appH = ctx.app("H", "lie2_ge2")
-    for n in range(2, cap + 1):
-        acc = linear_sum(((-1) ** (i % 2), appH.graded(n, n - i).omega()) for i in range(n + 1))
-        rhs = ctx.kappa().coeff(n).scale((-1) ** ((n - 1) % 2))
-        check.eq(n, acc, rhs, note="omega-twisted form")
+_register("EQUIV-LIE2-COCHAIN", "signed h-sum over lie2_(>=2) collapses to one irreducible")(
+    _cochain("H", "lie2_ge2", "omega_kappa", "kappa")
+)
 
 
 @_register("EQUIV-LIE2-FILT-A", "lie2_(>=2) = lie2 composed with omega(kappa)")
 def _equiv_lie2_filt_a(ctx, cap, check):
     rhs = series_plethysm(ctx.family("lie2"), ctx.omega_kappa())
-    lhs = ctx.family("lie2_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), rhs.coeff(n))
+    _degrees_equal(check, ctx.family("lie2_ge2").coeff, rhs.coeff, 0, cap)
 
 
-@_register("EQUIV-LIE2-FILT-B", "lie2_(>=2) = omega(kappa) iterated (stabilized)")
-def _equiv_lie2_filt_b(ctx, cap, check):
-    sums = ctx.iterate_generator(ctx.omega_kappa())
-    if sums[-1] != sums[-2]:
-        check.fail(cap, "iteration did not stabilize at the cap")
-        return
-    lhs = ctx.family("lie2_ge2")
-    for n in range(cap + 1):
-        check.eq(n, lhs.coeff(n), sums[-1].coeff(n))
-
-
-@_register("EQUIV-LIE2-HODGE", "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k")
-def _equiv_lie2_hodge(ctx, cap, check):
-    app = ctx.app("E", "lie2_ge2")
-    geom = Series(cap, {n: _p1n(n) for n in range(cap + 1)})
-    hpm = Series(cap, {n: h(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
-    middle = geom * hpm
-    for n in range(2, cap + 1):
-        check.eq(n, app.coeff(n), ctx.delta(n))
-        check.eq(n, app.coeff(n), middle.coeff(n), note="(1-p1)^-1 H^+- form")
+_register("EQUIV-LIE2-FILT-B", "lie2_(>=2) = omega(kappa) iterated (stabilized)")(
+    _filt_b("lie2_ge2", "omega_kappa")
+)
+_register("EQUIV-LIE2-HODGE", "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k")(
+    _hodge("E", "lie2_ge2", h, "H", lambda ctx, n: ctx.delta(n))
+)
 
 
 @_register("SU1-LOG", "log of the weighted products recovers the family and its twist")
@@ -376,37 +360,22 @@ def _su1_log(ctx, cap, check):
 def _meta_products(fam: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
         psi = _PSI[fam]
-        # symmetric powers
-        A1 = ctx.app("H", fam)
-        A2 = ctx.brackets("H", fam)
-        A3 = ctx.product(psi, "sym")
-        check.eq_graded(A1, A2)
-        check.eq_graded(A1, A3)
-        # exterior powers
-        B1 = ctx.app("E", fam)
-        B2 = ctx.brackets("E", fam)
-        B3 = ctx.product(psi, "ext")
-        check.eq_graded(B1, B2)
-        check.eq_graded(B1, B3)
-        # alternating exterior powers
-        C1 = ctx.app("H", fam + "_alt")
-        C2 = ctx.brackets("E", fam, signed=True).map(lambda f: f.omega())
-        C3 = ctx.product(psi, "alt_ext")
-        check.eq_graded(C1, C2)
-        check.eq_graded(C1, C3)
-        # alternating symmetric powers
-        D1 = ctx.app("E", fam + "_alt")
-        D2 = ctx.brackets("H", fam, signed=True).map(lambda f: f.omega())
-        D3 = ctx.product(psi, "alt_sym")
-        check.eq_graded(D1, D2)
-        check.eq_graded(D1, D3)
-        # the signed-operator equivalents
-        E1 = ctx.app("Epm", fam)
-        E3 = ctx.product(psi, "epm")
-        check.eq_graded(E1, E3)
-        H1 = ctx.app("Hpm", fam)
-        H3 = ctx.product(psi, "hpm")
-        check.eq_graded(H1, H3)
+        # each outer power of fam equals its bracket sum (omega of the signed
+        # one for the alternating powers, none for the signed operators) and
+        # its product form
+        for outer, inner, kind, signed, form in (
+            ("H", fam, "H", False, "sym"),
+            ("E", fam, "E", False, "ext"),
+            ("H", fam + "_alt", "E", True, "alt_ext"),
+            ("E", fam + "_alt", "H", True, "alt_sym"),
+            ("Epm", fam, None, False, "epm"),
+            ("Hpm", fam, None, False, "hpm"),
+        ):
+            lhs = ctx.app(outer, inner)
+            if kind:
+                sums = ctx.brackets(kind, fam, signed=signed)
+                check.eq_graded(lhs, sums.map(lambda f: f.omega()) if signed else sums)
+            check.eq_graded(lhs, ctx.product(psi, form))
 
     return fn
 
@@ -420,20 +389,13 @@ for _fam, _psi in _PSI.items():
 
 def _metage2(fam: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        HF = ctx.app("H", fam)
-        EF = ctx.app("E", fam)
-        Hge = ctx.app("H", fam + "_ge2")
-        Ege = ctx.app("E", fam + "_ge2")
-        Hpmge = ctx.app("Hpm", fam + "_ge2")
-        Epmge = ctx.app("Epm", fam + "_ge2")
-        ev = Series(cap, graded={(k, k): e(k).scale((-1) ** (k % 2)) for k in range(cap + 1)})
-        hv = Series(cap, graded={(k, k): h(k).scale((-1) ** (k % 2)) for k in range(cap + 1)})
-        Hplain = Series(cap, graded={(k, k): h(k) for k in range(cap + 1)})
-        Eplain = Series(cap, graded={(k, k): e(k) for k in range(cap + 1)})
-        check.eq_graded(Hge, ev * HF)  # H(v)[F>=2] = E(-v) H(v)[F]
-        check.eq_graded(Epmge * HF, Hplain)  # E^+-(v)[F>=2] H(v)[F] = H(v)
-        check.eq_graded(Ege, hv * EF)  # E(v)[F>=2] = H(-v) E(v)[F]
-        check.eq_graded(Hpmge * EF, Eplain)  # H^+-(v)[F>=2] E(v)[F] = E(v)
+        # H(v)[F>=2] = E(-v) H(v)[F] and E^+-(v)[F>=2] H(v)[F] = H(v), then E and H swapped
+        for outer, other, gen, dual in (("H", "E", e, h), ("E", "H", h, e)):
+            F = ctx.app(outer, fam)
+            signed = Series(cap, graded={(k, k): gen(k).scale((-1) ** k) for k in range(cap + 1)})
+            plain = Series(cap, graded={(k, k): dual(k) for k in range(cap + 1)})
+            check.eq_graded(ctx.app(outer, fam + "_ge2"), signed * F)
+            check.eq_graded(ctx.app(other + "pm", fam + "_ge2") * F, plain)
 
     return fn
 
@@ -500,14 +462,14 @@ def _hodge_filt(ctx, cap, check):
 
 @_register("LEHRER", "total graded invariant of the partition lattice is 2 h2 p1^(n-2)")
 def _lehrer(ctx, cap, check):
-    for n in range(2, cap + 1):
-        check.eq(n, _pieces_sum(ctx.whitney, n), (h(2) * _p1n(n - 2)).scale(2))
+    lhs = partial(_pieces_sum, ctx.whitney)
+    _degrees_equal(check, lhs, lambda n: (h(2) * _p1n(n - 2)).scale(2), 2, cap)
 
 
 @_register("EVENODD", "odd and even graded pieces agree over lie")
 def _evenodd(ctx, cap, check):
-    for n in range(2, cap + 1):
-        check.eq(n, _pieces_sum(ctx.whitney, n, 1, 2), _pieces_sum(ctx.whitney, n, 0, 2))
+    odd = partial(_pieces_sum, ctx.whitney, start=1, step=2)
+    _degrees_equal(check, odd, partial(_pieces_sum, ctx.whitney, step=2), 2, cap)
 
 
 @_register("HL-REG", "odd pieces plus sign-twisted even pieces give the regular rep")
@@ -529,8 +491,7 @@ def _ind_conf(ctx, cap, check):
 
 @_register("LEHRER-LIE2", "total symmetric pieces of lie2 give the two-power classes")
 def _lehrer_lie2(ctx, cap, check):
-    for n in range(2, cap + 1):
-        check.eq(n, _pieces_sum(ctx.vh, n), p_sum_over(n, "parts_powers_of_two"))
+    _degrees_equal(check, partial(_pieces_sum, ctx.vh), _two_powers, 2, cap)
 
 
 @_register("EVENODD-LIE2", "odd/even vh pieces agree and give half the two-power classes")
@@ -538,7 +499,7 @@ def _evenodd_lie2(ctx, cap, check):
     for n in range(2, cap + 1):
         odd = _pieces_sum(ctx.vh, n, 1, 2)
         check.eq(n, odd, _pieces_sum(ctx.vh, n, 0, 2))
-        half = p_sum_over(n, "parts_powers_of_two").scale(Fraction(1, 2))
+        half = _two_powers(n).scale(Fraction(1, 2))
         check.eq(n, odd, half, note="half-sum form")
 
 
@@ -564,26 +525,25 @@ def _ind_lie2(ctx, cap, check):
 # power-sum transfer identities
 
 
-@_register("CONJ-FROM-LIE", "conj = sum of p_k[lie]; lie = mobius-weighted inverse")
-def _conj_from_lie(ctx, cap, check):
-    S = ctx.conj_from("lie")
-    for n in range(1, cap + 1):
-        check.eq(n, S.coeff(n), ctx.family("conj").coeff(n))
-    pk = ctx.power_sums("conj")
-    back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1))
-    for n in range(1, cap + 1):
-        check.eq(n, back.homogeneous_part(n), ctx.family("lie").coeff(n), note="inverse direction")
+def _conj_from(fam: str, step: int):
+    """conj = sum of p_k[fam] over k = 1, 1 + step, ...; fam is the mobius-weighted inverse."""
+
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        _degrees_equal(check, ctx.conj_from(fam).coeff, ctx.family("conj").coeff, 1, cap)
+        pk = ctx.power_sums("conj")
+        back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1, step))
+        for n in range(1, cap + 1):
+            check.eq(n, back.homogeneous_part(n), ctx.family(fam).coeff(n), note="inverse direction")
+
+    return fn
 
 
-@_register("CONJ-FROM-LIE2", "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse")
-def _conj_from_lie2(ctx, cap, check):
-    S = ctx.conj_from("lie2")
-    for n in range(1, cap + 1):
-        check.eq(n, S.coeff(n), ctx.family("conj").coeff(n))
-    pk = ctx.power_sums("conj")
-    back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1, 2))
-    for n in range(1, cap + 1):
-        check.eq(n, back.homogeneous_part(n), ctx.family("lie2").coeff(n), note="inverse direction")
+_register("CONJ-FROM-LIE", "conj = sum of p_k[lie]; lie = mobius-weighted inverse")(
+    _conj_from("lie", 1)
+)
+_register("CONJ-FROM-LIE2", "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse")(
+    _conj_from("lie2", 2)
+)
 
 
 @_register("LIE2-FROM-LIE", "lie2 = sum of lie[p_(2^j)]; lie = lie2 - lie2[p_2]")
@@ -591,8 +551,7 @@ def _lie2_from_lie(ctx, cap, check):
     lie_tot = ctx.family("lie").total()
     # the powers of two 2^j <= cap are the j below cap's bit length
     fwd = linear_sum((1, plethysm(lie_tot, p(1 << j), cap)) for j in range(cap.bit_length()))
-    for n in range(1, cap + 1):
-        check.eq(n, fwd.homogeneous_part(n), ctx.family("lie2").coeff(n))
+    _degrees_equal(check, fwd.homogeneous_part, ctx.family("lie2").coeff, 1, cap)
     lie2_tot = ctx.family("lie2").total()
     bwd = lie2_tot - plethysm(lie2_tot, p(2), cap)
     for n in range(1, cap + 1):

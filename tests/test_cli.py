@@ -74,6 +74,10 @@ def test_compute_usage_errors(capsys):
     for obj, n, k in (("u", "0", "0"), ("beta", "3", "7")):
         code, out, err = run_cli(["compute", obj, n, k], capsys=capsys)
         assert code == 2 and out == "" and f"{obj} needs 0 <= k <= n-1" in err
+    # a family names itself, not the helper that builds it
+    for obj, n in (("lie", "0"), ("conj", "0"), ("lie2", "-3")):
+        code, out, err = run_cli(["compute", obj, n], capsys=capsys)
+        assert (code, out, err) == (2, "", f"error: {obj} needs n >= 1\n")
 
 
 def test_compute_schur_basis_refuses_a_degree_past_the_bound(monkeypatch, capsys):
@@ -285,8 +289,8 @@ def test_verify_single_and_exit_codes(capsys):
     code, out, _ = run_cli(["verify", "--id", "THRALL", "--cap", "6"], capsys=capsys)
     assert code == 0
     assert "PASS" in out and "THRALL" in out
-    code, out, _ = run_cli(["verify", "--id", "NOPE", "--cap", "6"], capsys=capsys)
-    assert code == 2
+    code, out, err = run_cli(["verify", "--id", "NOPE", "--cap", "6"], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: unknown identity id 'NOPE'\n")  # quoted once
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--jobs", "2"], capsys=capsys)
     assert exc.value.code == 2
@@ -385,7 +389,17 @@ def test_verify_json_golden_cap14(capsys):
     assert out == (GOLDEN / "verify-cap14.jsonl").read_text()
 
 
-@pytest.mark.parametrize("family", ["lie", "lie2"])
+def test_verify_json_golden_low_caps(capsys):
+    # pins every entry's min_cap skip and its lowest degrees at caps 1, 2 and 3
+    out = ""
+    for cap in ("1", "2", "3"):
+        code, text, _ = run_cli(["verify", "--all", "--cap", cap, "--json"], capsys=capsys)
+        assert code == 0
+        out += text
+    assert out == (GOLDEN / "verify-cap1-3.jsonl").read_text()
+
+
+@pytest.mark.parametrize("family", ["lie", "lie2", "conj"])
 def test_verify_failure_golden(monkeypatch, capsys, family):
     # pins every failing report, notes included, when the family has one
     # extra term p_1^5 at degree 5

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from plethy import series
+from plethy import lie_family, series
 from plethy.registry import (
     IdentityReport,
     registry_ids,
@@ -10,6 +10,7 @@ from plethy.registry import (
     verify_identity,
 )
 from plethy.series import SeriesContext
+from plethy.symfunc import p
 
 THEOREM_IDS = registry_ids("theorem")
 CONJECTURE_IDS = registry_ids("conjecture")
@@ -126,6 +127,18 @@ def test_a_context_of_another_cap_is_refused(cap, ctx_cap):
     want = f"context of cap {ctx_cap} cannot run THRALL at cap {cap}"
     with pytest.raises(ValueError, match=want):
         verify_identity("THRALL", cap, SeriesContext(ctx_cap))
+
+
+@pytest.mark.parametrize(
+    "family, identity",
+    [("lie", "THRALL"), ("lie", "EQUIV-PBW-SYM"), ("conj", "SOLOMON"), ("lie2", "EXT-REG")],
+)
+def test_a_fault_at_the_cap_degree_is_reported(monkeypatch, family, identity):
+    # every degree up to the cap is compared, the cap itself included
+    real = getattr(lie_family, family)
+    monkeypatch.setattr(lie_family, family, lambda n: real(n) + p((1,) * n) if n == 6 else real(n))
+    report = verify_identity(identity, 6)
+    assert (report.status, report.first_fail_degree) == ("fail", 6)
 
 
 def test_verify_all_skips_entries_below_min_cap():
