@@ -9,7 +9,9 @@ are findings either way.
 This module holds the report type, the driver and the two conjecture-tier
 scans.  verify_identity is the one runner: it runs an entry on a context of
 its cap, or reports a skip below the entry's min_cap, and verify_all calls
-it for each id on one shared context.  U-POS reads the u rows through
+it for each id on one shared context.  Each entry declares the context's
+memo keys it reads, and verify_all releases each key once its last reader
+in the run is done.  U-POS reads the u rows through
 _rows_positive, the one positivity loop over is_schur_positive_many, which
 the theorem BETA-POS shares for the beta rows.  WHITEHOUSE reads the lie2
 deficit with schur.deficit_positivity, which carries each degree's Schur
@@ -23,7 +25,7 @@ the theorems in their module's order, then the conjectures.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .lie_family import Psi
 from .partitions import format_partition
@@ -97,6 +99,7 @@ class _Entry(NamedTuple):
     tier: str
     description: str
     fn: Callable[[SeriesContext, int, _Check], None]
+    reads: frozenset  # the SeriesContext memo keys fn reads, those they are built from included
     min_cap: int = 2
 
 
@@ -104,9 +107,16 @@ class _Entry(NamedTuple):
 _ENTRIES: dict[str, _Entry] = {}
 
 
-def _register(id: str, description: str, tier: str = "theorem", min_cap: int = 2):
+def _register(
+    id: str, description: str, *, reads: Iterable, tier: str = "theorem", min_cap: int = 2
+):
+    """Register fn under id.  reads lists every SeriesContext memo key fn
+    reads when run alone on a fresh context, in the format of the
+    SeriesContext docstring; verify_all releases a key after its last
+    reader, so a key left out costs a rebuild, never a wrong result."""
+
     def deco(fn):
-        _ENTRIES[id] = _Entry(id, tier, description, fn, min_cap)
+        _ENTRIES[id] = _Entry(id, tier, description, fn, frozenset(reads), min_cap)
         return fn
 
     return deco
@@ -132,13 +142,23 @@ def _rows_positive(check: _Check, name: str, row: Callable, cap: int) -> bool:
     return True
 
 
-@_register("U-POS", "truncated alternating vh sums are Schur-positive", tier="conjecture")
+@_register(
+    "U-POS",
+    "truncated alternating vh sums are Schur-positive",
+    reads=[("walk", "two_adic", -1)],
+    tier="conjecture",
+)
 def _u_pos(ctx, cap, check):
     if _rows_positive(check, "u", ctx.u_row, cap):
         check.notes.append(f"u(n,k) Schur-positive for all 2 <= n <= {cap}, 0 <= k <= n-1")
 
 
-@_register("WHITEHOUSE", "lifting deficit positive exactly away from powers of two", tier="conjecture")
+@_register(
+    "WHITEHOUSE",
+    "lifting deficit positive exactly away from powers of two",
+    reads=[],
+    tier="conjecture",
+)
 def _whitehouse(ctx, cap, check):
     for n, res in enumerate(deficit_positivity(Psi.two_adic(), cap), 2):
         # n = 2 sits outside the pattern: the deficit there is e_2, a true
@@ -218,9 +238,20 @@ def verify_identity(id: str, cap: int, ctx: SeriesContext | None = None) -> Iden
 def verify_all(cap: int, ids: list[str] | None = None) -> list[IdentityReport]:
     """verify_identity for each id (the whole registry if None), in that
     order, on one shared context; an unknown id raises KeyError before any
-    entry runs."""
+    entry runs.
+
+    After each entry the context releases the keys that no later entry in
+    ids declares, so it holds only what is still to be read, and nothing
+    once the run ends.
+    """
     wanted = ids if ids is not None else registry_ids()
-    for id in wanted:
-        _entry(id)
+    last: dict = {}  # memo key -> the last position in wanted that reads it
+    for i, id in enumerate(wanted):
+        for key in _entry(id).reads:
+            last[key] = i
     ctx = SeriesContext(cap)
-    return [verify_identity(id, cap, ctx) for id in wanted]
+    reports = []
+    for i, id in enumerate(wanted):
+        reports.append(verify_identity(id, cap, ctx))
+        ctx.release([key for key, j in last.items() if j == i])
+    return reports

@@ -449,7 +449,25 @@ def p_sum_over(n: int, filter: str = "all") -> SymFunc:
 
 
 class SeriesContext:
-    """Lazy cache of the standard series and outer applications at one cap."""
+    """Lazy cache of the standard series and outer applications at one cap.
+
+    _get keeps each value in _memo under one key:
+
+        "lie", "lie2", "conj"               family(name)
+        "lie_ge2", "lie2_ge2"               family(name)
+        ("alt_omega", base)                 family(base + "_alt")
+        (kind, name)                        app(kind, name), kind H, E, Hpm or Epm
+        ("p_k", name)                       power_sums(name)
+        ("brackets", kind, name, signed)    brackets(kind, name, signed)
+        ("product", psi.name, variant)      product(psi, variant)
+        ("walk", psi.name, sign)            _walk(psi, sign)
+        ("conj_from", family)               conj_from(family)
+        "kappa", "omega_kappa"              kappa(), omega_kappa()
+
+    A value may be built from others: ("Hpm", "lie") reads ("H", "lie"),
+    which reads ("p_k", "lie"), which reads "lie".  release drops keys; a
+    later read builds them again.
+    """
 
     def __init__(self, cap: int):
         if cap < 1:
@@ -463,6 +481,11 @@ class SeriesContext:
             val = build()
             self._memo[key] = val
         return val
+
+    def release(self, keys: Iterable) -> None:
+        """Drop the values cached under keys, where there are any."""
+        for key in keys:
+            self._memo.pop(key, None)
 
     # base families ------------------------------------------------------
 

@@ -12,7 +12,9 @@ each lie/lie2 counterpart pair is one factory body over the family, its
 outer kind (H/E) and its generator (kappa/omega(kappa)), _PSI maps each
 family to its weight psi, _p1_recurrence is the restriction recurrence
 S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and TAU-REC, and BETA-POS
-scans its rows with the registry's _rows_positive.
+scans its rows with the registry's _rows_positive.  Each entry's reads
+names the SeriesContext memo keys behind the accessors it calls, through
+helpers named after those accessors (_family, _app, _brackets, _product).
 """
 
 from __future__ import annotations
@@ -35,6 +37,49 @@ from .symfunc import SymFunc, e, h, linear_sum, p, plethysm, s
 
 # the weight psi of each family's template f_n = (1/n) sum over d | n of psi(d) p_d^(n/d)
 _PSI = {"lie": Psi.mobius(), "conj": Psi.totient(), "lie2": Psi.two_adic()}
+
+
+# For the reads declarations: each helper gives the memo key of one
+# SeriesContext accessor, followed by the keys its value is built from
+
+
+def _family(name: str) -> tuple:
+    """ctx.family(name)"""
+    if name.endswith("_alt"):
+        return (("alt_omega", name[:-4]), *_family(name[:-4]))
+    if name.endswith("_ge2"):
+        return (name, name[:-4])
+    return (name,)
+
+
+def _power_sums(name: str) -> tuple:
+    """ctx.power_sums(name)"""
+    return (("p_k", name), *_family(name))
+
+
+def _app(kind: str, name: str) -> tuple:
+    """ctx.app(kind, name); Hpm and Epm are read off H and E"""
+    if kind.endswith("pm"):
+        return ((kind, name), *_app(kind[0], name))
+    return ((kind, name), *_power_sums(name))
+
+
+def _brackets(kind: str, name: str, signed: bool = False) -> tuple:
+    """ctx.brackets(kind, name, signed); the signed sum is read off the unsigned one"""
+    rest = _brackets(kind, name) if signed else _family(name)
+    return (("brackets", kind, name, signed), *rest)
+
+
+def _product(psi: Psi, variant: str) -> tuple:
+    """ctx.product(psi, variant): sym and epm expand a walk, the rest derive"""
+    sources = {"sym": -1, "epm": 1, "hpm": "sym", "ext": "epm", "alt_sym": "hpm", "alt_ext": "epm"}
+    src = sources[variant]
+    rest = _product(psi, src) if isinstance(src, str) else (("walk", psi.name, src),)
+    return (("product", psi.name, variant), *rest)
+
+
+# ctx.kappa() and ctx.omega_kappa(), by the generator names the factories take
+_GENERATOR = {"kappa": ("kappa",), "omega_kappa": ("omega_kappa", "kappa")}
 
 
 def _degrees_equal(check: _Check, lhs: Callable, rhs: Callable, start: int, cap: int) -> None:
@@ -107,48 +152,76 @@ def _plinv(outer: str, fam: str, gen: Callable):
     return fn
 
 
-@_register("THRALL", "symmetric powers of lie rebuild the regular representation")
+@_register(
+    "THRALL",
+    "symmetric powers of lie rebuild the regular representation",
+    reads=_brackets("H", "lie"),
+)
 def _thrall(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie").coeff, _p1n, 0, cap)
 
 
-_register("CADOGAN", "alternating omega(lie) inverts the homogeneous series")(
-    _plinv("H", "lie_alt", h)
-)
+_register(
+    "CADOGAN",
+    "alternating omega(lie) inverts the homogeneous series",
+    reads=_app("H", "lie_alt"),
+)(_plinv("H", "lie_alt", h))
 
 
-@_register("SOLOMON", "symmetric powers of conj give all partitions")
+@_register("SOLOMON", "symmetric powers of conj give all partitions", reads=_app("H", "conj"))
 def _solomon(ctx, cap, check):
     _degrees_equal(check, ctx.app("H", "conj").coeff, p_sum_over, 1, cap)
 
 
-@_register("EXT-REG", "exterior powers of lie2 rebuild the regular representation")
+@_register(
+    "EXT-REG",
+    "exterior powers of lie2 rebuild the regular representation",
+    reads=_brackets("E", "lie2"),
+)
 def _ext_reg(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("E", "lie2").coeff, _p1n, 0, cap)
 
 
-_register("PLINV-E", "alternating omega(lie2) inverts the elementary series")(
-    _plinv("E", "lie2_alt", e)
+_register(
+    "PLINV-E",
+    "alternating omega(lie2) inverts the elementary series",
+    reads=_app("E", "lie2_alt"),
+)(_plinv("E", "lie2_alt", e))
+
+
+@_register(
+    "SYM-LIE2",
+    "symmetric powers of lie2 give the power-of-two classes",
+    reads=_app("H", "lie2"),
 )
-
-
-@_register("SYM-LIE2", "symmetric powers of lie2 give the power-of-two classes")
 def _sym_lie2(ctx, cap, check):
     _degrees_equal(check, ctx.app("H", "lie2").coeff, _two_powers, 1, cap)
 
 
-@_register("ALT-E-LIE2", "alternating exterior sum of lie2: distinct two-power classes")
+@_register(
+    "ALT-E-LIE2",
+    "alternating exterior sum of lie2: distinct two-power classes",
+    reads=_app("E", "lie2"),
+)
 def _alt_e_lie2(ctx, cap, check):
     _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie2")), _distinct_powers_sum, 1, cap)
 
 
-@_register("ALT-H-LIE", "alternating symmetric sum of lie collapses to two-row classes")
+@_register(
+    "ALT-H-LIE",
+    "alternating symmetric sum of lie collapses to two-row classes",
+    reads=_app("H", "lie"),
+)
 def _alt_h_lie(ctx, cap, check):
     lhs = partial(_alt_outer, ctx.app("H", "lie"))
     _degrees_equal(check, lhs, lambda n: _p2_p1(n) if n % 2 else -_p2_p1(n), 1, cap)
 
 
-@_register("ALT-H-LIE-PROD", "signed bracket sum over lie equals (1+p1)/(1-p2)")
+@_register(
+    "ALT-H-LIE-PROD",
+    "signed bracket sum over lie equals (1+p1)/(1-p2)",
+    reads=_brackets("H", "lie", signed=True) + _app("E", "lie_alt"),
+)
 def _alt_h_lie_prod(ctx, cap, check):
     signed = ctx.brackets("H", "lie", signed=True)
     appalt = ctx.app("E", "lie_alt")
@@ -158,7 +231,7 @@ def _alt_h_lie_prod(ctx, cap, check):
         check.eq(n, appalt.coeff(n).omega(), _p2_p1(n), note="omega(E[lie_alt]) form")
 
 
-@_register("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)")
+@_register("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)", reads=_app("E", "lie"))
 def _ext_lie(ctx, cap, check):
     def rhs(n):
         return _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero())
@@ -166,34 +239,54 @@ def _ext_lie(ctx, cap, check):
     _degrees_equal(check, ctx.app("E", "lie").coeff, rhs, 1, cap)
 
 
-@_register("EXT-CONJ", "exterior powers of conj give the odd classes")
+@_register("EXT-CONJ", "exterior powers of conj give the odd classes", reads=_app("E", "conj"))
 def _ext_conj(ctx, cap, check):
     _degrees_equal(check, ctx.app("E", "conj").coeff, _odd_parts_sum, 1, cap)
 
 
-@_register("ALT-CONJ", "exterior powers of alternating omega(conj): distinct odd classes")
+@_register(
+    "ALT-CONJ",
+    "exterior powers of alternating omega(conj): distinct odd classes",
+    reads=_app("E", "conj_alt"),
+)
 def _alt_conj(ctx, cap, check):
     rhs = partial(_odd_parts_sum, distinct=True)
     _degrees_equal(check, ctx.app("E", "conj_alt").coeff, rhs, 1, cap)
 
 
-@_register("ACYC-LIE", "signed exterior bracket sum over lie vanishes (n >= 2)")
+@_register(
+    "ACYC-LIE",
+    "signed exterior bracket sum over lie vanishes (n >= 2)",
+    reads=_brackets("E", "lie", signed=True),
+)
 def _acyc_lie(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("E", "lie", signed=True).coeff, _zero, 2, cap)
 
 
-@_register("ACYC-LIE2", "signed symmetric bracket sum over lie2 vanishes (n >= 2)")
+@_register(
+    "ACYC-LIE2",
+    "signed symmetric bracket sum over lie2 vanishes (n >= 2)",
+    reads=_brackets("H", "lie2", signed=True),
+)
 def _acyc_lie2(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie2", signed=True).coeff, _zero, 2, cap)
 
 
-@_register("TOTALCOH-LIE", "total exterior bracket sum over lie is 2 e2 p1^(n-2)")
+@_register(
+    "TOTALCOH-LIE",
+    "total exterior bracket sum over lie is 2 e2 p1^(n-2)",
+    reads=_brackets("E", "lie"),
+)
 def _totalcoh_lie(ctx, cap, check):
     lhs = ctx.brackets("E", "lie").coeff
     _degrees_equal(check, lhs, lambda n: (e(2) * _p1n(n - 2)).scale(2), 2, cap)
 
 
-@_register("TOTALCOH-LIE2", "total symmetric bracket sum over lie2: two-power classes")
+@_register(
+    "TOTALCOH-LIE2",
+    "total symmetric bracket sum over lie2: two-power classes",
+    reads=_brackets("H", "lie2"),
+)
 def _totalcoh_lie2(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie2").coeff, _two_powers, 2, cap)
 
@@ -253,82 +346,118 @@ def _hodge(outer: str, fam: str, gen: Callable, name: str, closed: Callable):
     return fn
 
 
-@_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n")
+@_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n", reads=_app("H", "lie"))
 def _equiv_pbw_sym(ctx, cap, check):
     _degrees_equal(check, ctx.app("H", "lie").coeff, _p1n, 1, cap)
 
 
-@_register("EQUIV-PBW-CADOGAN", "(H-1) inverse is the alternating omega(lie)")
+@_register(
+    "EQUIV-PBW-CADOGAN",
+    "(H-1) inverse is the alternating omega(lie)",
+    reads=_brackets("H", "lie_alt"),
+)
 def _equiv_pbw_cadogan(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie_alt").coeff, _p1_only, 1, cap)
 
 
-@_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1")
+@_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1", reads=_app("E", "lie"))
 def _equiv_pbw_altext(ctx, cap, check):
     _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie")), _p1_only, 1, cap)
 
 
-@_register("EQUIV-PBW-ALTEXT-GE2", "alternating e-sum over lie_(>=2) is the standard representation")
+@_register(
+    "EQUIV-PBW-ALTEXT-GE2",
+    "alternating e-sum over lie_(>=2) is the standard representation",
+    reads=_app("E", "lie_ge2") + _GENERATOR["kappa"],
+)
 def _equiv_pbw_altext_ge2(ctx, cap, check):
     lhs = partial(_alt_outer, ctx.app("E", "lie_ge2"))
     _degrees_equal(check, lhs, ctx.kappa().coeff, 2, cap)
 
 
-_register("EQUIV-PBW-COCHAIN", "signed e-sum over lie_(>=2) collapses to one irreducible")(
-    _cochain("E", "lie_ge2", "kappa", "omega_kappa")
+_register(
+    "EQUIV-PBW-COCHAIN",
+    "signed e-sum over lie_(>=2) collapses to one irreducible",
+    reads=_app("Epm", "lie_ge2") + _GENERATOR["omega_kappa"],
+)(_cochain("E", "lie_ge2", "kappa", "omega_kappa"))
+
+
+@_register(
+    "EQUIV-PBW-FILT-A",
+    "lie_(>=2) = lie composed with the standard-rep series",
+    reads=_family("lie_ge2") + _GENERATOR["kappa"],
 )
-
-
-@_register("EQUIV-PBW-FILT-A", "lie_(>=2) = lie composed with the standard-rep series")
 def _equiv_pbw_filt_a(ctx, cap, check):
     rhs = series_plethysm(ctx.family("lie"), ctx.kappa())
     _degrees_equal(check, ctx.family("lie_ge2").coeff, rhs.coeff, 0, cap)
 
 
-_register("EQUIV-PBW-FILT-B", "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)")(
-    _filt_b("lie_ge2", "kappa")
-)
-_register("EQUIV-PBW-HODGE", "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k")(
-    _hodge("H", "lie_ge2", e, "E", _e_delta)
-)
+_register(
+    "EQUIV-PBW-FILT-B",
+    "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)",
+    reads=_family("lie_ge2") + _GENERATOR["kappa"],
+)(_filt_b("lie_ge2", "kappa"))
+_register(
+    "EQUIV-PBW-HODGE",
+    "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k",
+    reads=_app("H", "lie_ge2"),
+)(_hodge("H", "lie_ge2", e, "E", _e_delta))
 
 
-@_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n")
+@_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n", reads=_app("E", "lie2"))
 def _equiv_lie2_ext(ctx, cap, check):
     _degrees_equal(check, ctx.app("E", "lie2").coeff, _p1n, 1, cap)
 
 
-@_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1")
+@_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1", reads=_app("H", "lie2"))
 def _equiv_lie2_plinv(ctx, cap, check):
     _degrees_equal(check, partial(_alt_outer, ctx.app("H", "lie2")), _p1_only, 1, cap)
 
 
-@_register("EQUIV-LIE2-GE2", "alternating h-sum over lie2_(>=2) is omega(kappa)")
+@_register(
+    "EQUIV-LIE2-GE2",
+    "alternating h-sum over lie2_(>=2) is omega(kappa)",
+    reads=_app("H", "lie2_ge2") + _GENERATOR["omega_kappa"],
+)
 def _equiv_lie2_ge2(ctx, cap, check):
     lhs = partial(_alt_outer, ctx.app("H", "lie2_ge2"))
     _degrees_equal(check, lhs, ctx.omega_kappa().coeff, 2, cap)
 
 
-_register("EQUIV-LIE2-COCHAIN", "signed h-sum over lie2_(>=2) collapses to one irreducible")(
-    _cochain("H", "lie2_ge2", "omega_kappa", "kappa")
+_register(
+    "EQUIV-LIE2-COCHAIN",
+    "signed h-sum over lie2_(>=2) collapses to one irreducible",
+    reads=_app("Hpm", "lie2_ge2") + _GENERATOR["omega_kappa"],
+)(_cochain("H", "lie2_ge2", "omega_kappa", "kappa"))
+
+
+@_register(
+    "EQUIV-LIE2-FILT-A",
+    "lie2_(>=2) = lie2 composed with omega(kappa)",
+    reads=_family("lie2_ge2") + _GENERATOR["omega_kappa"],
 )
-
-
-@_register("EQUIV-LIE2-FILT-A", "lie2_(>=2) = lie2 composed with omega(kappa)")
 def _equiv_lie2_filt_a(ctx, cap, check):
     rhs = series_plethysm(ctx.family("lie2"), ctx.omega_kappa())
     _degrees_equal(check, ctx.family("lie2_ge2").coeff, rhs.coeff, 0, cap)
 
 
-_register("EQUIV-LIE2-FILT-B", "lie2_(>=2) = omega(kappa) iterated (stabilized)")(
-    _filt_b("lie2_ge2", "omega_kappa")
-)
-_register("EQUIV-LIE2-HODGE", "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k")(
-    _hodge("E", "lie2_ge2", h, "H", lambda ctx, n: ctx.delta(n))
-)
+_register(
+    "EQUIV-LIE2-FILT-B",
+    "lie2_(>=2) = omega(kappa) iterated (stabilized)",
+    reads=_family("lie2_ge2") + _GENERATOR["omega_kappa"],
+)(_filt_b("lie2_ge2", "omega_kappa"))
+_register(
+    "EQUIV-LIE2-HODGE",
+    "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k",
+    reads=_app("E", "lie2_ge2"),
+)(_hodge("E", "lie2_ge2", h, "H", lambda ctx, n: ctx.delta(n)))
 
 
-@_register("SU1-LOG", "log of the weighted products recovers the family and its twist")
+@_register(
+    "SU1-LOG",
+    "log of the weighted products recovers the family and its twist",
+    reads=[key for name in _PSI for key in _family(name + "_alt")],
+)
 def _su1_log(ctx, cap, check):
     # log prod (1 - p_d)^(-psi(d)/d) = sum of f_n, and
     # log prod (1 + p_d)^(psi(d)/d) = sum of (-1)^(n-1) omega(f_n)
@@ -357,20 +486,33 @@ def _su1_log(ctx, cap, check):
 # the product meta-identities
 
 
+def _meta_forms(fam: str) -> tuple:
+    """(outer, inner, bracket kind, signed, product variant) for each outer
+    power of fam: it equals its bracket sum (omega of the signed one for the
+    alternating powers, none for the signed operators) and its product form."""
+    return (
+        ("H", fam, "H", False, "sym"),
+        ("E", fam, "E", False, "ext"),
+        ("H", fam + "_alt", "E", True, "alt_ext"),
+        ("E", fam + "_alt", "H", True, "alt_sym"),
+        ("Epm", fam, None, False, "epm"),
+        ("Hpm", fam, None, False, "hpm"),
+    )
+
+
+def _meta_products_reads(fam: str) -> list:
+    keys = []
+    for outer, inner, kind, signed, form in _meta_forms(fam):
+        keys += _app(outer, inner) + _product(_PSI[fam], form)
+        if kind:
+            keys += _brackets(kind, fam, signed)
+    return keys
+
+
 def _meta_products(fam: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
         psi = _PSI[fam]
-        # each outer power of fam equals its bracket sum (omega of the signed
-        # one for the alternating powers, none for the signed operators) and
-        # its product form
-        for outer, inner, kind, signed, form in (
-            ("H", fam, "H", False, "sym"),
-            ("E", fam, "E", False, "ext"),
-            ("H", fam + "_alt", "E", True, "alt_ext"),
-            ("E", fam + "_alt", "H", True, "alt_sym"),
-            ("Epm", fam, None, False, "epm"),
-            ("Hpm", fam, None, False, "hpm"),
-        ):
+        for outer, inner, kind, signed, form in _meta_forms(fam):
             lhs = ctx.app(outer, inner)
             if kind:
                 sums = ctx.brackets(kind, fam, signed=signed)
@@ -384,6 +526,7 @@ for _fam, _psi in _PSI.items():
     _register(
         f"META-PRODUCTS-{_psi.name.upper().replace('_', '')}",
         f"product generating functions for psi = {_psi.name}, v-graded",
+        reads=_meta_products_reads(_fam),
     )(_meta_products(_fam))
 
 
@@ -404,10 +547,23 @@ for _fam in ("lie", "lie2"):
     _register(
         f"METAGE2-{_fam.upper()}",
         f"degree >= 2 restriction identities for {_fam}, v-graded",
+        reads=_app("H", _fam)
+        + _app("E", _fam)
+        + _app("Hpm", _fam + "_ge2")
+        + _app("Epm", _fam + "_ge2"),
     )(_metage2(_fam))
 
 
-@_register("HE-UNIT", "H(t) E(-t) = 1 plus the reciprocal-series lemmas on lie and lie2")
+@_register(
+    "HE-UNIT",
+    "H(t) E(-t) = 1 plus the reciprocal-series lemmas on lie and lie2",
+    reads=_app("H", "lie")
+    + _app("Epm", "lie")
+    + _app("H", "lie_alt")
+    + _app("E", "lie2")
+    + _app("Hpm", "lie2")
+    + _app("E", "lie2_alt"),
+)
 def _he_unit(ctx, cap, check):
     for n in range(1, cap + 1):
         acc = linear_sum(((-1) ** ((n - k) % 2), h(k) * e(n - k)) for k in range(n + 1))
@@ -440,7 +596,15 @@ def _he_unit(ctx, cap, check):
             check.eq(n, prod.coeff(n), one.coeff(n), note=f"{fam}: {outer}[F] * omega(K)^+- = 1")
 
 
-@_register("HODGE-FILT", "the two split decompositions over lie and lie2 agree")
+@_register(
+    "HODGE-FILT",
+    "the two split decompositions over lie and lie2 agree",
+    reads=_app("H", "lie_ge2")
+    + _app("E", "lie_ge2")
+    + _app("H", "lie2_ge2")
+    + _app("E", "lie2_ge2")
+    + _GENERATOR["omega_kappa"],
+)
 def _hodge_filt(ctx, cap, check):
     Hge = ctx.app("H", "lie_ge2")
     Ege2 = ctx.app("E", "lie2_ge2")
@@ -459,20 +623,32 @@ def _hodge_filt(ctx, cap, check):
 # ---------------------------------------------------------------------------
 # Whitney-homology shaped identities
 
+# ctx.whitney reads the Mobius product E(v)[lie], ctx.vh the two-adic H(v)[lie2]
+_WHITNEY = _product(Psi.mobius(), "ext")
+_VH = _product(Psi.two_adic(), "sym")
 
-@_register("LEHRER", "total graded invariant of the partition lattice is 2 h2 p1^(n-2)")
+
+@_register(
+    "LEHRER",
+    "total graded invariant of the partition lattice is 2 h2 p1^(n-2)",
+    reads=_WHITNEY,
+)
 def _lehrer(ctx, cap, check):
     lhs = partial(_pieces_sum, ctx.whitney)
     _degrees_equal(check, lhs, lambda n: (h(2) * _p1n(n - 2)).scale(2), 2, cap)
 
 
-@_register("EVENODD", "odd and even graded pieces agree over lie")
+@_register("EVENODD", "odd and even graded pieces agree over lie", reads=_WHITNEY)
 def _evenodd(ctx, cap, check):
     odd = partial(_pieces_sum, ctx.whitney, start=1, step=2)
     _degrees_equal(check, odd, partial(_pieces_sum, ctx.whitney, step=2), 2, cap)
 
 
-@_register("HL-REG", "odd pieces plus sign-twisted even pieces give the regular rep")
+@_register(
+    "HL-REG",
+    "odd pieces plus sign-twisted even pieces give the regular rep",
+    reads=_WHITNEY,
+)
 def _hl_reg(ctx, cap, check):
     for n in range(2, cap + 1):
         odd = _pieces_sum(ctx.whitney, n, 1, 2)
@@ -480,7 +656,12 @@ def _hl_reg(ctx, cap, check):
         check.eq(n, odd + even.omega(), _p1n(n))
 
 
-@_register("IND-CONF", "total invariant at n+1 is the induction of the one at n", min_cap=3)
+@_register(
+    "IND-CONF",
+    "total invariant at n+1 is the induction of the one at n",
+    reads=_WHITNEY,
+    min_cap=3,
+)
 def _ind_conf(ctx, cap, check):
     prev = _pieces_sum(ctx.whitney, 2)
     for n in range(3, cap + 1):
@@ -489,12 +670,16 @@ def _ind_conf(ctx, cap, check):
         prev = cur
 
 
-@_register("LEHRER-LIE2", "total symmetric pieces of lie2 give the two-power classes")
+@_register("LEHRER-LIE2", "total symmetric pieces of lie2 give the two-power classes", reads=_VH)
 def _lehrer_lie2(ctx, cap, check):
     _degrees_equal(check, partial(_pieces_sum, ctx.vh), _two_powers, 2, cap)
 
 
-@_register("EVENODD-LIE2", "odd/even vh pieces agree and give half the two-power classes")
+@_register(
+    "EVENODD-LIE2",
+    "odd/even vh pieces agree and give half the two-power classes",
+    reads=_VH,
+)
 def _evenodd_lie2(ctx, cap, check):
     for n in range(2, cap + 1):
         odd = _pieces_sum(ctx.vh, n, 1, 2)
@@ -503,7 +688,7 @@ def _evenodd_lie2(ctx, cap, check):
         check.eq(n, odd, half, note="half-sum form")
 
 
-@_register("HL-LIE2", "odd vh plus its sign twist: two-power classes of even corank")
+@_register("HL-LIE2", "odd vh plus its sign twist: two-power classes of even corank", reads=_VH)
 def _hl_lie2(ctx, cap, check):
     for n in range(2, cap + 1):
         odd = _pieces_sum(ctx.vh, n, 1, 2)
@@ -515,7 +700,12 @@ def _hl_lie2(ctx, cap, check):
         check.eq(n, odd + odd.omega(), rhs)
 
 
-@_register("IND-LIE2", "total vh at odd degree is the induction from one below", min_cap=3)
+@_register(
+    "IND-LIE2",
+    "total vh at odd degree is the induction from one below",
+    reads=_VH,
+    min_cap=3,
+)
 def _ind_lie2(ctx, cap, check):
     for n in range(3, cap + 1, 2):
         check.eq(n, _pieces_sum(ctx.vh, n), p(1) * _pieces_sum(ctx.vh, n - 1))
@@ -538,15 +728,23 @@ def _conj_from(fam: str, step: int):
     return fn
 
 
-_register("CONJ-FROM-LIE", "conj = sum of p_k[lie]; lie = mobius-weighted inverse")(
-    _conj_from("lie", 1)
-)
-_register("CONJ-FROM-LIE2", "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse")(
-    _conj_from("lie2", 2)
-)
+_register(
+    "CONJ-FROM-LIE",
+    "conj = sum of p_k[lie]; lie = mobius-weighted inverse",
+    reads=[("conj_from", "lie"), *_power_sums("lie"), *_power_sums("conj")],
+)(_conj_from("lie", 1))
+_register(
+    "CONJ-FROM-LIE2",
+    "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse",
+    reads=[("conj_from", "lie2"), *_power_sums("lie2"), *_power_sums("conj")],
+)(_conj_from("lie2", 2))
 
 
-@_register("LIE2-FROM-LIE", "lie2 = sum of lie[p_(2^j)]; lie = lie2 - lie2[p_2]")
+@_register(
+    "LIE2-FROM-LIE",
+    "lie2 = sum of lie[p_(2^j)]; lie = lie2 - lie2[p_2]",
+    reads=_family("lie") + _family("lie2"),
+)
 def _lie2_from_lie(ctx, cap, check):
     lie_tot = ctx.family("lie").total()
     # the powers of two 2^j <= cap are the j below cap's bit length
@@ -571,14 +769,22 @@ def _p1_recurrence(check: _Check, app: Series, c: Callable, cap: int, note: str 
         prev = cur
 
 
-@_register("SIGMA-REC", "h-sum over lie2_(>=2) satisfies the sigma recurrence")
+@_register(
+    "SIGMA-REC",
+    "h-sum over lie2_(>=2) satisfies the sigma recurrence",
+    reads=_app("H", "lie2_ge2") + _app("H", "lie_ge2"),
+)
 def _sigma_rec(ctx, cap, check):
     _p1_recurrence(check, ctx.app("H", "lie2_ge2"), ctx.sigma, cap)
     # lie analogue: the correction term is just e_n
     _p1_recurrence(check, ctx.app("H", "lie_ge2"), e, cap, note="lie side")
 
 
-@_register("TAU-REC", "e-sum over lie_(>=2) satisfies the tau recurrence")
+@_register(
+    "TAU-REC",
+    "e-sum over lie_(>=2) satisfies the tau recurrence",
+    reads=_app("E", "lie_ge2") + _app("E", "lie2_ge2"),
+)
 def _tau_rec(ctx, cap, check):
     _p1_recurrence(check, ctx.app("E", "lie_ge2"), ctx.tau, cap)
     # lie2 analogue: the correction term is h_n (injective-words recurrence)
@@ -609,6 +815,10 @@ for _fam in ("lie", "lie2"):
     _register(
         f"RESTRICT-REC-{_fam.upper()}",
         f"restriction recurrences for symmetric/exterior pieces of {_fam}",
+        reads=_app("H", _fam)
+        + _app("E", _fam)
+        + _app("H", _fam + "_ge2")
+        + _app("E", _fam + "_ge2"),
     )(_restrict_rec(_fam))
 
 
@@ -616,7 +826,12 @@ for _fam in ("lie", "lie2"):
 # closed forms and the beta positivity theorem
 
 
-@_register("U-CLOSED", "closed forms of the first four truncated alternating sums", min_cap=4)
+@_register(
+    "U-CLOSED",
+    "closed forms of the first four truncated alternating sums",
+    reads=[*_GENERATOR["kappa"], ("walk", "two_adic", -1)],
+    min_cap=4,
+)
 def _u_closed(ctx, cap, check):
     def hh(k):
         return h(k) if k >= 0 else SymFunc.zero()
@@ -647,7 +862,11 @@ def _u_closed(ctx, cap, check):
             check.eq(n, row[3], rhs3, note="k=3")
 
 
-@_register("BETA-POS", "truncated alternating whitney sums are Schur-positive")
+@_register(
+    "BETA-POS",
+    "truncated alternating whitney sums are Schur-positive",
+    reads=[("walk", "mobius", 1)],
+)
 def _beta_pos(ctx, cap, check):
     _rows_positive(check, "beta", ctx.beta_row, cap)
 

@@ -9,7 +9,9 @@ breaks: the witness tie-break or the integrality check; so must one in the
 whitehouse deficit scan.  One in schur._verdict, the rule both scans
 share, must fail the tests of both, and a strip-sign defect must fire the
 deficit scan's dimension ledger.  A defect in the u rows must fail both an
-entry and the oracle test in test_series.
+entry and the oracle test in test_series.  A key left out of an entry's
+reads changes no output, so it must fail the declaration and build-once
+tests in test_registry.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ import pytest
 
 import plethy.cli as cli
 import plethy.lie_family as lie_family
+import plethy.registry as registry
 import plethy.schur as schur
 import plethy.series as series
+import test_cli
+import test_registry
 import test_schur
 import test_series
 import test_symfunc
@@ -247,6 +252,21 @@ def test_family_defect_fails_an_entry(monkeypatch, family, degree):
     monkeypatch.setattr(lie_family, family, with_extra_term)
     failed = [r.id for r in verify_all(10) if r.failed]
     assert failed, f"an extra term in {family}({degree}) went unnoticed at cap 10"
+
+
+def test_a_key_left_out_of_reads_costs_a_rebuild_not_a_result(monkeypatch, capsys):
+    # without the walk in U-POS's reads, verify_all releases it after
+    # U-CLOSED, its last declared reader, and U-POS builds it again and
+    # keeps it.  The output is the same, as a cache is never wrong, so the
+    # declaration and build-once tests are what must catch it
+    entry = registry._entry("U-POS")
+    reads = entry.reads - {("walk", "two_adic", -1)}
+    monkeypatch.setitem(registry._ENTRIES, "U-POS", entry._replace(reads=reads))
+    test_cli.test_verify_json_golden(capsys)
+    with monkeypatch.context() as m, pytest.raises(AssertionError, match="undeclared read"):
+        test_registry.test_each_entry_reads_exactly_its_declared_keys(m)
+    with monkeypatch.context() as m, pytest.raises(AssertionError, match="more than once"):
+        test_registry.test_verify_all_builds_each_key_once_and_releases_it(m)
 
 
 def _verdict_rule(tie, integral=True):

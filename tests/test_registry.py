@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from plethy import lie_family, series
+from plethy import lie_family, registry, series
 from plethy.registry import (
     IdentityReport,
     registry_ids,
@@ -186,28 +187,72 @@ def test_skips_are_not_failures():
     assert sum(r.failed for r in reports) == 0
 
 
-def test_outer_powers_built_once_per_series(monkeypatch):
-    # Hpm and Epm come from the cached H and E, not from a second Newton
-    # recursion: 16 distinct (kind, series) pairs at cap 8, 26 calls before
-    calls = []
-    real = series._outer_powers
+def _count_builds(monkeypatch) -> tuple[Counter, list]:
+    """(builds, contexts): how often each SeriesContext memo key is built,
+    and every context that reads one."""
+    builds, contexts = Counter(), []
+    real = SeriesContext._get
 
-    def counting(kind, pk, cap):
-        calls.append(kind)
-        return real(kind, pk, cap)
+    def get(self, key, build):
+        if not any(c is self for c in contexts):
+            contexts.append(self)
 
-    monkeypatch.setattr(series, "_outer_powers", counting)
-    assert not any(r.failed for r in verify_all(8))
-    assert len(calls) == 16
+        def counted():
+            builds[key] += 1
+            return build()
+
+        return real(self, key, counted)
+
+    monkeypatch.setattr(SeriesContext, "_get", get)
+    return builds, contexts
 
 
-def test_products_expanded_once_per_sign(monkeypatch):
-    # of the six product variants per weight, "sym" and "epm" are expanded
-    # and the other four derived: 6 product_form calls at cap 8, 18 before.
+def _assert_built_once_and_released(builds: Counter, contexts: list) -> None:
+    rebuilt = sorted((repr(key), n) for key, n in builds.items() if n > 1)
+    assert not rebuilt, f"built more than once: {rebuilt}"
+    held = [list(ctx._memo) for ctx in contexts if ctx._memo]
+    assert not held, f"held after the run: {held}"
+
+
+def test_each_entry_reads_exactly_its_declared_keys(monkeypatch):
+    # run alone on a fresh context, an entry reads every key of its reads and
+    # no other one, the keys its reads are built from included: an undeclared
+    # read raises, which fails the entry
+    real = SeriesContext._get
+    read = set()
+
+    def checked(self, key, build):
+        if key not in entry.reads:
+            raise AssertionError(f"undeclared read of {key!r}")
+        read.add(key)
+        return real(self, key, build)
+
+    monkeypatch.setattr(SeriesContext, "_get", checked)
+    for id in registry_ids():
+        entry = registry._entry(id)
+        read.clear()
+        for cap in sorted({entry.min_cap, 8, 12}):
+            report = verify_identity(id, cap, SeriesContext(cap))
+            assert report.passed, (id, cap, report.detail)
+        assert read == entry.reads, (id, "declared, never read:", entry.reads - read)
+
+
+def test_verify_all_builds_each_key_once_and_releases_it(monkeypatch):
+    # every declared key is built once and released after its last reader,
+    # so the context ends empty.  Hpm and Epm come from the cached H and E,
+    # not from a second Newton recursion: 16 (kind, series) pairs, 26 calls
+    # before.  Of the six product variants per weight, "sym" and "epm" are
+    # expanded and the other four derived: 6 product_form calls, 18 before.
     # Each expands the walk of its (weight, sign), which the u and beta rows
     # read from the same cache: 6 partition walks, 8 before
-    walks, expanded = [], []  # ((weight, sign), walk); (weight, sign)
+    builds, contexts = _count_builds(monkeypatch)
+    outer, walks, expanded = [], [], []  # kinds; ((weight, sign), walk); (weight, sign)
+    real_outer = series._outer_powers
     real_walk, real_form = series._product_walk, series.product_form
+
+    def counting_outer(kind, pk, cap):
+        outer.append(kind)
+        return real_outer(kind, pk, cap)
 
     def counting_walk(psi, sign, cap):
         walks.append(((psi.name, sign), real_walk(psi, sign, cap)))
@@ -217,12 +262,41 @@ def test_products_expanded_once_per_sign(monkeypatch):
         expanded.extend(key for key, w in walks if w is walk)
         return real_form(walk, cap)
 
+    monkeypatch.setattr(series, "_outer_powers", counting_outer)
     monkeypatch.setattr(series, "_product_walk", counting_walk)
     monkeypatch.setattr(series, "product_form", counting_form)
-    assert not any(r.failed for r in verify_all(8))
+    declared = set().union(*(registry._entry(id).reads for id in registry_ids()))
     six = sorted((name, sign) for name in ("mobius", "totient", "two_adic") for sign in (1, -1))
-    assert sorted(key for key, _ in walks) == six
-    assert sorted(expanded) == six
+    for cap in (8, 12):
+        for log in (builds, contexts, outer, walks, expanded):
+            log.clear()
+        assert not any(r.failed for r in verify_all(cap))
+        _assert_built_once_and_released(builds, contexts)
+        assert set(builds) == declared
+        assert len(outer) == 16
+        assert sorted(key for key, _ in walks) == six
+        assert sorted(expanded) == six
+
+
+def test_verify_all_releases_after_the_last_reader_in_its_ids(monkeypatch):
+    # out of registry order and with one id twice, each report is what the
+    # entry gives alone on a fresh context, and no key is built twice or
+    # kept: a key is released after its last reader among the ids, wherever
+    # that reader stands in the registry
+    ids = [
+        "HE-UNIT",
+        "U-CLOSED",
+        "THRALL",
+        "METAGE2-LIE",
+        "CADOGAN",
+        "HE-UNIT",
+        "META-PRODUCTS-MOBIUS",
+        "ALT-H-LIE-PROD",
+    ]
+    alone = [verify_identity(id, 10) for id in ids]
+    builds, contexts = _count_builds(monkeypatch)
+    assert verify_all(10, ids=ids) == alone
+    _assert_built_once_and_released(builds, contexts)
 
 
 def test_u_closed_reads_one_u_row_per_degree(monkeypatch):
