@@ -237,22 +237,30 @@ def test_each_entry_reads_exactly_its_declared_keys(monkeypatch):
         assert read == entry.reads, (id, "declared, never read:", entry.reads - read)
 
 
-def test_verify_all_builds_each_key_once_and_releases_it(monkeypatch):
-    # every declared key is built once and released after its last reader,
-    # so the context ends empty.  Hpm and Epm come from the cached H and E,
-    # not from a second Newton recursion: 16 (kind, series) pairs, 26 calls
-    # before.  Of the six product variants per weight, "sym" and "epm" are
-    # expanded and the other four derived: 6 product_form calls, 18 before.
+def test_outer_powers_built_once_per_series(monkeypatch):
+    # Hpm and Epm come from the cached H and E, not from a second Newton
+    # recursion: 16 distinct (kind, series) pairs, 26 calls before
+    calls = []
+    real = series._outer_powers
+
+    def counting(kind, pk, cap):
+        calls.append(kind)
+        return real(kind, pk, cap)
+
+    monkeypatch.setattr(series, "_outer_powers", counting)
+    for cap in (8, 12):
+        calls.clear()
+        assert not any(r.failed for r in verify_all(cap))
+        assert len(calls) == 16
+
+
+def test_products_expanded_once_per_sign(monkeypatch):
+    # of the six product variants per weight, "sym" and "epm" are expanded
+    # and the other four derived: 6 product_form calls, 18 before.
     # Each expands the walk of its (weight, sign), which the u and beta rows
     # read from the same cache: 6 partition walks, 8 before
-    builds, contexts = _count_builds(monkeypatch)
-    outer, walks, expanded = [], [], []  # kinds; ((weight, sign), walk); (weight, sign)
-    real_outer = series._outer_powers
+    walks, expanded = [], []  # ((weight, sign), walk); (weight, sign)
     real_walk, real_form = series._product_walk, series.product_form
-
-    def counting_outer(kind, pk, cap):
-        outer.append(kind)
-        return real_outer(kind, pk, cap)
 
     def counting_walk(psi, sign, cap):
         walks.append(((psi.name, sign), real_walk(psi, sign, cap)))
@@ -262,20 +270,28 @@ def test_verify_all_builds_each_key_once_and_releases_it(monkeypatch):
         expanded.extend(key for key, w in walks if w is walk)
         return real_form(walk, cap)
 
-    monkeypatch.setattr(series, "_outer_powers", counting_outer)
     monkeypatch.setattr(series, "_product_walk", counting_walk)
     monkeypatch.setattr(series, "product_form", counting_form)
-    declared = set().union(*(registry._entry(id).reads for id in registry_ids()))
     six = sorted((name, sign) for name in ("mobius", "totient", "two_adic") for sign in (1, -1))
     for cap in (8, 12):
-        for log in (builds, contexts, outer, walks, expanded):
-            log.clear()
+        walks.clear()
+        expanded.clear()
+        assert not any(r.failed for r in verify_all(cap))
+        assert sorted(key for key, _ in walks) == six
+        assert sorted(expanded) == six
+
+
+def test_verify_all_builds_each_key_once_and_releases_it(monkeypatch):
+    # every declared key is built once and released after its last reader,
+    # so the context ends empty
+    builds, contexts = _count_builds(monkeypatch)
+    declared = set().union(*(registry._entry(id).reads for id in registry_ids()))
+    for cap in (8, 12):
+        builds.clear()
+        contexts.clear()
         assert not any(r.failed for r in verify_all(cap))
         _assert_built_once_and_released(builds, contexts)
         assert set(builds) == declared
-        assert len(outer) == 16
-        assert sorted(key for key, _ in walks) == six
-        assert sorted(expanded) == six
 
 
 def test_verify_all_releases_after_the_last_reader_in_its_ids(monkeypatch):
