@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _mn_pure
 from .partitions import check_partition, conjugate, divisors, exponent_str, format_partition, z_of
-from .symfunc import SymFunc
+from .symfunc import SymFunc, _fields
 
 
 def kernel_name() -> str:
@@ -190,14 +190,6 @@ def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
         for mu, c in f._num.items():
             packed[mu] += c << (w * j)
     return _walk(list(packed.items()), 0), w, [f._den for f in fs]
-
-
-def _fields(totals: Iterable[int], w: int, j: int, count: int) -> Iterator[int]:
-    """Field j of each sum in totals, packed from a batch of count by _expand:
-    with 2^(w-1) added to every field, none is negative or carries."""
-    half, full = 1 << (w - 1), (1 << w) - 1
-    bias, shift = half * ((1 << (w * count)) - 1) // full, w * j
-    return ((((t + bias) >> shift) & full) - half for t in totals)
 
 
 def _walk(terms: list[tuple[tuple, int]], depth: int) -> dict[int, int]:

@@ -11,14 +11,17 @@ and a product multiplies length columns, so (n1, r1) times (n2, r2) lands in
 first read.  Every operation takes the cap from its inputs and never reads
 beyond it; a slot above the cap is refused, so nothing truncates silently.
 
-Products stay in the keyed form of symfunc (Keyed, mul_sum): the Newton
-recursion keeps every x_r[F] keyed from one step to the next, bracket_sum
-walks the partitions as a trie of keyed prefix products, and a Series
-product multiplies keyed columns.  Each operand is encoded once, each sum
-of products is accumulated over one common denominator, and each result
-slot is reduced and decoded once.  Sums of many SymFuncs are one
-linear_sum, not a chain of +.  Plethysms into one inner g share one
-_Powers memo, so each p_lam[g] is built once.
+The outer powers H(v)[F] and E(v)[F] come from the exponential recursion
+in the degree, on the integer partition keys of symfunc, with the length
+grading packed into each coefficient (Kronecker substitution, v -> 2^w, at
+a width w fixed by an exact bound), so one product of ints serves every
+pair of lengths.  The other products stay in the keyed form of symfunc
+(Keyed, mul_sum): bracket_sum walks the partitions as a trie of keyed
+prefix products, and a Series product multiplies keyed columns.  Each
+operand is encoded once, each sum of products is accumulated over one
+common denominator, and each result slot is reduced and decoded once.
+Sums of many SymFuncs are one linear_sum, not a chain of +.  Plethysms
+into one inner g share one _Powers memo, so each p_lam[g] is built once.
 
 What a sign rule or a running sum gives is derived, not built again.  A
 sign that depends only on the slot is a slot flip of the cached series:
@@ -34,20 +37,22 @@ time.  One walk over the partitions mu with no part 1 gives each N_mu and
 z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
 rows both assemble their slots from the one walk SeriesContext caches.
 
-Each job has one way in.  SeriesContext.app is the one entry to the Newton
-route, over the cached p_k[F] pieces of SeriesContext.power_sums, and
-SeriesContext.family the one accessor of the families.
+Each job has one way in.  SeriesContext.app is the one entry to the outer
+powers (_outer_powers), over the cached p_k[F] pieces of
+SeriesContext.power_sums, and SeriesContext.family the one accessor of the
+families.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable
 
 from . import lie_family
 from .lie_family import Psi
 from .partitions import divisors, partitions_of
-from .symfunc import Keyed, SymFunc, _Powers, _reduced, e, h, linear_sum, mul_sum, p, plethysm
+from .symfunc import Keyed, SymFunc, _fields, _partition_keys, _Powers, _reduced
+from .symfunc import e, h, linear_sum, mul_sum, p, plethysm
 
 __all__ = [
     "Series",
@@ -211,23 +216,101 @@ def _power_sums(F: Series, cap: int) -> list[SymFunc]:
     return [plethysm(p(k), tot, cap) for k in range(1, cap + 1)]
 
 
+def _exponent(kind: str, pk: list[SymFunc], cap: int) -> tuple[int, list[list[tuple]]]:
+    """(L, B) for the exponent of H(v)[F] or E(v)[F], pk = [p_1[F], p_2[F], ...].
+
+    H(v)[F] = exp(sum over k of v^k p_k[F] / k), and E(v)[F] puts the sign
+    (-1)^(k-1) on term k (Macdonald I.2).  Y_j, the degree-j part of the
+    exponent, has (+-) [p_k[F]]_j / k on v^k.  L is the lcm of the reduced
+    denominators of every j * Y_j, and B[j] lists the terms (key, k, c) of
+    the integer L * j * Y_j over the partition keys of the cap.
+    """
+    flip_even = {"H": False, "E": True}[kind]
+    keys = _partition_keys(cap)
+    pieces = []  # (j, k, sign, k * den, [(key, numerator), ...])
+    L = 1
+    for k, f in enumerate(pk, 1):
+        sign = -1 if flip_even and k % 2 == 0 else 1
+        for j, terms in keys.grouped(f._num.items(), cap):
+            d = k * f._den
+            L = lcm(L, d // gcd(d, j * gcd(*(v for _, v in terms))))
+            pieces.append((j, k, sign, d, terms))
+    B: list[list[tuple]] = [[] for _ in range(cap + 1)]
+    for j, k, sign, d, terms in pieces:
+        q = sign * L * j
+        B[j].extend((key, k, q * v // d) for key, v in terms)
+    return L, B
+
+
+def _field_bounds(B: list[list[tuple]], L: int) -> list[int]:
+    """[M_0, ..., M_cap] for (L, B) = _exponent(...): M_0 = 1 and M_n is the
+    sum over j of (n-1)!/(n-j)! L^(j-1) |B[j]| M_(n-j), |B[j]| the sum of
+    |c| over the terms of B[j].
+
+    M_n bounds every field of A_n in _outer_powers: for a fixed key of A_n,
+    each key of B[j] fixes the key of A_(n-j) it pairs with, and each k
+    fixes the length it pairs with, so the field sums at most |B[j]|
+    products of a coefficient of B[j] with one field of A_(n-j).
+    """
+    norms = [sum(abs(c) for _, _, c in terms) for terms in B]
+    M = [1]
+    for n in range(1, len(B)):
+        c, total = 1, 0
+        for j in range(1, n + 1):
+            total += c * norms[j] * M[n - j]
+            c *= (n - j) * L
+        M.append(total)
+    return M
+
+
 def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
     """H or E of the family F with pk = [p_1[F], p_2[F], ...], truncated to
     degree cap: slot (n, r) is the degree-n part of x_r[F], x = h or e.
 
-    Newton recursion r*x_r = sum over k of (+-) p_k[F] x_{r-k}, the sign -1
-    for even k when x = e, pushed through the ring endomorphism given by
-    plethysm with F.  Each signed p_k[F] is encoded once and every x_r stays
-    keyed, so step r is one mul_sum over its r pairs, divided by r.
+    The exponential recursion in the degree: the degree-n part H_n of
+    exp(sum of Y_j) obeys n H_n = sum over j of (j Y_j) H_(n-j), and with
+    A_n = n! L^n H_n and (L, B) = _exponent(kind, pk, cap) it runs on
+    integers: A_n = sum over j of (n-1)!/(n-j)! L^(j-1) B[j] A_(n-j).
+    Each coefficient of A_n and B[j] is a polynomial in v, packed as
+    sum over r of a_r 2^(w r) (Kronecker substitution, v -> 2^w), so one
+    product per pair of keys serves every pair of lengths.  w is exact, by
+    the rule of schur._expand: w - 1 is the bit length of the largest of
+    _field_bounds, so every field of A_n lies in [-2^(w-1), 2^(w-1)).
+    Slot (n, r) is field r of A_n, read by symfunc._fields and reduced once
+    over n! L^n; A_n has lengths r <= n, as p_k[F] starts in degree k.
     """
-    flip_even = {"H": False, "E": True}[kind]
-    signed = [
-        Keyed.encode(-f if flip_even and k % 2 == 0 else f, cap) for k, f in enumerate(pk, 1)
-    ]
-    out = [Keyed.encode(SymFunc.one(), cap)]
-    for r in range(1, cap + 1):
-        out.append(mul_sum([(signed[k - 1], out[r - k]) for k in range(1, r + 1)], cap, r))
-    graded = {(n, r): f for r, xr in enumerate(out) for n, f in xr.parts().items()}
+    L, B = _exponent(kind, pk, cap)
+    w = max(_field_bounds(B, L)).bit_length() + 1
+    packed: list[dict[int, int]] = []
+    for terms in B:
+        row: dict[int, int] = {}
+        for key, k, c in terms:
+            row[key] = row.get(key, 0) + (c << (w * k))
+        packed.append(row)
+    A = [[(0, 1)]]  # A_n as [(key, packed numerator), ...]
+    for n in range(1, cap + 1):
+        acc: dict[int, int] = {}
+        get = acc.get
+        c = 1  # (n-1)!/(n-j)! L^(j-1)
+        for j in range(1, n + 1):
+            prev = A[n - j]
+            for kb, b in packed[j].items():
+                b *= c
+                for ka, a in prev:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + a * b
+            c *= (n - j) * L
+        A.append([(key, t) for key, t in acc.items() if t])
+    decode = _partition_keys(cap).decode
+    graded: dict[tuple[int, int], SymFunc] = {}
+    for n, terms in enumerate(A):
+        lams = [decode(key) for key, _ in terms]
+        totals = [t for _, t in terms]
+        den = factorial(n) * L**n
+        for r in range(min(n, 1), n + 1):  # every term of the exponent carries v
+            num = {lam: v for lam, v in zip(lams, _fields(totals, w, r, n + 1)) if v}
+            if num:
+                graded[n, r] = _reduced(num, den)
     return Series(cap, graded=graded)
 
 
@@ -245,7 +328,7 @@ def bracket_sum(kind: str, Q: Series) -> Series:
     """sum over partitions of v^l(lam) * bracket, as a graded Series.
 
     The independent route to SeriesContext.app: products of small plethysms
-    instead of the Newton recursion.  Each factor x_m[q_part] is built once,
+    instead of the exponential recursion of _outer_powers.  Each factor x_m[q_part] is built once,
     off one _Powers memo per part.  The partitions up to the cap are walked
     as a trie over their (part, multiplicity) groups, parts descending; the
     keyed product of a prefix's factors is built once for the lams below it.
@@ -509,8 +592,10 @@ class SeriesContext:
         return self._get(name, build)
 
     def app(self, kind: str, name: str) -> Series:
-        """Cached H, E, Hpm or Epm of the named family; the signed kinds
-        negate the odd-length slots of the cached H or E."""
+        """Cached H, E, Hpm or Epm of the named family.  H and E come from
+        _outer_powers, the exponential recursion in the degree over the
+        cached power sums; the signed kinds negate the odd-length slots of
+        the cached H or E."""
         if kind in ("Hpm", "Epm"):
             return self._get(
                 (kind, name), lambda: _negate_slots(self.app(kind[0], name), _odd_length)

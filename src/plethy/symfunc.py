@@ -372,11 +372,13 @@ def s(lam) -> SymFunc:
 # p_lambda * p_mu is key(lambda) + key(mu), with no sorting.  Terms travel as
 # [(degree, [(key, numerator), ...]), ...] with degrees ascending, so a
 # product loop stops as soon as the degree passes its budget.  There is one
-# product loop, _mul_grouped.  _Powers drives it to build each p_lambda[g]
-# once per inner g, and every plethysm is a _Powers apply; mul_sum drives it
-# for a whole sum of products over one common denominator, which is how the
-# series layer multiplies: each operand is encoded once as a Keyed value, and
-# each result is reduced and decoded once.
+# product loop over numerators, _mul_grouped.  _Powers drives it to build
+# each p_lambda[g] once per inner g, and every plethysm is a _Powers apply;
+# mul_sum drives it for a whole sum of products over one common denominator,
+# which is how Series products and bracket sums multiply: each operand is
+# encoded once as a Keyed value, and each result is reduced and decoded
+# once.  series._outer_powers adds the same keys, with a polynomial in v
+# packed into each numerator, and reads the packed ints with _fields.
 
 
 class _PartitionKeys:
@@ -436,6 +438,16 @@ class _PartitionKeys:
 @lru_cache(maxsize=64)
 def _partition_keys(cap: int) -> _PartitionKeys:
     return _PartitionKeys(cap)
+
+
+def _fields(totals: Iterable[int], w: int, j: int, count: int) -> list[int]:
+    """Field j of each int in totals, packed as sum over i < count of
+    f_i 2^(w i) with every f_i in [-2^(w-1), 2^(w-1)): with 2^(w-1) added
+    to every field, none is negative or carries.  The one reader of the
+    packed ints of schur._expand and series._outer_powers."""
+    half, full = 1 << (w - 1), (1 << w) - 1
+    bias, shift = half * ((1 << (w * count)) - 1) // full, w * j
+    return [(((t + bias) >> shift) & full) - half for t in totals]
 
 
 def _mul_grouped(a: list, b: list, budget: int, out: dict | None = None, scale: int = 1) -> dict:
@@ -511,9 +523,8 @@ class Keyed:
         return {d: _reduced({decode(k): v for k, v in terms}, self.den) for d, terms in self.groups}
 
 
-def mul_sum(pairs: Iterable[tuple[Keyed, Keyed]], cap: int, divisor: int = 1) -> Keyed:
-    """The sum of a * b over the pairs, terms of degree > cap dropped, divided
-    by the positive int divisor.
+def mul_sum(pairs: Iterable[tuple[Keyed, Keyed]], cap: int) -> Keyed:
+    """The sum of a * b over the pairs, terms of degree > cap dropped.
 
     Every product is accumulated over the lcm of the pairs' denominators, so
     the sum is reduced by one gcd at the end.  Every operand must be keyed
@@ -530,7 +541,7 @@ def mul_sum(pairs: Iterable[tuple[Keyed, Keyed]], cap: int, divisor: int = 1) ->
     out: dict = {}
     for a, b in pairs:
         _mul_grouped(a.groups, b.groups, cap, out, den // (a.den * b.den))
-    return _lowest_terms(keys, out, den * divisor)
+    return _lowest_terms(keys, out, den)
 
 
 def _lowest_terms(keys: _PartitionKeys, out: dict, den: int) -> Keyed:

@@ -4,11 +4,12 @@ These are the sequential forms plethy used before the series layer stopped
 recomputing and started working on keyed values: product_form convolves one
 SymFunc factor per m with Fraction-valued v-polynomials, plethystic_inverse
 recomposes the whole partial inverse with G at every degree, the Newton
-recursion and the Series product multiply one pair of SymFuncs at a time,
-bracket_sum multiplies out each partition's bracket on its own, and u and
-beta_rank sum their k + 1 signed pieces at once, not as running sums, with
-vh and whitney read off this module's own Newton recursion, not off the
-product formulas.  They share no expansion code with plethy.series: every
+recursion in the length (plethy runs the exponential recursion in the
+degree on packed ints) and the Series product multiply one pair of
+SymFuncs at a time, bracket_sum multiplies out each partition's bracket on
+its own, and u and beta_rank sum their k + 1 signed pieces at once, not as
+running sums, with vh and whitney read off this module's own Newton
+recursion, not off the product formulas.  They share no expansion code with plethy.series: every
 product here is SymFunc.__mul__, never the keyed mul_sum kernel, so each
 checks the other.
 

@@ -389,6 +389,13 @@ def test_verify_json_golden_cap14(capsys):
     assert out == (GOLDEN / "verify-cap14.jsonl").read_text()
 
 
+def test_verify_json_golden_cap16(capsys):
+    # at cap 16 the packed width of the outer powers reaches 49 to 54 bits
+    code, out, _ = run_cli(["verify", "--all", "--cap", "16", "--json"], capsys=capsys)
+    assert code == 0
+    assert out == (GOLDEN / "verify-cap16.jsonl").read_text()
+
+
 def test_verify_json_golden_low_caps(capsys):
     # pins every entry's min_cap skip and its lowest degrees at caps 1, 2 and 3
     out = ""

@@ -11,7 +11,8 @@ share, must fail the tests of both, and a strip-sign defect must fire the
 deficit scan's dimension ledger.  A defect in the u rows must fail both an
 entry and the oracle test in test_series.  A key left out of an entry's
 reads changes no output, so it must fail the declaration and build-once
-tests in test_registry.
+tests in test_registry.  A packed width too short for the outer powers'
+fields must fail the product entries of every family, with no traceback.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ def _drop_top(out: Keyed, cap: int) -> Keyed:
     return Keyed(out.keys, [(d, terms) for d, terms in out.groups if d < cap], out.den)
 
 
-def _mul_sum_drops_top(pairs, cap, divisor=1):
-    return _drop_top(mul_sum(pairs, cap, divisor), cap)
+def _mul_sum_drops_top(pairs, cap):
+    return _drop_top(mul_sum(pairs, cap), cap)
 
 
-def _one_pair_mul_sum_drops_top(pairs, cap, divisor=1):
+def _one_pair_mul_sum_drops_top(pairs, cap):
     """The mul_trunc defect: a product of one pair (what mul_trunc
     computes) loses degree = cap; sums of several pairs are right."""
     pairs = list(pairs)
-    out = mul_sum(pairs, cap, divisor)
+    out = mul_sum(pairs, cap)
     return _drop_top(out, cap) if len(pairs) == 1 else out
 
 
@@ -128,13 +129,34 @@ def test_character_sign_defect_fails_an_entry(monkeypatch):
 
 
 _outer_powers = series._outer_powers
+_field_bounds = series._field_bounds
 _alternating_row = series._alternating_row
 
 
 def _newton_p2_sign_flipped(kind, pk, cap):
-    """The Newton recursion r*x_r = sum of (+-) p_k[F] x_(r-k) with the
-    sign of the p_2[F] term flipped, for h and e alike."""
+    """_outer_powers with the sign of p_2[F] flipped, for h and e alike: the
+    v^2 term of the exponent, and the p_2[F] term of Newton's identity
+    r*x_r = sum of (+-) p_k[F] x_(r-k), have the wrong sign."""
     return _outer_powers(kind, [-f if k == 2 else f for k, f in enumerate(pk, 1)], cap)
+
+
+def _field_bounds_8_bits_short(B, L):
+    """The field bounds of _outer_powers cut by 8 bits, so that the packed
+    width is 8 bits short."""
+    return [m >> 8 for m in _field_bounds(B, L)]
+
+
+def test_a_packed_width_8_bits_short_fails_the_product_entries(monkeypatch, capsys):
+    # at cap 12 the widest fields of the lie, lie2 and conj powers take 28,
+    # 28 and 29 bits plus a sign, under widths of 35, 36 and 37 bits, so a
+    # width 8 bits short wraps fields of all three, and each family's
+    # product formula disagrees with its outer powers
+    monkeypatch.setattr(series, "_field_bounds", _field_bounds_8_bits_short)
+    assert cli.main(["verify", "--all", "--cap", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    for id in ("META-PRODUCTS-MOBIUS", "META-PRODUCTS-TOTIENT", "META-PRODUCTS-TWOADIC"):
+        assert f"FAIL  {id}  " in out, id
 
 
 def _newton_sign_error(monkeypatch):

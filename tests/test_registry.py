@@ -238,8 +238,8 @@ def test_each_entry_reads_exactly_its_declared_keys(monkeypatch):
 
 
 def test_outer_powers_built_once_per_series(monkeypatch):
-    # Hpm and Epm come from the cached H and E, not from a second Newton
-    # recursion: 16 distinct (kind, series) pairs, 26 calls before
+    # Hpm and Epm come from the cached H and E, not from a second
+    # _outer_powers build: 16 distinct (kind, series) pairs, 26 calls before
     calls = []
     real = series._outer_powers
 
@@ -356,7 +356,7 @@ def test_conj_from_entries_sum_the_cached_pieces(monkeypatch):
 
 def test_positivity_scans_skip_the_newton_route():
     # the u and beta rows are read off the product numerators, so neither
-    # scan builds H[lie2] or E[lie] by the Newton recursion
+    # scan builds H[lie2] or E[lie] through _outer_powers
     ctx = SeriesContext(16)
     for id in ("U-POS", "BETA-POS"):
         assert verify_identity(id, 16, ctx).passed

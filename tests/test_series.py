@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import series_oracle
 from conftest import assert_canonical, count_by_cycles, count_derangements
+from plethy import series
 from plethy.lie_family import Psi, lie
 from plethy.partitions import partitions_of
 from plethy.schur import to_schur
@@ -229,6 +231,54 @@ def test_apply_series_matches_oracle(cap):
             _same_series(ctx.app(kind, name), want, (name, kind))
             signed = series_oracle.negate_odd_lengths(want)
             _same_series(ctx.app(kind + "pm", name), signed, (name, kind + "pm"))
+
+
+@pytest.mark.parametrize(
+    "cap, names",
+    [(cap, ORACLE_FAMILIES) for cap in range(1, 9)] + [(10, ("lie", "lie2", "conj"))],
+    ids=[str(cap) for cap in (*range(1, 9), 10)],
+)
+def test_outer_powers_match_the_newton_oracle(cap, names):
+    # _outer_powers runs the exponential recursion in the degree on packed
+    # ints; the oracle runs Newton's recursion in the length, one SymFunc
+    # product at a time
+    ctx = SeriesContext(cap)
+    for name in names:
+        for kind in ("H", "E"):
+            got = series._outer_powers(kind, ctx.power_sums(name), cap)
+            _same_series(got, series_oracle.apply_series(kind, ctx.family(name)), (name, kind))
+
+
+@pytest.mark.parametrize("cap", range(1, 9))
+def test_outer_powers_with_a_fractional_exponent_match_the_oracle(cap):
+    # for F = h_1 + h_2 + ..., 3 Y_3 already has the coefficient 3/2 on
+    # p_(2,1), so the recursion runs over n! L^n with L > 1
+    F = Series(cap, {n: h(n) for n in range(1, cap + 1)})
+    pk = series._power_sums(F, cap)
+    for kind in ("H", "E"):
+        L, _ = series._exponent(kind, pk, cap)
+        assert (L > 1) == (cap >= 3), (kind, L)
+        want = series_oracle.apply_series(kind, F)
+        _same_series(series._outer_powers(kind, pk, cap), want, kind)
+
+
+@pytest.mark.parametrize("name", ORACLE_FAMILIES)
+def test_outer_power_fields_stay_inside_their_bound(name):
+    # the field of slot (n, r) at lam is n! L^n times its coefficient; M_n
+    # bounds it at every degree, and the width leaves it inside
+    # [-2^(w-1), 2^(w-1)).  At cap 16 w is 49 to 54 bits
+    cap = 16
+    pk = SeriesContext(cap).power_sums(name)
+    for kind in ("H", "E"):
+        L, B = series._exponent(kind, pk, cap)
+        M = series._field_bounds(B, L)
+        w = max(M).bit_length() + 1
+        S = series._outer_powers(kind, pk, cap)
+        for n in range(cap + 1):
+            scale = factorial(n) * L**n
+            fields = [c * scale for r in range(n + 1) for _, c in S.graded(n, r).items()]
+            assert all(f.denominator == 1 for f in fields), (kind, n)
+            assert max(map(abs, fields), default=0) <= M[n] < 1 << (w - 1), (kind, n)
 
 
 @pytest.mark.parametrize("cap", range(1, 11))

@@ -367,8 +367,8 @@ def test_add_sub_mul_match_reference(f, g):
         _agrees(mul_trunc(f, g, cap), ref_mul(a, b, cap))
     for cap in (0, 1, 2, 3, 4, 7):
         kf, kg = Keyed.encode(f, cap), Keyed.encode(g, cap)
-        want = ref_scale(ref_add(ref_mul(a, b, cap), ref_mul(b, b, cap)), Fraction(1, 3))
-        _agrees(mul_sum([(kf, kg), (kg, kg)], cap, 3).symfunc(), want)
+        want = ref_add(ref_mul(a, b, cap), ref_mul(b, b, cap))
+        _agrees(mul_sum([(kf, kg), (kg, kg)], cap).symfunc(), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,13 +456,13 @@ def test_ring_calls_match_reference(monkeypatch):
         distinct.add((tuple(f.items()), tuple(self.g.items()), self.cap))
         return out
 
-    def checked_mul_sum(pairs, cap, divisor=1):
+    def checked_mul_sum(pairs, cap):
         pairs = list(pairs)
-        out = mul_sum(pairs, cap, divisor)
+        out = mul_sum(pairs, cap)
         want: dict = {}
         for a, b in pairs:
             want = ref_add(want, ref_mul(ref_terms(a.symfunc()), ref_terms(b.symfunc()), cap))
-        _agrees(out.symfunc(), ref_scale(want, Fraction(1, divisor)))
+        _agrees(out.symfunc(), want)
         nums = [v for _, terms in out.groups for _, v in terms]
         assert all(nums) and gcd(out.den, *nums) == 1  # reduced once, in the kernel
         calls["mul_sum"] += 1
