@@ -10,7 +10,8 @@ This module holds the report type, the driver and the two conjecture-tier
 scans.  verify_identity is the one runner: it runs an entry on a context of
 its cap, or reports a skip below the entry's min_cap, and verify_all calls
 it for each id on one shared context.  Each entry declares the context's
-memo keys it reads, and verify_all releases each key once its last reader
+memo keys its body reads, _register adds by SeriesContext.sources the keys
+those are built from, and verify_all releases each key once its last reader
 in the run is done.  U-POS reads the u rows through
 _rows_positive, the one positivity loop over is_schur_positive_many, which
 the theorem BETA-POS shares for the beta rows.  WHITEHOUSE reads the lie2
@@ -99,7 +100,7 @@ class _Entry(NamedTuple):
     tier: str
     description: str
     fn: Callable[[SeriesContext, int, _Check], None]
-    reads: frozenset  # the SeriesContext memo keys fn reads, those they are built from included
+    reads: frozenset  # the keys fn reads and, by SeriesContext.sources, those they are built from
     min_cap: int = 2
 
 
@@ -110,13 +111,20 @@ _ENTRIES: dict[str, _Entry] = {}
 def _register(
     id: str, description: str, *, reads: Iterable, tier: str = "theorem", min_cap: int = 2
 ):
-    """Register fn under id.  reads lists every SeriesContext memo key fn
-    reads when run alone on a fresh context, in the format of the
-    SeriesContext docstring; verify_all releases a key after its last
+    """Register fn under id.  reads lists the SeriesContext memo keys fn's
+    own body reads through the accessors, in the format of the
+    SeriesContext docstring; the keys those are built from are added here,
+    by SeriesContext.sources.  verify_all releases a key after its last
     reader, so a key left out costs a rebuild, never a wrong result."""
+    closure, todo = set(), list(reads)
+    while todo:
+        key = todo.pop()
+        if key not in closure:
+            closure.add(key)
+            todo += SeriesContext.sources(key)
 
     def deco(fn):
-        _ENTRIES[id] = _Entry(id, tier, description, fn, frozenset(reads), min_cap)
+        _ENTRIES[id] = _Entry(id, tier, description, fn, frozenset(closure), min_cap)
         return fn
 
     return deco

@@ -39,8 +39,9 @@ rows both assemble their slots from the one walk SeriesContext caches.
 
 Each job has one way in.  SeriesContext.app is the one entry to the outer
 powers (_outer_powers), over the cached p_k[F] pieces of
-SeriesContext.power_sums, and SeriesContext.family the one accessor of the
-families.
+SeriesContext.power_sums, SeriesContext.family the one accessor of the
+families, and SeriesContext.sources the one statement of which cached value
+is built from which.
 """
 
 from __future__ import annotations
@@ -319,9 +320,9 @@ def _negate_slots(A: Series, odd: Callable[[int, int], int]) -> Series:
     return A._map_slots(lambda n, r, f: -f if odd(n, r) else f)
 
 
-def _odd_length(n: int, r: int) -> int:
-    """The slots that v -> -v negates."""
-    return r % 2
+def _flip_v(A: Series) -> Series:
+    """A with v -> -v: its odd-length slots negated."""
+    return _negate_slots(A, lambda n, r: r % 2)
 
 
 def bracket_sum(kind: str, Q: Series) -> Series:
@@ -531,6 +532,26 @@ def p_sum_over(n: int, filter: str = "all") -> SymFunc:
 # -- the named constructions, sharing one cache per cap ---------------------------
 
 
+def _family_key(name: str):
+    """The memo key of family(name): F_alt is kept under ("alt_omega", F),
+    lie, lie2, conj, lie_ge2 and lie2_ge2 under their names."""
+    base = name.removesuffix("_alt")
+    if base not in ("lie", "lie2", "conj", "lie_ge2", "lie2_ge2"):
+        raise KeyError(name)
+    return name if base == name else ("alt_omega", base)
+
+
+# variant of SeriesContext.product -> the walk sign it expands, or (its source, the map)
+_PRODUCTS = {
+    "sym": -1,
+    "epm": 1,
+    "hpm": ("sym", _flip_v),
+    "ext": ("epm", _flip_v),
+    "alt_sym": ("hpm", Series.twist),
+    "alt_ext": ("epm", Series.twist),
+}
+
+
 class SeriesContext:
     """Lazy cache of the standard series and outer applications at one cap.
 
@@ -548,8 +569,9 @@ class SeriesContext:
         "kappa", "omega_kappa"              kappa(), omega_kappa()
 
     A value may be built from others: ("Hpm", "lie") reads ("H", "lie"),
-    which reads ("p_k", "lie"), which reads "lie".  release drops keys; a
-    later read builds them again.
+    which reads ("p_k", "lie"), which reads "lie".  sources is the one
+    statement of that graph.  release drops keys; a later read builds them
+    again.
     """
 
     def __init__(self, cap: int):
@@ -570,19 +592,45 @@ class SeriesContext:
         for key in keys:
             self._memo.pop(key, None)
 
+    @staticmethod
+    def sources(key) -> tuple:
+        """The memo keys the value under key is built from; a key outside
+        the formats above raises KeyError."""
+        match key:
+            case "kappa" | ("walk", str(), 1 | -1):
+                return ()
+            case "omega_kappa":
+                return ("kappa",)
+            case str(name) if _family_key(name) == name:
+                return (name[:-4],) if name.endswith("_ge2") else ()
+            case ("alt_omega", str(base)) if _family_key(base + "_alt") == key:
+                return (base,)
+            case ("p_k", str(name)):
+                return (_family_key(name),)
+            case ("H" | "E" | "Hpm" | "Epm" as kind, str(name)):
+                _family_key(name)  # a name that is no family raises KeyError
+                return ((kind[0], name) if kind.endswith("pm") else ("p_k", name),)
+            case ("brackets", "H" | "E" as kind, str(name), bool(signed)):
+                family = _family_key(name)
+                return (("brackets", kind, name, False) if signed else family,)
+            case ("product", str(psi), str(variant)) if variant in _PRODUCTS:
+                src = _PRODUCTS[variant]
+                return (("walk", psi, src) if isinstance(src, int) else ("product", psi, src[0]),)
+            case ("conj_from", "lie" | "lie2" as family):
+                return (("p_k", family),)
+        raise KeyError(key)
+
     # base families ------------------------------------------------------
 
     def family(self, name: str) -> Series:
         """The cached family lie, lie2 or conj; lie_ge2 and lie2_ge2 drop the
         degree-1 slot, and F_alt, the sum of (-1)^(n-1) omega(f_n), is minus
         the twist of F."""
-        if name.endswith("_alt"):
-            base = name[:-4]
-            return self._get(("alt_omega", base), lambda: self.family(base).twist().scale(-1))
-        if name in ("lie_ge2", "lie2_ge2"):
+        key = _family_key(name)
+        if key != name:
+            return self._get(key, lambda: self.family(key[1]).twist().scale(-1))
+        if name.endswith("_ge2"):
             return self._get(name, lambda: restrict_ge2(self.family(name[:-4])))
-        if name not in ("lie", "lie2", "conj"):
-            raise KeyError(name)
 
         def build():
             # the builder is looked up at call time, so a rebound one is used
@@ -597,9 +645,7 @@ class SeriesContext:
         cached power sums; the signed kinds negate the odd-length slots of
         the cached H or E."""
         if kind in ("Hpm", "Epm"):
-            return self._get(
-                (kind, name), lambda: _negate_slots(self.app(kind[0], name), _odd_length)
-            )
+            return self._get((kind, name), lambda: _flip_v(self.app(kind[0], name)))
         return self._get(
             (kind, name), lambda: _outer_powers(kind, self.power_sums(name), self.cap)
         )
@@ -630,17 +676,16 @@ class SeriesContext:
         odd-length slots, and "alt_sym" (1 + p_m)^(-f_m(-v)) and "alt_ext"
         (1 + p_m)^(f_m(v)) are the twists p_m -> -p_m of "hpm" and "epm".
         """
-        builders = {
-            "sym": lambda: product_form(self._walk(psi, -1), self.cap),
-            "epm": lambda: product_form(self._walk(psi, 1), self.cap),
-            "hpm": lambda: _negate_slots(self.product(psi, "sym"), _odd_length),
-            "ext": lambda: _negate_slots(self.product(psi, "epm"), _odd_length),
-            "alt_sym": lambda: self.product(psi, "hpm").twist(),
-            "alt_ext": lambda: self.product(psi, "epm").twist(),
-        }
-        if variant not in builders:
+        if variant not in _PRODUCTS:
             raise ValueError(f"unknown product variant {variant!r}")
-        return self._get(("product", psi.name, variant), builders[variant])
+        src = _PRODUCTS[variant]
+
+        def build():
+            if isinstance(src, int):
+                return product_form(self._walk(psi, src), self.cap)
+            return src[1](self.product(psi, src[0]))
+
+        return self._get(("product", psi.name, variant), build)
 
     # standard-representation generators ------------------------------------
 

@@ -13,8 +13,8 @@ outer kind (H/E) and its generator (kappa/omega(kappa)), _PSI maps each
 family to its weight psi, _p1_recurrence is the restriction recurrence
 S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and TAU-REC, and BETA-POS
 scans its rows with the registry's _rows_positive.  Each entry's reads
-names the SeriesContext memo keys behind the accessors it calls, through
-helpers named after those accessors (_family, _app, _brackets, _product).
+names the SeriesContext memo keys behind the accessors its body calls;
+_register adds the keys those are built from.
 """
 
 from __future__ import annotations
@@ -37,49 +37,6 @@ from .symfunc import SymFunc, e, h, linear_sum, p, plethysm, s
 
 # the weight psi of each family's template f_n = (1/n) sum over d | n of psi(d) p_d^(n/d)
 _PSI = {"lie": Psi.mobius(), "conj": Psi.totient(), "lie2": Psi.two_adic()}
-
-
-# For the reads declarations: each helper gives the memo key of one
-# SeriesContext accessor, followed by the keys its value is built from
-
-
-def _family(name: str) -> tuple:
-    """ctx.family(name)"""
-    if name.endswith("_alt"):
-        return (("alt_omega", name[:-4]), *_family(name[:-4]))
-    if name.endswith("_ge2"):
-        return (name, name[:-4])
-    return (name,)
-
-
-def _power_sums(name: str) -> tuple:
-    """ctx.power_sums(name)"""
-    return (("p_k", name), *_family(name))
-
-
-def _app(kind: str, name: str) -> tuple:
-    """ctx.app(kind, name); Hpm and Epm are read off H and E"""
-    if kind.endswith("pm"):
-        return ((kind, name), *_app(kind[0], name))
-    return ((kind, name), *_power_sums(name))
-
-
-def _brackets(kind: str, name: str, signed: bool = False) -> tuple:
-    """ctx.brackets(kind, name, signed); the signed sum is read off the unsigned one"""
-    rest = _brackets(kind, name) if signed else _family(name)
-    return (("brackets", kind, name, signed), *rest)
-
-
-def _product(psi: Psi, variant: str) -> tuple:
-    """ctx.product(psi, variant): sym and epm expand a walk, the rest derive"""
-    sources = {"sym": -1, "epm": 1, "hpm": "sym", "ext": "epm", "alt_sym": "hpm", "alt_ext": "epm"}
-    src = sources[variant]
-    rest = _product(psi, src) if isinstance(src, str) else (("walk", psi.name, src),)
-    return (("product", psi.name, variant), *rest)
-
-
-# ctx.kappa() and ctx.omega_kappa(), by the generator names the factories take
-_GENERATOR = {"kappa": ("kappa",), "omega_kappa": ("omega_kappa", "kappa")}
 
 
 def _degrees_equal(check: _Check, lhs: Callable, rhs: Callable, start: int, cap: int) -> None:
@@ -155,7 +112,7 @@ def _plinv(outer: str, fam: str, gen: Callable):
 @_register(
     "THRALL",
     "symmetric powers of lie rebuild the regular representation",
-    reads=_brackets("H", "lie"),
+    reads=[("brackets", "H", "lie", False)],
 )
 def _thrall(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie").coeff, _p1n, 0, cap)
@@ -164,11 +121,11 @@ def _thrall(ctx, cap, check):
 _register(
     "CADOGAN",
     "alternating omega(lie) inverts the homogeneous series",
-    reads=_app("H", "lie_alt"),
+    reads=[("H", "lie_alt"), ("alt_omega", "lie")],
 )(_plinv("H", "lie_alt", h))
 
 
-@_register("SOLOMON", "symmetric powers of conj give all partitions", reads=_app("H", "conj"))
+@_register("SOLOMON", "symmetric powers of conj give all partitions", reads=[("H", "conj")])
 def _solomon(ctx, cap, check):
     _degrees_equal(check, ctx.app("H", "conj").coeff, p_sum_over, 1, cap)
 
@@ -176,7 +133,7 @@ def _solomon(ctx, cap, check):
 @_register(
     "EXT-REG",
     "exterior powers of lie2 rebuild the regular representation",
-    reads=_brackets("E", "lie2"),
+    reads=[("brackets", "E", "lie2", False)],
 )
 def _ext_reg(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("E", "lie2").coeff, _p1n, 0, cap)
@@ -185,14 +142,14 @@ def _ext_reg(ctx, cap, check):
 _register(
     "PLINV-E",
     "alternating omega(lie2) inverts the elementary series",
-    reads=_app("E", "lie2_alt"),
+    reads=[("E", "lie2_alt"), ("alt_omega", "lie2")],
 )(_plinv("E", "lie2_alt", e))
 
 
 @_register(
     "SYM-LIE2",
     "symmetric powers of lie2 give the power-of-two classes",
-    reads=_app("H", "lie2"),
+    reads=[("H", "lie2")],
 )
 def _sym_lie2(ctx, cap, check):
     _degrees_equal(check, ctx.app("H", "lie2").coeff, _two_powers, 1, cap)
@@ -201,7 +158,7 @@ def _sym_lie2(ctx, cap, check):
 @_register(
     "ALT-E-LIE2",
     "alternating exterior sum of lie2: distinct two-power classes",
-    reads=_app("E", "lie2"),
+    reads=[("E", "lie2")],
 )
 def _alt_e_lie2(ctx, cap, check):
     _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie2")), _distinct_powers_sum, 1, cap)
@@ -210,7 +167,7 @@ def _alt_e_lie2(ctx, cap, check):
 @_register(
     "ALT-H-LIE",
     "alternating symmetric sum of lie collapses to two-row classes",
-    reads=_app("H", "lie"),
+    reads=[("H", "lie")],
 )
 def _alt_h_lie(ctx, cap, check):
     lhs = partial(_alt_outer, ctx.app("H", "lie"))
@@ -220,7 +177,7 @@ def _alt_h_lie(ctx, cap, check):
 @_register(
     "ALT-H-LIE-PROD",
     "signed bracket sum over lie equals (1+p1)/(1-p2)",
-    reads=_brackets("H", "lie", signed=True) + _app("E", "lie_alt"),
+    reads=[("brackets", "H", "lie", True), ("E", "lie_alt")],
 )
 def _alt_h_lie_prod(ctx, cap, check):
     signed = ctx.brackets("H", "lie", signed=True)
@@ -231,7 +188,7 @@ def _alt_h_lie_prod(ctx, cap, check):
         check.eq(n, appalt.coeff(n).omega(), _p2_p1(n), note="omega(E[lie_alt]) form")
 
 
-@_register("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)", reads=_app("E", "lie"))
+@_register("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)", reads=[("E", "lie")])
 def _ext_lie(ctx, cap, check):
     def rhs(n):
         return _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero())
@@ -239,7 +196,7 @@ def _ext_lie(ctx, cap, check):
     _degrees_equal(check, ctx.app("E", "lie").coeff, rhs, 1, cap)
 
 
-@_register("EXT-CONJ", "exterior powers of conj give the odd classes", reads=_app("E", "conj"))
+@_register("EXT-CONJ", "exterior powers of conj give the odd classes", reads=[("E", "conj")])
 def _ext_conj(ctx, cap, check):
     _degrees_equal(check, ctx.app("E", "conj").coeff, _odd_parts_sum, 1, cap)
 
@@ -247,7 +204,7 @@ def _ext_conj(ctx, cap, check):
 @_register(
     "ALT-CONJ",
     "exterior powers of alternating omega(conj): distinct odd classes",
-    reads=_app("E", "conj_alt"),
+    reads=[("E", "conj_alt")],
 )
 def _alt_conj(ctx, cap, check):
     rhs = partial(_odd_parts_sum, distinct=True)
@@ -257,7 +214,7 @@ def _alt_conj(ctx, cap, check):
 @_register(
     "ACYC-LIE",
     "signed exterior bracket sum over lie vanishes (n >= 2)",
-    reads=_brackets("E", "lie", signed=True),
+    reads=[("brackets", "E", "lie", True)],
 )
 def _acyc_lie(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("E", "lie", signed=True).coeff, _zero, 2, cap)
@@ -266,7 +223,7 @@ def _acyc_lie(ctx, cap, check):
 @_register(
     "ACYC-LIE2",
     "signed symmetric bracket sum over lie2 vanishes (n >= 2)",
-    reads=_brackets("H", "lie2", signed=True),
+    reads=[("brackets", "H", "lie2", True)],
 )
 def _acyc_lie2(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie2", signed=True).coeff, _zero, 2, cap)
@@ -275,7 +232,7 @@ def _acyc_lie2(ctx, cap, check):
 @_register(
     "TOTALCOH-LIE",
     "total exterior bracket sum over lie is 2 e2 p1^(n-2)",
-    reads=_brackets("E", "lie"),
+    reads=[("brackets", "E", "lie", False)],
 )
 def _totalcoh_lie(ctx, cap, check):
     lhs = ctx.brackets("E", "lie").coeff
@@ -285,7 +242,7 @@ def _totalcoh_lie(ctx, cap, check):
 @_register(
     "TOTALCOH-LIE2",
     "total symmetric bracket sum over lie2: two-power classes",
-    reads=_brackets("H", "lie2"),
+    reads=[("brackets", "H", "lie2", False)],
 )
 def _totalcoh_lie2(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie2").coeff, _two_powers, 2, cap)
@@ -346,7 +303,7 @@ def _hodge(outer: str, fam: str, gen: Callable, name: str, closed: Callable):
     return fn
 
 
-@_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n", reads=_app("H", "lie"))
+@_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n", reads=[("H", "lie")])
 def _equiv_pbw_sym(ctx, cap, check):
     _degrees_equal(check, ctx.app("H", "lie").coeff, _p1n, 1, cap)
 
@@ -354,13 +311,13 @@ def _equiv_pbw_sym(ctx, cap, check):
 @_register(
     "EQUIV-PBW-CADOGAN",
     "(H-1) inverse is the alternating omega(lie)",
-    reads=_brackets("H", "lie_alt"),
+    reads=[("brackets", "H", "lie_alt", False)],
 )
 def _equiv_pbw_cadogan(ctx, cap, check):
     _degrees_equal(check, ctx.brackets("H", "lie_alt").coeff, _p1_only, 1, cap)
 
 
-@_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1", reads=_app("E", "lie"))
+@_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1", reads=[("E", "lie")])
 def _equiv_pbw_altext(ctx, cap, check):
     _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie")), _p1_only, 1, cap)
 
@@ -368,7 +325,7 @@ def _equiv_pbw_altext(ctx, cap, check):
 @_register(
     "EQUIV-PBW-ALTEXT-GE2",
     "alternating e-sum over lie_(>=2) is the standard representation",
-    reads=_app("E", "lie_ge2") + _GENERATOR["kappa"],
+    reads=[("E", "lie_ge2"), "kappa"],
 )
 def _equiv_pbw_altext_ge2(ctx, cap, check):
     lhs = partial(_alt_outer, ctx.app("E", "lie_ge2"))
@@ -378,14 +335,14 @@ def _equiv_pbw_altext_ge2(ctx, cap, check):
 _register(
     "EQUIV-PBW-COCHAIN",
     "signed e-sum over lie_(>=2) collapses to one irreducible",
-    reads=_app("Epm", "lie_ge2") + _GENERATOR["omega_kappa"],
+    reads=[("Epm", "lie_ge2"), ("E", "lie_ge2"), "kappa", "omega_kappa"],
 )(_cochain("E", "lie_ge2", "kappa", "omega_kappa"))
 
 
 @_register(
     "EQUIV-PBW-FILT-A",
     "lie_(>=2) = lie composed with the standard-rep series",
-    reads=_family("lie_ge2") + _GENERATOR["kappa"],
+    reads=["lie", "lie_ge2", "kappa"],
 )
 def _equiv_pbw_filt_a(ctx, cap, check):
     rhs = series_plethysm(ctx.family("lie"), ctx.kappa())
@@ -395,21 +352,21 @@ def _equiv_pbw_filt_a(ctx, cap, check):
 _register(
     "EQUIV-PBW-FILT-B",
     "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)",
-    reads=_family("lie_ge2") + _GENERATOR["kappa"],
+    reads=["lie_ge2", "kappa"],
 )(_filt_b("lie_ge2", "kappa"))
 _register(
     "EQUIV-PBW-HODGE",
     "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k",
-    reads=_app("H", "lie_ge2"),
+    reads=[("H", "lie_ge2")],
 )(_hodge("H", "lie_ge2", e, "E", _e_delta))
 
 
-@_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n", reads=_app("E", "lie2"))
+@_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n", reads=[("E", "lie2")])
 def _equiv_lie2_ext(ctx, cap, check):
     _degrees_equal(check, ctx.app("E", "lie2").coeff, _p1n, 1, cap)
 
 
-@_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1", reads=_app("H", "lie2"))
+@_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1", reads=[("H", "lie2")])
 def _equiv_lie2_plinv(ctx, cap, check):
     _degrees_equal(check, partial(_alt_outer, ctx.app("H", "lie2")), _p1_only, 1, cap)
 
@@ -417,7 +374,7 @@ def _equiv_lie2_plinv(ctx, cap, check):
 @_register(
     "EQUIV-LIE2-GE2",
     "alternating h-sum over lie2_(>=2) is omega(kappa)",
-    reads=_app("H", "lie2_ge2") + _GENERATOR["omega_kappa"],
+    reads=[("H", "lie2_ge2"), "omega_kappa"],
 )
 def _equiv_lie2_ge2(ctx, cap, check):
     lhs = partial(_alt_outer, ctx.app("H", "lie2_ge2"))
@@ -427,14 +384,14 @@ def _equiv_lie2_ge2(ctx, cap, check):
 _register(
     "EQUIV-LIE2-COCHAIN",
     "signed h-sum over lie2_(>=2) collapses to one irreducible",
-    reads=_app("Hpm", "lie2_ge2") + _GENERATOR["omega_kappa"],
+    reads=[("Hpm", "lie2_ge2"), ("H", "lie2_ge2"), "omega_kappa", "kappa"],
 )(_cochain("H", "lie2_ge2", "omega_kappa", "kappa"))
 
 
 @_register(
     "EQUIV-LIE2-FILT-A",
     "lie2_(>=2) = lie2 composed with omega(kappa)",
-    reads=_family("lie2_ge2") + _GENERATOR["omega_kappa"],
+    reads=["lie2", "lie2_ge2", "omega_kappa"],
 )
 def _equiv_lie2_filt_a(ctx, cap, check):
     rhs = series_plethysm(ctx.family("lie2"), ctx.omega_kappa())
@@ -444,19 +401,19 @@ def _equiv_lie2_filt_a(ctx, cap, check):
 _register(
     "EQUIV-LIE2-FILT-B",
     "lie2_(>=2) = omega(kappa) iterated (stabilized)",
-    reads=_family("lie2_ge2") + _GENERATOR["omega_kappa"],
+    reads=["lie2_ge2", "omega_kappa"],
 )(_filt_b("lie2_ge2", "omega_kappa"))
 _register(
     "EQUIV-LIE2-HODGE",
     "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k",
-    reads=_app("E", "lie2_ge2"),
+    reads=[("E", "lie2_ge2")],
 )(_hodge("E", "lie2_ge2", h, "H", lambda ctx, n: ctx.delta(n)))
 
 
 @_register(
     "SU1-LOG",
     "log of the weighted products recovers the family and its twist",
-    reads=[key for name in _PSI for key in _family(name + "_alt")],
+    reads=[key for name in _PSI for key in (name, ("alt_omega", name))],
 )
 def _su1_log(ctx, cap, check):
     # log prod (1 - p_d)^(-psi(d)/d) = sum of f_n, and
@@ -503,9 +460,9 @@ def _meta_forms(fam: str) -> tuple:
 def _meta_products_reads(fam: str) -> list:
     keys = []
     for outer, inner, kind, signed, form in _meta_forms(fam):
-        keys += _app(outer, inner) + _product(_PSI[fam], form)
+        keys += [(outer, inner), ("product", _PSI[fam].name, form)]
         if kind:
-            keys += _brackets(kind, fam, signed)
+            keys.append(("brackets", kind, fam, signed))
     return keys
 
 
@@ -547,22 +504,16 @@ for _fam in ("lie", "lie2"):
     _register(
         f"METAGE2-{_fam.upper()}",
         f"degree >= 2 restriction identities for {_fam}, v-graded",
-        reads=_app("H", _fam)
-        + _app("E", _fam)
-        + _app("Hpm", _fam + "_ge2")
-        + _app("Epm", _fam + "_ge2"),
+        reads=[(k, f) for k in ("H", "E") for f in (_fam, _fam + "_ge2")]
+        + [("Hpm", _fam + "_ge2"), ("Epm", _fam + "_ge2")],
     )(_metage2(_fam))
 
 
 @_register(
     "HE-UNIT",
     "H(t) E(-t) = 1 plus the reciprocal-series lemmas on lie and lie2",
-    reads=_app("H", "lie")
-    + _app("Epm", "lie")
-    + _app("H", "lie_alt")
-    + _app("E", "lie2")
-    + _app("Hpm", "lie2")
-    + _app("E", "lie2_alt"),
+    reads=[("H", "lie"), ("E", "lie"), ("Epm", "lie"), ("H", "lie_alt")]
+    + [("E", "lie2"), ("H", "lie2"), ("Hpm", "lie2"), ("E", "lie2_alt")],
 )
 def _he_unit(ctx, cap, check):
     for n in range(1, cap + 1):
@@ -599,11 +550,7 @@ def _he_unit(ctx, cap, check):
 @_register(
     "HODGE-FILT",
     "the two split decompositions over lie and lie2 agree",
-    reads=_app("H", "lie_ge2")
-    + _app("E", "lie_ge2")
-    + _app("H", "lie2_ge2")
-    + _app("E", "lie2_ge2")
-    + _GENERATOR["omega_kappa"],
+    reads=[("H", "lie_ge2"), ("E", "lie_ge2"), ("H", "lie2_ge2"), ("E", "lie2_ge2"), "omega_kappa"],
 )
 def _hodge_filt(ctx, cap, check):
     Hge = ctx.app("H", "lie_ge2")
@@ -624,9 +571,8 @@ def _hodge_filt(ctx, cap, check):
 # Whitney-homology shaped identities
 
 # ctx.whitney reads the Mobius product E(v)[lie], ctx.vh the two-adic H(v)[lie2]
-_WHITNEY = _product(Psi.mobius(), "ext")
-_VH = _product(Psi.two_adic(), "sym")
-
+_WHITNEY = [("product", "mobius", "ext")]
+_VH = [("product", "two_adic", "sym")]
 
 @_register(
     "LEHRER",
@@ -731,19 +677,19 @@ def _conj_from(fam: str, step: int):
 _register(
     "CONJ-FROM-LIE",
     "conj = sum of p_k[lie]; lie = mobius-weighted inverse",
-    reads=[("conj_from", "lie"), *_power_sums("lie"), *_power_sums("conj")],
+    reads=[("conj_from", "lie"), "lie", ("p_k", "conj"), "conj"],
 )(_conj_from("lie", 1))
 _register(
     "CONJ-FROM-LIE2",
     "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse",
-    reads=[("conj_from", "lie2"), *_power_sums("lie2"), *_power_sums("conj")],
+    reads=[("conj_from", "lie2"), "lie2", ("p_k", "conj"), "conj"],
 )(_conj_from("lie2", 2))
 
 
 @_register(
     "LIE2-FROM-LIE",
     "lie2 = sum of lie[p_(2^j)]; lie = lie2 - lie2[p_2]",
-    reads=_family("lie") + _family("lie2"),
+    reads=["lie", "lie2"],
 )
 def _lie2_from_lie(ctx, cap, check):
     lie_tot = ctx.family("lie").total()
@@ -772,7 +718,7 @@ def _p1_recurrence(check: _Check, app: Series, c: Callable, cap: int, note: str 
 @_register(
     "SIGMA-REC",
     "h-sum over lie2_(>=2) satisfies the sigma recurrence",
-    reads=_app("H", "lie2_ge2") + _app("H", "lie_ge2"),
+    reads=[("H", "lie2_ge2"), ("H", "lie_ge2")],
 )
 def _sigma_rec(ctx, cap, check):
     _p1_recurrence(check, ctx.app("H", "lie2_ge2"), ctx.sigma, cap)
@@ -783,7 +729,7 @@ def _sigma_rec(ctx, cap, check):
 @_register(
     "TAU-REC",
     "e-sum over lie_(>=2) satisfies the tau recurrence",
-    reads=_app("E", "lie_ge2") + _app("E", "lie2_ge2"),
+    reads=[("E", "lie_ge2"), ("E", "lie2_ge2")],
 )
 def _tau_rec(ctx, cap, check):
     _p1_recurrence(check, ctx.app("E", "lie_ge2"), ctx.tau, cap)
@@ -815,10 +761,7 @@ for _fam in ("lie", "lie2"):
     _register(
         f"RESTRICT-REC-{_fam.upper()}",
         f"restriction recurrences for symmetric/exterior pieces of {_fam}",
-        reads=_app("H", _fam)
-        + _app("E", _fam)
-        + _app("H", _fam + "_ge2")
-        + _app("E", _fam + "_ge2"),
+        reads=[(k, f) for k in ("H", "E") for f in (_fam, _fam + "_ge2")],
     )(_restrict_rec(_fam))
 
 
@@ -829,7 +772,7 @@ for _fam in ("lie", "lie2"):
 @_register(
     "U-CLOSED",
     "closed forms of the first four truncated alternating sums",
-    reads=[*_GENERATOR["kappa"], ("walk", "two_adic", -1)],
+    reads=["kappa", ("walk", "two_adic", -1)],
     min_cap=4,
 )
 def _u_closed(ctx, cap, check):

@@ -11,12 +11,15 @@ share, must fail the tests of both, and a strip-sign defect must fire the
 deficit scan's dimension ledger.  A defect in the u rows must fail both an
 entry and the oracle test in test_series.  A key left out of an entry's
 reads changes no output, so it must fail the declaration and build-once
-tests in test_registry.  A packed width too short for the outer powers'
-fields must fail the product entries of every family, with no traceback.
+tests in test_registry, and an edge left out of SeriesContext.sources,
+from which _register closes each entry's reads, must fail the edge test
+there.  A packed width too short for the outer powers' fields must fail
+the product entries of every family, with no traceback.
 """
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ import plethy.lie_family as lie_family
 import plethy.registry as registry
 import plethy.schur as schur
 import plethy.series as series
+import plethy.theorems as theorems
 import test_cli
 import test_registry
 import test_schur
@@ -289,6 +293,25 @@ def test_a_key_left_out_of_reads_costs_a_rebuild_not_a_result(monkeypatch, capsy
         test_registry.test_each_entry_reads_exactly_its_declared_keys(m)
     with monkeypatch.context() as m, pytest.raises(AssertionError, match="more than once"):
         test_registry.test_verify_all_builds_each_key_once_and_releases_it(m)
+
+
+def test_an_edge_left_out_of_sources_fails_the_edge_test(monkeypatch):
+    # Hpm and Epm said to be built from nothing, with the theorem tier
+    # registered again under that graph: every entry that reads one also
+    # reads the H or E below it, so no entry's reads change and the
+    # declaration test passes; only the edge test can catch it
+    real = series.SeriesContext.sources
+
+    def sources(key):
+        return () if key[0] in ("Hpm", "Epm") else real(key)
+
+    monkeypatch.setattr(series.SeriesContext, "sources", staticmethod(sources))
+    monkeypatch.setattr(registry, "_ENTRIES", dict(registry._ENTRIES))
+    importlib.reload(theorems)
+    with monkeypatch.context() as m:
+        test_registry.test_each_entry_reads_exactly_its_declared_keys(m)
+    with monkeypatch.context() as m, pytest.raises(AssertionError, match="than their sources"):
+        test_registry.test_sources_name_exactly_the_keys_each_build_reads(m)
 
 
 def _verdict_rule(tie, integral=True):

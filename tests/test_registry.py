@@ -237,6 +237,68 @@ def test_each_entry_reads_exactly_its_declared_keys(monkeypatch):
         assert read == entry.reads, (id, "declared, never read:", entry.reads - read)
 
 
+def test_sources_name_exactly_the_keys_each_build_reads(monkeypatch):
+    # each entry alone on a fresh context: every key read while another is
+    # being built is an edge from that key, and the edges out of each key
+    # are its sources.  This catches an edge the declaration test cannot:
+    # one whose two ends every reader of the parent also reads directly
+    real = SeriesContext._get
+    building, children = [], {}
+
+    def traced(self, key, build):
+        if building:
+            children[building[-1]].add(key)
+        children.setdefault(key, set())
+
+        def nested():
+            building.append(key)
+            try:
+                return build()
+            finally:
+                building.pop()
+
+        return real(self, key, nested)
+
+    monkeypatch.setattr(SeriesContext, "_get", traced)
+    declared = set()
+    for id in registry_ids():
+        declared |= registry._entry(id).reads
+        for cap in (8, 12):
+            report = verify_identity(id, cap, SeriesContext(cap))
+            assert report.passed, (id, cap, report.detail)
+    wrong = {key: kids for key, kids in children.items() if kids != set(SeriesContext.sources(key))}
+    assert not wrong, f"built from other keys than their sources: {wrong}"
+    assert declared <= set(children), declared - set(children)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "lei",
+        "kapa",
+        ("alt_omega", "lei"),
+        ("H", "lei"),
+        ("Hpm", "lie_alt_alt"),
+        ("Hp", "lie"),
+        ("p_k", "lie3"),
+        ("brackets", "Hpm", "lie", False),
+        ("brackets", "H", "lei", True),
+        ("brackets", "H", "lie"),
+        ("product", "mobius", "sim"),
+        ("walk", "mobius", 2),
+        ("conj_from", "conj"),
+    ],
+)
+def test_sources_refuse_a_key_outside_the_formats(key):
+    with pytest.raises(KeyError):
+        SeriesContext.sources(key)
+
+
+def test_a_misspelt_read_fails_at_registration():
+    with pytest.raises(KeyError):
+        registry._register("TYPO", "a misspelt family name", reads=[("H", "lei")])
+
+
 def test_outer_powers_built_once_per_series(monkeypatch):
     # Hpm and Epm come from the cached H and E, not from a second
     # _outer_powers build: 16 distinct (kind, series) pairs, 26 calls before
