@@ -37,11 +37,12 @@ time.  One walk over the partitions mu with no part 1 gives each N_mu and
 z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
 rows both assemble their slots from the one walk SeriesContext caches.
 
-Each job has one way in.  SeriesContext.app is the one entry to the outer
-powers (_outer_powers), over the cached p_k[F] pieces of
-SeriesContext.power_sums, SeriesContext.family the one accessor of the
-families, and SeriesContext.sources the one statement of which cached value
-is built from which.
+Each job has one way in.  SeriesContext.get is the one read of the cache,
+and _recipe the one statement, per memo key, of the keys its value is built
+from and of how: get hands a build only the values of those keys, and
+SeriesContext.sources reads them off the same recipe.  The accessors
+(family, app, power_sums, ...) are one get each.  The outer powers come
+from _outer_powers alone, over the cached p_k[F] pieces.
 """
 
 from __future__ import annotations
@@ -469,6 +470,8 @@ def _degree_terms(walk, n: int) -> tuple[int, list[tuple[tuple, list[int], int]]
     """(den, [(lam, N_lam, den // z_lam)]) over the partitions lam = mu + 1^j
     of n in the walk, with den the lcm of their z_lam."""
     ones, by_size = walk
+    if not 0 <= n < len(by_size):
+        raise IndexError(f"degree {n} outside cap {len(by_size) - 1}")
     terms = []
     zj = 1  # j!
     for j in range(min(n, len(ones) - 1) + 1):
@@ -531,47 +534,84 @@ def p_sum_over(n: int, filter: str = "all") -> SymFunc:
 
 # -- the named constructions, sharing one cache per cap ---------------------------
 
-
-def _family_key(name: str):
-    """The memo key of family(name): F_alt is kept under ("alt_omega", F),
-    lie, lie2, conj, lie_ge2 and lie2_ge2 under their names."""
-    base = name.removesuffix("_alt")
-    if base not in ("lie", "lie2", "conj", "lie_ge2", "lie2_ge2"):
-        raise KeyError(name)
-    return name if base == name else ("alt_omega", base)
+# the family names: lie, lie2, conj, their degree >= 2 parts, and F_alt of each
+_FAMILIES = {f + a for f in ("lie", "lie2", "conj", "lie_ge2", "lie2_ge2") for a in ("", "_alt")}
+_WEIGHTS = ("mobius", "totient", "two_adic")  # the Psi constructors a product or walk key names
 
 
-# variant of SeriesContext.product -> the walk sign it expands, or (its source, the map)
-_PRODUCTS = {
-    "sym": -1,
-    "epm": 1,
-    "hpm": ("sym", _flip_v),
-    "ext": ("epm", _flip_v),
-    "alt_sym": ("hpm", Series.twist),
-    "alt_ext": ("epm", Series.twist),
-}
+def _recipe(key) -> tuple[tuple, Callable]:
+    """(sources, build) for a memo key: the keys its value is built from,
+    and build(cap, *their values), which makes the value.  A key outside the
+    formats of the SeriesContext docstring raises KeyError."""
+    match key:
+        case "lie" | "lie2" | "conj":
+            # the builder is looked up at call time, so a rebound one is used
+            return (), lambda cap: Series(
+                cap, {n: getattr(lie_family, key)(n) for n in range(1, cap + 1)}
+            )
+        case "lie_ge2" | "lie2_ge2":
+            return (key[:-4],), lambda cap, F: restrict_ge2(F)
+        case str() if key in _FAMILIES:
+            # F_alt, the sum of (-1)^(n-1) omega(f_n), is minus the twist of F
+            return (key[:-4],), lambda cap, F: F.twist().scale(-1)
+        case ("p_k", str(name)) if name in _FAMILIES:
+            return (name,), lambda cap, F: _power_sums(F, cap)
+        case ("H" | "E" as kind, str(name)) if name in _FAMILIES:
+            return (("p_k", name),), lambda cap, pk: _outer_powers(kind, pk, cap)
+        case ("Hpm" | "Epm" as kind, str(name)) if name in _FAMILIES:
+            return ((kind[0], name),), lambda cap, A: _flip_v(A)
+        case ("brackets", "H" | "E" as kind, str(name), False) if name in _FAMILIES:
+            return (name,), lambda cap, F: bracket_sum(kind, F)
+        case ("brackets", "H" | "E", str(name), True) if name in _FAMILIES:
+            # the sign (-1)^(|lam| - l(lam)) negates the odd-corank slots
+            return (key[:3] + (False,),), lambda cap, S: _negate_slots(S, lambda n, r: (n - r) % 2)
+        case ("walk", str(w), 1 | -1 as sign) if w in _WEIGHTS:
+            return (), lambda cap: _product_walk(getattr(Psi, w)(), sign, cap)
+        case ("product", str(w), "sym" | "epm" as variant) if w in _WEIGHTS:
+            sign = 1 if variant == "epm" else -1
+            return (("walk", w, sign),), lambda cap, walk: product_form(walk, cap)
+        case ("product", str(w), "hpm" | "ext" as variant) if w in _WEIGHTS:
+            src = "sym" if variant == "hpm" else "epm"
+            return (("product", w, src),), lambda cap, S: _flip_v(S)
+        case ("product", str(w), "alt_sym" | "alt_ext" as variant) if w in _WEIGHTS:
+            src = "hpm" if variant == "alt_sym" else "epm"
+            return (("product", w, src),), lambda cap, S: S.twist()
+        case ("conj_from", "lie" | "lie2" as name):
+            step = 1 if name == "lie" else 2  # lie2 sums p_k over the odd k
+            return (("p_k", name),), lambda cap, pk: Series(
+                cap, linear_sum((1, f) for f in pk[::step]).homogeneous_parts()
+            )
+        case "kappa":
+            # s_(n-1,1) = h_(n-1) h_1 - h_n, so no character tables are needed
+            return (), lambda cap: Series(
+                cap, {n: h(n - 1) * h(1) - h(n) for n in range(2, cap + 1)}
+            )
+        case "omega_kappa":
+            return ("kappa",), lambda cap, K: K.map(lambda f: f.omega())
+    raise KeyError(key)
 
 
 class SeriesContext:
     """Lazy cache of the standard series and outer applications at one cap.
 
-    _get keeps each value in _memo under one key:
+    get keeps each value in _memo under one key:
 
         "lie", "lie2", "conj"               family(name)
         "lie_ge2", "lie2_ge2"               family(name)
-        ("alt_omega", base)                 family(base + "_alt")
+        F + "_alt", F one of the above      family(F + "_alt")
         (kind, name)                        app(kind, name), kind H, E, Hpm or Epm
         ("p_k", name)                       power_sums(name)
         ("brackets", kind, name, signed)    brackets(kind, name, signed)
-        ("product", psi.name, variant)      product(psi, variant)
-        ("walk", psi.name, sign)            _walk(psi, sign)
+        ("product", weight, variant)        product(Psi.<weight>(), variant)
+        ("walk", weight, sign)              the partition walk the u and beta rows read
         ("conj_from", family)               conj_from(family)
         "kappa", "omega_kappa"              kappa(), omega_kappa()
 
-    A value may be built from others: ("Hpm", "lie") reads ("H", "lie"),
-    which reads ("p_k", "lie"), which reads "lie".  sources is the one
-    statement of that graph.  release drops keys; a later read builds them
-    again.
+    weight is mobius, totient or two_adic, and sign is 1 or -1.  A value may
+    be built from others: ("Hpm", "lie") reads ("H", "lie"), which reads
+    ("p_k", "lie"), which reads "lie".  _recipe states, once per key, the
+    keys it is built from (sources) and how; get builds a value only from
+    those.  release drops keys; a later read builds them again.
     """
 
     def __init__(self, cap: int):
@@ -587,6 +627,11 @@ class SeriesContext:
             self._memo[key] = val
         return val
 
+    def get(self, key):
+        """The value under key, built on first read from the values of its sources."""
+        srcs, build = _recipe(key)
+        return self._get(key, lambda: build(self.cap, *map(self.get, srcs)))
+
     def release(self, keys: Iterable) -> None:
         """Drop the values cached under keys, where there are any."""
         for key in keys:
@@ -596,111 +641,55 @@ class SeriesContext:
     def sources(key) -> tuple:
         """The memo keys the value under key is built from; a key outside
         the formats above raises KeyError."""
-        match key:
-            case "kappa" | ("walk", str(), 1 | -1):
-                return ()
-            case "omega_kappa":
-                return ("kappa",)
-            case str(name) if _family_key(name) == name:
-                return (name[:-4],) if name.endswith("_ge2") else ()
-            case ("alt_omega", str(base)) if _family_key(base + "_alt") == key:
-                return (base,)
-            case ("p_k", str(name)):
-                return (_family_key(name),)
-            case ("H" | "E" | "Hpm" | "Epm" as kind, str(name)):
-                _family_key(name)  # a name that is no family raises KeyError
-                return ((kind[0], name) if kind.endswith("pm") else ("p_k", name),)
-            case ("brackets", "H" | "E" as kind, str(name), bool(signed)):
-                family = _family_key(name)
-                return (("brackets", kind, name, False) if signed else family,)
-            case ("product", str(psi), str(variant)) if variant in _PRODUCTS:
-                src = _PRODUCTS[variant]
-                return (("walk", psi, src) if isinstance(src, int) else ("product", psi, src[0]),)
-            case ("conj_from", "lie" | "lie2" as family):
-                return (("p_k", family),)
-        raise KeyError(key)
+        return _recipe(key)[0]
 
     # base families ------------------------------------------------------
 
     def family(self, name: str) -> Series:
-        """The cached family lie, lie2 or conj; lie_ge2 and lie2_ge2 drop the
-        degree-1 slot, and F_alt, the sum of (-1)^(n-1) omega(f_n), is minus
-        the twist of F."""
-        key = _family_key(name)
-        if key != name:
-            return self._get(key, lambda: self.family(key[1]).twist().scale(-1))
-        if name.endswith("_ge2"):
-            return self._get(name, lambda: restrict_ge2(self.family(name[:-4])))
-
-        def build():
-            # the builder is looked up at call time, so a rebound one is used
-            fn = getattr(lie_family, name)
-            return Series(self.cap, {n: fn(n) for n in range(1, self.cap + 1)})
-
-        return self._get(name, build)
+        """The cached family lie, lie2 or conj, lie_ge2 or lie2_ge2 (degrees >= 2),
+        or F_alt of any of these, the sum of (-1)^(n-1) omega(f_n)."""
+        if name not in _FAMILIES:
+            raise KeyError(name)
+        return self.get(name)
 
     def app(self, kind: str, name: str) -> Series:
         """Cached H, E, Hpm or Epm of the named family.  H and E come from
         _outer_powers, the exponential recursion in the degree over the
         cached power sums; the signed kinds negate the odd-length slots of
         the cached H or E."""
-        if kind in ("Hpm", "Epm"):
-            return self._get((kind, name), lambda: _flip_v(self.app(kind[0], name)))
-        return self._get(
-            (kind, name), lambda: _outer_powers(kind, self.power_sums(name), self.cap)
-        )
+        return self.get((kind, name))
 
     def power_sums(self, name: str) -> list[SymFunc]:
         """Cached [p_1[F], ..., p_cap[F]] for the named family F, shared by
         its H, E, conj_from and the registry's CONJ-FROM entries."""
-        return self._get(("p_k", name), lambda: _power_sums(self.family(name), self.cap))
+        return self.get(("p_k", name))
 
     def brackets(self, kind: str, name: str, signed: bool = False) -> Series:
         """Cached bracket_sum over the named family, optionally with the
         (-1)^(|lam| - l(lam)) sign: the signed sum negates the odd-corank
         slots of the cached unsigned one."""
-        if signed:
-            return self._get(
-                ("brackets", kind, name, True),
-                lambda: _negate_slots(self.brackets(kind, name), lambda n, r: (n - r) % 2),
-            )
-        return self._get(
-            ("brackets", kind, name, False), lambda: bracket_sum(kind, self.family(name))
-        )
+        return self.get(("brackets", kind, name, bool(signed)))
 
     def product(self, psi, variant: str) -> Series:
-        """Cached prod over m of (1 -+ p_m)^(+-f_m(+-v)) for the given weight.
+        """Cached prod over m of (1 -+ p_m)^(+-f_m(+-v)) for the weight named
+        psi.name, one of mobius, totient and two_adic.
 
         Only "sym" (1 - p_m)^(-f_m(v)) and "epm" (1 - p_m)^(f_m(v)) are
         expanded.  "hpm" and "ext" put -v for v in them, which negates their
         odd-length slots, and "alt_sym" (1 + p_m)^(-f_m(-v)) and "alt_ext"
         (1 + p_m)^(f_m(v)) are the twists p_m -> -p_m of "hpm" and "epm".
         """
-        if variant not in _PRODUCTS:
+        if variant not in ("sym", "epm", "hpm", "ext", "alt_sym", "alt_ext"):
             raise ValueError(f"unknown product variant {variant!r}")
-        src = _PRODUCTS[variant]
-
-        def build():
-            if isinstance(src, int):
-                return product_form(self._walk(psi, src), self.cap)
-            return src[1](self.product(psi, src[0]))
-
-        return self._get(("product", psi.name, variant), build)
+        return self.get(("product", psi.name, variant))
 
     # standard-representation generators ------------------------------------
 
     def kappa(self) -> Series:
-        # s_(n-1,1) = h_(n-1) h_1 - h_n, so no character tables are needed
-        def build():
-            return Series(
-                self.cap,
-                {n: h(n - 1) * h(1) - h(n) for n in range(2, self.cap + 1)},
-            )
-
-        return self._get("kappa", build)
+        return self.get("kappa")
 
     def omega_kappa(self) -> Series:
-        return self._get("omega_kappa", lambda: self.kappa().map(lambda f: f.omega()))
+        return self.get("omega_kappa")
 
     def iterate_generator(self, gen: Series) -> list[Series]:
         """Partial sums of gen + gen o gen + gen o (gen o gen) + ...
@@ -747,22 +736,18 @@ class SeriesContext:
             raise ValueError("beta needs 0 <= k <= n-1")
         return self.beta_row(n)[k]
 
-    def _walk(self, psi, sign: int) -> tuple:
-        """The cached _product_walk(psi, sign, cap)."""
-        return self._get(("walk", psi.name, sign), lambda: _product_walk(psi, sign, self.cap))
-
     def u_row(self, n: int) -> list[SymFunc]:
         """[u(n, 0), ..., u(n, n-1)] off the numerators of the two-adic
         product H(v)[lie2]: the coefficient of p_lam in u(n, k) is
         (-1)^l(lam) U_k / z_lam, with U_k = [v^(n-k)] N_lam - U_(k-1)."""
-        return _alternating_row(self._walk(Psi.two_adic(), -1), n, by_length=True)
+        return _alternating_row(self.get(("walk", "two_adic", -1)), n, by_length=True)
 
     def beta_row(self, n: int) -> list[SymFunc]:
         """[beta_rank(n, 0), ..., beta_rank(n, n-1)] off the numerators of the
         Mobius product E(v)[lie]: the coefficient of p_lam in beta(n, k) is
         (-1)^k B_k / z_lam, with B_k = [v^(n-k)] N_lam + B_(k-1), the sign
         coming from v -> -v and omega."""
-        return _alternating_row(self._walk(Psi.mobius(), 1), n, by_length=False)
+        return _alternating_row(self.get(("walk", "mobius", 1)), n, by_length=False)
 
     def delta(self, n: int) -> SymFunc:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""
@@ -796,14 +781,6 @@ class SeriesContext:
 
     def conj_from(self, family: str) -> Series:
         """sum of p_k[lie] over k >= 1, or p_(2k-1)[lie2] over k >= 1."""
-
-        def build():
-            if family == "lie":
-                pieces = self.power_sums("lie")
-            elif family == "lie2":
-                pieces = self.power_sums("lie2")[::2]  # the odd k
-            else:
-                raise ValueError("family must be 'lie' or 'lie2'")
-            return Series(self.cap, linear_sum((1, f) for f in pieces).homogeneous_parts())
-
-        return self._get(("conj_from", family), build)
+        if family not in ("lie", "lie2"):
+            raise ValueError("family must be 'lie' or 'lie2'")
+        return self.get(("conj_from", family))

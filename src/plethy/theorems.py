@@ -121,7 +121,7 @@ def _thrall(ctx, cap, check):
 _register(
     "CADOGAN",
     "alternating omega(lie) inverts the homogeneous series",
-    reads=[("H", "lie_alt"), ("alt_omega", "lie")],
+    reads=[("H", "lie_alt"), "lie_alt"],
 )(_plinv("H", "lie_alt", h))
 
 
@@ -142,7 +142,7 @@ def _ext_reg(ctx, cap, check):
 _register(
     "PLINV-E",
     "alternating omega(lie2) inverts the elementary series",
-    reads=[("E", "lie2_alt"), ("alt_omega", "lie2")],
+    reads=[("E", "lie2_alt"), "lie2_alt"],
 )(_plinv("E", "lie2_alt", e))
 
 
@@ -413,7 +413,7 @@ _register(
 @_register(
     "SU1-LOG",
     "log of the weighted products recovers the family and its twist",
-    reads=[key for name in _PSI for key in (name, ("alt_omega", name))],
+    reads=[key for name in _PSI for key in (name, name + "_alt")],
 )
 def _su1_log(ctx, cap, check):
     # log prod (1 - p_d)^(-psi(d)/d) = sum of f_n, and

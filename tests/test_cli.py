@@ -296,6 +296,43 @@ def test_verify_single_and_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def _contract_argv():
+    """Each compute object over small and out-of-range n and extra arguments
+    in both bases, and the caps and table numbers of the other commands,
+    bad ones included."""
+    for name, (nargs, _) in cli._OBJECTS.items():
+        extras = [[str(k)] for k in range(-2, 9)] if nargs else [[]]
+        for n in range(-2, 7):
+            for extra in extras:
+                for basis in ("p", "s"):
+                    yield ["compute", name, str(n), *extra, "--basis", basis]
+    for value in ("0", "-1", "1", "2", "3", "x"):
+        yield ["verify", "--cap", value]
+        for which in ("whitehouse", "upos"):
+            yield ["conjecture", which, "--max-n", value]
+    for value in ("0", "1", "4", "5", "x"):
+        yield ["tables", "--which", value]
+    yield ["verify", "--id", "NOPE"]
+
+
+def test_exit_code_contract_over_generated_argv():
+    # every call exits 0, 1 or 2, argparse's exits included, and none
+    # lets an exception out or prints a traceback
+    violations = []
+    for argv in _contract_argv():
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        if code not in (0, 1, 2) or "Traceback" in err.getvalue():
+            violations.append((argv, code))
+    assert not violations, violations
+
+
 def test_identity_that_raises_is_a_failure(monkeypatch, capsys):
     # a defect below an identity is reported as its failure, not a traceback
     inject_strip_sign_defect(monkeypatch)

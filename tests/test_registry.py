@@ -276,7 +276,7 @@ def test_sources_name_exactly_the_keys_each_build_reads(monkeypatch):
     [
         "lei",
         "kapa",
-        ("alt_omega", "lei"),
+        "lei_alt",
         ("H", "lei"),
         ("Hpm", "lie_alt_alt"),
         ("Hp", "lie"),
@@ -287,6 +287,10 @@ def test_sources_name_exactly_the_keys_each_build_reads(monkeypatch):
         ("product", "mobius", "sim"),
         ("walk", "mobius", 2),
         ("conj_from", "conj"),
+        ("walk", "nosuch", 1),
+        ("product", "nosuch", "sym"),
+        "lie_alt_alt",
+        ("p_k", "lie_alt_alt"),
     ],
 )
 def test_sources_refuse_a_key_outside_the_formats(key):
@@ -297,6 +301,8 @@ def test_sources_refuse_a_key_outside_the_formats(key):
 def test_a_misspelt_read_fails_at_registration():
     with pytest.raises(KeyError):
         registry._register("TYPO", "a misspelt family name", reads=[("H", "lei")])
+    with pytest.raises(KeyError):
+        registry._register("TYPO", "a misspelt weight name", reads=[("walk", "two_adc", -1)])
 
 
 def test_outer_powers_built_once_per_series(monkeypatch):

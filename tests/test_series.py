@@ -170,6 +170,12 @@ def test_product_form_unknown_variant():
         SeriesContext(4).product(Psi.mobius(), "nosuch")
 
 
+def test_product_of_a_weight_outside_the_three_is_refused():
+    # the product keys name the weight; a Psi of another name has no recipe
+    with pytest.raises(KeyError):
+        SeriesContext(4).product(Psi("custom", lambda d: 1), "sym")
+
+
 def test_bracket_sum_is_the_sum_of_higher_brackets(ctx8):
     def signed(lam):
         return (-1) ** ((sum(lam) - len(lam)) % 2)
@@ -359,6 +365,23 @@ def test_alternating_sums_match_oracle():
                 for got in (one(n, k), row[k]):
                     assert_canonical(got)
                     assert got == want, (oracle.__name__, n, k)
+
+
+def test_readers_refuse_a_degree_above_the_cap():
+    # the rows read the cached walk, the graded pieces the cached products;
+    # each names the degree and the cap
+    ctx = SeriesContext(4)
+    reads = (
+        lambda: ctx.u_row(6),
+        lambda: ctx.beta_row(6),
+        lambda: ctx.u(6, 2),
+        lambda: ctx.beta_rank(6, 2),
+        lambda: ctx.whitney(6, 2),
+        lambda: ctx.vh(6, 2),
+    )
+    for read in reads:
+        with pytest.raises(IndexError, match="degree 6 outside cap 4"):
+            read()
 
 
 def test_telescoping_invariants(ctx8):
