@@ -112,9 +112,9 @@ def _register(
     id: str, description: str, *, reads: Iterable, tier: str = "theorem", min_cap: int = 2
 ):
     """Register fn under id.  reads lists the SeriesContext memo keys fn's
-    own body reads through the accessors, in the format of the
-    SeriesContext docstring; the keys those are built from are added here,
-    by SeriesContext.sources.  verify_all releases a key after its last
+    own body reads, by SeriesContext.get or a reader over it, in the format
+    of the SeriesContext docstring; the keys those are built from are added
+    here, by SeriesContext.sources.  verify_all releases a key after its last
     reader, so a key left out costs a rebuild, never a wrong result."""
     closure, todo = set(), list(reads)
     while todo:

@@ -40,9 +40,10 @@ rows both assemble their slots from the one walk SeriesContext caches.
 Each job has one way in.  SeriesContext.get is the one read of the cache,
 and _recipe the one statement, per memo key, of the keys its value is built
 from and of how: get hands a build only the values of those keys, and
-SeriesContext.sources reads them off the same recipe.  The accessors
-(family, app, power_sums, ...) are one get each.  The outer powers come
-from _outer_powers alone, over the cached p_k[F] pieces.
+SeriesContext.sources reads them off the same recipe.  A caller names
+the literal key it reads, so the key it declares and the key it reads are
+one spelling.  The outer powers come from _outer_powers alone, over the
+cached p_k[F] pieces.
 """
 
 from __future__ import annotations
@@ -329,13 +330,14 @@ def _flip_v(A: Series) -> Series:
 def bracket_sum(kind: str, Q: Series) -> Series:
     """sum over partitions of v^l(lam) * bracket, as a graded Series.
 
-    The independent route to SeriesContext.app: products of small plethysms
-    instead of the exponential recursion of _outer_powers.  Each factor x_m[q_part] is built once,
-    off one _Powers memo per part.  The partitions up to the cap are walked
-    as a trie over their (part, multiplicity) groups, parts descending; the
-    keyed product of a prefix's factors is built once for the lams below it.
-    A lam enters its slot (|lam|, l(lam)) as that product, or as the pair
-    (its prefix, its last factor) if none was built: one mul_sum per slot.
+    The independent route to the cached outer powers (kind, name): products
+    of small plethysms instead of the exponential recursion of
+    _outer_powers.  Each factor x_m[q_part] is built once, off one _Powers
+    memo per part.  The partitions up to the cap are walked as a trie over
+    their (part, multiplicity) groups, parts descending; the keyed product
+    of a prefix's factors is built once for the lams below it.  A lam
+    enters its slot (|lam|, l(lam)) as that product, or as the pair (its
+    prefix, its last factor) if none was built: one mul_sum per slot.
     """
     if kind not in ("H", "E"):
         raise ValueError("kind must be 'H' or 'E'")
@@ -487,8 +489,8 @@ def product_form(walk, cap: int) -> Series:
     from walk = _product_walk(psi, sign, cap).
 
     f_m(v) = (1/m) sum over d | m of psi(d) v^(m/d).  sign -1 gives H(v)[F]
-    and sign +1 gives E^+-(v)[F], for F the family of psi; SeriesContext.product
-    derives the other variants from these two.
+    and sign +1 gives E^+-(v)[F], for F the family of psi; _recipe derives the
+    other product variants from these two.
     """
     graded: dict[tuple[int, int], SymFunc] = {}
     for n in range(cap + 1):
@@ -596,22 +598,32 @@ class SeriesContext:
 
     get keeps each value in _memo under one key:
 
-        "lie", "lie2", "conj"               family(name)
-        "lie_ge2", "lie2_ge2"               family(name)
-        F + "_alt", F one of the above      family(F + "_alt")
-        (kind, name)                        app(kind, name), kind H, E, Hpm or Epm
-        ("p_k", name)                       power_sums(name)
-        ("brackets", kind, name, signed)    brackets(kind, name, signed)
-        ("product", weight, variant)        product(Psi.<weight>(), variant)
+        "lie", "lie2", "conj"               the family F
+        "lie_ge2", "lie2_ge2"               its degrees >= 2
+        F + "_alt", F one of the above      sum of (-1)^(n-1) omega(f_n)
+        ("p_k", F)                          [p_1[F], ..., p_cap[F]]
+        (kind, F), kind H or E              H(v)[F] or E(v)[F], slot (n, r) under v^r
+        (kind, F), kind Hpm or Epm          the same with v -> -v
+        ("brackets", kind, F, signed)       bracket_sum(kind, F); if signed is
+                                            True, times (-1)^(|lam| - l(lam))
+        ("product", weight, variant)        a product formula, below
         ("walk", weight, sign)              the partition walk the u and beta rows read
-        ("conj_from", family)               conj_from(family)
-        "kappa", "omega_kappa"              kappa(), omega_kappa()
+        ("conj_from", F), F lie or lie2     sum of p_k[lie], or of p_(2k-1)[lie2]
+        "kappa", "omega_kappa"              s_(n-1,1) for n >= 2, and its omega
 
-    weight is mobius, totient or two_adic, and sign is 1 or -1.  A value may
-    be built from others: ("Hpm", "lie") reads ("H", "lie"), which reads
-    ("p_k", "lie"), which reads "lie".  _recipe states, once per key, the
-    keys it is built from (sources) and how; get builds a value only from
-    those.  release drops keys; a later read builds them again.
+    weight is mobius, totient or two_adic, and sign is 1 or -1.  With
+    f_m(v) = (1/m) sum over d | m of psi(d) v^(m/d) for the weight psi, the
+    variant "sym" is prod over m of (1 - p_m)^(-f_m(v)), "epm"
+    (1 - p_m)^(f_m(v)), "hpm" (1 - p_m)^(-f_m(-v)), "ext" (1 - p_m)^(f_m(-v)),
+    "alt_sym" (1 + p_m)^(-f_m(-v)) and "alt_ext" (1 + p_m)^(f_m(v)).  Only
+    "sym" and "epm" are expanded; "hpm" and "ext" negate their odd-length
+    slots, and "alt_sym" and "alt_ext" are the twists p_m -> -p_m of "hpm"
+    and "epm".
+
+    A value may be built from others: ("Hpm", "lie") reads ("H", "lie"),
+    which reads ("p_k", "lie"), which reads "lie".  _recipe states, once per
+    key, the keys it is built from (sources) and how; get builds a value
+    only from those.  release drops keys; a later read builds them again.
     """
 
     def __init__(self, cap: int):
@@ -643,54 +655,6 @@ class SeriesContext:
         the formats above raises KeyError."""
         return _recipe(key)[0]
 
-    # base families ------------------------------------------------------
-
-    def family(self, name: str) -> Series:
-        """The cached family lie, lie2 or conj, lie_ge2 or lie2_ge2 (degrees >= 2),
-        or F_alt of any of these, the sum of (-1)^(n-1) omega(f_n)."""
-        if name not in _FAMILIES:
-            raise KeyError(name)
-        return self.get(name)
-
-    def app(self, kind: str, name: str) -> Series:
-        """Cached H, E, Hpm or Epm of the named family.  H and E come from
-        _outer_powers, the exponential recursion in the degree over the
-        cached power sums; the signed kinds negate the odd-length slots of
-        the cached H or E."""
-        return self.get((kind, name))
-
-    def power_sums(self, name: str) -> list[SymFunc]:
-        """Cached [p_1[F], ..., p_cap[F]] for the named family F, shared by
-        its H, E, conj_from and the registry's CONJ-FROM entries."""
-        return self.get(("p_k", name))
-
-    def brackets(self, kind: str, name: str, signed: bool = False) -> Series:
-        """Cached bracket_sum over the named family, optionally with the
-        (-1)^(|lam| - l(lam)) sign: the signed sum negates the odd-corank
-        slots of the cached unsigned one."""
-        return self.get(("brackets", kind, name, bool(signed)))
-
-    def product(self, psi, variant: str) -> Series:
-        """Cached prod over m of (1 -+ p_m)^(+-f_m(+-v)) for the weight named
-        psi.name, one of mobius, totient and two_adic.
-
-        Only "sym" (1 - p_m)^(-f_m(v)) and "epm" (1 - p_m)^(f_m(v)) are
-        expanded.  "hpm" and "ext" put -v for v in them, which negates their
-        odd-length slots, and "alt_sym" (1 + p_m)^(-f_m(-v)) and "alt_ext"
-        (1 + p_m)^(f_m(v)) are the twists p_m -> -p_m of "hpm" and "epm".
-        """
-        if variant not in ("sym", "epm", "hpm", "ext", "alt_sym", "alt_ext"):
-            raise ValueError(f"unknown product variant {variant!r}")
-        return self.get(("product", psi.name, variant))
-
-    # standard-representation generators ------------------------------------
-
-    def kappa(self) -> Series:
-        return self.get("kappa")
-
-    def omega_kappa(self) -> Series:
-        return self.get("omega_kappa")
-
     def iterate_generator(self, gen: Series) -> list[Series]:
         """Partial sums of gen + gen o gen + gen o (gen o gen) + ...
 
@@ -716,13 +680,13 @@ class SeriesContext:
         read off the Mobius product E(v)[lie]."""
         if not 0 <= k <= n - 1:
             raise ValueError("whitney needs 0 <= k <= n-1")
-        return self.product(Psi.mobius(), "ext").graded(n, n - k).omega()
+        return self.get(("product", "mobius", "ext")).graded(n, n - k).omega()
 
     def vh(self, n: int, k: int) -> SymFunc:
         """h_(n-k)[lie2]|_n, read off the two-adic product H(v)[lie2]."""
         if not 0 <= k <= n - 1:
             raise ValueError("vh needs 0 <= k <= n-1")
-        return self.product(Psi.two_adic(), "sym").graded(n, n - k)
+        return self.get(("product", "two_adic", "sym")).graded(n, n - k)
 
     def u(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum vh(n,k) - vh(n,k-1) + ... +- vh(n,0)."""
@@ -778,9 +742,3 @@ class SeriesContext:
         if n >= 2:
             out = out - h(n - 2) * p(2)
         return out
-
-    def conj_from(self, family: str) -> Series:
-        """sum of p_k[lie] over k >= 1, or p_(2k-1)[lie2] over k >= 1."""
-        if family not in ("lie", "lie2"):
-            raise ValueError("family must be 'lie' or 'lie2'")
-        return self.get(("conj_from", family))

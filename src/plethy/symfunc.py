@@ -47,7 +47,8 @@ def _check_coeff_size(text: str) -> None:
     """Refuse a coefficient string whose digits plus decimal exponent pass
     the int-to-str limit: its value could not be printed, and Fraction would
     first build the whole integer (a billion digits for "1e999999999")."""
-    limit = sys.get_int_max_str_digits()
+    # CPython before 3.10.7 has no such reader; 4300 is the default limit where it has one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     mantissa, _, exponent = text.lower().partition("e")
     size = sum(map(str.isdigit, mantissa))
     try:

@@ -25,9 +25,9 @@ _POINCARE = {4: "1+6t+11t^2+6t^3", 5: "1+10t+35t^2+50t^3+24t^4"}
 def _decomposition_rows(n: int, ctx: SeriesContext) -> list[dict]:
     """Rows l = n..1 of the three-way regular-representation table."""
     rows = []
-    happ = ctx.app("H", "lie")
-    eapp = ctx.app("E", "lie2")
-    wapp = ctx.app("E", "lie")
+    happ = ctx.get(("H", "lie"))
+    eapp = ctx.get(("E", "lie2"))
+    wapp = ctx.get(("E", "lie"))
     for ell in range(n, 0, -1):
         k = n - ell
         whitney_raw = wapp.graded(n, ell)

@@ -13,8 +13,9 @@ outer kind (H/E) and its generator (kappa/omega(kappa)), _PSI maps each
 family to its weight psi, _p1_recurrence is the restriction recurrence
 S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and TAU-REC, and BETA-POS
 scans its rows with the registry's _rows_positive.  Each entry's reads
-names the SeriesContext memo keys behind the accessors its body calls;
-_register adds the keys those are built from.
+names the SeriesContext memo keys its body reads, by ctx.get with the same
+literal key or through whitney, vh and the u and beta rows; _register adds
+the keys those are built from.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def _plinv(outer: str, fam: str, gen: Callable):
     """outer[fam] = p_1, and fam is the plethystic inverse of sum of gen(n), n >= 1."""
 
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        _degrees_equal(check, ctx.app(outer, fam).coeff, _p1_only, 1, cap)
+        _degrees_equal(check, ctx.get((outer, fam)).coeff, _p1_only, 1, cap)
         # and the inverse computed from scratch matches the family
         inv = plethystic_inverse(Series(cap, {n: gen(n) for n in range(1, cap + 1)}))
-        _degrees_equal(check, inv.coeff, ctx.family(fam).coeff, 1, cap)
+        _degrees_equal(check, inv.coeff, ctx.get(fam).coeff, 1, cap)
 
     return fn
 
@@ -115,7 +116,7 @@ def _plinv(outer: str, fam: str, gen: Callable):
     reads=[("brackets", "H", "lie", False)],
 )
 def _thrall(ctx, cap, check):
-    _degrees_equal(check, ctx.brackets("H", "lie").coeff, _p1n, 0, cap)
+    _degrees_equal(check, ctx.get(("brackets", "H", "lie", False)).coeff, _p1n, 0, cap)
 
 
 _register(
@@ -127,7 +128,7 @@ _register(
 
 @_register("SOLOMON", "symmetric powers of conj give all partitions", reads=[("H", "conj")])
 def _solomon(ctx, cap, check):
-    _degrees_equal(check, ctx.app("H", "conj").coeff, p_sum_over, 1, cap)
+    _degrees_equal(check, ctx.get(("H", "conj")).coeff, p_sum_over, 1, cap)
 
 
 @_register(
@@ -136,7 +137,7 @@ def _solomon(ctx, cap, check):
     reads=[("brackets", "E", "lie2", False)],
 )
 def _ext_reg(ctx, cap, check):
-    _degrees_equal(check, ctx.brackets("E", "lie2").coeff, _p1n, 0, cap)
+    _degrees_equal(check, ctx.get(("brackets", "E", "lie2", False)).coeff, _p1n, 0, cap)
 
 
 _register(
@@ -152,7 +153,7 @@ _register(
     reads=[("H", "lie2")],
 )
 def _sym_lie2(ctx, cap, check):
-    _degrees_equal(check, ctx.app("H", "lie2").coeff, _two_powers, 1, cap)
+    _degrees_equal(check, ctx.get(("H", "lie2")).coeff, _two_powers, 1, cap)
 
 
 @_register(
@@ -161,7 +162,7 @@ def _sym_lie2(ctx, cap, check):
     reads=[("E", "lie2")],
 )
 def _alt_e_lie2(ctx, cap, check):
-    _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie2")), _distinct_powers_sum, 1, cap)
+    _degrees_equal(check, partial(_alt_outer, ctx.get(("E", "lie2"))), _distinct_powers_sum, 1, cap)
 
 
 @_register(
@@ -170,7 +171,7 @@ def _alt_e_lie2(ctx, cap, check):
     reads=[("H", "lie")],
 )
 def _alt_h_lie(ctx, cap, check):
-    lhs = partial(_alt_outer, ctx.app("H", "lie"))
+    lhs = partial(_alt_outer, ctx.get(("H", "lie")))
     _degrees_equal(check, lhs, lambda n: _p2_p1(n) if n % 2 else -_p2_p1(n), 1, cap)
 
 
@@ -180,8 +181,8 @@ def _alt_h_lie(ctx, cap, check):
     reads=[("brackets", "H", "lie", True), ("E", "lie_alt")],
 )
 def _alt_h_lie_prod(ctx, cap, check):
-    signed = ctx.brackets("H", "lie", signed=True)
-    appalt = ctx.app("E", "lie_alt")
+    signed = ctx.get(("brackets", "H", "lie", True))
+    appalt = ctx.get(("E", "lie_alt"))
     for n in range(1, cap + 1):
         check.eq(n, signed.coeff(n), _p2_p1(n))
         # middle member: omega(E[omega(lie) alternating])
@@ -193,12 +194,12 @@ def _ext_lie(ctx, cap, check):
     def rhs(n):
         return _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero())
 
-    _degrees_equal(check, ctx.app("E", "lie").coeff, rhs, 1, cap)
+    _degrees_equal(check, ctx.get(("E", "lie")).coeff, rhs, 1, cap)
 
 
 @_register("EXT-CONJ", "exterior powers of conj give the odd classes", reads=[("E", "conj")])
 def _ext_conj(ctx, cap, check):
-    _degrees_equal(check, ctx.app("E", "conj").coeff, _odd_parts_sum, 1, cap)
+    _degrees_equal(check, ctx.get(("E", "conj")).coeff, _odd_parts_sum, 1, cap)
 
 
 @_register(
@@ -208,7 +209,7 @@ def _ext_conj(ctx, cap, check):
 )
 def _alt_conj(ctx, cap, check):
     rhs = partial(_odd_parts_sum, distinct=True)
-    _degrees_equal(check, ctx.app("E", "conj_alt").coeff, rhs, 1, cap)
+    _degrees_equal(check, ctx.get(("E", "conj_alt")).coeff, rhs, 1, cap)
 
 
 @_register(
@@ -217,7 +218,7 @@ def _alt_conj(ctx, cap, check):
     reads=[("brackets", "E", "lie", True)],
 )
 def _acyc_lie(ctx, cap, check):
-    _degrees_equal(check, ctx.brackets("E", "lie", signed=True).coeff, _zero, 2, cap)
+    _degrees_equal(check, ctx.get(("brackets", "E", "lie", True)).coeff, _zero, 2, cap)
 
 
 @_register(
@@ -226,7 +227,7 @@ def _acyc_lie(ctx, cap, check):
     reads=[("brackets", "H", "lie2", True)],
 )
 def _acyc_lie2(ctx, cap, check):
-    _degrees_equal(check, ctx.brackets("H", "lie2", signed=True).coeff, _zero, 2, cap)
+    _degrees_equal(check, ctx.get(("brackets", "H", "lie2", True)).coeff, _zero, 2, cap)
 
 
 @_register(
@@ -235,7 +236,7 @@ def _acyc_lie2(ctx, cap, check):
     reads=[("brackets", "E", "lie", False)],
 )
 def _totalcoh_lie(ctx, cap, check):
-    lhs = ctx.brackets("E", "lie").coeff
+    lhs = ctx.get(("brackets", "E", "lie", False)).coeff
     _degrees_equal(check, lhs, lambda n: (e(2) * _p1n(n - 2)).scale(2), 2, cap)
 
 
@@ -245,7 +246,7 @@ def _totalcoh_lie(ctx, cap, check):
     reads=[("brackets", "H", "lie2", False)],
 )
 def _totalcoh_lie2(ctx, cap, check):
-    _degrees_equal(check, ctx.brackets("H", "lie2").coeff, _two_powers, 2, cap)
+    _degrees_equal(check, ctx.get(("brackets", "H", "lie2", False)).coeff, _two_powers, 2, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +255,18 @@ def _totalcoh_lie2(ctx, cap, check):
 
 
 def _cochain(outer: str, fam: str, gen: str, dual: str):
-    """gen and dual name the SeriesContext generators, kappa and omega_kappa."""
+    """gen and dual are the memo keys of the generators, kappa and omega_kappa."""
 
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
         # the signed sum is -gen_n; sign normalization follows the +gen
         # identity it is equivalent to
-        lhs = ctx.app(outer + "pm", fam).coeff
-        _degrees_equal(check, lhs, lambda n: -getattr(ctx, gen)().coeff(n), 2, cap)
+        lhs = ctx.get((outer + "pm", fam)).coeff
+        _degrees_equal(check, lhs, lambda n: -ctx.get(gen).coeff(n), 2, cap)
         # omega-twisted Lefschetz form with (-1)^(n-1)
-        app = ctx.app(outer, fam)
+        app = ctx.get((outer, fam))
         for n in range(2, cap + 1):
             acc = linear_sum(((-1) ** (i % 2), app.graded(n, n - i).omega()) for i in range(n + 1))
-            rhs = getattr(ctx, dual)().coeff(n).scale((-1) ** ((n - 1) % 2))
+            rhs = ctx.get(dual).coeff(n).scale((-1) ** ((n - 1) % 2))
             check.eq(n, acc, rhs, note="omega-twisted form")
 
     return fn
@@ -273,11 +274,11 @@ def _cochain(outer: str, fam: str, gen: str, dual: str):
 
 def _filt_b(fam: str, gen: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        sums = ctx.iterate_generator(getattr(ctx, gen)())
+        sums = ctx.iterate_generator(ctx.get(gen))
         if sums[-1] != sums[-2]:
             check.fail(cap, "iteration did not stabilize at the cap")
             return
-        _degrees_equal(check, ctx.family(fam).coeff, sums[-1].coeff, 0, cap)
+        _degrees_equal(check, ctx.get(fam).coeff, sums[-1].coeff, 0, cap)
 
     return fn
 
@@ -292,7 +293,7 @@ def _hodge(outer: str, fam: str, gen: Callable, name: str, closed: Callable):
     same as the product of (1-p1)^-1 and name^+- = sum of (-1)^k gen_k."""
 
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        app = ctx.app(outer, fam)
+        app = ctx.get((outer, fam))
         geom = Series(cap, {n: _p1n(n) for n in range(cap + 1)})
         signed = Series(cap, {n: gen(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
         middle = geom * signed
@@ -305,7 +306,7 @@ def _hodge(outer: str, fam: str, gen: Callable, name: str, closed: Callable):
 
 @_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n", reads=[("H", "lie")])
 def _equiv_pbw_sym(ctx, cap, check):
-    _degrees_equal(check, ctx.app("H", "lie").coeff, _p1n, 1, cap)
+    _degrees_equal(check, ctx.get(("H", "lie")).coeff, _p1n, 1, cap)
 
 
 @_register(
@@ -314,12 +315,12 @@ def _equiv_pbw_sym(ctx, cap, check):
     reads=[("brackets", "H", "lie_alt", False)],
 )
 def _equiv_pbw_cadogan(ctx, cap, check):
-    _degrees_equal(check, ctx.brackets("H", "lie_alt").coeff, _p1_only, 1, cap)
+    _degrees_equal(check, ctx.get(("brackets", "H", "lie_alt", False)).coeff, _p1_only, 1, cap)
 
 
 @_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1", reads=[("E", "lie")])
 def _equiv_pbw_altext(ctx, cap, check):
-    _degrees_equal(check, partial(_alt_outer, ctx.app("E", "lie")), _p1_only, 1, cap)
+    _degrees_equal(check, partial(_alt_outer, ctx.get(("E", "lie"))), _p1_only, 1, cap)
 
 
 @_register(
@@ -328,8 +329,8 @@ def _equiv_pbw_altext(ctx, cap, check):
     reads=[("E", "lie_ge2"), "kappa"],
 )
 def _equiv_pbw_altext_ge2(ctx, cap, check):
-    lhs = partial(_alt_outer, ctx.app("E", "lie_ge2"))
-    _degrees_equal(check, lhs, ctx.kappa().coeff, 2, cap)
+    lhs = partial(_alt_outer, ctx.get(("E", "lie_ge2")))
+    _degrees_equal(check, lhs, ctx.get("kappa").coeff, 2, cap)
 
 
 _register(
@@ -345,8 +346,8 @@ _register(
     reads=["lie", "lie_ge2", "kappa"],
 )
 def _equiv_pbw_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.family("lie"), ctx.kappa())
-    _degrees_equal(check, ctx.family("lie_ge2").coeff, rhs.coeff, 0, cap)
+    rhs = series_plethysm(ctx.get("lie"), ctx.get("kappa"))
+    _degrees_equal(check, ctx.get("lie_ge2").coeff, rhs.coeff, 0, cap)
 
 
 _register(
@@ -363,12 +364,12 @@ _register(
 
 @_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n", reads=[("E", "lie2")])
 def _equiv_lie2_ext(ctx, cap, check):
-    _degrees_equal(check, ctx.app("E", "lie2").coeff, _p1n, 1, cap)
+    _degrees_equal(check, ctx.get(("E", "lie2")).coeff, _p1n, 1, cap)
 
 
 @_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1", reads=[("H", "lie2")])
 def _equiv_lie2_plinv(ctx, cap, check):
-    _degrees_equal(check, partial(_alt_outer, ctx.app("H", "lie2")), _p1_only, 1, cap)
+    _degrees_equal(check, partial(_alt_outer, ctx.get(("H", "lie2"))), _p1_only, 1, cap)
 
 
 @_register(
@@ -377,8 +378,8 @@ def _equiv_lie2_plinv(ctx, cap, check):
     reads=[("H", "lie2_ge2"), "omega_kappa"],
 )
 def _equiv_lie2_ge2(ctx, cap, check):
-    lhs = partial(_alt_outer, ctx.app("H", "lie2_ge2"))
-    _degrees_equal(check, lhs, ctx.omega_kappa().coeff, 2, cap)
+    lhs = partial(_alt_outer, ctx.get(("H", "lie2_ge2")))
+    _degrees_equal(check, lhs, ctx.get("omega_kappa").coeff, 2, cap)
 
 
 _register(
@@ -394,8 +395,8 @@ _register(
     reads=["lie2", "lie2_ge2", "omega_kappa"],
 )
 def _equiv_lie2_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.family("lie2"), ctx.omega_kappa())
-    _degrees_equal(check, ctx.family("lie2_ge2").coeff, rhs.coeff, 0, cap)
+    rhs = series_plethysm(ctx.get("lie2"), ctx.get("omega_kappa"))
+    _degrees_equal(check, ctx.get("lie2_ge2").coeff, rhs.coeff, 0, cap)
 
 
 _register(
@@ -430,8 +431,8 @@ def _su1_log(ctx, cap, check):
                 n = d * j
                 plain[n] = plain.get(n, SymFunc.zero()) + term
                 alt[n] = alt.get(n, SymFunc.zero()) + (term if j % 2 else -term)
-        fam = ctx.family(name)
-        twisted = ctx.family(name + "_alt")
+        fam = ctx.get(name)
+        twisted = ctx.get(name + "_alt")
         for n in range(1, cap + 1):
             check.eq(n, plain.get(n, SymFunc.zero()), fam.coeff(n), note=f"{name} log form")
             check.eq(
@@ -444,37 +445,28 @@ def _su1_log(ctx, cap, check):
 
 
 def _meta_forms(fam: str) -> tuple:
-    """(outer, inner, bracket kind, signed, product variant) for each outer
+    """(outer power, bracket sum, product form), as memo keys, for each outer
     power of fam: it equals its bracket sum (omega of the signed one for the
-    alternating powers, none for the signed operators) and its product form."""
+    alternating powers, None for the signed operators) and its product form."""
+    w = _PSI[fam].name
     return (
-        ("H", fam, "H", False, "sym"),
-        ("E", fam, "E", False, "ext"),
-        ("H", fam + "_alt", "E", True, "alt_ext"),
-        ("E", fam + "_alt", "H", True, "alt_sym"),
-        ("Epm", fam, None, False, "epm"),
-        ("Hpm", fam, None, False, "hpm"),
+        (("H", fam), ("brackets", "H", fam, False), ("product", w, "sym")),
+        (("E", fam), ("brackets", "E", fam, False), ("product", w, "ext")),
+        (("H", fam + "_alt"), ("brackets", "E", fam, True), ("product", w, "alt_ext")),
+        (("E", fam + "_alt"), ("brackets", "H", fam, True), ("product", w, "alt_sym")),
+        (("Epm", fam), None, ("product", w, "epm")),
+        (("Hpm", fam), None, ("product", w, "hpm")),
     )
-
-
-def _meta_products_reads(fam: str) -> list:
-    keys = []
-    for outer, inner, kind, signed, form in _meta_forms(fam):
-        keys += [(outer, inner), ("product", _PSI[fam].name, form)]
-        if kind:
-            keys.append(("brackets", kind, fam, signed))
-    return keys
 
 
 def _meta_products(fam: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        psi = _PSI[fam]
-        for outer, inner, kind, signed, form in _meta_forms(fam):
-            lhs = ctx.app(outer, inner)
-            if kind:
-                sums = ctx.brackets(kind, fam, signed=signed)
-                check.eq_graded(lhs, sums.map(lambda f: f.omega()) if signed else sums)
-            check.eq_graded(lhs, ctx.product(psi, form))
+        for outer, brackets, form in _meta_forms(fam):
+            lhs = ctx.get(outer)
+            if brackets:
+                sums = ctx.get(brackets)
+                check.eq_graded(lhs, sums.map(lambda f: f.omega()) if brackets[3] else sums)
+            check.eq_graded(lhs, ctx.get(form))
 
     return fn
 
@@ -483,7 +475,7 @@ for _fam, _psi in _PSI.items():
     _register(
         f"META-PRODUCTS-{_psi.name.upper().replace('_', '')}",
         f"product generating functions for psi = {_psi.name}, v-graded",
-        reads=_meta_products_reads(_fam),
+        reads=[key for keys in _meta_forms(_fam) for key in keys if key],
     )(_meta_products(_fam))
 
 
@@ -491,11 +483,11 @@ def _metage2(fam: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
         # H(v)[F>=2] = E(-v) H(v)[F] and E^+-(v)[F>=2] H(v)[F] = H(v), then E and H swapped
         for outer, other, gen, dual in (("H", "E", e, h), ("E", "H", h, e)):
-            F = ctx.app(outer, fam)
+            F = ctx.get((outer, fam))
             signed = Series(cap, graded={(k, k): gen(k).scale((-1) ** k) for k in range(cap + 1)})
             plain = Series(cap, graded={(k, k): dual(k) for k in range(cap + 1)})
-            check.eq_graded(ctx.app(outer, fam + "_ge2"), signed * F)
-            check.eq_graded(ctx.app(other + "pm", fam + "_ge2") * F, plain)
+            check.eq_graded(ctx.get((outer, fam + "_ge2")), signed * F)
+            check.eq_graded(ctx.get((other + "pm", fam + "_ge2")) * F, plain)
 
     return fn
 
@@ -524,24 +516,24 @@ def _he_unit(ctx, cap, check):
     # H[F] = G  <=>  E^+-[F] = 1/G  <=>  alternating e-sum = (G-1)/G on lie,
     # E[F] = K  <=>  H^+-[F] = 1/K  <=>  alternating h-sum = (K-1)/K on lie2
     for fam, outer, other, name in (("lie", "H", "E", "G"), ("lie2", "E", "H", "K")):
-        G = ctx.app(outer, fam).drop_grading()
+        G = ctx.get((outer, fam)).drop_grading()
         Ginv = G.reciprocal()
-        pm = ctx.app(other + "pm", fam)
+        pm = ctx.get((other + "pm", fam))
         for n in range(cap + 1):
             check.eq(n, pm.coeff(n), Ginv.coeff(n), note=f"{other}^+-[{fam}] = 1/{outer}[{fam}]")
         alt_target = (G - one) * Ginv
-        alt = ctx.app(other, fam)
+        alt = ctx.get((other, fam))
         for n in range(1, cap + 1):
             check.eq(n, _alt_outer(alt, n), alt_target.coeff(n), note=f"({name}-1)/{name} form")
 
     # sign-twist lemma: K[-p1] = omega(K)^+- and the induced equivalences
     for fam, outer in (("lie", "H"), ("lie2", "E")):
-        K2 = ctx.app(outer, fam + "_alt").drop_grading()
+        K2 = ctx.get((outer, fam + "_alt")).drop_grading()
         omega_pm = K2.twist()
         sub = plethysm(K2.total(), -p(1), cap)
         for n in range(cap + 1):
             check.eq(n, sub.homogeneous_part(n), omega_pm.coeff(n), note=f"{fam}: K[-p1]")
-        base = ctx.app(outer, fam).drop_grading()
+        base = ctx.get((outer, fam)).drop_grading()
         prod = base * omega_pm
         for n in range(cap + 1):
             check.eq(n, prod.coeff(n), one.coeff(n), note=f"{fam}: {outer}[F] * omega(K)^+- = 1")
@@ -553,16 +545,16 @@ def _he_unit(ctx, cap, check):
     reads=[("H", "lie_ge2"), ("E", "lie_ge2"), ("H", "lie2_ge2"), ("E", "lie2_ge2"), "omega_kappa"],
 )
 def _hodge_filt(ctx, cap, check):
-    Hge = ctx.app("H", "lie_ge2")
-    Ege2 = ctx.app("E", "lie2_ge2")
+    Hge = ctx.get(("H", "lie_ge2"))
+    Ege2 = ctx.get(("E", "lie2_ge2"))
     for n in range(2, cap + 1):
         mid = ctx.delta(n)
         check.eq(n, Hge.coeff(n).omega(), mid, note="omega(h-sum over lie_(>=2))")
         check.eq(n, Ege2.coeff(n), mid, note="e-sum over lie2_(>=2)")
-    Ege = ctx.app("E", "lie_ge2")
-    Hge2 = ctx.app("H", "lie2_ge2")
+    Ege = ctx.get(("E", "lie_ge2"))
+    Hge2 = ctx.get(("H", "lie2_ge2"))
     for n in range(2, cap + 1):
-        mid = ctx.omega_kappa().coeff(n)  # s_(2,1^(n-2))
+        mid = ctx.get("omega_kappa").coeff(n)  # s_(2,1^(n-2))
         check.eq(n, _alt_outer(Ege, n).omega(), mid, note="alternating omega(e-sum)")
         check.eq(n, _alt_outer(Hge2, n), mid, note="alternating h-sum over lie2_(>=2)")
 
@@ -665,11 +657,11 @@ def _conj_from(fam: str, step: int):
     """conj = sum of p_k[fam] over k = 1, 1 + step, ...; fam is the mobius-weighted inverse."""
 
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        _degrees_equal(check, ctx.conj_from(fam).coeff, ctx.family("conj").coeff, 1, cap)
-        pk = ctx.power_sums("conj")
+        _degrees_equal(check, ctx.get(("conj_from", fam)).coeff, ctx.get("conj").coeff, 1, cap)
+        pk = ctx.get(("p_k", "conj"))
         back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1, step))
         for n in range(1, cap + 1):
-            check.eq(n, back.homogeneous_part(n), ctx.family(fam).coeff(n), note="inverse direction")
+            check.eq(n, back.homogeneous_part(n), ctx.get(fam).coeff(n), note="inverse direction")
 
     return fn
 
@@ -692,14 +684,14 @@ _register(
     reads=["lie", "lie2"],
 )
 def _lie2_from_lie(ctx, cap, check):
-    lie_tot = ctx.family("lie").total()
+    lie_tot = ctx.get("lie").total()
     # the powers of two 2^j <= cap are the j below cap's bit length
     fwd = linear_sum((1, plethysm(lie_tot, p(1 << j), cap)) for j in range(cap.bit_length()))
-    _degrees_equal(check, fwd.homogeneous_part, ctx.family("lie2").coeff, 1, cap)
-    lie2_tot = ctx.family("lie2").total()
+    _degrees_equal(check, fwd.homogeneous_part, ctx.get("lie2").coeff, 1, cap)
+    lie2_tot = ctx.get("lie2").total()
     bwd = lie2_tot - plethysm(lie2_tot, p(2), cap)
     for n in range(1, cap + 1):
-        check.eq(n, bwd.homogeneous_part(n), ctx.family("lie").coeff(n), note="inverse direction")
+        check.eq(n, bwd.homogeneous_part(n), ctx.get("lie").coeff(n), note="inverse direction")
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +713,9 @@ def _p1_recurrence(check: _Check, app: Series, c: Callable, cap: int, note: str 
     reads=[("H", "lie2_ge2"), ("H", "lie_ge2")],
 )
 def _sigma_rec(ctx, cap, check):
-    _p1_recurrence(check, ctx.app("H", "lie2_ge2"), ctx.sigma, cap)
+    _p1_recurrence(check, ctx.get(("H", "lie2_ge2")), ctx.sigma, cap)
     # lie analogue: the correction term is just e_n
-    _p1_recurrence(check, ctx.app("H", "lie_ge2"), e, cap, note="lie side")
+    _p1_recurrence(check, ctx.get(("H", "lie_ge2")), e, cap, note="lie side")
 
 
 @_register(
@@ -732,22 +724,22 @@ def _sigma_rec(ctx, cap, check):
     reads=[("E", "lie_ge2"), ("E", "lie2_ge2")],
 )
 def _tau_rec(ctx, cap, check):
-    _p1_recurrence(check, ctx.app("E", "lie_ge2"), ctx.tau, cap)
+    _p1_recurrence(check, ctx.get(("E", "lie_ge2")), ctx.tau, cap)
     # lie2 analogue: the correction term is h_n (injective-words recurrence)
-    _p1_recurrence(check, ctx.app("E", "lie2_ge2"), h, cap, note="lie2 side")
+    _p1_recurrence(check, ctx.get(("E", "lie2_ge2")), h, cap, note="lie2 side")
 
 
 def _restrict_rec(fam: str):
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
         for kind in ("H", "E"):
-            app = ctx.app(kind, fam)
+            app = ctx.get((kind, fam))
             for n in range(1, cap + 1):
                 for r in range(0, n + 1):
                     lhs = app.graded(n, r).partial_p1()
                     rhs = app.graded(n - 1, r - 1) if r >= 1 else SymFunc.zero()
                     rhs = rhs + p(1) * app.graded(n - 1, r).partial_p1()
                     check.eq(n, lhs, rhs, note=f"{kind} r={r}")
-            appg = ctx.app(kind, fam + "_ge2")
+            appg = ctx.get((kind, fam + "_ge2"))
             for n in range(2, cap + 1):
                 for r in range(1, n):
                     lhs = appg.graded(n, r).partial_p1()
@@ -784,7 +776,7 @@ def _u_closed(ctx, cap, check):
     s22 = s((2, 2))
     s42 = s((4, 2))
     s222 = s((2, 2, 2))
-    kappa = ctx.kappa()
+    kappa = ctx.get("kappa")
     for n in range(2, cap + 1):
         row = ctx.u_row(n)
         check.eq(n, row[0], h(n), note="k=0")

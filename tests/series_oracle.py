@@ -230,7 +230,7 @@ def reciprocal(A: Series) -> Series:
 @lru_cache(maxsize=None)
 def newton_slots(ctx, kind: str, name: str) -> Series:
     """apply_series above on ctx's named family, once per (ctx, kind, name)."""
-    return apply_series(kind, ctx.family(name))
+    return apply_series(kind, ctx.get(name))
 
 
 def vh(ctx, n: int, k: int) -> SymFunc:
@@ -273,12 +273,12 @@ def higher_bracket(kind: str, lam: tuple, Q: Series) -> SymFunc:
 
 def delta_part(ctx, n: int, k: int) -> SymFunc:
     """e_k[lie2_(>=2)]|_n."""
-    return ctx.app("E", "lie2_ge2").graded(n, k)
+    return ctx.get(("E", "lie2_ge2")).graded(n, k)
 
 
 def hodge_part(ctx, n: int, k: int) -> SymFunc:
     """h_k[lie_(>=2)]|_n."""
-    return ctx.app("H", "lie_ge2").graded(n, k)
+    return ctx.get(("H", "lie_ge2")).graded(n, k)
 
 
 def psi_family(ctx, psi) -> Series:

@@ -339,8 +339,8 @@ def test_criterion_8_distinctness_findings():
     for k in (1, 2):
         assert delta_part(ctx, 4, k) != hodge_part(ctx, 4, k).omega(), k
     for n in (4, 5):
-        happ = ctx.app("H", "lie")
-        eapp = ctx.app("E", "lie2")
+        happ = ctx.get(("H", "lie"))
+        eapp = ctx.get(("E", "lie2"))
         decs = {
             "pbw": [happ.graded(n, ell) for ell in range(1, n + 1)],
             "eulerian": [happ.graded(n, ell).omega() for ell in range(1, n + 1)],

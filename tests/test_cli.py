@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from plethy import _mn_pure, cli, lie_family
 from plethy.cli import MAX_SCHUR_DEGREE, main
 from plethy.partitions import partitions_of
 from plethy.series import SeriesContext
-from plethy.symfunc import p
+from plethy.symfunc import SymFunc, p
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -240,6 +241,25 @@ def test_schur_command_refuses_a_degree_past_the_bound(capsys):
     assert code == 0
     terms = {tuple(t["partition"]): int(t["coeff"]) for t in json.loads(out)["terms"]}
     assert terms == {(200 - i,) + (1,) * i: (-1) ** i for i in range(200)}
+
+
+def test_coeff_size_check_without_the_int_max_str_digits_reader(monkeypatch, capsys):
+    # sys.get_int_max_str_digits is missing before CPython 3.10.7
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    term = {"partition": [2, 1], "coeff": "-3/4"}
+    f = SymFunc.from_dict({"basis": "p", "terms": [term]})
+    assert f == p((2, 1)).scale(Fraction(-3, 4))
+    with pytest.raises(ValueError, match="int-to-str limit"):
+        SymFunc.from_dict({"basis": "p", "terms": [dict(term, coeff="1e999999999")]})
+    for coeff, code_want, message in (
+        ("-3/4", 2, "not a virtual character"),
+        ("1e999999999", 2, "int-to-str limit"),
+        ("-3", 0, ""),
+    ):
+        payload = json.dumps({"basis": "p", "terms": [dict(term, coeff=coeff)]})
+        code, out, err = run_cli(["schur"], stdin_text=payload, capsys=capsys)
+        assert code == code_want and "Traceback" not in out + err, coeff
+        assert message in err and (out == "") == bool(code), coeff
 
 
 def test_schur_command_unreadable_file_exits_2(tmp_path, capsys):

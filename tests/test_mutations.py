@@ -189,13 +189,16 @@ def _product_variant_sign_flip(monkeypatch):
 
 
 def _product_ext_unflipped(monkeypatch):
-    # "ext" is "epm" with v -> -v; the defect serves "epm" unflipped
-    real = series.SeriesContext.product
+    # "ext" is "epm" with v -> -v; the defect serves the "epm" recipe,
+    # unflipped, under the "ext" key
+    real = series._recipe
 
-    def product(self, psi, variant):
-        return real(self, psi, "epm" if variant == "ext" else variant)
+    def recipe(key):
+        if key[:1] == ("product",) and key[2:] == ("ext",):
+            return real(key[:2] + ("epm",))
+        return real(key)
 
-    monkeypatch.setattr(series.SeriesContext, "product", product)
+    monkeypatch.setattr(series, "_recipe", recipe)
 
 
 @pytest.mark.parametrize(

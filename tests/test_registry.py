@@ -296,6 +296,11 @@ def test_sources_name_exactly_the_keys_each_build_reads(monkeypatch):
 def test_sources_refuse_a_key_outside_the_formats(key):
     with pytest.raises(KeyError):
         SeriesContext.sources(key)
+    # get refuses it the same way, and caches nothing
+    ctx = SeriesContext(4)
+    with pytest.raises(KeyError):
+        ctx.get(key)
+    assert ctx._memo == {}
 
 
 def test_a_misspelt_read_fails_at_registration():
@@ -415,7 +420,7 @@ def test_conj_from_entries_sum_the_cached_pieces(monkeypatch):
     assert len(calls) > 0
     ctx = SeriesContext(8)
     for name in ("lie", "lie2", "conj"):
-        ctx.power_sums(name)
+        ctx.get(("p_k", name))
     calls.clear()
     for id in ("CONJ-FROM-LIE", "CONJ-FROM-LIE2"):
         assert verify_identity(id, 8, ctx).passed
