@@ -12,12 +12,12 @@ built from the longest ascending prefix of mu in _memo, so the rectangle
 (d^m) is one strip away from (d^(m-1)).  Values are Python ints, exact at
 every degree.  The one store rule: keyed_column stores the column of mu in
 place of the prefix it was built from, and nothing in between.  So a chain
-of reads that each extend the one before keeps one column, as the
-whitehouse scan does on each rectangle (d^m), and the walk in
+of reads that each extend the one before keeps one column, and the walk in
 schur._expand, which adds strips to whole vectors, leaves no full table at
 a dense degree.  Stored columns are never changed, so a caller holding a
 dropped one still holds a valid column, and a dropped column is rebuilt
-exactly.
+exactly.  The whitehouse scan keeps columns of its own, at one shape of
+each conjugate pair (_half_strips), and does not use _memo.
 
 Columns are keyed by bead bitmasks.  A partition lam of length L is the
 int mask(lam) = sum over rows i = 1..L of 2^(lam_i + L - i): one bead per
@@ -26,12 +26,14 @@ at lam_L >= 1, so bit 0 is always clear and each partition has exactly one
 mask.  A part lam_i is the number of clear bits below its bead, which is
 how decode reads a mask back.  Adding a k-strip moves one bead up by k
 places onto a clear bit, and the strip's height is the number of beads it
-jumps (Macdonald I.1 Ex. 8).
+jumps (Macdonald I.1 Ex. 8).  Conjugation reverses the bits below the top
+bead and complements them (conjugate).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Callable
 
 KERNEL_NAME = "pure-python"
 
@@ -104,12 +106,48 @@ def _add_strips(
     return acc if out is not None else {m: v for m, v in acc.items() if v}
 
 
+def conjugate(mask: int) -> int:
+    """The mask of the conjugate of the partition whose mask is mask.
+
+    Read from bit 0 up to the top bead, the bits trace the rim of lam: a
+    clear bit is a step along a row and a set bit a step up a column.
+    Conjugation reverses the rim and swaps the two kinds of step, so the
+    conjugate is the bit reversal of bits 0 .. top, complemented.
+    """
+    return ((1 << mask.bit_length()) - 1) ^ int(bin(mask)[:1:-1], 2)
+
+
+def _half_strips(half: dict[int, int], k: int, flip: Callable[[int], int]) -> dict[int, int]:
+    """_add_strips(col, k) at the reps, given col at the reps.
+
+    A rep is a shape lam with lam_1 >= l(lam), the mask with bit_length at
+    least twice its bit_count (lam_1 + l(lam) and l(lam)).  col is a vector
+    whose value at lam' is flip of its value at lam, and half holds it at
+    the reps.  A k-strip onto a rep mu starts at a rep or at a nu with
+    0 < l(nu) - nu_1 <= k, since mu_1 <= nu_1 + k and l(mu) >= l(nu); so
+    the reps and the conjugates of the band reps, 0 < lam_1 - l(lam) <= k,
+    carrying flip of their value, are all the moves.  Values that land
+    on shapes that are not reps are dropped, as are zeros.
+    """
+    out: dict[int, int] = {}
+    _add_strips(half, k, out)
+    band = {
+        conjugate(m): flip(v)
+        for m, v in half.items()
+        if 0 < m.bit_length() - 2 * m.bit_count() <= k
+    }
+    _add_strips(band, k, out)
+    return {m: v for m, v in out.items() if v and m.bit_length() >= 2 * m.bit_count()}
+
+
 def keyed_column(mu: tuple) -> dict[int, int]:
     """{mask(lam): chi^lam(mu)} for the lam where it is nonzero.
 
     mu is a partition.  The column is built from the longest ascending
     prefix of mu in _memo and stored in place of it.  The result is the
-    memoized column itself, so callers must not change it.
+    memoized column itself, so callers must not change it.  Its readers
+    are schur.character, symfunc.s and the small children of the Schur
+    walk; the whitehouse scan builds its rectangle columns by _half_strips.
     """
     parts = mu[::-1]
     k = len(parts)

@@ -206,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         "that every truncated alternating sum u(n, k) is Schur-positive.  Each degree is "
         "expanded in the Schur basis.  The whitehouse scan carries each degree's Schur "
         "numerators to the next, so p_1 Lie2_(n-1) is one box added to every shape of n-1, "
-        "and it reads only the rectangle columns (d^m) for d | n; it keeps one value per "
-        "partition of n, p(n) in all.  The upos scan expands each u(n, k) over its p-basis "
+        "and it reads only the rectangle columns (d^m) for d | n.  Since a shape and its "
+        "conjugate have the same dimension and characters equal up to sign, it keeps values "
+        "only at the partitions lam of n with lam_1 >= l(lam), about half of p(n).  The upos scan expands each u(n, k) over its p-basis "
         "support, every partition of n, and grows with p(n).",
     )
     c.add_argument("which", choices=("whitehouse", "upos"))

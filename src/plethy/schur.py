@@ -16,9 +16,11 @@ field through _verdict, the one positivity rule, which decodes only the
 shapes it names.  to_schur and is_schur_positive are their one-element
 batches.  deficit_positivity scans the whitehouse deficit p_1 f_(n-1) - f_n
 degree by degree without _expand: each shape carries its Schur numerators
-from one degree to the next, so p_1 f_(n-1) costs one 1-strip pass, only
-the rectangle columns (d^m) are read, and _verdict gets the few negative
-or non-integral numerators of each degree.
+from one degree to the next, so p_1 f_(n-1) costs one 1-strip pass, the
+rectangles (d^m) are its only characters, and _verdict gets the few
+negative or non-integral numerators of each degree.  It holds only one
+shape of each conjugate pair, and the rectangles as half columns of its
+own, with _mn_pure._half_strips.
 character() reads one entry of a column through the mask of lam.
 """
 
@@ -281,51 +283,116 @@ def deficit_positivity(psi: Callable[[int], int], max_n: int) -> Iterator[Positi
 
     and Ind(g)[lam] = sum_(mu = lam - box) g[mu] is p_1 times g, the
     branching rule (Macdonald I.7); it also gives f^lam = Ind(f)[lam].  So
-    each degree is one 1-strip pass over the last: every shape of n-1
-    carries f^mu + R_(n-1)[mu] 2^w in one int, and _add_strips(packed, 1)
-    gives f^lam + Ind(R_(n-1))[lam] 2^w for every lam of n.  w is the bit
-    length of isqrt(n!), and f^lam <= isqrt(n!) since sum_lam (f^lam)^2 =
-    n!, so the low field f^lam >= 0 never carries into the high one.  Only
-    the rectangles (d^m), d > 1, are read as columns.
+    each degree is one 1-strip pass over the last.  Since f^lam' = f^lam
+    and chi^lam'(mu) = sgn(mu) chi^lam(mu) (I.7), the scan holds only the
+    reps, the shapes with lam_1 >= l(lam) (see _mn_pure._half_strips), and
+    each rep carries f^mu, R_(n-1)[mu] and R_(n-1)[mu'] packed in one int
+    (_unpack).  Swapping the two R fields gives the value at mu', so one
+    half 1-strip pass gives f^lam, Ind(R_(n-1))[lam] and Ind(R_(n-1))[lam']
+    at every rep lam of n.  The only columns read are the rectangles
+    (d^m), d > 1, kept as half columns with flip sgn(d^m) while the scan
+    runs, so _mn_pure._memo is neither read nor written.
 
-    One pass over the shapes of n then computes N_n, keeps the (mask, N_n)
-    pairs that are negative or that n(n-1) does not divide, and writes the
-    shape's packed value for degree n+1 back into the same dict; _verdict
-    reads the verdict off the kept pairs.  It also sums f^lam N_n[lam], which
-    column orthogonality fixes at psi(1) n! (n(n-1) times the dimension
-    psi(1) (n-2)! of the deficit); any other sum raises ValueError.  The
-    ledger is checked before integrality, so a wrong character column is
-    reported as one.
+    One pass over the reps of n then computes N_n at lam and, when
+    lam_1 > l(lam), at lam', keeps the (mask, N_n) pairs that are negative
+    or that n(n-1) does not divide, and writes the rep's packed value for
+    degree n+1 back into the same dict; _verdict reads the verdict off the
+    kept pairs.  Two ledgers check each degree by column orthogonality.
+    Over all lam, sum f^lam N_n[lam] is psi(1) n! (n(n-1) times the
+    dimension psi(1) (n-2)! of the deficit), and over the hooks,
+    sum_b (-1)^b N_n[(n-b, 1^b)] is -n(n-1) psi(n), the pairing with
+    p_n; the second is odd under conjugation when n is even, so it sees a
+    defect that the first, even, one misses.  Any other sum raises
+    ValueError, before integrality is checked, so a wrong character column
+    is reported as one.
     """
     psi1 = psi(1)
-    column = _mn_pure.keyed_column
+    fact, (wf, wr) = 1, _layout(psi, 2)
     packed = {_mn_pure.encode((1,)): 1}  # degree 1: f^(1) = 1 and R_1 = 0
-    fact = 1
+    chains: dict[int, dict[int, int]] = {}  # d -> half column of (d^(n/d))
     for n in range(2, max_n + 1):
         fact *= n
-        w, w_next = isqrt(fact).bit_length(), isqrt(fact * (n + 1)).bit_length()
-        packed = _mn_pure._add_strips(packed, 1)
-        r_n: dict[int, int] = {}
+        packed = _mn_pure._half_strips(packed, 1, lambda v: _swap(v, wf, wr))
+        wf_next, wr_next = _layout(psi, n + 1)
+        r_n: dict[int, int] = {}  # R_n at lam + R_n at lam' 2^wr_next, at each rep lam
         for d in divisors(n)[1:]:
             c = psi(d)
-            if c:
-                for mask, chi in column((d,) * (n // d)).items():
-                    r_n[mask] = r_n.get(mask, 0) + c * chi
-        den, low_field, get = n * (n - 1), (1 << w) - 1, r_n.get
-        kept, ledger = [], 0
+            if not c:
+                continue
+            eps = (-1) ** ((d - 1) * (n // d - 1))  # the flip of (d^(n/d - 1)), its sign
+            col = _mn_pure._half_strips(chains.pop(d, {0: 1}), d, lambda v: eps * v)
+            if n + d <= max_n:
+                chains[d] = col
+            c += c * eps * (-1) ** (d - 1) << wr_next  # psi(d) sgn(d^(n/d)), the weight at lam'
+            for mask, chi in col.items():
+                r_n[mask] = r_n.get(mask, 0) + c * chi
+        den, low, get = n * (n - 1), (1 << wf) - 1, r_n.get
+        half, r_mask = 1 << (wr - 1), (1 << wr) - 1
+        half_next, r_mask_next = 1 << (wr_next - 1), (1 << wr_next) - 1
+        hook_sign = {  # (-1)^b at the reps among the hooks (n-b, 1^b)
+            (1 << n) | ((1 << (b + 1)) - 2): (-1) ** b for b in range((n + 1) // 2)
+        }
+        conj_sign = (-1) ** (n - 1)  # the sign of hook n-1-b, the conjugate of b, over b's
+        kept, ledger, hooks = [], 0, 0
         for mask, v in packed.items():
-            f, r = v & low_field, get(mask, 0)
-            num = psi1 * f + n * (v >> w) - (n - 1) * r
+            x = get(mask, 0)
+            f, t, u = v & low, (v >> wf) + half, x + half_next
+            num = psi1 * f + n * ((t & r_mask) - half) - (n - 1) * ((u & r_mask_next) - half_next)
             ledger += f * num
             if num < 0 or num % den:
                 kept.append((mask, num))
-            packed[mask] = f + (r << w_next)
+            s = hook_sign.get(mask)
+            if s:
+                hooks += s * num
+            if mask.bit_length() > 2 * mask.bit_count():
+                num = psi1 * f + n * (t >> wr) - (n - 1) * (u >> wr_next)
+                ledger += f * num
+                if num < 0 or num % den:
+                    kept.append((_mn_pure.conjugate(mask), num))
+                if s:
+                    hooks += s * conj_sign * num
+            packed[mask] = f + (x << wf_next)
         if ledger != psi1 * fact:
             raise ValueError(
                 f"dimension ledger fails at n={n}: sum of f^lam N_n(lam) is {ledger}, "
                 f"not psi(1) n! = {psi1 * fact}"
             )
+        if hooks != -den * psi(n):
+            raise ValueError(
+                f"hook ledger fails at n={n}: sum of (-1)^b N_n(n-b, 1^b) is {hooks}, "
+                f"not -n(n-1) psi(n) = {-den * psi(n)}"
+            )
+        wf, wr = wf_next, wr_next
         yield _verdict(kept, den)
+
+
+def _layout(psi: Callable[[int], int], n: int) -> tuple[int, int]:
+    """(wf, wr): the widths of the fields f^lam and R of the packed ints
+    that deficit_positivity moves into degree n by its 1-strip pass.
+
+    Column orthogonality gives sum_lam (f^lam)^2 = n!, so f^lam <=
+    isqrt(n!) fits the wf unsigned bits.  |chi^mu| <= f^mu, so
+    |R_(n-1)[mu]| <= S f^mu with S = sum_(d|n-1, d>1) |psi(d)|, and
+    Ind(f) = f makes S isqrt(n!) a bound on every R field before and after
+    the pass; wr holds it with a sign bit.
+    """
+    root = isqrt(factorial(n))
+    s = sum(abs(psi(d)) for d in divisors(n - 1)[1:])
+    return root.bit_length(), (s * root).bit_length() + 1
+
+
+def _swap(v: int, wf: int, wr: int) -> int:
+    """The packed value at lam' given the one at lam: the R fields swapped."""
+    f, a, b = _unpack(v, wf, wr)
+    return f + (b << wf) + (a << (wf + wr))
+
+
+def _unpack(v: int, wf: int, wr: int) -> tuple[int, int, int]:
+    """(f, a, b) from v = f + a 2^wf + b 2^(wf+wr), with f in [0, 2^wf) and
+    a in [-2^(wr-1), 2^(wr-1))."""
+    half = 1 << (wr - 1)
+    t = (v >> wf) + half
+    return v & ((1 << wf) - 1), (t & ((1 << wr) - 1)) - half, t >> wr
 
 
 def hook_dimension(lam: tuple) -> int:

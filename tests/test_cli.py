@@ -511,10 +511,11 @@ def test_whitehouse_json_golden_32(capsys):
 
 
 def test_whitehouse_json_golden_40(capsys):
-    # past the benchmark's range: pins the witnesses of n = 33..40 too
-    code, out, _ = run_cli(["conjecture", "whitehouse", "--max-n", "40", "--json"], capsys=capsys)
-    assert code == 0
-    assert out == (GOLDEN / "conjecture-whitehouse-40.jsonl").read_text()
+    # past the benchmark's range: pins the witnesses of n = 33..40, then 41..48
+    for top in ("40", "48"):
+        code, out, _ = run_cli(["conjecture", "whitehouse", "--max-n", top, "--json"], capsys=capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"conjecture-whitehouse-{top}.jsonl").read_text()
 
 
 @pytest.mark.parametrize(

@@ -8,12 +8,13 @@ reader must instead fail the test in test_schur that pins the behaviour it
 breaks: the witness tie-break or the integrality check; so must one in the
 whitehouse deficit scan.  One in schur._verdict, the rule both scans
 share, must fail the tests of both, and a strip-sign defect must fire the
-deficit scan's dimension ledger.  A defect in the u rows must fail both an
-entry and the oracle test in test_series.  A key left out of an entry's
-reads changes no output, so it must fail the declaration and build-once
-tests in test_registry, and an edge left out of SeriesContext.sources,
-from which _register closes each entry's reads, must fail the edge test
-there.  A packed width too short for the outer powers' fields must fail
+deficit scan's hook ledger; dropping the conjugate band from the scan's
+half strip step must fire its dimension ledger.  A defect in the u rows
+must fail both an entry and the oracle test in test_series.  A key left
+out of an entry's reads changes no output, so it must fail the
+declaration and build-once tests in test_registry, and an edge left out
+of SeriesContext.sources, from which _register closes each entry's reads,
+must fail the edge test there.  A packed width too short for the outer powers' fields must fail
 the product entries of every family, with no traceback.
 """
 
@@ -431,12 +432,43 @@ def test_a_verdict_without_the_integrality_raise_fails_both_raises(monkeypatch):
 
 def test_a_strip_sign_defect_fails_the_deficit_ledger(monkeypatch, capsys):
     # the sign of the 4-strips onto two-row shapes breaks chi(4), so the
-    # ledger sum over f^lam N_4(lam) is no longer 4!
+    # hook ledger, the sum of (-1)^b N_4(4-b, 1^b), is no longer -12 psi(4)
     inject_strip_sign_defect(monkeypatch)
-    with pytest.raises(ValueError, match="dimension ledger fails at n=4:") as exc:
+    with pytest.raises(ValueError, match="hook ledger fails at n=4:") as exc:
         list(schur.deficit_positivity(lie_family.Psi.two_adic(), 8))
     assert not isinstance(exc.value, schur.NotVirtualCharacter)
     assert cli.main(["conjecture", "whitehouse", "--max-n", "8"]) == 1
     out = capsys.readouterr().out
-    assert "raised ValueError: dimension ledger fails at n=4:" in out
+    assert "raised ValueError: hook ledger fails at n=4:" in out
     assert out.endswith("FAIL  WHITEHOUSE scanned to n = 8\n")
+
+
+# the whitehouse scan holds one shape of each conjugate pair, and a k-strip
+# onto a rep also starts at the conjugates of the band reps
+
+
+def _half_strips_rule(band=True):
+    """A stand-in for _mn_pure._half_strips, with or without the band."""
+
+    def half_strips(half, k, flip):
+        out = {}
+        _mn_pure._add_strips(half, k, out)
+        if band:
+            near = {m: v for m, v in half.items() if 0 < m.bit_length() - 2 * m.bit_count() <= k}
+            _mn_pure._add_strips({_mn_pure.conjugate(m): flip(v) for m, v in near.items()}, k, out)
+        return {m: v for m, v in out.items() if v and m.bit_length() >= 2 * m.bit_count()}
+
+    return half_strips
+
+
+@pytest.mark.parametrize("psi, family", [(lie_family.Psi.two_adic(), "lie2"), (lie_family.Psi.mobius(), "lie")])
+def test_the_half_strip_stand_in_passes_when_sound(monkeypatch, psi, family):
+    monkeypatch.setattr(_mn_pure, "_half_strips", _half_strips_rule())
+    test_schur.test_deficit_positivity_matches_the_expansion(psi, family)
+
+
+@pytest.mark.parametrize("psi, family", [(lie_family.Psi.two_adic(), "lie2"), (lie_family.Psi.mobius(), "lie")])
+def test_half_strips_without_the_band_fail_the_deficit_scan(monkeypatch, psi, family):
+    monkeypatch.setattr(_mn_pure, "_half_strips", _half_strips_rule(band=False))
+    with pytest.raises(ValueError, match="dimension ledger fails at n=3:"):
+        test_schur.test_deficit_positivity_matches_the_expansion(psi, family)

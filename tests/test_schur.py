@@ -1,7 +1,8 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from mn_oracle import mn_character as oracle_character
 from mn_oracle import mn_table as oracle_table
 from plethy import _mn_pure, schur
 from plethy.lie_family import Psi, f_from_psi, whitehouse_deficit
-from plethy.partitions import partitions_of, z_of
+from plethy.partitions import conjugate, divisors, partitions_of, z_of
 from plethy.schur import (
     NotVirtualCharacter,
     Positivity,
@@ -174,6 +175,52 @@ def test_strips_on_the_empty_shape_are_the_hooks():
         col = _mn_pure._add_strips({0: 1}, k)
         hooks = {(k - i,) + (1,) * i: (-1) ** i for i in range(k)}
         assert {_mn_pure.decode(m): v for m, v in col.items()} == hooks, k
+
+
+def test_mask_conjugate_matches_the_partition_conjugate():
+    for n in range(0, 17):
+        for lam in partitions_of(n):
+            mask = _mn_pure.encode(lam)
+            assert _mn_pure.conjugate(mask) == _mn_pure.encode(conjugate(lam)), lam
+            assert _mn_pure.conjugate(_mn_pure.conjugate(mask)) == mask, lam
+
+
+def _is_rep(mask: int) -> bool:
+    return mask.bit_length() >= 2 * mask.bit_count()
+
+
+def _reps(col: dict[int, int]) -> dict[int, int]:
+    return {m: v for m, v in col.items() if _is_rep(m)}
+
+
+def test_half_strips_match_the_full_strips_on_rectangle_columns():
+    # the column of (d^m) is the value at lam' times sgn(d^m) = (-1)^((d-1)m)
+    for k in range(1, 7):
+        for d in range(1, 17):
+            for m in range(0, 16 // d + 1):
+                col = _mn_pure.keyed_column((d,) * m)
+                sign = (-1) ** ((d - 1) * m)
+                got = _mn_pure._half_strips(_reps(col), k, lambda v: sign * v)
+                assert got == _reps(_mn_pure._add_strips(col, k)), (k, d, m)
+
+
+def test_half_strips_match_the_full_strips_on_packed_vectors():
+    # random f, a, b at one shape of each conjugate pair, and f, b, a at the
+    # other (a = b on a self-conjugate shape), so the flip is schur._swap
+    wf, wr = 20, 24
+    rng = random.Random(20261020)
+    for n in range(0, 15):
+        col = {}
+        for lam in partitions_of(n):
+            mask, conj = _mn_pure.encode(lam), _mn_pure.encode(conjugate(lam))
+            if conj in col:
+                continue
+            f, a = rng.randrange(1 << (wf - 1)), rng.randrange(-(1 << 22), 1 << 22)
+            b = a if conj == mask else rng.randrange(-(1 << 22), 1 << 22)
+            col[mask], col[conj] = (f + (x << wf) + (y << (wf + wr)) for x, y in ((a, b), (b, a)))
+        for k in range(1, 7):
+            got = _mn_pure._half_strips(_reps(col), k, lambda v: schur._swap(v, wf, wr))
+            assert got == _reps(_mn_pure._add_strips(col, k)), (n, k)
 
 
 def test_one_strips_match_the_oracle():
@@ -496,14 +543,46 @@ def test_deficit_positivity_refuses_a_non_integral_coefficient():
     assert (got.value.partition, got.value.coeff) == (want.value.partition, want.value.coeff)
 
 
-def test_deficit_scan_reads_only_rectangle_columns(monkeypatch):
-    # p_1 f_(n-1) comes from the last degree's numerators, so no (1^n) or
-    # (1, d^m) column is built
+def test_deficit_scan_leaves_the_column_memo_as_it_found_it(monkeypatch):
+    # the rectangle columns are half columns local to the scan
     monkeypatch.setattr(_mn_pure, "_memo", {})
+    _mn_pure.keyed_column((3, 2, 2))
+    before = {key: dict(col) for key, col in _mn_pure._memo.items()}
     list(schur.deficit_positivity(Psi.two_adic(), 24))
-    assert _mn_pure._memo
-    for key in _mn_pure._memo:
-        assert key[0] > 1 and set(key) == {key[0]}, key
+    assert _mn_pure._memo == before
+
+
+@pytest.mark.parametrize("psi, top", [(Psi.two_adic(), 40), (Psi.mobius(), 24)], ids=["two_adic", "mobius"])
+def test_deficit_fields_stay_inside_their_bounds(monkeypatch, psi, top):
+    # each 1-strip pass into degree n gives, at every rep lam, f^lam <=
+    # isqrt(n!) and the two Ind(R_(n-1)) fields within S isqrt(n!), S the
+    # sum of |psi(d)| over d | n-1, d > 1; below 13 the fields are exact
+    real, seen = _mn_pure._half_strips, []
+
+    def record(half, k, flip):
+        out = real(half, k, flip)
+        if k == 1:
+            seen.append(dict(out))  # the scan writes the next degree into out
+        return out
+
+    monkeypatch.setattr(_mn_pure, "_half_strips", record)
+    list(schur.deficit_positivity(psi, top))
+    assert len(seen) == top - 1
+    for n, packed in enumerate(seen, 2):
+        root = isqrt(factorial(n))
+        bound = sum(abs(psi(d)) for d in divisors(n - 1)[1:]) * root
+        wf, wr = schur._layout(psi, n)
+        for mask, v in packed.items():
+            f, a, b = schur._unpack(v, wf, wr)
+            assert 0 < f <= root and abs(a) <= bound and abs(b) <= bound, (n, mask)
+        if n < 13:
+            lam_of = {_mn_pure.encode(lam): lam for lam in partitions_of(n) if lam[0] >= len(lam)}
+            assert set(packed) == set(lam_of)
+            rects = [((d,) * ((n - 1) // d) + (1,), psi(d)) for d in divisors(n - 1)[1:]]
+            for mask, v in packed.items():
+                lam = lam_of[mask]
+                ind = [sum(c * oracle_character(nu, mu) for mu, c in rects) for nu in (lam, conjugate(lam))]
+                assert schur._unpack(v, wf, wr) == (hook_dimension(lam), *ind), (n, lam)
 
 
 # -- the trie walk ----------------------------------------------------------------
