@@ -61,7 +61,7 @@ def decode(mask: int) -> tuple:
 
 
 def _add_strips(
-    col: dict[int, int], k: int, out: dict[int, int] | None = None
+    col: dict[int, int], k: int, out: dict[int, int] | None = None, above_top: bool = False
 ) -> dict[int, int]:
     """The column after one more part k: every k-strip added to every shape.
 
@@ -75,13 +75,21 @@ def _add_strips(
     padding: each bead of m with a clear bit above moves up one place,
     m + 2^b, and the one new row is (m << 1) | 2.
 
+    With above_top, only the moves whose bead lands above the top bead of
+    m' are made, the b >= top - k + 1: the strips that reach the first row.
+    For k = 1 that is the top bead alone, or the new row of the empty shape.
+
     The map is linear in col, which may be any vector over masks of one
     degree.  Given out, the moves are added into out, which is returned
     with any zeros it gains; otherwise a new dict without zeros is.
     """
     acc: dict[int, int] = {} if out is None else out
     get = acc.get
-    if k == 1:
+    if k == 1 and above_top:
+        for m, v in col.items():
+            new = m + (1 << (m.bit_length() - 1)) if m else 2
+            acc[new] = get(new, 0) + v
+    elif k == 1:
         for m, v in col.items():
             free = m & ~(m >> 1)
             while free:
@@ -96,6 +104,8 @@ def _add_strips(
         for m, v in col.items():
             m = (m << k) | ones
             free = m & ~(m >> k)
+            if above_top:
+                free &= -1 << (m.bit_length() - k)
             while free:
                 low = free & -free
                 free ^= low
@@ -126,8 +136,12 @@ def _half_strips(half: dict[int, int], k: int, flip: Callable[[int], int]) -> di
     the reps.  A k-strip onto a rep mu starts at a rep or at a nu with
     0 < l(nu) - nu_1 <= k, since mu_1 <= nu_1 + k and l(mu) >= l(nu); so
     the reps and the conjugates of the band reps, 0 < lam_1 - l(lam) <= k,
-    carrying flip of their value, are all the moves.  Values that land
-    on shapes that are not reps are dropped, as are zeros.
+    carrying flip of their value, are all the moves.  From such a nu only
+    the strips that reach the first row can land on a rep: any other keeps
+    mu_1 = nu_1 and l(mu) >= l(nu) > nu_1, so the band moves are made with
+    _add_strips(..., above_top=True), and for k = 1 that is one move per
+    band shape.  Values that land on shapes that are not reps are dropped,
+    as are zeros.
     """
     out: dict[int, int] = {}
     _add_strips(half, k, out)
@@ -136,7 +150,7 @@ def _half_strips(half: dict[int, int], k: int, flip: Callable[[int], int]) -> di
         for m, v in half.items()
         if 0 < m.bit_length() - 2 * m.bit_count() <= k
     }
-    _add_strips(band, k, out)
+    _add_strips(band, k, out, above_top=True)
     return {m: v for m, v in out.items() if v and m.bit_length() >= 2 * m.bit_count()}
 
 

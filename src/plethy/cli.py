@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass, 1 identity or positivity failure
-(an identity that raises counts as failed), 2 usage error.  JSON is the
-machine format; everything else is aligned plain text.  Output is
-byte-stable across runs.
+(an identity that raises counts as failed) or a command that ran out of
+memory, 2 usage error.  JSON is the machine format; everything else is
+aligned plain text.  Output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -221,7 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -371,14 +371,17 @@ def _layout(psi: Callable[[int], int], n: int) -> tuple[int, int]:
     that deficit_positivity moves into degree n by its 1-strip pass.
 
     Column orthogonality gives sum_lam (f^lam)^2 = n!, so f^lam <=
-    isqrt(n!) fits the wf unsigned bits.  |chi^mu| <= f^mu, so
-    |R_(n-1)[mu]| <= S f^mu with S = sum_(d|n-1, d>1) |psi(d)|, and
-    Ind(f) = f makes S isqrt(n!) a bound on every R field before and after
+    isqrt(n!) fits the wf unsigned bits.  It also gives |chi^mu(d^m)| <=
+    isqrt(z_(d^m)) = isqrt(d^m m!), so |R_(n-1)[mu]| <= T, the sum of
+    |psi(d)| isqrt(d^m m!) over d | n-1, d > 1, with m = (n-1)/d.
+    Ind(R_(n-1))[lam] sums R_(n-1) over the removable corners of lam, and a
+    shape of n with c corners has at least c(c+1)/2 boxes, so c <=
+    (isqrt(8n+1) - 1) // 2 and c T bounds every R field before and after
     the pass; wr holds it with a sign bit.
     """
-    root = isqrt(factorial(n))
-    s = sum(abs(psi(d)) for d in divisors(n - 1)[1:])
-    return root.bit_length(), (s * root).bit_length() + 1
+    corners = (isqrt(8 * n + 1) - 1) // 2
+    bound = sum(abs(psi(d)) * isqrt(z_of((d,) * ((n - 1) // d))) for d in divisors(n - 1)[1:])
+    return isqrt(factorial(n)).bit_length(), (corners * bound).bit_length() + 1
 
 
 def _swap(v: int, wf: int, wr: int) -> int:

@@ -170,13 +170,14 @@ def patch_everywhere(monkeypatch, name: str, replacement) -> None:
 def inject_strip_sign_defect(monkeypatch) -> None:
     """Give border strips of length 4 that end on two-row shapes the wrong
     sign, and empty the column memo so every character read goes through
-    the defect, in a column or in the walk of to_schur_many alike."""
+    the defect, in a column, in the walk of to_schur_many or in the band
+    moves of the whitehouse scan alike."""
     from plethy import _mn_pure
 
     real = _mn_pure._add_strips
 
-    def wrong_sign(col, k, out=None):
-        moved = real(col, k)
+    def wrong_sign(col, k, out=None, above_top=False):
+        moved = real(col, k, above_top=above_top)
         if k == 4:
             moved = {m: -v if len(_mn_pure.decode(m)) == 2 else v for m, v in moved.items()}
         if out is None:

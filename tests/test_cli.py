@@ -96,6 +96,17 @@ def test_compute_schur_basis_refuses_a_degree_past_the_bound(monkeypatch, capsys
     assert code == 0 and json.loads(out)["basis"] == "p"
 
 
+def test_out_of_memory_is_one_line_and_exit_1(monkeypatch, capsys):
+    # the builders raise MemoryError at once, so nothing is allocated
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._OBJECTS, "lie", (0, out_of_memory))
+    monkeypatch.setattr(cli, "render_table", out_of_memory)
+    for argv in (["compute", "lie", "5"], ["tables"]):
+        assert run_cli(argv, capsys=capsys) == (1, "", "error: out of memory\n"), argv
+
+
 def test_schur_command_round_trip(capsys):
     code, out, _ = run_cli(["compute", "lie2", "6"], capsys=capsys)
     assert code == 0

@@ -185,6 +185,17 @@ def test_mask_conjugate_matches_the_partition_conjugate():
             assert _mn_pure.conjugate(_mn_pure.conjugate(mask)) == mask, lam
 
 
+def test_strips_above_the_top_bead_are_the_strips_that_reach_the_first_row():
+    for n in range(0, 11):
+        for nu in partitions_of(n):
+            one = {_mn_pure.encode(nu): 1}
+            for k in range(1, 7):
+                full = {_mn_pure.decode(m): v for m, v in _mn_pure._add_strips(one, k).items()}
+                top = _mn_pure._add_strips(one, k, above_top=True)
+                want = {mu: v for mu, v in full.items() if mu[0] > (nu[0] if nu else 0)}
+                assert {_mn_pure.decode(m): v for m, v in top.items()} == want, (nu, k)
+
+
 def _is_rep(mask: int) -> bool:
     return mask.bit_length() >= 2 * mask.bit_count()
 
@@ -543,6 +554,30 @@ def test_deficit_positivity_refuses_a_non_integral_coefficient():
     assert (got.value.partition, got.value.coeff) == (want.value.partition, want.value.coeff)
 
 
+def test_the_lie_deficit_is_positive_to_40():
+    # p_1 Lie_(n-1) - Lie_n is the Whitehouse module, a true representation
+    assert all(schur.deficit_positivity(Psi.mobius(), 40))
+
+
+def test_the_deficit_at_the_one_row_shape_has_a_closed_form():
+    # chi^(n) = 1 on every class, so N_n[(n)] = psi(1) + n sum_(d|n-1, d>1)
+    # psi(d) - (n-1) sum_(d|n, d>1) psi(d), with no character built; its
+    # quotient by n(n-1) is the coefficient of s_(n), -1 exactly at the
+    # powers of two n >= 4, where the scan names (n) as its witness
+    psi = Psi.two_adic()
+    scan = list(schur.deficit_positivity(psi, 32))
+    for n in range(2, 49):
+        below = sum(psi(d) for d in range(2, n) if (n - 1) % d == 0)
+        at = sum(psi(d) for d in range(2, n + 1) if n % d == 0)
+        q, r = divmod(psi(1) + n * below - (n - 1) * at, n * (n - 1))
+        assert r == 0, n
+        if n in (4, 8, 16, 32):
+            assert q == -1 and scan[n - 2] == Positivity(False, (n,), -1), n
+        else:
+            assert q in (0, 1), n
+            assert n > 32 or scan[n - 2].positive, n
+
+
 def test_deficit_scan_leaves_the_column_memo_as_it_found_it(monkeypatch):
     # the rectangle columns are half columns local to the scan
     monkeypatch.setattr(_mn_pure, "_memo", {})
@@ -555,8 +590,10 @@ def test_deficit_scan_leaves_the_column_memo_as_it_found_it(monkeypatch):
 @pytest.mark.parametrize("psi, top", [(Psi.two_adic(), 40), (Psi.mobius(), 24)], ids=["two_adic", "mobius"])
 def test_deficit_fields_stay_inside_their_bounds(monkeypatch, psi, top):
     # each 1-strip pass into degree n gives, at every rep lam, f^lam <=
-    # isqrt(n!) and the two Ind(R_(n-1)) fields within S isqrt(n!), S the
-    # sum of |psi(d)| over d | n-1, d > 1; below 13 the fields are exact
+    # isqrt(n!) and the two Ind(R_(n-1)) fields within c T: T is the sum of
+    # |psi(d)| isqrt(z_(d^m)) over d | n-1, d > 1, m = (n-1)/d, which bounds
+    # |R_(n-1)|, and c is the most corners a shape of n has.  The widths are
+    # exactly those bounds plus a sign bit; below 13 the fields are exact
     real, seen = _mn_pure._half_strips, []
 
     def record(half, k, flip):
@@ -570,8 +607,11 @@ def test_deficit_fields_stay_inside_their_bounds(monkeypatch, psi, top):
     assert len(seen) == top - 1
     for n, packed in enumerate(seen, 2):
         root = isqrt(factorial(n))
-        bound = sum(abs(psi(d)) for d in divisors(n - 1)[1:]) * root
+        corners = max(c for c in range(n + 1) if c * (c + 1) // 2 <= n)
+        rects = [(d,) * ((n - 1) // d) for d in divisors(n - 1)[1:]]
+        bound = corners * sum(abs(psi(rect[0])) * isqrt(z_of(rect)) for rect in rects)
         wf, wr = schur._layout(psi, n)
+        assert (wf, wr) == (root.bit_length(), bound.bit_length() + 1), n
         for mask, v in packed.items():
             f, a, b = schur._unpack(v, wf, wr)
             assert 0 < f <= root and abs(a) <= bound and abs(b) <= bound, (n, mask)
