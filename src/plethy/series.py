@@ -54,7 +54,7 @@ from typing import Callable, Iterable
 from . import lie_family
 from .lie_family import Psi
 from .partitions import divisors, partitions_of
-from .symfunc import Keyed, SymFunc, _fields, _partition_keys, _Powers, _reduced
+from .symfunc import Keyed, SymFunc, _fields, _mul_grouped, _partition_keys, _Powers, _reduced
 from .symfunc import e, h, linear_sum, mul_sum, p, plethysm
 
 __all__ = [
@@ -234,7 +234,7 @@ def _exponent(kind: str, pk: list[SymFunc], cap: int) -> tuple[int, list[list[tu
     L = 1
     for k, f in enumerate(pk, 1):
         sign = -1 if flip_even and k % 2 == 0 else 1
-        for j, terms in keys.grouped(f._num.items(), cap):
+        for j, terms in keys.grouped(f._num.items()):
             d = k * f._den
             L = lcm(L, d // gcd(d, j * gcd(*(v for _, v in terms))))
             pieces.append((j, k, sign, d, terms))
@@ -279,31 +279,26 @@ def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
     product per pair of keys serves every pair of lengths.  w is exact, by
     the rule of schur._expand: w - 1 is the bit length of the largest of
     _field_bounds, so every field of A_n lies in [-2^(w-1), 2^(w-1)).
-    Slot (n, r) is field r of A_n, read by symfunc._fields and reduced once
-    over n! L^n; A_n has lengths r <= n, as p_k[F] starts in degree k.
+    Each step of the recursion is one symfunc._mul_grouped call.  Slot
+    (n, r) is field r of A_n, read by symfunc._fields and reduced once over
+    n! L^n; A_n has lengths r <= n, as p_k[F] starts in degree k.
     """
     L, B = _exponent(kind, pk, cap)
     w = max(_field_bounds(B, L)).bit_length() + 1
-    packed: list[dict[int, int]] = []
+    packed: list[list[tuple[int, int]]] = []  # B[j] as [(key, packed numerator), ...]
     for terms in B:
         row: dict[int, int] = {}
         for key, k, c in terms:
             row[key] = row.get(key, 0) + (c << (w * k))
-        packed.append(row)
+        packed.append(list(row.items()))
     A = [[(0, 1)]]  # A_n as [(key, packed numerator), ...]
     for n in range(1, cap + 1):
-        acc: dict[int, int] = {}
-        get = acc.get
+        out: dict[int, dict[int, int]] = {}
         c = 1  # (n-1)!/(n-j)! L^(j-1)
         for j in range(1, n + 1):
-            prev = A[n - j]
-            for kb, b in packed[j].items():
-                b *= c
-                for ka, a in prev:
-                    key = ka + kb
-                    acc[key] = get(key, 0) + a * b
+            _mul_grouped([(j, packed[j])], [(n - j, A[n - j])], n, out, c)
             c *= (n - j) * L
-        A.append([(key, t) for key, t in acc.items() if t])
+        A.append([(key, t) for key, t in out[n].items() if t])
     decode = _partition_keys(cap).decode
     graded: dict[tuple[int, int], SymFunc] = {}
     for n, terms in enumerate(A):
@@ -424,17 +419,14 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _numerator_rows(psi, sign: int, cap: int) -> dict[int, list[list[int]]]:
-    """{m: row}, row[k - 1] the numerator of binom(g_m, k) for m * k <= cap,
-    with g_m = sign * f_m(v); m is left out where g_m = 0, as its factor is 1."""
+    """{m: row} for 1 <= m <= cap, row[k - 1] the numerator of binom(g_m, k)
+    for m * k <= cap, with g_m = sign * f_m(v).  Every weight a walk key
+    admits has psi(1) = 1, so G_m has degree m, leading coefficient sign."""
     numers: dict[int, list[list[int]]] = {}
     for m in range(1, cap + 1):
         G = [0] * (m + 1)
         for d in divisors(m):
             G[m // d] += sign * psi(d)
-        while G and not G[-1]:
-            G.pop()
-        if not G:
-            continue
         row = [G]
         for k in range(1, cap // m):
             row.append(_poly_mul(row[-1], [-k * m] + G[1:]))
@@ -451,16 +443,14 @@ def _product_walk(psi, sign: int, cap: int) -> tuple[list[list[int]], list[list[
     extends it.  ones[j] is the numerator of binom(g_1, j), ones[0] = [1].
     """
     numers = _numerator_rows(psi, sign, cap)
-    ones = [[1], *numers.get(1, ())]
+    ones = [[1], *numers[1]]
     by_size: list[list[tuple]] = [[] for _ in range(cap + 1)]
     stack: list[tuple[tuple, int, list[int], int]] = [((), 0, [1], 1)]  # mu, |mu|, N_mu, z_mu
     while stack:
         mu, n, poly, z = stack.pop()
         by_size[n].append((mu, poly, z))
         for m in range(2, min(mu[-1] - 1 if mu else cap, cap - n) + 1):
-            row = numers.get(m)
-            if row is None:
-                continue
+            row = numers[m]
             zm = z
             for k in range(1, (cap - n) // m + 1):
                 zm *= m * k

@@ -373,13 +373,15 @@ def s(lam) -> SymFunc:
 # p_lambda * p_mu is key(lambda) + key(mu), with no sorting.  Terms travel as
 # [(degree, [(key, numerator), ...]), ...] with degrees ascending, so a
 # product loop stops as soon as the degree passes its budget.  There is one
-# product loop over numerators, _mul_grouped.  _Powers drives it to build
-# each p_lambda[g] once per inner g, and every plethysm is a _Powers apply;
-# mul_sum drives it for a whole sum of products over one common denominator,
-# which is how Series products and bracket sums multiply: each operand is
-# encoded once as a Keyed value, and each result is reduced and decoded
-# once.  series._outer_powers adds the same keys, with a polynomial in v
-# packed into each numerator, and reads the packed ints with _fields.
+# product loop over keyed numerators, _mul_grouped, and every product calls
+# it: _Powers builds each p_lambda[g] with it once per inner g and adds each
+# term of a plethysm as a product with the constant group, and every
+# plethysm is a _Powers apply; mul_sum drives it for a whole sum of products
+# over one common denominator, which is how Series products and bracket sums
+# multiply: each operand is encoded once as a Keyed value, and each result
+# is reduced and decoded once.  series._outer_powers calls it once per step
+# of its recursion, with a polynomial in v packed into each numerator, and
+# reads the packed ints with _fields.
 
 
 class _PartitionKeys:
@@ -397,17 +399,6 @@ class _PartitionKeys:
         self._keys: dict[tuple, tuple[int, int]] = {}  # partition -> (key, degree)
         self._parts: dict[int, tuple] = {0: ()}  # key -> partition
 
-    def encode(self, lam: tuple) -> tuple[int | None, int]:
-        """(key, degree) of lam; the key is None if the degree passes the cap."""
-        kd = self._keys.get(lam)
-        if kd is None:
-            deg = sum(lam)
-            if deg > self.cap:
-                return None, deg
-            base = self.base
-            kd = self._keys[lam] = (sum(base ** (m - 1) for m in lam), deg)
-        return kd
-
     def decode(self, key: int) -> tuple:
         lam = self._parts.get(key)
         if lam is None:
@@ -420,19 +411,25 @@ class _PartitionKeys:
             lam = self._parts[key] = tuple(reversed(parts))
         return lam
 
-    def grouped(self, terms, limit: int) -> list[tuple[int, list[tuple[int, int]]]]:
-        """The (partition, numerator) pairs of degree <= limit <= cap, as
-        keyed degree groups in ascending degree."""
+    def grouped(self, terms) -> list[tuple[int, list[tuple[int, int]]]]:
+        """The (partition, numerator) pairs of degree <= cap, as keyed degree
+        groups in ascending degree; a partition is keyed the first time a
+        kernel sees it, as sum_m base^(m-1) over its parts m."""
         by_deg: dict[int, list[tuple[int, int]]] = {}
-        known = self._keys.get
+        keys, base, cap = self._keys, self.base, self.cap
         for lam, v in terms:
-            key, deg = known(lam) or self.encode(lam)
-            if deg <= limit:
-                group = by_deg.get(deg)
-                if group is None:
-                    by_deg[deg] = [(key, v)]
-                else:
-                    group.append((key, v))
+            kd = keys.get(lam)
+            if kd is None:
+                deg = sum(lam)
+                if deg > cap:
+                    continue
+                kd = keys[lam] = (sum(base ** (m - 1) for m in lam), deg)
+            key, deg = kd
+            group = by_deg.get(deg)
+            if group is None:
+                by_deg[deg] = [(key, v)]
+            else:
+                group.append((key, v))
         return sorted(by_deg.items())
 
 
@@ -509,7 +506,7 @@ class Keyed:
     def encode(cls, f: SymFunc, cap: int) -> "Keyed":
         """The terms of f of degree <= cap."""
         keys = _partition_keys(cap)
-        return cls(keys, keys.grouped(f._num.items(), cap), f._den)
+        return cls(keys, keys.grouped(f._num.items()), f._den)
 
     def __bool__(self) -> bool:
         return bool(self.groups)
@@ -567,11 +564,10 @@ class _Powers:
     every f applied to g.
 
     p_lambda[g] is the product over the parts m of p_m[g], which replaces
-    every p_mu in g by p_{m mu}.  As each part m adds degree >= m * gmin,
-    gmin the lowest degree in g, the memo keeps per lambda (budget,
-    p_lambda[g] complete up to degree budget <= cap) over g._den^l(lambda),
-    and a higher budget rebuilds it as p_(lambda minus its last part m)[g],
-    complete up to budget - gmin * m, times p_m[g].
+    every p_mu in g by p_{m mu}.  The memo keeps per lambda p_lambda[g] cut
+    to degree cap, over g._den^l(lambda), and builds a lambda of several
+    parts as p_(lambda minus its last part m)[g] times p_m[g], both from
+    the memo.  Every product is one _mul_grouped call.
     """
 
     __slots__ = ("g", "cap", "keys", "gmin", "_memo")
@@ -584,39 +580,34 @@ class _Powers:
         self.keys = _partition_keys(cap)
         # for g = 0 only the constant term of an f passes the degree test of apply
         self.gmin = min(map(sum, g._num), default=cap + 1)
-        self._memo: dict[tuple, tuple[int, list]] = {(): (cap, [(0, [(0, 1)])])}
+        self._memo: dict[tuple, list] = {(): [(0, [(0, 1)])]}
 
-    def power(self, lam: tuple, budget: int) -> list:
-        """Keyed p_lam[g], every term of degree <= budget <= cap present."""
-        entry = self._memo.get(lam)
-        if entry is None or entry[0] < budget:
+    def power(self, lam: tuple) -> list:
+        """Keyed p_lam[g], cut to degree cap."""
+        groups = self._memo.get(lam)
+        if groups is None:
             m, cap = lam[-1], self.cap
             if len(lam) == 1:
                 # mu -> m * mu is one to one, so no key repeats
                 terms = self.g._num.items()
                 pm = [(tuple(m * x for x in mu), v) for mu, v in terms if m * sum(mu) <= cap]
-                entry = (cap, self.keys.grouped(pm, cap))
+                groups = self.keys.grouped(pm)
             else:
-                prefix = self.power(lam[:-1], budget - self.gmin * m)
-                entry = (budget, _as_groups(_mul_grouped(prefix, self.power((m,), cap), budget)))
-            self._memo[lam] = entry
-        return entry[1]
+                groups = _as_groups(_mul_grouped(self.power(lam[:-1]), self.power((m,)), cap))
+            self._memo[lam] = groups
+        return groups
 
     def apply(self, f: SymFunc) -> Keyed:
-        """f[g] cut to degree <= cap, in lowest terms.  The lambda of f with
-        gmin * |lambda| <= cap are taken smallest first, so in one call each
-        prefix is first asked for at the largest budget it needs."""
+        """f[g] cut to degree <= cap, in lowest terms: the sum over the
+        lambda of f with gmin * |lambda| <= cap of c_lambda times p_lambda[g],
+        each added as its product with the constant group."""
         cap, gmin, gden = self.cap, self.gmin, self.g._den
-        items = sorted((sum(lam), lam, c) for lam, c in f._num.items() if gmin * sum(lam) <= cap)
-        longest = max((len(lam) for _, lam, _ in items), default=0)
+        items = [(lam, c) for lam, c in f._num.items() if gmin * sum(lam) <= cap]
+        longest = max((len(lam) for lam, _ in items), default=0)
         out: dict[int, dict[int, int]] = {}
-        for _, lam, c in items:
+        for lam, c in items:
             c *= gden ** (longest - len(lam))
-            for d, terms in self.power(lam, cap):
-                acc = out.setdefault(d, {})
-                get = acc.get
-                for k, v in terms:
-                    acc[k] = get(k, 0) + c * v
+            _mul_grouped(self.power(()), self.power(lam), cap, out, c)
         return _lowest_terms(self.keys, out, f._den * gden**longest)
 
 

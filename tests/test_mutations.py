@@ -35,7 +35,6 @@ import test_cli
 import test_registry
 import test_schur
 import test_series
-import test_symfunc
 from conftest import inject_strip_sign_defect, patch_everywhere
 from plethy import _mn_pure
 from plethy.registry import verify_all
@@ -110,20 +109,6 @@ def test_ring_defect_fails_an_entry(monkeypatch, name, defect):
     reports = verify_all(10)
     failed = [r.id for r in reports if r.failed]
     assert failed, f"{defect.__name__} went unnoticed at cap 10"
-
-
-def test_a_memo_that_ignores_the_budget_fails_the_memo_test(monkeypatch):
-    # the defect serves any stored p_lam[g], though it may have been built
-    # for a lower budget than the one asked for
-    power = _Powers.power
-
-    def stale(self, lam, budget):
-        entry = self._memo.get(lam)
-        return entry[1] if entry is not None else power(self, lam, budget)
-
-    monkeypatch.setattr(_Powers, "power", stale)
-    with pytest.raises(AssertionError):
-        test_symfunc.test_memo_shared_by_several_f_matches_reference()
 
 
 def test_character_sign_defect_fails_an_entry(monkeypatch):

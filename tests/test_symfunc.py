@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -396,8 +397,8 @@ def test_plethysm_matches_reference(f, g, cap):
 
 @st.composite
 def inner_with_low_degree(draw):
-    """A g with no constant term whose lowest degree is 2 or 3, the degree
-    budget's gmin."""
+    """A g with no constant term whose lowest degree is 2 or 3, the gmin of
+    the degree test in _Powers.apply."""
     gmin = draw(st.sampled_from([2, 3]))
     low = draw(st.sampled_from(partitions_of(gmin)))
     coeff = draw(st.integers(min_value=1, max_value=5)) * draw(st.sampled_from([1, -1]))
@@ -478,44 +479,65 @@ def test_ring_calls_match_reference(monkeypatch):
 @st.composite
 def shared_inner_requests(draw):
     """One inner g and an interleaved run of requests on one _Powers memo
-    per cap: ("apply", cap, f) for several f, and ("power", cap, lam,
-    budget) for a single p_lam[g] cut to a budget <= cap."""
+    per cap: ("apply", cap, f) for several f, and ("power", cap, lam) for a
+    single p_lam[g]."""
     g = draw(inner_with_low_degree())
     caps = draw(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=2, unique=True))
     fs = draw(st.lists(symfunc_strategy(max_deg=5, max_terms=4), min_size=2, max_size=4))
     requests = [("apply", cap, f) for f in fs for cap in caps]
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        cap = draw(st.sampled_from(caps))
         lam = draw(st.sampled_from([lam for n in range(1, 5) for lam in partitions_of(n)]))
-        requests.append(("power", cap, lam, draw(st.integers(min_value=0, max_value=cap))))
+        requests.append(("power", draw(st.sampled_from(caps)), lam))
     return g, draw(st.permutations(requests))
 
 
-# p_(2,1)[g] is first built as a prefix of p_(2,1,1)[g], one degree of g short
+# p_(2,1)[g] is first built as a prefix of p_(2,1,1)[g]
 @example((p(2) + p(3), [("apply", 9, p((2, 1, 1))), ("apply", 9, p((2, 1)))]))
 @settings(max_examples=60, deadline=None)
 @given(shared_inner_requests())
 def test_memo_shared_by_several_f_matches_reference(case):
-    """Whatever the order of requests, a memo entry built for a lower
-    budget is never served to a higher one: every apply equals the
-    reference plethysm, and every p_lam[g] holds each term of degree <=
-    budget and only exact terms above it."""
+    """Whatever the order of requests, every apply equals the reference
+    plethysm, and every entry of each memo, the prefixes built on the way
+    included, equals the reference p_lam[g] cut to the memo's cap."""
     g, requests = case
     b = ref_terms(g)
-    memos = {cap: _Powers(g, cap) for _, cap, *_ in requests}
-    for kind, cap, *rest in requests:
+    memos = {cap: _Powers(g, cap) for _, cap, _ in requests}
+    for kind, cap, arg in requests:
         memo = memos[cap]
         if kind == "apply":
-            (f,) = rest
-            _agrees(memo.apply(f).symfunc(), ref_plethysm(ref_terms(f), b, cap))
+            _agrees(memo.apply(arg).symfunc(), ref_plethysm(ref_terms(arg), b, cap))
         else:
-            lam, budget = rest
-            got = ref_terms(Keyed(memo.keys, memo.power(lam, budget), g._den ** len(lam)).symfunc())
-            full = ref_plethysm({lam: Fraction(1)}, b, cap)
-            assert {mu: v for mu, v in got.items() if sum(mu) <= budget} == {
-                mu: v for mu, v in full.items() if sum(mu) <= budget
-            }
-            assert all(full.get(mu) == v for mu, v in got.items())
+            memo.power(arg)
+    for cap, memo in memos.items():
+        for lam, groups in memo._memo.items():
+            got = Keyed(memo.keys, groups, g._den ** len(lam)).symfunc()
+            assert ref_terms(got) == ref_plethysm({lam: Fraction(1)}, b, cap), (lam, cap)
+
+
+def test_every_keyed_product_goes_through_mul_grouped(monkeypatch):
+    """The outer powers, the p_lam[g] of a _Powers memo and the terms of
+    its apply are all multiplied by symfunc._mul_grouped."""
+    from plethy import series, symfunc
+
+    names = {
+        series._outer_powers.__code__: "_outer_powers",
+        _Powers.power.__code__: "_Powers.power",
+        _Powers.apply.__code__: "_Powers.apply",
+    }
+    callers = set()
+    real = symfunc._mul_grouped
+
+    def counting(*args):
+        callers.add(names.get(sys._getframe(1).f_code))
+        return real(*args)
+
+    monkeypatch.setattr(symfunc, "_mul_grouped", counting)
+    monkeypatch.setattr(series, "_mul_grouped", counting)
+    ctx = series.SeriesContext(6)
+    ctx.get(("H", "lie"))
+    ctx.get(("E", "lie2"))
+    plethysm(h(3), p(1) + p(2), 6)
+    assert {"_outer_powers", "_Powers.power", "_Powers.apply"} <= callers, callers
 
 
 @settings(max_examples=60, deadline=None)
