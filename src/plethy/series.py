@@ -12,16 +12,18 @@ first read.  Every operation takes the cap from its inputs and never reads
 beyond it; a slot above the cap is refused, so nothing truncates silently.
 
 The outer powers H(v)[F] and E(v)[F] come from the exponential recursion
-in the degree, on the integer partition keys of symfunc, with the length
-grading packed into each coefficient (Kronecker substitution, v -> 2^w, at
-a width w fixed by an exact bound), so one product of ints serves every
-pair of lengths.  The other products stay in the keyed form of symfunc
-(Keyed, mul_sum): bracket_sum walks the partitions as a trie of keyed
-prefix products, and a Series product multiplies keyed columns.  Each
-operand is encoded once, each sum of products is accumulated over one
-common denominator, and each result slot is reduced and decoded once.
-Sums of many SymFuncs are one linear_sum, not a chain of +.  Plethysms
-into one inner g share one _Powers memo, so each p_lam[g] is built once.
+in the degree, on the integer partition keys of symfunc.  They and the
+product walk pack each v-polynomial into one int (Kronecker substitution,
+v -> 2^w, at a width w fixed by an exact bound: _field_bounds for the outer
+powers, bit_length(cap!) + 1 for the walk), so one product of ints serves
+every pair of lengths, and symfunc._fields reads the fields back.  The
+other products stay in the keyed form of symfunc (Keyed, mul_sum):
+bracket_sum walks the partitions as a trie of keyed prefix products, and a
+Series product multiplies keyed columns.  Each operand is encoded once,
+each sum of products is accumulated over one common denominator, and each
+result slot is reduced and decoded once.  Sums of many SymFuncs are one
+linear_sum, not a chain of +.  Plethysms into one inner g share one
+_Powers memo, so each p_lam[g] is built once.
 
 What a sign rule or a running sum gives is derived, not built again.  A
 sign that depends only on the slot is a slot flip of the cached series:
@@ -32,9 +34,9 @@ formulas only two are expanded: v -> -v gives two more, and the twist
 p_m -> -p_m, which is (-1)^n omega in degree n, the last two.
 
 The truncated alternating sums u(n, k) and beta(n, k) are read straight off
-the integer numerators N_lam(v) of the product formulas, one degree at a
-time.  One walk over the partitions mu with no part 1 gives each N_mu and
-z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
+the packed integer numerators N_lam(v) of the product formulas, one degree
+at a time.  One walk over the partitions mu with no part 1 gives each N_mu
+and z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
 rows both assemble their slots from the one walk SeriesContext caches.
 
 Each job has one way in.  SeriesContext.get is the one read of the cache,
@@ -406,72 +408,73 @@ def restrict_ge2(F: Series) -> Series:
 # so binom(g_m, k) = G_m (G_m - m) ... (G_m - (k-1) m) / (m^k k!), and those
 # denominators multiply to z_lam.  The coefficient of p_lam v^r is therefore
 # (-1)^l(lam) [v^r] N_lam(v) / z_lam, with N_lam the product of the integer
-# numerators.  A v-polynomial is a list of ints indexed by the power of v.
+# numerators.  Each is packed into one int at the exact width
+# w = bit_length(cap!) + 1 and read back with symfunc._fields: for mobius,
+# totient and two_adic, sum over d | m of |psi(d)| <= sum of phi(d) = m, so
+# the coefficients of G_m - j m sum in size to at most (j + 1) m, those of
+# N_lam to at most z_lam <= cap!, and each field lies in [-2^(w-1), 2^(w-1)).
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _walk_width(cap: int) -> int:
+    return factorial(cap).bit_length() + 1
 
 
-def _numerator_rows(psi, sign: int, cap: int) -> dict[int, list[list[int]]]:
+def _numerator_rows(psi, sign: int, cap: int, w: int) -> dict[int, list[int]]:
     """{m: row} for 1 <= m <= cap, row[k - 1] the numerator of binom(g_m, k)
-    for m * k <= cap, with g_m = sign * f_m(v).  Every weight a walk key
-    admits has psi(1) = 1, so G_m has degree m, leading coefficient sign."""
-    numers: dict[int, list[list[int]]] = {}
+    for m * k <= cap, with g_m = sign * f_m(v), packed at width w."""
+    numers: dict[int, list[int]] = {}
     for m in range(1, cap + 1):
-        G = [0] * (m + 1)
-        for d in divisors(m):
-            G[m // d] += sign * psi(d)
+        G = sum(sign * psi(d) << (w * (m // d)) for d in divisors(m))
         row = [G]
         for k in range(1, cap // m):
-            row.append(_poly_mul(row[-1], [-k * m] + G[1:]))
+            row.append(row[-1] * (G - k * m))
         numers[m] = row
     return numers
 
 
-def _product_walk(psi, sign: int, cap: int) -> tuple[list[list[int]], list[list[tuple]]]:
-    """(ones, by_size) for prod over m of (1 - p_m)^(sign * f_m(v)).
+def _product_walk(psi, sign: int, cap: int) -> tuple[int, list[int], list[list[tuple]]]:
+    """(w, ones, by_size) for prod over m of (1 - p_m)^(sign * f_m(v)).
 
     by_size[s] lists (mu, N_mu, z_mu) over the partitions mu of s with no
-    part 1 and a nonzero coefficient, walked depth first with parts
-    descending, so a prefix's polynomial and z are shared by every mu that
-    extends it.  ones[j] is the numerator of binom(g_1, j), ones[0] = [1].
+    part 1, walked depth first with parts descending, so a prefix's
+    numerator and z are shared by every mu that extends it.  ones[j] is the
+    numerator of binom(g_1, j), ones[0] = 1; every numerator is packed at
+    the width w.
     """
-    numers = _numerator_rows(psi, sign, cap)
-    ones = [[1], *numers[1]]
+    w = _walk_width(cap)
+    numers = _numerator_rows(psi, sign, cap, w)
+    ones = [1, *numers[1]]
     by_size: list[list[tuple]] = [[] for _ in range(cap + 1)]
-    stack: list[tuple[tuple, int, list[int], int]] = [((), 0, [1], 1)]  # mu, |mu|, N_mu, z_mu
+    stack: list[tuple[tuple, int, int, int]] = [((), 0, 1, 1)]  # mu, |mu|, N_mu, z_mu
     while stack:
-        mu, n, poly, z = stack.pop()
-        by_size[n].append((mu, poly, z))
+        mu, n, N, z = stack.pop()
+        by_size[n].append((mu, N, z))
         for m in range(2, min(mu[-1] - 1 if mu else cap, cap - n) + 1):
             row = numers[m]
             zm = z
             for k in range(1, (cap - n) // m + 1):
                 zm *= m * k
-                stack.append((mu + (m,) * k, n + m * k, _poly_mul(poly, row[k - 1]), zm))
-    return ones, by_size
+                stack.append((mu + (m,) * k, n + m * k, N * row[k - 1], zm))
+    return w, ones, by_size
 
 
-def _degree_terms(walk, n: int) -> tuple[int, list[tuple[tuple, list[int], int]]]:
-    """(den, [(lam, N_lam, den // z_lam)]) over the partitions lam = mu + 1^j
-    of n in the walk, with den the lcm of their z_lam."""
-    ones, by_size = walk
+def _degree_terms(walk, n: int) -> tuple[int, list[tuple[tuple, int]], list[list[int]]]:
+    """(den, [(lam, den // z_lam)], coeffs) over the partitions lam = mu + 1^j
+    of n in the walk, with den the lcm of their z_lam and coeffs[r] the
+    [v^r] N_lam, in the same order, for 0 <= r <= n."""
+    w, ones, by_size = walk
     if not 0 <= n < len(by_size):
         raise IndexError(f"degree {n} outside cap {len(by_size) - 1}")
-    terms = []
+    terms, packed = [], []
     zj = 1  # j!
-    for j in range(min(n, len(ones) - 1) + 1):
+    for j in range(n + 1):
         zj *= j or 1
-        for mu, poly, z in by_size[n - j]:
-            terms.append((mu + (1,) * j, _poly_mul(poly, ones[j]) if j else poly, z * zj))
-    den = lcm(*(z for _, _, z in terms))
-    return den, [(lam, poly, den // z) for lam, poly, z in terms]
+        for mu, N, z in by_size[n - j]:
+            terms.append((mu + (1,) * j, z * zj))
+            packed.append(N * ones[j])
+    den = lcm(*(z for _, z in terms))
+    coeffs = [_fields(packed, w, r, n + 1) for r in range(n + 1)]
+    return den, [(lam, den // z) for lam, z in terms], coeffs
 
 
 def product_form(walk, cap: int) -> Series:
@@ -484,16 +487,12 @@ def product_form(walk, cap: int) -> Series:
     """
     graded: dict[tuple[int, int], SymFunc] = {}
     for n in range(cap + 1):
-        den, terms = _degree_terms(walk, n)
-        slots: dict[int, dict[tuple, int]] = {}
-        for lam, poly, q in terms:
-            if len(lam) % 2:
-                q = -q
-            for r, c in enumerate(poly):
-                if c:
-                    slots.setdefault(r, {})[lam] = c * q
-        for r, num in slots.items():
-            graded[n, r] = _reduced(num, den)
+        den, terms, coeffs = _degree_terms(walk, n)
+        signed = [(lam, -q if len(lam) % 2 else q) for lam, q in terms]
+        for r, column in enumerate(coeffs):
+            num = {lam: c * q for (lam, q), c in zip(signed, column) if c}
+            if num:
+                graded[n, r] = _reduced(num, den)
     return Series(cap, graded=graded)
 
 
@@ -501,19 +500,15 @@ def _alternating_row(walk, n: int, by_length: bool) -> list[SymFunc]:
     """[t_0, ..., t_(n-1)] with t_k = x_k - t_(k-1), where x_k has the
     coefficient (+-)[v^(n-k)] N_lam / z_lam on p_lam: the sign is
     (-1)^l(lam) if by_length, else (-1)^k."""
-    den, terms = _degree_terms(walk, n)
-    rows: list[dict[tuple, int]] = [{} for _ in range(n)]
-    for lam, poly, q in terms:
-        s = -q if by_length and len(lam) % 2 else q
-        t = 0
-        for k in range(n):
-            r = n - k
-            t = (s * poly[r] if r < len(poly) else 0) - t
-            if not by_length:
-                s = -s
-            if t:
-                rows[k][lam] = t
-    return [_reduced(num, den) for num in rows]
+    den, terms, coeffs = _degree_terms(walk, n)
+    signs = [-q if by_length and len(lam) % 2 else q for lam, q in terms]
+    rows, t = [], [0] * len(terms)
+    for k in range(n):
+        t = [s * c - x for s, c, x in zip(signs, coeffs[n - k], t)]
+        rows.append(_reduced({lam: x for (lam, _), x in zip(terms, t) if x}, den))
+        if not by_length:
+            signs = [-s for s in signs]
+    return rows
 
 
 # -- convenience sums over restricted partition classes --------------------------

@@ -380,8 +380,8 @@ def s(lam) -> SymFunc:
 # over one common denominator, which is how Series products and bracket sums
 # multiply: each operand is encoded once as a Keyed value, and each result
 # is reduced and decoded once.  series._outer_powers calls it once per step
-# of its recursion, with a polynomial in v packed into each numerator, and
-# reads the packed ints with _fields.
+# of its recursion, with a polynomial in v packed into each numerator; it
+# and the product walk of series read their packed ints with _fields.
 
 
 class _PartitionKeys:
@@ -441,8 +441,8 @@ def _partition_keys(cap: int) -> _PartitionKeys:
 def _fields(totals: Iterable[int], w: int, j: int, count: int) -> list[int]:
     """Field j of each int in totals, packed as sum over i < count of
     f_i 2^(w i) with every f_i in [-2^(w-1), 2^(w-1)): with 2^(w-1) added
-    to every field, none is negative or carries.  The one reader of the
-    packed ints of schur._expand and series._outer_powers."""
+    to every field, none is negative or carries.  The one reader of packed
+    ints: schur._expand, series._outer_powers, series._degree_terms."""
     half, full = 1 << (w - 1), (1 << w) - 1
     bias, shift = half * ((1 << (w * count)) - 1) // full, w * j
     return [(((t + bias) >> shift) & full) - half for t in totals]

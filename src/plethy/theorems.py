@@ -8,14 +8,15 @@ which the registry does the first time a command asks for a theorem id or
 for the whole list.  The two conjecture-tier scans stay in the registry, so
 `conjecture` never compiles this module.  Rules that several entries share
 are stated once: _degrees_equal is the per-degree comparison of two sides,
-each lie/lie2 counterpart pair is one factory body over the family, its
-outer kind (H/E) and its generator (kappa/omega(kappa)), _PSI maps each
-family to its weight psi, _p1_recurrence is the restriction recurrence
-S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and TAU-REC, and BETA-POS
-scans its rows with the registry's _rows_positive.  Each entry's reads
-names the SeriesContext memo keys its body reads, by ctx.get with the same
-literal key or through whitney, vh and the u and beta rows; _register adds
-the keys those are built from.
+each COCHAIN, FILT-B and HODGE lie/lie2 pair is one factory body over the
+family, its outer kind (H/E) and its generator (kappa/omega(kappa)) (the
+four other pairs are two bodies each), _PSI maps each family to its weight
+psi, _p1_recurrence is the restriction recurrence S_n = p_1 S_(n-1) +
+(-1)^n c(n) of SIGMA-REC and TAU-REC, and BETA-POS scans its rows with the
+registry's _rows_positive.  Each entry's reads names the SeriesContext
+memo keys its body reads, by ctx.get with the same literal key or through
+whitney, vh and the u and beta rows; _register adds the keys they are
+built from.
 """
 
 from __future__ import annotations

@@ -3,19 +3,23 @@
 Each defect replaces a function or table of the package from the outside,
 so the test does not depend on how the kernels are written.  verify_all(10)
 has to report at least one failure, and no exception may escape it (an
-entry that raises is itself a failure report).  A defect in the positivity
-reader must instead fail the test in test_schur that pins the behaviour it
-breaks: the witness tie-break or the integrality check; so must one in the
-whitehouse deficit scan.  One in schur._verdict, the rule both scans
-share, must fail the tests of both, and a strip-sign defect must fire the
-deficit scan's hook ledger; dropping the conjugate band from the scan's
-half strip step must fire its dimension ledger.  A defect in the u rows
+entry that raises is itself a failure report).  A ring or series defect
+must fail at least one entry by a comparison, not only by raising, so
+that a stand-in that no longer fits the code it replaces cannot pass.  A
+defect in the positivity reader must instead fail the test in test_schur
+that pins the behaviour it breaks: the witness tie-break or the
+integrality check; so must one in the whitehouse deficit scan.  One in
+schur._verdict, the rule both scans share, must fail the tests of both,
+and a strip-sign defect must fire the deficit scan's hook ledger;
+dropping the conjugate band from the scan's half strip step must fire its
+dimension ledger.  A defect in the u rows
 must fail both an entry and the oracle test in test_series.  A key left
 out of an entry's reads changes no output, so it must fail the
 declaration and build-once tests in test_registry, and an edge left out
 of SeriesContext.sources, from which _register closes each entry's reads,
-must fail the edge test there.  A packed width too short for the outer powers' fields must fail
-the product entries of every family, with no traceback.
+must fail the edge test there.  A packed width too short for the fields
+of the outer powers, or of the product-formula walk, must fail the product
+entries of every family, with no traceback.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ from plethy import _mn_pure
 from plethy.registry import verify_all
 from plethy.series import Series, bracket_sum
 from plethy.symfunc import Keyed, SymFunc, _Powers, _reduced, mul_sum, p
+
+
+def _compared_failures(reports) -> list[str]:
+    """The ids of the failed entries whose detail has no "raised ..." line."""
+    return [r.id for r in reports if r.failed and not any(d.startswith("raised ") for d in r.detail)]
 
 
 def _drop_top(out: Keyed, cap: int) -> Keyed:
@@ -106,9 +115,8 @@ def test_ring_defect_fails_an_entry(monkeypatch, name, defect):
         monkeypatch.setattr(_Powers, "apply", defect)
     else:
         patch_everywhere(monkeypatch, name, defect)
-    reports = verify_all(10)
-    failed = [r.id for r in reports if r.failed]
-    assert failed, f"{defect.__name__} went unnoticed at cap 10"
+    failed = _compared_failures(verify_all(10))
+    assert failed, f"{defect.__name__} failed no entry by a comparison at cap 10"
 
 
 def test_character_sign_defect_fails_an_entry(monkeypatch):
@@ -149,6 +157,19 @@ def test_a_packed_width_8_bits_short_fails_the_product_entries(monkeypatch, caps
         assert f"FAIL  {id}  " in out, id
 
 
+def test_a_walk_width_8_bits_short_fails_the_product_entries(monkeypatch, capsys):
+    # at cap 12 the walk packs at 30 bits and its widest fields take 28 bits
+    # plus a sign, so a width 8 bits short wraps them, and each family's
+    # product formula disagrees with its outer powers
+    real = series._walk_width
+    monkeypatch.setattr(series, "_walk_width", lambda cap: real(cap) - 8)
+    assert cli.main(["verify", "--all", "--cap", "12"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    for id in ("META-PRODUCTS-MOBIUS", "META-PRODUCTS-TOTIENT", "META-PRODUCTS-TWOADIC"):
+        assert f"FAIL  {id}  " in out, id
+
+
 def _newton_sign_error(monkeypatch):
     monkeypatch.setattr(series, "_outer_powers", _newton_p2_sign_flipped)
 
@@ -159,16 +180,17 @@ def _product_variant_sign_flip(monkeypatch):
     # twist, which multiplies N_lam by (-1)^l(lam)
     real = series._product_walk
 
-    def flip(poly, length):
-        return [-c for c in poly] if length % 2 else poly
+    def flip(N, length):
+        return -N if length % 2 else N
 
     def base_sign_flipped(psi, sign, cap):
-        ones, by_size = real(psi, sign, cap)
+        w, ones, by_size = real(psi, sign, cap)
         if sign != 1:
-            return ones, by_size
+            return w, ones, by_size
         return (
-            [flip(poly, j) for j, poly in enumerate(ones)],
-            [[(mu, flip(poly, len(mu)), z) for mu, poly, z in row] for row in by_size],
+            w,
+            [flip(N, j) for j, N in enumerate(ones)],
+            [[(mu, flip(N, len(mu)), z) for mu, N, z in row] for row in by_size],
         )
 
     monkeypatch.setattr(series, "_product_walk", base_sign_flipped)
@@ -194,9 +216,8 @@ def _product_ext_unflipped(monkeypatch):
 )
 def test_series_defect_fails_an_entry(monkeypatch, inject):
     inject(monkeypatch)
-    reports = verify_all(10)
-    failed = [r.id for r in reports if r.failed]
-    assert failed, f"{inject.__name__} went unnoticed at cap 10"
+    failed = _compared_failures(verify_all(10))
+    assert failed, f"{inject.__name__} failed no entry by a comparison at cap 10"
 
 
 def _u_row_stand_in(step):
@@ -207,14 +228,13 @@ def _u_row_stand_in(step):
     def row(walk, n, by_length):
         if not by_length:
             return _alternating_row(walk, n, by_length)
-        den, terms = series._degree_terms(walk, n)
+        den, terms, coeffs = series._degree_terms(walk, n)
         rows = [{} for _ in range(n)]
-        for lam, poly, q in terms:
+        for i, (lam, q) in enumerate(terms):
             s = -q if len(lam) % 2 else q
             t = 0
             for k in range(n):
-                r = n - k
-                t = (s * poly[r] if r < len(poly) else 0) + step * t
+                t = s * coeffs[n - k][i] + step * t
                 if t:
                     rows[k][lam] = t
         return [_reduced(num, den) for num in rows]

@@ -287,6 +287,22 @@ def test_outer_power_fields_stay_inside_their_bound(name):
             assert max(map(abs, fields), default=0) <= M[n] < 1 << (w - 1), (kind, n)
 
 
+@pytest.mark.parametrize("weight", ["mobius", "totient", "two_adic"])
+def test_walk_fields_stay_inside_their_bound(weight):
+    # the coefficients of N_lam sum in size to at most z_lam <= cap!, and
+    # the width leaves each inside [-2^(w-1), 2^(w-1)).  At cap 20 w is 63
+    # bits and the widest field takes 60 bits plus a sign
+    cap = 20
+    for sign in (1, -1):
+        walk = _product_walk(getattr(Psi, weight)(), sign, cap)
+        w = walk[0]
+        for n in range(cap + 1):
+            den, terms, coeffs = series._degree_terms(walk, n)
+            for i, (lam, q) in enumerate(terms):
+                z = den // q
+                assert sum(abs(column[i]) for column in coeffs) <= z < 1 << (w - 1), (sign, lam)
+
+
 @pytest.mark.parametrize("cap", range(1, 11))
 def test_bracket_sum_matches_oracle(cap):
     ctx = SeriesContext(cap)
