@@ -13,8 +13,9 @@ it for each id on one shared context.  Each entry declares the context's
 memo keys its body reads, _register adds by SeriesContext.sources the keys
 those are built from, and verify_all releases each key once its last reader
 in the run is done.  U-POS reads the u rows through
-_rows_positive, the one positivity loop over is_schur_positive_many, which
-the theorem BETA-POS shares for the beta rows.  WHITEHOUSE reads the lie2
+_rows_positive, the one positivity loop, which the theorem BETA-POS shares
+for the beta rows: each degree's row comes packed straight off its running
+sums and goes to schur.is_schur_positive_packed.  WHITEHOUSE reads the lie2
 deficit with schur.deficit_positivity, which carries each degree's Schur
 numerators to the next; both take their verdicts from one rule in
 plethy.schur.  The 56 theorem-tier entries live in plethy.theorems, which
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .lie_family import Psi
 from .partitions import format_partition
-from .schur import deficit_positivity, is_schur_positive_many
+from .schur import deficit_positivity, is_schur_positive_packed
 from .series import Series, SeriesContext
 from .symfunc import SymFunc
 
@@ -139,10 +140,11 @@ def _load_theorems() -> None:
 
 
 def _rows_positive(check: _Check, name: str, row: Callable, cap: int) -> bool:
-    """Scan name(n, k) = row(n)[k] for 2 <= n <= cap; the first function that
-    is not Schur-positive fails check, and the scan says whether none did."""
+    """Scan name(n, k) = row(n)[k] for 2 <= n <= cap, each degree read as one
+    packed batch, row(n, packed=True); the first function that is not
+    Schur-positive fails check, and the scan says whether none did."""
     for n in range(2, cap + 1):
-        for k, res in enumerate(is_schur_positive_many(row(n))):
+        for k, res in enumerate(is_schur_positive_packed(*row(n, packed=True))):
             if not res.positive:
                 where = f"{res.witness_partition}: {res.witness_coeff}"
                 check.fail(n, f"{name}({n},{k}) negative at {where}")

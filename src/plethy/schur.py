@@ -4,31 +4,33 @@ Characters come from one builder, plethy._mn_pure, which runs the
 Murnaghan-Nakayama rule forward and returns whole columns {lam: chi^lam(mu)},
 memoized for the life of the process and keyed by the bead bitmask of lam
 (see plethy._mn_pure): a border strip is a bit move there.  _expand
-expands a batch of functions of one degree by a Horner walk over the trie
-of their support: the integer numerators of the batch at mu are packed
-into one int, one field of w bits per function, and the walk adds border
+expands a packed batch of functions of one degree by a Horner walk over the
+trie of their support: the integer numerators of the batch at mu are one
+int C_mu, one field of w bits per function, and the walk adds border
 strips to vectors of packed ints, so each strip serves the whole batch and
 a dense support never builds a full character table.  w is exact, not a
 guess: |chi^lam(mu)| <= isqrt(z_mu) by column orthogonality, which bounds
-every field.  Two readers take the sums: to_schur_many decodes and sorts
-every shape whose sum is nonzero, and is_schur_positive_many streams each
-field through _verdict, the one positivity rule, which decodes only the
-shapes it names.  to_schur and is_schur_positive are their one-element
-batches.  deficit_positivity scans the whitehouse deficit p_1 f_(n-1) - f_n
-degree by degree without _expand: each shape carries its Schur numerators
-from one degree to the next, so p_1 f_(n-1) costs one 1-strip pass, the
-rectangles (d^m) are its only characters, and _verdict gets the few
-negative or non-integral numerators of each degree.  It holds only one
-shape of each conjugate pair, and the rectangles as half columns of its
-own, with _mn_pure._half_strips.
+every field.  _pack_rows packs a batch given as rows of numerators; the
+u and beta scans hand it their running sums, and _pack hands it SymFuncs.
+Two readers take the sums: to_schur_many decodes and sorts every shape
+whose sum is nonzero, and is_schur_positive_packed streams each field
+through _verdict, the one positivity rule, which decodes only the shapes
+it names.  to_schur, is_schur_positive and is_schur_positive_many read
+SymFuncs through _pack.  deficit_positivity scans the whitehouse deficit
+p_1 f_(n-1) - f_n degree by degree without _expand: each shape carries its
+Schur numerators from one degree to the next, so p_1 f_(n-1) costs one
+1-strip pass, the rectangles (d^m) are its only characters, and _verdict
+gets the few negative or non-integral numerators of each degree.  It holds
+only one shape of each conjugate pair, and the rectangles as half columns
+of its own, with _mn_pure._half_strips.
 character() reads one entry of a column through the mask of lam.
 """
-
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _mn_pure
@@ -113,39 +115,74 @@ def to_schur(f: SymFunc) -> SchurExpansion:
 def to_schur_many(fs: Iterable[SymFunc]) -> Iterator[SchurExpansion]:
     """Yield the Schur expansions of nonzero functions of one degree, in order.
 
-    The nonzero sums of _expand are decoded and sorted once, in descending
-    tuple order (the canonical order within one degree); each expansion is
-    then read off only when it is asked for, so a function that is not a
-    virtual character raises NotVirtualCharacter, naming the first lam in
-    that order, after every expansion before it has been yielded.
+    The shapes of _expand are decoded and sorted once, in descending tuple
+    order (the canonical order within one degree); each expansion is then
+    read off only when it is asked for, so a function that is not a virtual
+    character raises NotVirtualCharacter, naming the first lam in that
+    order, after every expansion before it has been yielded.
     """
     fs = list(fs)
     if not fs:
         return
-    acc, w, dens = _expand(fs)
-    decode = _mn_pure.decode
-    rows = sorted(((decode(mask), t) for mask, t in acc.items() if t), reverse=True)
-    del acc
+    if not all(fs):
+        raise ValueError("to_schur needs a nonzero homogeneous function (got 0)")
+    masks, columns = _expand(*_pack(fs))
+    order = sorted(zip(map(_mn_pure.decode, masks), range(len(masks))), reverse=True)
     n = fs[0].degree()
-    for j, den in enumerate(dens):
+    for den, column in columns:
         out: list[tuple[tuple, int]] = []
-        for (lam, _), total in zip(rows, _fields((t for _, t in rows), w, j, len(fs))):
-            if total:
-                q, r = divmod(total, den)
+        for lam, i in order:
+            if column[i]:
+                q, r = divmod(column[i], den)
                 if r:
-                    raise NotVirtualCharacter(lam, Fraction(total, den))
+                    raise NotVirtualCharacter(lam, Fraction(column[i], den))
                 out.append((lam, q))
         yield SchurExpansion(n, tuple(out))
 
 
-def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
-    """(acc, w, dens) for a nonempty batch of nonzero functions of one degree.
+def _pack(fs: list[SymFunc]) -> tuple[list[tuple[tuple, int]], int, list[int]]:
+    """_pack_rows of functions of one degree, over the union of their supports."""
+    if len({f.degree() for f in fs if f}) > 1:
+        raise ValueError("to_schur_many needs functions of one degree")
+    mus = list(dict.fromkeys(mu for f in fs for mu in f._num))
+    rows = [[f._num.get(mu, 0) for mu in mus] for f in fs]
+    return _pack_rows([(mu, z_of(mu)) for mu in mus], rows, [f._den for f in fs])
 
-    Coefficient of s_lam in f_j is sum_mu c_j(mu) chi^lam(mu) / dens[j]
-    over the mu in the support of the batch.  The integer numerators at mu
-    are packed into one int C_mu = sum_j c_j(mu) 2^(w j), so acc[mask] =
-    sum_mu C_mu chi^lam(mu) sums every function at once, field j of
-    acc[mask] being the numerator of f_j's coefficient at lam.
+
+def _pack_rows(mus: list[tuple[tuple, int]], rows: list[list[int]], dens: list[int]) -> tuple:
+    """(pairs, w, dens): the packed batch of the functions f_j of one degree
+    with the coefficient rows[j][i] / dens[j] on p_mu, for (mu, z_mu) =
+    mus[i].  Each f_j goes in lowest terms, its row over g_j =
+    gcd(dens[j], rows[j]) and its den dens[j] / g_j; a row of zeros gets
+    den 0 and no field.  pairs lists the nonzero C_mu = sum_j c_j(mu)
+    2^(w j), one field per remaining function, in order; rows is emptied.
+
+    The width w comes from an exact bound.  Column orthogonality gives
+    sum_lam chi^lam(mu)^2 = z_mu, so |chi^lam(mu)| <= isqrt(z_mu), and every
+    Schur numerator of f_j is at most b_j = sum_mu |c_j(mu)| isqrt(z_mu) in
+    size; w - 1 is the bit length of the largest b_j, so each field of the
+    walk lies in [-2^(w-1), 2^(w-1)).  Its inner vectors obey the bound
+    too, since a node rho holds sum_mu C_mu chi^lam(mu - rho) and
+    z_nu <= z_mu when the parts of nu are some of the parts of mu.
+    """
+    roots = [isqrt(z) for _, z in mus]
+    gs = [gcd(den, *t) if any(t) else 0 for den, t in zip(dens, rows)]  # 0: a zero function
+    bounds = [sum(map(mul, map(abs, t), roots)) // g for g, t in zip(gs, rows) if g]
+    w = max(bounds, default=0).bit_length() + 1
+    packed = [0] * len(mus)
+    for g in reversed(gs):
+        t = rows.pop()  # each row is freed once it is packed
+        if g:
+            packed = [(c << w) + x // g for c, x in zip(packed, t)]
+    dens = [den // g if g else 0 for den, g in zip(dens, gs)]
+    return [(mu, c) for (mu, _), c in zip(mus, packed) if c], w, dens
+
+
+def _expand(terms: list[tuple[tuple, int]], w: int, dens: list[int]) -> tuple[list[int], Iterator]:
+    """(masks, columns) for a packed batch (_pack_rows): masks are the
+    shapes lam where acc[lam] = sum_mu C_mu chi^lam(mu) is nonzero, and
+    columns yields, for each nonzero den in order, (den, field j of acc at
+    each mask), the numerators of f_j's coefficients of s_lam over den.
 
     acc comes from a walk over the support as a trie over descending parts.
     p_k s_nu is the signed sum of s_lam over the k-strips lam/nu (Macdonald
@@ -160,38 +197,13 @@ def _expand(fs: list[SymFunc]) -> tuple[dict[int, int], int, list[int]]:
     column is all of mu, so a sparse support, such as that of
     compute lie n --basis s, reads the same columns as one term at a time
     would.
-
-    The width w comes from an exact bound.  Column orthogonality gives
-    sum_lam chi^lam(mu)^2 = z_mu, so |chi^lam(mu)| <= isqrt(z_mu), and every
-    field of f_j is at most b_j = sum_mu |c_j(mu)| isqrt(z_mu) in size;
-    w - 1 is the bit length of the largest b_j, so each field lies in
-    [-2^(w-1), 2^(w-1)), and _fields reads them back.  The walk keeps w
-    exact: it sums the same integers in another order, and Python ints do
-    not overflow.  Its inner vectors obey the bound too, since a node rho
-    holds sum_mu C_mu chi^lam(mu - rho) and z_nu <= z_mu when the parts of
-    nu are some of the parts of mu.
     """
-    if not all(fs):
-        raise ValueError("to_schur needs a nonzero homogeneous function (got 0)")
-    n = fs[0].degree()
-    if any(f.degree() != n for f in fs[1:]):
-        raise ValueError("to_schur_many needs functions of one degree")
-    roots: dict[tuple, int] = {}
-    bound = 0
-    for f in fs:
-        b = 0
-        for mu, c in f._num.items():
-            r = roots.get(mu)
-            if r is None:
-                r = roots[mu] = isqrt(z_of(mu))
-            b += abs(c) * r
-        bound = max(bound, b)
-    w = bound.bit_length() + 1
-    packed: defaultdict[tuple, int] = defaultdict(int)
-    for j, f in enumerate(fs):
-        for mu, c in f._num.items():
-            packed[mu] += c << (w * j)
-    return _walk(list(packed.items()), 0), w, [f._den for f in fs]
+    acc = _walk(terms, 0)
+    masks = [mask for mask, t in acc.items() if t]
+    totals = [t for t in acc.values() if t]
+    del acc
+    dens = [den for den in dens if den]
+    return masks, zip(dens, _fields(totals, w, len(dens)))
 
 
 def _walk(terms: list[tuple[tuple, int]], depth: int) -> dict[int, int]:
@@ -237,18 +249,17 @@ def is_schur_positive(f: SymFunc) -> Positivity:
 
 
 def is_schur_positive_many(fs: Iterable[SymFunc]) -> Iterator[Positivity]:
-    """Yield is_schur_positive(f) for each f: every field of one _expand
-    batch of the nonzero f goes through _verdict; a zero is positive and is
-    not expanded."""
-    fs = list(fs)
-    nonzero = [f for f in fs if f]
-    acc, w, dens = _expand(nonzero) if nonzero else ({}, 0, [])
-    verdicts = (
-        _verdict(zip(acc, _fields(acc.values(), w, j, len(nonzero))), den)
-        for j, den in enumerate(dens)
-    )
-    for f in fs:
-        yield next(verdicts) if f else Positivity(True)
+    """Yield is_schur_positive(f) for each f, from one packed batch (_pack)."""
+    yield from is_schur_positive_packed(*_pack(list(fs)))
+
+
+def is_schur_positive_packed(terms: list, w: int, dens: list[int]) -> Iterator[Positivity]:
+    """Yield the Positivity of each function of a packed batch (_pack_rows),
+    in order: one _expand walk, whose fields go one at a time through
+    _verdict; a den of 0 is a zero function, which is positive."""
+    masks, columns = _expand(terms, w, dens)
+    for den in dens:
+        yield _verdict(zip(masks, next(columns)[1]), den) if den else Positivity(True)
 
 
 def _verdict(pairs: Iterable[tuple[int, int]], den: int) -> Positivity:

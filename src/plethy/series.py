@@ -38,6 +38,9 @@ the packed integer numerators N_lam(v) of the product formulas, one degree
 at a time.  One walk over the partitions mu with no part 1 gives each N_mu
 and z_mu; the terms of degree n are lam = mu + 1^j, and product_form and the
 rows both assemble their slots from the one walk SeriesContext caches.
+_alternating_row is the one running sum of a row; its integer rows become
+SymFuncs, or go to schur._pack_rows as the packed batch the positivity
+scans walk, with no SymFunc built.
 
 Each job has one way in.  SeriesContext.get is the one read of the cache,
 and _recipe the one statement, per memo key, of the keys its value is built
@@ -56,6 +59,7 @@ from typing import Callable, Iterable
 from . import lie_family
 from .lie_family import Psi
 from .partitions import divisors, partitions_of
+from .schur import _pack_rows
 from .symfunc import Keyed, SymFunc, _fields, _mul_grouped, _partition_keys, _Powers, _reduced
 from .symfunc import e, h, linear_sum, mul_sum, p, plethysm
 
@@ -307,8 +311,8 @@ def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
         lams = [decode(key) for key, _ in terms]
         totals = [t for _, t in terms]
         den = factorial(n) * L**n
-        for r in range(min(n, 1), n + 1):  # every term of the exponent carries v
-            num = {lam: v for lam, v in zip(lams, _fields(totals, w, r, n + 1)) if v}
+        for r, column in enumerate(_fields(totals, w, n + 1)):
+            num = {lam: v for lam, v in zip(lams, column) if v}
             if num:
                 graded[n, r] = _reduced(num, den)
     return Series(cap, graded=graded)
@@ -473,7 +477,7 @@ def _degree_terms(walk, n: int) -> tuple[int, list[tuple[tuple, int]], list[list
             terms.append((mu + (1,) * j, z * zj))
             packed.append(N * ones[j])
     den = lcm(*(z for _, z in terms))
-    coeffs = [_fields(packed, w, r, n + 1) for r in range(n + 1)]
+    coeffs = list(_fields(packed, w, n + 1))
     return den, [(lam, den // z) for lam, z in terms], coeffs
 
 
@@ -496,19 +500,29 @@ def product_form(walk, cap: int) -> Series:
     return Series(cap, graded=graded)
 
 
-def _alternating_row(walk, n: int, by_length: bool) -> list[SymFunc]:
-    """[t_0, ..., t_(n-1)] with t_k = x_k - t_(k-1), where x_k has the
-    coefficient (+-)[v^(n-k)] N_lam / z_lam on p_lam: the sign is
-    (-1)^l(lam) if by_length, else (-1)^k."""
+def _alternating_row(walk, n: int, by_length: bool) -> tuple[int, list, list[list[int]]]:
+    """(den, terms, rows) for [t_0, ..., t_(n-1)], t_k = x_k - t_(k-1), where
+    x_k has the coefficient (+-)[v^(n-k)] N_lam / z_lam on p_lam: the sign
+    is (-1)^l(lam) if by_length, else (-1)^k.  rows[k][i] / den is the
+    coefficient of t_k at lam, for (lam, den // z_lam) = terms[i]."""
     den, terms, coeffs = _degree_terms(walk, n)
     signs = [-q if by_length and len(lam) % 2 else q for lam, q in terms]
     rows, t = [], [0] * len(terms)
-    for k in range(n):
-        t = [s * c - x for s, c, x in zip(signs, coeffs[n - k], t)]
-        rows.append(_reduced({lam: x for (lam, _), x in zip(terms, t) if x}, den))
+    for k in range(n):  # coeffs[n - k], freed once read
+        t = [s * c - x for s, c, x in zip(signs, coeffs.pop(), t)]
+        rows.append(t)
         if not by_length:
             signs = [-s for s in signs]
-    return rows
+    return den, terms, rows
+
+
+def _rows(walk, n: int, by_length: bool, packed: bool):
+    """The rows of _alternating_row as SymFuncs or, if packed, as one packed
+    batch (schur._pack_rows) with the same fields, dens and width."""
+    den, terms, rows = _alternating_row(walk, n, by_length)
+    if packed:
+        return _pack_rows([(lam, den // q) for lam, q in terms], rows, [den] * n)
+    return [_reduced({lam: x for (lam, _), x in zip(terms, t) if x}, den) for t in rows]
 
 
 # -- convenience sums over restricted partition classes --------------------------
@@ -685,18 +699,19 @@ class SeriesContext:
             raise ValueError("beta needs 0 <= k <= n-1")
         return self.beta_row(n)[k]
 
-    def u_row(self, n: int) -> list[SymFunc]:
+    def u_row(self, n: int, packed: bool = False):
         """[u(n, 0), ..., u(n, n-1)] off the numerators of the two-adic
         product H(v)[lie2]: the coefficient of p_lam in u(n, k) is
-        (-1)^l(lam) U_k / z_lam, with U_k = [v^(n-k)] N_lam - U_(k-1)."""
-        return _alternating_row(self.get(("walk", "two_adic", -1)), n, by_length=True)
+        (-1)^l(lam) U_k / z_lam, with U_k = [v^(n-k)] N_lam - U_(k-1).
+        With packed, the same row as one packed batch (_rows)."""
+        return _rows(self.get(("walk", "two_adic", -1)), n, True, packed)
 
-    def beta_row(self, n: int) -> list[SymFunc]:
+    def beta_row(self, n: int, packed: bool = False):
         """[beta_rank(n, 0), ..., beta_rank(n, n-1)] off the numerators of the
         Mobius product E(v)[lie]: the coefficient of p_lam in beta(n, k) is
         (-1)^k B_k / z_lam, with B_k = [v^(n-k)] N_lam + B_(k-1), the sign
-        coming from v -> -v and omega."""
-        return _alternating_row(self.get(("walk", "mobius", 1)), n, by_length=False)
+        coming from v -> -v and omega.  With packed, one packed batch."""
+        return _rows(self.get(("walk", "mobius", 1)), n, False, packed)
 
     def delta(self, n: int) -> SymFunc:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""

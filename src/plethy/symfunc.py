@@ -438,14 +438,21 @@ def _partition_keys(cap: int) -> _PartitionKeys:
     return _PartitionKeys(cap)
 
 
-def _fields(totals: Iterable[int], w: int, j: int, count: int) -> list[int]:
-    """Field j of each int in totals, packed as sum over i < count of
-    f_i 2^(w i) with every f_i in [-2^(w-1), 2^(w-1)): with 2^(w-1) added
-    to every field, none is negative or carries.  The one reader of packed
-    ints: schur._expand, series._outer_powers, series._degree_terms."""
+def _fields(totals: list[int], w: int, count: int) -> Iterator[list[int]]:
+    """Fields 0, 1, ..., count - 1 of the ints in totals, one list per field,
+    each int packed as sum over i < count of f_i 2^(w i) with every f_i in
+    [-2^(w-1), 2^(w-1)): with 2^(w-1) added to every field, none is
+    negative or carries.  That bias is added to each int once, in place, as
+    the first field is read, so only one copy of the ints is alive.  The one
+    reader of packed ints: schur._expand, series._outer_powers,
+    series._degree_terms."""
     half, full = 1 << (w - 1), (1 << w) - 1
-    bias, shift = half * ((1 << (w * count)) - 1) // full, w * j
-    return [(((t + bias) >> shift) & full) - half for t in totals]
+    bias = half * ((1 << (w * count)) - 1) // full
+    for i, t in enumerate(totals):
+        totals[i] = t + bias
+    for j in range(count):
+        shift = w * j
+        yield [((t >> shift) & full) - half for t in totals]
 
 
 def _mul_grouped(a: list, b: list, budget: int, out: dict | None = None, scale: int = 1) -> dict:

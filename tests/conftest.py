@@ -156,6 +156,35 @@ def ref_hall_inner(a: dict, b: dict) -> Fraction:
     return sum((v * b[lam] * z_of(lam) for lam, v in a.items() if lam in b), Fraction(0))
 
 
+def unpack_fields(c: int, w: int, count: int) -> list[int]:
+    """The count signed fields of c = sum_j f_j 2^(w j), each f_j in
+    [-2^(w-1), 2^(w-1)), peeled off from the low end."""
+    half, full = 1 << (w - 1), (1 << w) - 1
+    fields = []
+    for _ in range(count):
+        f = ((c + half) & full) - half
+        fields.append(f)
+        c = (c - f) >> w
+    assert c == 0, "the int has more fields than count"
+    return fields
+
+
+def unpack_batch(terms, w: int, dens) -> list[SymFunc]:
+    """The functions of a packed batch (schur.is_schur_positive_packed), read
+    back without the package's reader: field j of C_mu, peeled off from the
+    low end, is f_j's numerator at mu over dens[j], and a den of 0 is a zero
+    function with no field."""
+    fields = {mu: unpack_fields(c, w, sum(map(bool, dens))) for mu, c in terms}
+    out, j = [], 0
+    for den in dens:
+        if den:
+            out.append(SymFunc({mu: Fraction(v[j], den) for mu, v in fields.items() if v[j]}))
+            j += 1
+        else:
+            out.append(SymFunc.zero())
+    return out
+
+
 def patch_everywhere(monkeypatch, name: str, replacement) -> None:
     """Point every plethy module's binding of the symfunc function `name`
     at replacement, so calls made from any layer go through it."""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import inject_strip_sign_defect, partition_strategy, ref_positivity
+from conftest import inject_strip_sign_defect, partition_strategy, ref_positivity, unpack_batch
 from plethy import _mn_pure, cli, lie_family
 from plethy.cli import MAX_SCHUR_DEGREE, main
 from plethy.partitions import partitions_of
@@ -380,18 +380,19 @@ def test_batched_positivity_scan_reports_like_one_at_a_time(monkeypatch, capsys,
 
     calls = []
 
-    def one_at_a_time(fs):
-        """The positivity scan without batching: each function expanded
-        alone, in order, and only when the scan asks for it."""
-        calls.append(fs)
-        for f in fs:
+    def one_at_a_time(terms, w, dens):
+        """The positivity scan without batching: each function of the packed
+        batch read back and expanded alone, in order, and only when the
+        scan asks for it."""
+        calls.append(dens)
+        for f in unpack_batch(terms, w, dens):
             yield ref_positivity(f)
 
-    # both entries scan their rows through the registry's one positivity loop
+    # both entries scan their packed rows through the registry's one positivity loop
     inject_strip_sign_defect(monkeypatch)
     args = ["verify", "--id", entry, "--cap", "10", "--json"]
     batched = run_cli(args, capsys=capsys)[:2]
-    monkeypatch.setattr(registry, "is_schur_positive_many", one_at_a_time)
+    monkeypatch.setattr(registry, "is_schur_positive_packed", one_at_a_time)
     assert run_cli(args, capsys=capsys)[:2] == batched
     assert len(calls) > 0  # the stand-in ran, so the equality above compares two scans
     assert batched[0] == 1 and "NotVirtualCharacter" in batched[1]
@@ -486,9 +487,17 @@ def test_verify_failure_golden(monkeypatch, capsys, family):
 
 
 def test_positivity_failure_golden(monkeypatch, capsys):
-    # every u and beta row negated: each scan reports its first negative shape
+    # every u and beta row negated: each scan reports its first negative
+    # shape.  The scans read the packed rows, where negating C_lam negates
+    # every field
     def negated(real):
-        return lambda self, n: [-f for f in real(self, n)]
+        def row(self, n, packed=False):
+            if not packed:
+                return [-f for f in real(self, n)]
+            terms, w, dens = real(self, n, packed=True)
+            return [(lam, -c) for lam, c in terms], w, dens
+
+        return row
 
     for row in ("u_row", "beta_row"):
         monkeypatch.setattr(SeriesContext, row, negated(getattr(SeriesContext, row)))

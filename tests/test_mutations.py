@@ -12,8 +12,10 @@ integrality check; so must one in the whitehouse deficit scan.  One in
 schur._verdict, the rule both scans share, must fail the tests of both,
 and a strip-sign defect must fire the deficit scan's hook ledger;
 dropping the conjugate band from the scan's half strip step must fire its
-dimension ledger.  A defect in the u rows
-must fail both an entry and the oracle test in test_series.  A key left
+dimension ledger.  A defect in the u rows' running sum
+must fail both an entry and the oracle test in test_series, and reach the
+packed rows the U-POS scan reads; a packed-row width one bit short must
+fail the packed-row test in test_schur.  A key left
 out of an entry's reads changes no output, so it must fail the
 declaration and build-once tests in test_registry, and an edge left out
 of SeriesContext.sources, from which _register closes each entry's reads,
@@ -39,11 +41,11 @@ import test_cli
 import test_registry
 import test_schur
 import test_series
-from conftest import inject_strip_sign_defect, patch_everywhere
+from conftest import inject_strip_sign_defect, patch_everywhere, unpack_batch, unpack_fields
 from plethy import _mn_pure
 from plethy.registry import verify_all
 from plethy.series import Series, bracket_sum
-from plethy.symfunc import Keyed, SymFunc, _Powers, _reduced, mul_sum, p
+from plethy.symfunc import Keyed, SymFunc, _Powers, mul_sum, p
 
 
 def _compared_failures(reports) -> list[str]:
@@ -220,24 +222,24 @@ def test_series_defect_fails_an_entry(monkeypatch, inject):
     assert failed, f"{inject.__name__} failed no entry by a comparison at cap 10"
 
 
-def _u_row_stand_in(step):
-    """The rows with the u rows' running sum U_k = [v^(n-k)] N_lam + step * U_(k-1):
-    step -1 is the package's rule, +1 the defect.  The beta rows are left as
-    they are."""
+def _u_row_stand_in(step, sign=1):
+    """The rows with the u rows' running sum U_k = sign * [v^(n-k)] N_lam +
+    step * U_(k-1): step -1 and sign 1 is the package's rule.  The beta rows
+    are left as they are.  The SymFunc rows and the packed rows are both
+    read off it."""
 
     def row(walk, n, by_length):
         if not by_length:
             return _alternating_row(walk, n, by_length)
         den, terms, coeffs = series._degree_terms(walk, n)
-        rows = [{} for _ in range(n)]
+        rows = [[0] * len(terms) for _ in range(n)]
         for i, (lam, q) in enumerate(terms):
             s = -q if len(lam) % 2 else q
             t = 0
             for k in range(n):
-                t = s * coeffs[n - k][i] + step * t
-                if t:
-                    rows[k][lam] = t
-        return [_reduced(num, den) for num in rows]
+                t = sign * s * coeffs[n - k][i] + step * t
+                rows[k][i] = t
+        return den, terms, rows
 
     return row
 
@@ -253,6 +255,41 @@ def test_a_flipped_u_running_sum_fails_an_entry_and_the_oracle(monkeypatch):
     assert "U-CLOSED" in failed, failed
     with pytest.raises(AssertionError):
         test_series.test_alternating_sums_match_oracle()
+    # the flipped sums are partial sums of the characters vh(n, j) =
+    # h_(n-j)[lie2], so U-POS passes on them; it reads the flipped rule all
+    # the same, as its packed rows are the stand-in's SymFunc rows
+    ctx = series.SeriesContext(10)
+    for n in range(2, 11):
+        flipped = ctx.u_row(n, packed=True)
+        assert unpack_batch(*flipped) == ctx.u_row(n), n
+    monkeypatch.setattr(series, "_alternating_row", _alternating_row)
+    assert ctx.u_row(10, packed=True) != flipped
+
+
+def test_a_negated_u_running_sum_fails_both_u_entries(monkeypatch):
+    # one rule feeds the SymFunc rows of U-CLOSED and the packed rows of U-POS
+    monkeypatch.setattr(series, "_alternating_row", _u_row_stand_in(-1, sign=-1))
+    failed = [r.id for r in verify_all(10) if r.failed]
+    assert "U-CLOSED" in failed and "U-POS" in failed, failed
+
+
+def _pack_rows_one_bit_short(mus, rows, dens):
+    """schur._pack_rows with every C_mu packed one bit narrower."""
+    pairs, w, dens = schur._pack_rows(mus, rows, dens)
+    count = sum(map(bool, dens))
+    repacked = []
+    for mu, c in pairs:
+        fields = unpack_fields(c, w, count)
+        repacked.append((mu, sum(f << ((w - 1) * j) for j, f in enumerate(fields))))
+    return repacked, w - 1, dens
+
+
+def test_a_packed_row_width_one_bit_short_fails_the_batch_test(monkeypatch):
+    monkeypatch.setattr(series, "_pack_rows", _pack_rows_one_bit_short)
+    with pytest.raises(AssertionError):
+        test_schur.test_packed_rows_are_the_batches_of_their_symfuncs("u_row")
+    with pytest.raises(AssertionError):
+        test_schur.test_packed_rows_are_the_batches_of_their_symfuncs("beta_row")
 
 
 def _bracket_sum_slot_2_negated(kind, Q):
@@ -352,8 +389,9 @@ def _positivity_reader(tie, integral=True):
             if not f:
                 yield schur.Positivity(True)
                 continue
-            acc, w, (den,) = schur._expand([f])
-            yield verdict(zip(acc, schur._fields(acc.values(), w, 0, 1)), den)
+            masks, columns = schur._expand(*schur._pack([f]))
+            den, column = next(columns)
+            yield verdict(zip(masks, column), den)
 
     return read
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_type, ref_positivity, ref_to_schur
+from conftest import cycle_type, inject_strip_sign_defect, ref_positivity, ref_to_schur
+from conftest import unpack_batch
 from mn_oracle import mn_character as oracle_character
 from mn_oracle import mn_table as oracle_table
 from plethy import _mn_pure, schur
@@ -738,6 +739,48 @@ def test_positivity_rows_match_the_reference(row):
         wants = [ref_to_schur(f) for f in fs if f]
         assert list(to_schur_many([f for f in fs if f])) == wants, n
         assert list(is_schur_positive_many(fs)) == [ref_positivity(f) for f in fs], n
+
+
+@pytest.mark.parametrize("row", ["u_row", "beta_row"])
+def test_packed_rows_are_the_batches_of_their_symfuncs(row):
+    # the scans read each degree's packed row straight off the running sums:
+    # the same fields, denominators and width as the SymFunc rows packed by
+    # _pack, and every function's Schur numerators inside the width's bound
+    ctx = SeriesContext(16)
+    for n in range(2, 17):
+        terms, w, dens = getattr(ctx, row)(n, packed=True)
+        want_terms, want_w, want_dens = schur._pack(getattr(ctx, row)(n))
+        assert (dict(terms), w, dens) == (dict(want_terms), want_w, want_dens), n
+        for f in unpack_batch(terms, w, dens):
+            bound = sum(abs(c) * isqrt(z_of(mu)) for mu, c in f._num.items())
+            assert bound < 2 ** (w - 1), n
+
+
+def _outcomes(verdicts) -> list:
+    """The verdicts up to the first NotVirtualCharacter, which ends the list
+    as (partition, coefficient)."""
+    out = []
+    try:
+        out.extend(verdicts)
+    except NotVirtualCharacter as exc:
+        out.append((exc.partition, exc.coeff))
+    return out
+
+
+@pytest.mark.parametrize("defect", [False, True], ids=["sound", "strip-sign-defect"])
+@pytest.mark.parametrize("row", ["u_row", "beta_row"])
+def test_packed_scan_reads_like_the_symfunc_batches(monkeypatch, row, defect):
+    # under the strip-sign defect both readers must fail alike: the same
+    # witnesses, and the same shape and coefficient when integrality fails
+    if defect:
+        inject_strip_sign_defect(monkeypatch)
+    ctx = SeriesContext(20)
+    raised = 0
+    for n in range(2, 21):
+        got = _outcomes(schur.is_schur_positive_packed(*getattr(ctx, row)(n, packed=True)))
+        assert got == _outcomes(is_schur_positive_many(getattr(ctx, row)(n))), n
+        raised += not isinstance(got[-1], Positivity)
+    assert bool(raised) == defect
 
 
 def test_walk_keeps_only_the_columns_of_small_children(monkeypatch):
