@@ -7,16 +7,23 @@ module registers the entries with plethy.registry, in the order below,
 which the registry does the first time a command asks for a theorem id or
 for the whole list.  The two conjecture-tier scans stay in the registry, so
 `conjecture` never compiles this module.  Rules that several entries share
-are stated once: _degrees_equal is the per-degree comparison of two sides,
-each COCHAIN, FILT-B and HODGE lie/lie2 pair is one factory body over the
-family, its outer kind (H/E) and its generator (kappa/omega(kappa)) (the
-four other pairs are two bodies each), _PSI maps each family to its weight
-psi, _p1_recurrence is the restriction recurrence S_n = p_1 S_(n-1) +
-(-1)^n c(n) of SIGMA-REC and TAU-REC, and BETA-POS scans its rows with the
-registry's _rows_positive.  Each entry's reads names the SeriesContext
-memo keys its body reads, by ctx.get with the same literal key or through
-whitney, vh and the u and beta rows; _register adds the keys they are
-built from.
+are stated once: _degrees_equal is the per-degree comparison of two sides
+over a degree range; _equal registers each of the 20 entries that are one
+such comparison, of the degree-n parts of a memo key's series (or their
+alternating length sums) against a function or a second key; _plinv,
+_cochain, _filt_a, _filt_b, _hodge and _conj_from each give a counterpart
+pair (CADOGAN/PLINV-E and the lie/lie2 links) one body over the family,
+its outer kind (H/E) and its generator (kappa/omega(kappa)); _PSI maps
+each family to its weight psi, _p1_recurrence is the restriction
+recurrence S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and TAU-REC, and
+BETA-POS scans its rows with the registry's _rows_positive.
+
+An entry names the SeriesContext memo keys it reads once.  _equal and the
+six factories take them as arguments, register the entry themselves and
+derive its reads from those arguments.  The other entries, whose bodies
+are their own, list reads= at their _register call: the keys the body
+reads by ctx.get with the same key, or through whitney, vh and the u and
+beta rows.  _register adds the keys those are built from.
 """
 
 from __future__ import annotations
@@ -99,81 +106,46 @@ def _odd_parts_sum(n: int, distinct: bool = False) -> SymFunc:
 # regular-representation decompositions and their inverses
 
 
-def _plinv(outer: str, fam: str, gen: Callable):
-    """outer[fam] = p_1, and fam is the plethystic inverse of sum of gen(n), n >= 1."""
+def _equal(id: str, description: str, key, rhs, start: int, alt: bool = False) -> None:
+    """Register id: the degree-n part of the series at memo key key, or with
+    alt its alternating length sum, equals rhs(n) for start <= n <= cap.  An
+    rhs that is a memo key, not a function, stands for its series' degree-n
+    parts."""
+    keys = [key] if callable(rhs) else [key, rhs]
 
+    @_register(id, description, reads=keys)
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        _degrees_equal(check, ctx.get((outer, fam)).coeff, _p1_only, 1, cap)
+        app = ctx.get(key)
+        lhs = partial(_alt_outer, app) if alt else app.coeff
+        _degrees_equal(check, lhs, rhs if callable(rhs) else ctx.get(rhs).coeff, start, cap)
+
+
+def _plinv(id: str, description: str, outer: str, fam: str, gen: Callable) -> None:
+    """Register id: outer[fam] = p_1, and fam is the plethystic inverse of
+    sum of gen(n), n >= 1."""
+    key = (outer, fam)
+
+    @_register(id, description, reads=[key, fam])
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        _degrees_equal(check, ctx.get(key).coeff, _p1_only, 1, cap)
         # and the inverse computed from scratch matches the family
         inv = plethystic_inverse(Series(cap, {n: gen(n) for n in range(1, cap + 1)}))
         _degrees_equal(check, inv.coeff, ctx.get(fam).coeff, 1, cap)
 
-    return fn
 
-
-@_register(
-    "THRALL",
-    "symmetric powers of lie rebuild the regular representation",
-    reads=[("brackets", "H", "lie", False)],
-)
-def _thrall(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("brackets", "H", "lie", False)).coeff, _p1n, 0, cap)
-
-
-_register(
-    "CADOGAN",
-    "alternating omega(lie) inverts the homogeneous series",
-    reads=[("H", "lie_alt"), "lie_alt"],
-)(_plinv("H", "lie_alt", h))
-
-
-@_register("SOLOMON", "symmetric powers of conj give all partitions", reads=[("H", "conj")])
-def _solomon(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("H", "conj")).coeff, p_sum_over, 1, cap)
-
-
-@_register(
-    "EXT-REG",
-    "exterior powers of lie2 rebuild the regular representation",
-    reads=[("brackets", "E", "lie2", False)],
-)
-def _ext_reg(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("brackets", "E", "lie2", False)).coeff, _p1n, 0, cap)
-
-
-_register(
-    "PLINV-E",
-    "alternating omega(lie2) inverts the elementary series",
-    reads=[("E", "lie2_alt"), "lie2_alt"],
-)(_plinv("E", "lie2_alt", e))
-
-
-@_register(
-    "SYM-LIE2",
-    "symmetric powers of lie2 give the power-of-two classes",
-    reads=[("H", "lie2")],
-)
-def _sym_lie2(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("H", "lie2")).coeff, _two_powers, 1, cap)
-
-
-@_register(
-    "ALT-E-LIE2",
-    "alternating exterior sum of lie2: distinct two-power classes",
-    reads=[("E", "lie2")],
-)
-def _alt_e_lie2(ctx, cap, check):
-    _degrees_equal(check, partial(_alt_outer, ctx.get(("E", "lie2"))), _distinct_powers_sum, 1, cap)
-
-
-@_register(
-    "ALT-H-LIE",
-    "alternating symmetric sum of lie collapses to two-row classes",
-    reads=[("H", "lie")],
-)
-def _alt_h_lie(ctx, cap, check):
-    lhs = partial(_alt_outer, ctx.get(("H", "lie")))
-    _degrees_equal(check, lhs, lambda n: _p2_p1(n) if n % 2 else -_p2_p1(n), 1, cap)
+_equal("THRALL", "symmetric powers of lie rebuild the regular representation",
+       ("brackets", "H", "lie", False), _p1n, 0)
+_plinv("CADOGAN", "alternating omega(lie) inverts the homogeneous series", "H", "lie_alt", h)
+_equal("SOLOMON", "symmetric powers of conj give all partitions", ("H", "conj"), p_sum_over, 1)
+_equal("EXT-REG", "exterior powers of lie2 rebuild the regular representation",
+       ("brackets", "E", "lie2", False), _p1n, 0)
+_plinv("PLINV-E", "alternating omega(lie2) inverts the elementary series", "E", "lie2_alt", e)
+_equal("SYM-LIE2", "symmetric powers of lie2 give the power-of-two classes",
+       ("H", "lie2"), _two_powers, 1)
+_equal("ALT-E-LIE2", "alternating exterior sum of lie2: distinct two-power classes",
+       ("E", "lie2"), _distinct_powers_sum, 1, alt=True)
+_equal("ALT-H-LIE", "alternating symmetric sum of lie collapses to two-row classes",
+       ("H", "lie"), lambda n: _p2_p1(n) if n % 2 else -_p2_p1(n), 1, alt=True)
 
 
 @_register(
@@ -190,64 +162,19 @@ def _alt_h_lie_prod(ctx, cap, check):
         check.eq(n, appalt.coeff(n).omega(), _p2_p1(n), note="omega(E[lie_alt]) form")
 
 
-@_register("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)", reads=[("E", "lie")])
-def _ext_lie(ctx, cap, check):
-    def rhs(n):
-        return _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero())
-
-    _degrees_equal(check, ctx.get(("E", "lie")).coeff, rhs, 1, cap)
-
-
-@_register("EXT-CONJ", "exterior powers of conj give the odd classes", reads=[("E", "conj")])
-def _ext_conj(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("E", "conj")).coeff, _odd_parts_sum, 1, cap)
-
-
-@_register(
-    "ALT-CONJ",
-    "exterior powers of alternating omega(conj): distinct odd classes",
-    reads=[("E", "conj_alt")],
-)
-def _alt_conj(ctx, cap, check):
-    rhs = partial(_odd_parts_sum, distinct=True)
-    _degrees_equal(check, ctx.get(("E", "conj_alt")).coeff, rhs, 1, cap)
-
-
-@_register(
-    "ACYC-LIE",
-    "signed exterior bracket sum over lie vanishes (n >= 2)",
-    reads=[("brackets", "E", "lie", True)],
-)
-def _acyc_lie(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("brackets", "E", "lie", True)).coeff, _zero, 2, cap)
-
-
-@_register(
-    "ACYC-LIE2",
-    "signed symmetric bracket sum over lie2 vanishes (n >= 2)",
-    reads=[("brackets", "H", "lie2", True)],
-)
-def _acyc_lie2(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("brackets", "H", "lie2", True)).coeff, _zero, 2, cap)
-
-
-@_register(
-    "TOTALCOH-LIE",
-    "total exterior bracket sum over lie is 2 e2 p1^(n-2)",
-    reads=[("brackets", "E", "lie", False)],
-)
-def _totalcoh_lie(ctx, cap, check):
-    lhs = ctx.get(("brackets", "E", "lie", False)).coeff
-    _degrees_equal(check, lhs, lambda n: (e(2) * _p1n(n - 2)).scale(2), 2, cap)
-
-
-@_register(
-    "TOTALCOH-LIE2",
-    "total symmetric bracket sum over lie2: two-power classes",
-    reads=[("brackets", "H", "lie2", False)],
-)
-def _totalcoh_lie2(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("brackets", "H", "lie2", False)).coeff, _two_powers, 2, cap)
+_equal("EXT-LIE", "exterior powers of lie give (1-p2)/(1-p1)",
+       ("E", "lie"), lambda n: _p1n(n) - (p(2) * _p1n(n - 2) if n >= 2 else SymFunc.zero()), 1)
+_equal("EXT-CONJ", "exterior powers of conj give the odd classes", ("E", "conj"), _odd_parts_sum, 1)
+_equal("ALT-CONJ", "exterior powers of alternating omega(conj): distinct odd classes",
+       ("E", "conj_alt"), partial(_odd_parts_sum, distinct=True), 1)
+_equal("ACYC-LIE", "signed exterior bracket sum over lie vanishes (n >= 2)",
+       ("brackets", "E", "lie", True), _zero, 2)
+_equal("ACYC-LIE2", "signed symmetric bracket sum over lie2 vanishes (n >= 2)",
+       ("brackets", "H", "lie2", True), _zero, 2)
+_equal("TOTALCOH-LIE", "total exterior bracket sum over lie is 2 e2 p1^(n-2)",
+       ("brackets", "E", "lie", False), lambda n: (e(2) * _p1n(n - 2)).scale(2), 2)
+_equal("TOTALCOH-LIE2", "total symmetric bracket sum over lie2: two-power classes",
+       ("brackets", "H", "lie2", False), _two_powers, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +182,39 @@ def _totalcoh_lie2(ctx, cap, check):
 # family, the outer kind (H <-> E) and the generator (kappa <-> omega(kappa))
 
 
-def _cochain(outer: str, fam: str, gen: str, dual: str):
-    """gen and dual are the memo keys of the generators, kappa and omega_kappa."""
+def _cochain(id: str, description: str, outer: str, fam: str, gen: str, dual: str) -> None:
+    """Register id: the signed outer sum over fam is -gen, and its
+    omega-twisted Lefschetz form is dual; gen and dual are the memo keys of
+    the generators, kappa and omega_kappa."""
+    pm_key, key = (outer + "pm", fam), (outer, fam)
 
+    @_register(id, description, reads=[pm_key, key, gen, dual])
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
         # the signed sum is -gen_n; sign normalization follows the +gen
         # identity it is equivalent to
-        lhs = ctx.get((outer + "pm", fam)).coeff
+        lhs = ctx.get(pm_key).coeff
         _degrees_equal(check, lhs, lambda n: -ctx.get(gen).coeff(n), 2, cap)
         # omega-twisted Lefschetz form with (-1)^(n-1)
-        app = ctx.get((outer, fam))
+        app = ctx.get(key)
         for n in range(2, cap + 1):
             acc = linear_sum(((-1) ** (i % 2), app.graded(n, n - i).omega()) for i in range(n + 1))
             rhs = ctx.get(dual).coeff(n).scale((-1) ** ((n - 1) % 2))
             check.eq(n, acc, rhs, note="omega-twisted form")
 
-    return fn
+
+def _filt_a(id: str, description: str, fam: str, base: str, gen: str) -> None:
+    """Register id: fam = base composed with the series gen, all memo keys."""
+
+    @_register(id, description, reads=[base, fam, gen])
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        rhs = series_plethysm(ctx.get(base), ctx.get(gen))
+        _degrees_equal(check, ctx.get(fam).coeff, rhs.coeff, 0, cap)
 
 
-def _filt_b(fam: str, gen: str):
+def _filt_b(id: str, description: str, fam: str, gen: str) -> None:
+    """Register id: fam = gen + gen[gen] + ..., iterated until it stabilizes."""
+
+    @_register(id, description, reads=[fam, gen])
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
         sums = ctx.iterate_generator(ctx.get(gen))
         if sums[-1] != sums[-2]:
@@ -281,20 +222,23 @@ def _filt_b(fam: str, gen: str):
             return
         _degrees_equal(check, ctx.get(fam).coeff, sums[-1].coeff, 0, cap)
 
-    return fn
-
 
 def _e_delta(ctx: SeriesContext, n: int) -> SymFunc:
     """sum of (-1)^k p1^(n-k) e_k, the e-counterpart of ctx.delta(n)."""
     return linear_sum(((-1) ** (k % 2), _p1n(n - k) * e(k)) for k in range(n + 1))
 
 
-def _hodge(outer: str, fam: str, gen: Callable, name: str, closed: Callable):
-    """outer[fam]|_n = closed(ctx, n) = sum of (-1)^k p1^(n-k) gen_k, and the
-    same as the product of (1-p1)^-1 and name^+- = sum of (-1)^k gen_k."""
+def _hodge(
+    id: str, description: str, outer: str, fam: str, gen: Callable, name: str, closed: Callable
+) -> None:
+    """Register id: outer[fam]|_n = closed(ctx, n) = sum of (-1)^k p1^(n-k)
+    gen_k, and the same as the product of (1-p1)^-1 and name^+- = sum of
+    (-1)^k gen_k."""
+    key = (outer, fam)
 
+    @_register(id, description, reads=[key])
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        app = ctx.get((outer, fam))
+        app = ctx.get(key)
         geom = Series(cap, {n: _p1n(n) for n in range(cap + 1)})
         signed = Series(cap, {n: gen(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
         middle = geom * signed
@@ -302,114 +246,34 @@ def _hodge(outer: str, fam: str, gen: Callable, name: str, closed: Callable):
             check.eq(n, app.coeff(n), closed(ctx, n))
             check.eq(n, app.coeff(n), middle.coeff(n), note=f"(1-p1)^-1 {name}^+- form")
 
-    return fn
 
-
-@_register("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n", reads=[("H", "lie")])
-def _equiv_pbw_sym(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("H", "lie")).coeff, _p1n, 1, cap)
-
-
-@_register(
-    "EQUIV-PBW-CADOGAN",
-    "(H-1) inverse is the alternating omega(lie)",
-    reads=[("brackets", "H", "lie_alt", False)],
-)
-def _equiv_pbw_cadogan(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("brackets", "H", "lie_alt", False)).coeff, _p1_only, 1, cap)
-
-
-@_register("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1", reads=[("E", "lie")])
-def _equiv_pbw_altext(ctx, cap, check):
-    _degrees_equal(check, partial(_alt_outer, ctx.get(("E", "lie"))), _p1_only, 1, cap)
-
-
-@_register(
-    "EQUIV-PBW-ALTEXT-GE2",
-    "alternating e-sum over lie_(>=2) is the standard representation",
-    reads=[("E", "lie_ge2"), "kappa"],
-)
-def _equiv_pbw_altext_ge2(ctx, cap, check):
-    lhs = partial(_alt_outer, ctx.get(("E", "lie_ge2")))
-    _degrees_equal(check, lhs, ctx.get("kappa").coeff, 2, cap)
-
-
-_register(
-    "EQUIV-PBW-COCHAIN",
-    "signed e-sum over lie_(>=2) collapses to one irreducible",
-    reads=[("Epm", "lie_ge2"), ("E", "lie_ge2"), "kappa", "omega_kappa"],
-)(_cochain("E", "lie_ge2", "kappa", "omega_kappa"))
-
-
-@_register(
-    "EQUIV-PBW-FILT-A",
-    "lie_(>=2) = lie composed with the standard-rep series",
-    reads=["lie", "lie_ge2", "kappa"],
-)
-def _equiv_pbw_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.get("lie"), ctx.get("kappa"))
-    _degrees_equal(check, ctx.get("lie_ge2").coeff, rhs.coeff, 0, cap)
-
-
-_register(
-    "EQUIV-PBW-FILT-B",
-    "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)",
-    reads=["lie_ge2", "kappa"],
-)(_filt_b("lie_ge2", "kappa"))
-_register(
-    "EQUIV-PBW-HODGE",
-    "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k",
-    reads=[("H", "lie_ge2")],
-)(_hodge("H", "lie_ge2", e, "E", _e_delta))
-
-
-@_register("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n", reads=[("E", "lie2")])
-def _equiv_lie2_ext(ctx, cap, check):
-    _degrees_equal(check, ctx.get(("E", "lie2")).coeff, _p1n, 1, cap)
-
-
-@_register("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1", reads=[("H", "lie2")])
-def _equiv_lie2_plinv(ctx, cap, check):
-    _degrees_equal(check, partial(_alt_outer, ctx.get(("H", "lie2"))), _p1_only, 1, cap)
-
-
-@_register(
-    "EQUIV-LIE2-GE2",
-    "alternating h-sum over lie2_(>=2) is omega(kappa)",
-    reads=[("H", "lie2_ge2"), "omega_kappa"],
-)
-def _equiv_lie2_ge2(ctx, cap, check):
-    lhs = partial(_alt_outer, ctx.get(("H", "lie2_ge2")))
-    _degrees_equal(check, lhs, ctx.get("omega_kappa").coeff, 2, cap)
-
-
-_register(
-    "EQUIV-LIE2-COCHAIN",
-    "signed h-sum over lie2_(>=2) collapses to one irreducible",
-    reads=[("Hpm", "lie2_ge2"), ("H", "lie2_ge2"), "omega_kappa", "kappa"],
-)(_cochain("H", "lie2_ge2", "omega_kappa", "kappa"))
-
-
-@_register(
-    "EQUIV-LIE2-FILT-A",
-    "lie2_(>=2) = lie2 composed with omega(kappa)",
-    reads=["lie2", "lie2_ge2", "omega_kappa"],
-)
-def _equiv_lie2_filt_a(ctx, cap, check):
-    rhs = series_plethysm(ctx.get("lie2"), ctx.get("omega_kappa"))
-    _degrees_equal(check, ctx.get("lie2_ge2").coeff, rhs.coeff, 0, cap)
-
-
-_register(
-    "EQUIV-LIE2-FILT-B",
-    "lie2_(>=2) = omega(kappa) iterated (stabilized)",
-    reads=["lie2_ge2", "omega_kappa"],
-)(_filt_b("lie2_ge2", "omega_kappa"))
-_register(
-    "EQUIV-LIE2-HODGE",
-    "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k",
-    reads=[("E", "lie2_ge2")],
-)(_hodge("E", "lie2_ge2", h, "H", lambda ctx, n: ctx.delta(n)))
+_equal("EQUIV-PBW-SYM", "(H-1)[lie] = sum of p1^n", ("H", "lie"), _p1n, 1)
+_equal("EQUIV-PBW-CADOGAN", "(H-1) inverse is the alternating omega(lie)",
+       ("brackets", "H", "lie_alt", False), _p1_only, 1)
+_equal("EQUIV-PBW-ALTEXT", "alternating e-sum over lie is p1", ("E", "lie"), _p1_only, 1, alt=True)
+_equal("EQUIV-PBW-ALTEXT-GE2", "alternating e-sum over lie_(>=2) is the standard representation",
+       ("E", "lie_ge2"), "kappa", 2, alt=True)
+_cochain("EQUIV-PBW-COCHAIN", "signed e-sum over lie_(>=2) collapses to one irreducible",
+         "E", "lie_ge2", "kappa", "omega_kappa")
+_filt_a("EQUIV-PBW-FILT-A", "lie_(>=2) = lie composed with the standard-rep series",
+        "lie_ge2", "lie", "kappa")
+_filt_b("EQUIV-PBW-FILT-B", "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)",
+        "lie_ge2", "kappa")
+_hodge("EQUIV-PBW-HODGE", "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k",
+       "H", "lie_ge2", e, "E", _e_delta)
+_equal("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n", ("E", "lie2"), _p1n, 1)
+_equal("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1",
+       ("H", "lie2"), _p1_only, 1, alt=True)
+_equal("EQUIV-LIE2-GE2", "alternating h-sum over lie2_(>=2) is omega(kappa)",
+       ("H", "lie2_ge2"), "omega_kappa", 2, alt=True)
+_cochain("EQUIV-LIE2-COCHAIN", "signed h-sum over lie2_(>=2) collapses to one irreducible",
+         "H", "lie2_ge2", "omega_kappa", "kappa")
+_filt_a("EQUIV-LIE2-FILT-A", "lie2_(>=2) = lie2 composed with omega(kappa)",
+        "lie2_ge2", "lie2", "omega_kappa")
+_filt_b("EQUIV-LIE2-FILT-B", "lie2_(>=2) = omega(kappa) iterated (stabilized)",
+        "lie2_ge2", "omega_kappa")
+_hodge("EQUIV-LIE2-HODGE", "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k",
+       "E", "lie2_ge2", h, "H", SeriesContext.delta)
 
 
 @_register(
@@ -654,29 +518,22 @@ def _ind_lie2(ctx, cap, check):
 # power-sum transfer identities
 
 
-def _conj_from(fam: str, step: int):
-    """conj = sum of p_k[fam] over k = 1, 1 + step, ...; fam is the mobius-weighted inverse."""
+def _conj_from(id: str, description: str, fam: str, step: int) -> None:
+    """Register id: conj = sum of p_k[fam] over k = 1, 1 + step, ...; fam is
+    the mobius-weighted inverse."""
+    key, pk, conj = ("conj_from", fam), ("p_k", "conj"), "conj"
 
+    @_register(id, description, reads=[key, fam, pk, conj])
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        _degrees_equal(check, ctx.get(("conj_from", fam)).coeff, ctx.get("conj").coeff, 1, cap)
-        pk = ctx.get(("p_k", "conj"))
-        back = linear_sum((mobius(k), pk[k - 1]) for k in range(1, cap + 1, step))
+        _degrees_equal(check, ctx.get(key).coeff, ctx.get(conj).coeff, 1, cap)
+        pieces = ctx.get(pk)
+        back = linear_sum((mobius(k), pieces[k - 1]) for k in range(1, cap + 1, step))
         for n in range(1, cap + 1):
             check.eq(n, back.homogeneous_part(n), ctx.get(fam).coeff(n), note="inverse direction")
 
-    return fn
 
-
-_register(
-    "CONJ-FROM-LIE",
-    "conj = sum of p_k[lie]; lie = mobius-weighted inverse",
-    reads=[("conj_from", "lie"), "lie", ("p_k", "conj"), "conj"],
-)(_conj_from("lie", 1))
-_register(
-    "CONJ-FROM-LIE2",
-    "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse",
-    reads=[("conj_from", "lie2"), "lie2", ("p_k", "conj"), "conj"],
-)(_conj_from("lie2", 2))
+_conj_from("CONJ-FROM-LIE", "conj = sum of p_k[lie]; lie = mobius-weighted inverse", "lie", 1)
+_conj_from("CONJ-FROM-LIE2", "conj = sum of p_(2k-1)[lie2]; odd-mobius inverse", "lie2", 2)
 
 
 @_register(

@@ -1,4 +1,5 @@
 import json
+import pathlib
 from collections import Counter
 
 import pytest
@@ -446,3 +447,35 @@ def test_u_closed_builds_no_large_character_column(monkeypatch):
     (report,) = verify_all(12, ids=["U-CLOSED"])
     assert report.passed
     assert max(map(sum, _mn_pure._memo)) <= 6
+
+
+def _comparisons(monkeypatch, cap: int) -> dict:
+    """{theorem id: {degree: the number of _Check.eq and fail calls at that
+    degree}} with each entry run alone on a fresh context of cap."""
+    counts: Counter = Counter()
+    real_eq, real_fail = registry._Check.eq, registry._Check.fail
+
+    def eq(self, degree, *args, **kwargs):
+        counts[degree] += 1
+        return real_eq(self, degree, *args, **kwargs)
+
+    def fail(self, degree, note):
+        counts[degree] += 1
+        return real_fail(self, degree, note)
+
+    monkeypatch.setattr(registry._Check, "eq", eq)
+    monkeypatch.setattr(registry._Check, "fail", fail)
+    out = {}
+    for id in THEOREM_IDS:
+        counts.clear()
+        assert verify_identity(id, cap, SeriesContext(cap)).passed, id
+        out[id] = {str(n): counts[n] for n in sorted(counts)}
+    return out
+
+
+def test_each_entry_makes_the_comparisons_of_its_golden(monkeypatch):
+    # a passing report does not show which degrees an entry compared, so an
+    # entry that stopped checking a degree would leave every output golden
+    # as it is; the per-degree count of comparisons at cap 8 pins them
+    golden = pathlib.Path(__file__).parent / "golden" / "theorem-comparisons-cap8.json"
+    assert _comparisons(monkeypatch, 8) == json.loads(golden.read_text())

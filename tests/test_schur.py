@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_type, inject_strip_sign_defect, ref_positivity, ref_to_schur
 from conftest import unpack_batch
+from deficit_oracle import deficit_verdicts, rectangle_column
 from mn_oracle import mn_character as oracle_character
 from mn_oracle import mn_table as oracle_table
 from plethy import _mn_pure, schur
@@ -577,6 +578,34 @@ def test_the_deficit_at_the_one_row_shape_has_a_closed_form():
         else:
             assert q in (0, 1), n
             assert n > 32 or scan[n - 2].positive, n
+
+
+def _quotient_columns_differ(top: int) -> list[tuple]:
+    """The (n, d), n <= top, whose rectangle column (d^(n/d)) keyed_column
+    gives otherwise than the d-quotient oracle."""
+    return [
+        (n, d)
+        for n in range(1, top + 1)
+        for d in divisors(n)
+        if {_mn_pure.encode(lam): v for lam, v in rectangle_column(n, d).items()}
+        != _mn_pure.keyed_column((d,) * (n // d))
+    ]
+
+
+def test_the_quotient_oracle_gives_every_rectangle_column():
+    assert _quotient_columns_differ(16) == []
+
+
+def test_the_quotient_oracle_sees_a_strip_sign_defect(monkeypatch):
+    inject_strip_sign_defect(monkeypatch)
+    assert _quotient_columns_differ(16)
+
+
+@pytest.mark.parametrize("psi", [Psi.two_adic(), Psi.mobius()], ids=["two_adic", "mobius"])
+def test_the_deficit_scan_gives_the_quotient_oracle_verdicts(psi):
+    # verdicts and witnesses from the d-quotient formula, with no strip moved
+    want = deficit_verdicts(psi, 24)
+    assert [tuple(res) for res in schur.deficit_positivity(psi, 24)] == want
 
 
 def test_deficit_scan_leaves_the_column_memo_as_it_found_it(monkeypatch):
