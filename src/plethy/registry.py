@@ -155,7 +155,7 @@ def _rows_positive(check: _Check, name: str, row: Callable, cap: int) -> bool:
 @_register(
     "U-POS",
     "truncated alternating vh sums are Schur-positive",
-    reads=[("walk", "two_adic", -1)],
+    reads=[SeriesContext.READER_KEYS["u_row"]],
     tier="conjecture",
 )
 def _u_pos(ctx, cap, check):

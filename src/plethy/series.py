@@ -46,9 +46,10 @@ Each job has one way in.  SeriesContext.get is the one read of the cache,
 and _recipe the one statement, per memo key, of the keys its value is built
 from and of how: get hands a build only the values of those keys, and
 SeriesContext.sources reads them off the same recipe.  A caller names
-the literal key it reads, so the key it declares and the key it reads are
-one spelling.  The outer powers come from _outer_powers alone, over the
-cached p_k[F] pieces.
+the literal key it reads, or for the single-degree readers (whitney, vh and
+the u and beta rows) the key SeriesContext.READER_KEYS states once, so the
+key it declares and the key it reads are one spelling.  The outer powers
+come from _outer_powers alone, over the cached p_k[F] pieces.
 """
 
 from __future__ import annotations
@@ -535,8 +536,8 @@ def p_sum_over(n: int, filter: str = "all") -> SymFunc:
 
 # -- the named constructions, sharing one cache per cap ---------------------------
 
-# the family names: lie, lie2, conj, their degree >= 2 parts, and F_alt of each
-_FAMILIES = {f + a for f in ("lie", "lie2", "conj", "lie_ge2", "lie2_ge2") for a in ("", "_alt")}
+# the family names: lie, lie2, conj, F_alt of each, and the degree >= 2 parts of lie and lie2
+_FAMILIES = {"lie", "lie2", "conj", "lie_alt", "lie2_alt", "conj_alt", "lie_ge2", "lie2_ge2"}
 _WEIGHTS = ("mobius", "totient", "two_adic")  # the Psi constructors a product or walk key names
 
 
@@ -577,11 +578,6 @@ def _recipe(key) -> tuple[tuple, Callable]:
         case ("product", str(w), "alt_sym" | "alt_ext" as variant) if w in _WEIGHTS:
             src = "hpm" if variant == "alt_sym" else "epm"
             return (("product", w, src),), lambda cap, S: S.twist()
-        case ("conj_from", "lie" | "lie2" as name):
-            step = 1 if name == "lie" else 2  # lie2 sums p_k over the odd k
-            return (("p_k", name),), lambda cap, pk: Series(
-                cap, linear_sum((1, f) for f in pk[::step]).homogeneous_parts()
-            )
         case "kappa":
             # s_(n-1,1) = h_(n-1) h_1 - h_n, so no character tables are needed
             return (), lambda cap: Series(
@@ -598,16 +594,15 @@ class SeriesContext:
     get keeps each value in _memo under one key:
 
         "lie", "lie2", "conj"               the family F
-        "lie_ge2", "lie2_ge2"               its degrees >= 2
-        F + "_alt", F one of the above      sum of (-1)^(n-1) omega(f_n)
-        ("p_k", F)                          [p_1[F], ..., p_cap[F]]
+        F + "_alt", F one of these          sum of (-1)^(n-1) omega(f_n)
+        "lie_ge2", "lie2_ge2"               the degrees >= 2 of lie and lie2
+        ("p_k", F), F any of the above      [p_1[F], ..., p_cap[F]]
         (kind, F), kind H or E              H(v)[F] or E(v)[F], slot (n, r) under v^r
         (kind, F), kind Hpm or Epm          the same with v -> -v
         ("brackets", kind, F, signed)       bracket_sum(kind, F); if signed is
                                             True, times (-1)^(|lam| - l(lam))
         ("product", weight, variant)        a product formula, below
         ("walk", weight, sign)              the partition walk the u and beta rows read
-        ("conj_from", F), F lie or lie2     sum of p_k[lie], or of p_(2k-1)[lie2]
         "kappa", "omega_kappa"              s_(n-1,1) for n >= 2, and its omega
 
     weight is mobius, totient or two_adic, and sign is 1 or -1.  With
@@ -623,6 +618,7 @@ class SeriesContext:
     which reads ("p_k", "lie"), which reads "lie".  _recipe states, once per
     key, the keys it is built from (sources) and how; get builds a value
     only from those.  release drops keys; a later read builds them again.
+    READER_KEYS names the one key each single-degree reader below reads.
     """
 
     def __init__(self, cap: int):
@@ -674,18 +670,21 @@ class SeriesContext:
 
     # single-value constructions ------------------------------------------
 
+    READER_KEYS = {"whitney": ("product", "mobius", "ext"), "vh": ("product", "two_adic", "sym"),
+                   "u_row": ("walk", "two_adic", -1), "beta_row": ("walk", "mobius", 1)}
+
     def whitney(self, n: int, k: int) -> SymFunc:
         """Graded piece k of the partition-lattice invariant: omega(e_(n-k)[lie])|_n,
         read off the Mobius product E(v)[lie]."""
         if not 0 <= k <= n - 1:
             raise ValueError("whitney needs 0 <= k <= n-1")
-        return self.get(("product", "mobius", "ext")).graded(n, n - k).omega()
+        return self.get(self.READER_KEYS["whitney"]).graded(n, n - k).omega()
 
     def vh(self, n: int, k: int) -> SymFunc:
         """h_(n-k)[lie2]|_n, read off the two-adic product H(v)[lie2]."""
         if not 0 <= k <= n - 1:
             raise ValueError("vh needs 0 <= k <= n-1")
-        return self.get(("product", "two_adic", "sym")).graded(n, n - k)
+        return self.get(self.READER_KEYS["vh"]).graded(n, n - k)
 
     def u(self, n: int, k: int) -> SymFunc:
         """Truncated alternating sum vh(n,k) - vh(n,k-1) + ... +- vh(n,0)."""
@@ -704,14 +703,14 @@ class SeriesContext:
         product H(v)[lie2]: the coefficient of p_lam in u(n, k) is
         (-1)^l(lam) U_k / z_lam, with U_k = [v^(n-k)] N_lam - U_(k-1).
         With packed, the same row as one packed batch (_rows)."""
-        return _rows(self.get(("walk", "two_adic", -1)), n, True, packed)
+        return _rows(self.get(self.READER_KEYS["u_row"]), n, True, packed)
 
     def beta_row(self, n: int, packed: bool = False):
         """[beta_rank(n, 0), ..., beta_rank(n, n-1)] off the numerators of the
         Mobius product E(v)[lie]: the coefficient of p_lam in beta(n, k) is
         (-1)^k B_k / z_lam, with B_k = [v^(n-k)] N_lam + B_(k-1), the sign
         coming from v -> -v and omega.  With packed, one packed batch."""
-        return _rows(self.get(("walk", "mobius", 1)), n, False, packed)
+        return _rows(self.get(self.READER_KEYS["beta_row"]), n, False, packed)
 
     def delta(self, n: int) -> SymFunc:
         """Injective-words homology: sum of (-1)^k p_1^(n-k) h_k, 0 <= k <= n."""

@@ -27,11 +27,9 @@ def _decomposition_rows(n: int, ctx: SeriesContext) -> list[dict]:
     rows = []
     happ = ctx.get(("H", "lie"))
     eapp = ctx.get(("E", "lie2"))
-    wapp = ctx.get(("E", "lie"))
     for ell in range(n, 0, -1):
         k = n - ell
-        whitney_raw = wapp.graded(n, ell)
-        whitney = whitney_raw if k % 2 == 0 else whitney_raw.omega()
+        whitney = ctx.whitney(n, k) if k % 2 else ctx.whitney(n, k).omega()
         classes = [lam for lam in partitions_of(n) if len(lam) == ell]
         rows.append(
             {

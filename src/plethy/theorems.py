@@ -11,25 +11,27 @@ are stated once: _degrees_equal is the per-degree comparison of two sides
 over a degree range; _equal registers each of the 20 entries that are one
 such comparison, of the degree-n parts of a memo key's series (or their
 alternating length sums) against a function or a second key; _plinv,
-_cochain, _filt_a, _filt_b, _hodge and _conj_from each give a counterpart
-pair (CADOGAN/PLINV-E and the lie/lie2 links) one body over the family,
-its outer kind (H/E) and its generator (kappa/omega(kappa)); _PSI maps
-each family to its weight psi, _p1_recurrence is the restriction
-recurrence S_n = p_1 S_(n-1) + (-1)^n c(n) of SIGMA-REC and TAU-REC, and
-BETA-POS scans its rows with the registry's _rows_positive.
+_cochain, _filt_a, _filt_b, _hodge, _total, _induction, _conj_from and
+_recurrences each give a counterpart pair (CADOGAN/PLINV-E and the lie/lie2
+links) one body over what the two differ in: the family, its outer kind
+(H/E), its generator (kappa/omega(kappa), e/h) or the reader of its pieces
+(whitney/vh).  _PSI maps each family to its weight psi, _p1_recurrence is
+the restriction recurrence S_n = p_1 S_(n-1) + (-1)^n c(n), and BETA-POS
+scans its rows with the registry's _rows_positive.
 
 An entry names the SeriesContext memo keys it reads once.  _equal and the
-six factories take them as arguments, register the entry themselves and
-derive its reads from those arguments.  The other entries, whose bodies
-are their own, list reads= at their _register call: the keys the body
-reads by ctx.get with the same key, or through whitney, vh and the u and
-beta rows.  _register adds the keys those are built from.
+nine factories take them, or the reader's name, as arguments, register the
+entry themselves and derive its reads from those arguments.  The other
+entries, whose bodies are their own, list reads= at their _register call:
+the keys the body reads by ctx.get with the same key, or, for the readers
+whitney, vh and the u and beta rows, the key SeriesContext.READER_KEYS
+states for each.  _register adds the keys those are built from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .lie_family import Psi
@@ -46,6 +48,7 @@ from .symfunc import SymFunc, e, h, linear_sum, p, plethysm, s
 
 # the weight psi of each family's template f_n = (1/n) sum over d | n of psi(d) p_d^(n/d)
 _PSI = {"lie": Psi.mobius(), "conj": Psi.totient(), "lie2": Psi.two_adic()}
+_KEYS = SeriesContext.READER_KEYS  # the memo key each single-degree reader reads
 
 
 def _degrees_equal(check: _Check, lhs: Callable, rhs: Callable, start: int, cap: int) -> None:
@@ -223,17 +226,9 @@ def _filt_b(id: str, description: str, fam: str, gen: str) -> None:
         _degrees_equal(check, ctx.get(fam).coeff, sums[-1].coeff, 0, cap)
 
 
-def _e_delta(ctx: SeriesContext, n: int) -> SymFunc:
-    """sum of (-1)^k p1^(n-k) e_k, the e-counterpart of ctx.delta(n)."""
-    return linear_sum(((-1) ** (k % 2), _p1n(n - k) * e(k)) for k in range(n + 1))
-
-
-def _hodge(
-    id: str, description: str, outer: str, fam: str, gen: Callable, name: str, closed: Callable
-) -> None:
-    """Register id: outer[fam]|_n = closed(ctx, n) = sum of (-1)^k p1^(n-k)
-    gen_k, and the same as the product of (1-p1)^-1 and name^+- = sum of
-    (-1)^k gen_k."""
+def _hodge(id: str, description: str, outer: str, fam: str, gen: Callable, name: str) -> None:
+    """Register id: outer[fam]|_n = sum of (-1)^k p1^(n-k) gen_k, and the same
+    as the product of (1-p1)^-1 and name^+- = sum of (-1)^k gen_k."""
     key = (outer, fam)
 
     @_register(id, description, reads=[key])
@@ -243,7 +238,8 @@ def _hodge(
         signed = Series(cap, {n: gen(n).scale((-1) ** (n % 2)) for n in range(cap + 1)})
         middle = geom * signed
         for n in range(2, cap + 1):
-            check.eq(n, app.coeff(n), closed(ctx, n))
+            closed = linear_sum(((-1) ** (k % 2), _p1n(n - k) * gen(k)) for k in range(n + 1))
+            check.eq(n, app.coeff(n), closed)
             check.eq(n, app.coeff(n), middle.coeff(n), note=f"(1-p1)^-1 {name}^+- form")
 
 
@@ -260,7 +256,7 @@ _filt_a("EQUIV-PBW-FILT-A", "lie_(>=2) = lie composed with the standard-rep seri
 _filt_b("EQUIV-PBW-FILT-B", "lie_(>=2) = kappa + kappa[kappa] + ... (stabilized)",
         "lie_ge2", "kappa")
 _hodge("EQUIV-PBW-HODGE", "(H-1)[lie_(>=2)] = alternating p1^(n-k) e_k",
-       "H", "lie_ge2", e, "E", _e_delta)
+       "H", "lie_ge2", e, "E")
 _equal("EQUIV-LIE2-EXT", "(E-1)[lie2] = sum of p1^n", ("E", "lie2"), _p1n, 1)
 _equal("EQUIV-LIE2-PLINV", "alternating h-sum over lie2 is p1",
        ("H", "lie2"), _p1_only, 1, alt=True)
@@ -273,7 +269,7 @@ _filt_a("EQUIV-LIE2-FILT-A", "lie2_(>=2) = lie2 composed with omega(kappa)",
 _filt_b("EQUIV-LIE2-FILT-B", "lie2_(>=2) = omega(kappa) iterated (stabilized)",
         "lie2_ge2", "omega_kappa")
 _hodge("EQUIV-LIE2-HODGE", "(E-1)[lie2_(>=2)] = alternating p1^(n-k) h_k",
-       "E", "lie2_ge2", h, "H", SeriesContext.delta)
+       "E", "lie2_ge2", h, "H")
 
 
 @_register(
@@ -427,21 +423,31 @@ def _hodge_filt(ctx, cap, check):
 # ---------------------------------------------------------------------------
 # Whitney-homology shaped identities
 
-# ctx.whitney reads the Mobius product E(v)[lie], ctx.vh the two-adic H(v)[lie2]
-_WHITNEY = [("product", "mobius", "ext")]
-_VH = [("product", "two_adic", "sym")]
 
-@_register(
-    "LEHRER",
-    "total graded invariant of the partition lattice is 2 h2 p1^(n-2)",
-    reads=_WHITNEY,
-)
-def _lehrer(ctx, cap, check):
-    lhs = partial(_pieces_sum, ctx.whitney)
-    _degrees_equal(check, lhs, lambda n: (h(2) * _p1n(n - 2)).scale(2), 2, cap)
+def _total(id: str, description: str, name: str, rhs: Callable) -> None:
+    """Register id: the pieces name(n, k), 0 <= k <= n-1, sum to rhs(n) for n >= 2."""
+
+    @_register(id, description, reads=[_KEYS[name]])
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        _degrees_equal(check, partial(_pieces_sum, getattr(ctx, name)), rhs, 2, cap)
 
 
-@_register("EVENODD", "odd and even graded pieces agree over lie", reads=_WHITNEY)
+def _induction(id: str, description: str, name: str, step: int) -> None:
+    """Register id: the total of the pieces name(n, k) is p_1 times the total
+    one degree below, for n = 3, 3 + step, ... up to the cap."""
+
+    @_register(id, description, reads=[_KEYS[name]], min_cap=3)
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        total = cache(partial(_pieces_sum, getattr(ctx, name)))
+        for n in range(3, cap + 1, step):
+            check.eq(n, total(n), p(1) * total(n - 1))
+
+
+_total("LEHRER", "total graded invariant of the partition lattice is 2 h2 p1^(n-2)",
+       "whitney", lambda n: (h(2) * _p1n(n - 2)).scale(2))
+
+
+@_register("EVENODD", "odd and even graded pieces agree over lie", reads=[_KEYS["whitney"]])
 def _evenodd(ctx, cap, check):
     odd = partial(_pieces_sum, ctx.whitney, start=1, step=2)
     _degrees_equal(check, odd, partial(_pieces_sum, ctx.whitney, step=2), 2, cap)
@@ -450,7 +456,7 @@ def _evenodd(ctx, cap, check):
 @_register(
     "HL-REG",
     "odd pieces plus sign-twisted even pieces give the regular rep",
-    reads=_WHITNEY,
+    reads=[_KEYS["whitney"]],
 )
 def _hl_reg(ctx, cap, check):
     for n in range(2, cap + 1):
@@ -459,29 +465,15 @@ def _hl_reg(ctx, cap, check):
         check.eq(n, odd + even.omega(), _p1n(n))
 
 
-@_register(
-    "IND-CONF",
-    "total invariant at n+1 is the induction of the one at n",
-    reads=_WHITNEY,
-    min_cap=3,
-)
-def _ind_conf(ctx, cap, check):
-    prev = _pieces_sum(ctx.whitney, 2)
-    for n in range(3, cap + 1):
-        cur = _pieces_sum(ctx.whitney, n)
-        check.eq(n, cur, p(1) * prev)
-        prev = cur
-
-
-@_register("LEHRER-LIE2", "total symmetric pieces of lie2 give the two-power classes", reads=_VH)
-def _lehrer_lie2(ctx, cap, check):
-    _degrees_equal(check, partial(_pieces_sum, ctx.vh), _two_powers, 2, cap)
+_induction("IND-CONF", "total invariant at n+1 is the induction of the one at n", "whitney", 1)
+_total("LEHRER-LIE2", "total symmetric pieces of lie2 give the two-power classes",
+       "vh", _two_powers)
 
 
 @_register(
     "EVENODD-LIE2",
     "odd/even vh pieces agree and give half the two-power classes",
-    reads=_VH,
+    reads=[_KEYS["vh"]],
 )
 def _evenodd_lie2(ctx, cap, check):
     for n in range(2, cap + 1):
@@ -491,7 +483,11 @@ def _evenodd_lie2(ctx, cap, check):
         check.eq(n, odd, half, note="half-sum form")
 
 
-@_register("HL-LIE2", "odd vh plus its sign twist: two-power classes of even corank", reads=_VH)
+@_register(
+    "HL-LIE2",
+    "odd vh plus its sign twist: two-power classes of even corank",
+    reads=[_KEYS["vh"]],
+)
 def _hl_lie2(ctx, cap, check):
     for n in range(2, cap + 1):
         odd = _pieces_sum(ctx.vh, n, 1, 2)
@@ -503,15 +499,7 @@ def _hl_lie2(ctx, cap, check):
         check.eq(n, odd + odd.omega(), rhs)
 
 
-@_register(
-    "IND-LIE2",
-    "total vh at odd degree is the induction from one below",
-    reads=_VH,
-    min_cap=3,
-)
-def _ind_lie2(ctx, cap, check):
-    for n in range(3, cap + 1, 2):
-        check.eq(n, _pieces_sum(ctx.vh, n), p(1) * _pieces_sum(ctx.vh, n - 1))
+_induction("IND-LIE2", "total vh at odd degree is the induction from one below", "vh", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +509,12 @@ def _ind_lie2(ctx, cap, check):
 def _conj_from(id: str, description: str, fam: str, step: int) -> None:
     """Register id: conj = sum of p_k[fam] over k = 1, 1 + step, ...; fam is
     the mobius-weighted inverse."""
-    key, pk, conj = ("conj_from", fam), ("p_k", "conj"), "conj"
+    key, pk, conj = ("p_k", fam), ("p_k", "conj"), "conj"
 
     @_register(id, description, reads=[key, fam, pk, conj])
     def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
-        _degrees_equal(check, ctx.get(key).coeff, ctx.get(conj).coeff, 1, cap)
+        fwd = linear_sum((1, f) for f in ctx.get(key)[::step])
+        _degrees_equal(check, fwd.homogeneous_part, ctx.get(conj).coeff, 1, cap)
         pieces = ctx.get(pk)
         back = linear_sum((mobius(k), pieces[k - 1]) for k in range(1, cap + 1, step))
         for n in range(1, cap + 1):
@@ -565,26 +554,24 @@ def _p1_recurrence(check: _Check, app: Series, c: Callable, cap: int, note: str 
         prev = cur
 
 
-@_register(
-    "SIGMA-REC",
-    "h-sum over lie2_(>=2) satisfies the sigma recurrence",
-    reads=[("H", "lie2_ge2"), ("H", "lie_ge2")],
-)
-def _sigma_rec(ctx, cap, check):
-    _p1_recurrence(check, ctx.get(("H", "lie2_ge2")), ctx.sigma, cap)
-    # lie analogue: the correction term is just e_n
-    _p1_recurrence(check, ctx.get(("H", "lie_ge2")), e, cap, note="lie side")
+def _recurrences(
+    id: str, description: str, outer: str, fam: str, c: str, side: str, gen: Callable
+) -> None:
+    """Register id: the outer sum over fam_(>=2) obeys _p1_recurrence with
+    the correction ctx.c, and the one over side_(>=2), the other family, with
+    gen: e_n on the lie side, h_n (injective words) on the lie2 side."""
+    key, other = (outer, fam + "_ge2"), (outer, side + "_ge2")
+
+    @_register(id, description, reads=[key, other])
+    def fn(ctx: SeriesContext, cap: int, check: _Check) -> None:
+        _p1_recurrence(check, ctx.get(key), getattr(ctx, c), cap)
+        _p1_recurrence(check, ctx.get(other), gen, cap, note=f"{side} side")
 
 
-@_register(
-    "TAU-REC",
-    "e-sum over lie_(>=2) satisfies the tau recurrence",
-    reads=[("E", "lie_ge2"), ("E", "lie2_ge2")],
-)
-def _tau_rec(ctx, cap, check):
-    _p1_recurrence(check, ctx.get(("E", "lie_ge2")), ctx.tau, cap)
-    # lie2 analogue: the correction term is h_n (injective-words recurrence)
-    _p1_recurrence(check, ctx.get(("E", "lie2_ge2")), h, cap, note="lie2 side")
+_recurrences("SIGMA-REC", "h-sum over lie2_(>=2) satisfies the sigma recurrence",
+             "H", "lie2", "sigma", "lie", e)
+_recurrences("TAU-REC", "e-sum over lie_(>=2) satisfies the tau recurrence",
+             "E", "lie", "tau", "lie2", h)
 
 
 def _restrict_rec(fam: str):
@@ -622,7 +609,7 @@ for _fam in ("lie", "lie2"):
 @_register(
     "U-CLOSED",
     "closed forms of the first four truncated alternating sums",
-    reads=["kappa", ("walk", "two_adic", -1)],
+    reads=["kappa", _KEYS["u_row"]],
     min_cap=4,
 )
 def _u_closed(ctx, cap, check):
@@ -658,7 +645,7 @@ def _u_closed(ctx, cap, check):
 @_register(
     "BETA-POS",
     "truncated alternating whitney sums are Schur-positive",
-    reads=[("walk", "mobius", 1)],
+    reads=[_KEYS["beta_row"]],
 )
 def _beta_pos(ctx, cap, check):
     _rows_positive(check, "beta", ctx.beta_row, cap)

@@ -332,7 +332,7 @@ def test_a_key_left_out_of_reads_costs_a_rebuild_not_a_result(monkeypatch, capsy
     # keeps it.  The output is the same, as a cache is never wrong, so the
     # declaration and build-once tests are what must catch it
     entry = registry._entry("U-POS")
-    reads = entry.reads - {("walk", "two_adic", -1)}
+    reads = entry.reads - {series.SeriesContext.READER_KEYS["u_row"]}
     monkeypatch.setitem(registry._ENTRIES, "U-POS", entry._replace(reads=reads))
     test_cli.test_verify_json_golden(capsys)
     with monkeypatch.context() as m, pytest.raises(AssertionError, match="undeclared read"):

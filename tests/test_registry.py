@@ -292,6 +292,9 @@ def test_sources_name_exactly_the_keys_each_build_reads(monkeypatch):
         ("product", "nosuch", "sym"),
         "lie_alt_alt",
         ("p_k", "lie_alt_alt"),
+        ("conj_from", "lie"),
+        "lie_ge2_alt",
+        ("H", "lie2_ge2_alt"),
     ],
 )
 def test_sources_refuse_a_key_outside_the_formats(key):
@@ -404,8 +407,8 @@ def test_u_closed_reads_one_u_row_per_degree(monkeypatch):
 
 
 def test_conj_from_entries_sum_the_cached_pieces(monkeypatch):
-    # the entries read p_k[lie], p_k[lie2] and p_k[conj] through
-    # ctx.power_sums, which computes them by series.plethysm once per context
+    # the entries read p_k[lie], p_k[lie2] and p_k[conj] by ctx.get, whose
+    # ("p_k", F) recipe computes them by series.plethysm once per context
     from plethy import series
 
     calls = []
