@@ -25,13 +25,14 @@ result slot is reduced and decoded once.  Sums of many SymFuncs are one
 linear_sum, not a chain of +.  Plethysms into one inner g share one
 _Powers memo, so each p_lam[g] is built once.
 
-What a sign rule or a running sum gives is derived, not built again.  A
-sign that depends only on the slot is a slot flip of the cached series:
-Hpm and Epm negate the odd-length slots of H and E (v -> -v), and the
-signed bracket sum negates the odd-corank slots of the unsigned one, since
-(-1)^(|lam| - l(lam)) is fixed by (|lam|, l(lam)).  Of the six product
-formulas only two are expanded: v -> -v gives two more, and the twist
-p_m -> -p_m, which is (-1)^n omega in degree n, the last two.
+What a sign rule or a running sum gives is derived, not built again.  The
+sign rule (a, b, c, d) of Series.signed multiplies the term at p_lam of
+slot (n, r) by (-1)^(a n + b r + c l(lam) + d), and _recipe serves each
+derived key as partial(_sign_rule, rule) over one source, so the rule is
+read without building anything: V_FLIP (v -> -v) for Hpm and Epm, CORANK
+for the signed brackets, ALT for F_alt and OMEGA for omega_kappa.  Of the
+six product formulas only two are expanded; the other four are those two
+under v -> -v, the twist p_m -> -p_m, or both.
 
 The truncated alternating sums u(n, k) and beta(n, k) are read straight off
 the packed integer numerators N_lam(v) of the product formulas, one degree
@@ -54,6 +55,7 @@ come from _outer_powers alone, over the cached p_k[F] pieces.
 
 from __future__ import annotations
 
+from functools import partial
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable
 
@@ -143,10 +145,6 @@ class Series:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _map_slots(self, fn: Callable[[int, int, SymFunc], SymFunc]) -> "Series":
-        """fn(n, r, f) in every slot; fn must send 0 to 0, as empty slots are skipped."""
-        return Series(self.cap, graded={(n, r): fn(n, r, f) for (n, r), f in self._slots.items()})
-
     def _binary(self, other: "Series", op) -> "Series":
         if self.cap != other.cap:
             raise ValueError("cap mismatch")
@@ -160,9 +158,6 @@ class Series:
 
     def __sub__(self, other: "Series") -> "Series":
         return self._binary(other, lambda a, b: a - b)
-
-    def scale(self, c) -> "Series":
-        return self._map_slots(lambda n, r, f: f.scale(c))
 
     def __mul__(self, other: "Series") -> "Series":
         """The truncated product: slot (n1, r1) times slot (n2, r2) lands in
@@ -197,14 +192,33 @@ class Series:
             inv.append(mul_sum([(neg[k], inv[n - k]) for k in range(1, n + 1)], cap))
         return Series(cap, [x.symfunc() for x in inv])
 
-    def map(self, fn: Callable[[SymFunc], SymFunc]) -> "Series":
-        """fn slot by slot, for a linear fn."""
-        return self._map_slots(lambda n, r, f: fn(f))
+    def signed(self, signs: tuple[int, int, int, int]) -> "Series":
+        """The sign rule signs = (a, b, c, d): each term x p_lam of slot (n, r)
+        times (-1)^(a n + b r + c l(lam) + d), in one pass."""
+        a, b, c, d = signs
+        slots = {}
+        for (n, r), f in self._slots.items():
+            s = a * n + b * r + d
+            if c % 2:
+                num = {lam: -v if (s + len(lam)) % 2 else v for lam, v in f._num.items()}
+                f = SymFunc._raw(num, f._den)
+            elif s % 2:
+                f = -f
+            slots[n, r] = f
+        return Series(self.cap, graded=slots)
 
-    def twist(self) -> "Series":
-        """The ring map p_m -> -p_m, slot by slot: it sends a degree-n piece
-        f to (-1)^n omega(f) (Macdonald, Symmetric Functions, I.2)."""
-        return self._map_slots(lambda n, r, f: -f.omega() if n % 2 else f.omega())
+
+# the sign rules of Series.signed, as (a, b, c, d) for (-1)^(a n + b r + c l(lam) + d)
+V_FLIP = (0, 1, 0, 0)  # v -> -v
+CORANK = (1, 1, 0, 0)  # (-1)^(|lam| - l(lam)) on a bracket, which sits in slot (|lam|, l(lam))
+TWIST = (0, 0, 1, 0)  # the ring map p_m -> -p_m (Macdonald, Symmetric Functions, I.2)
+OMEGA = (1, 0, 1, 0)  # omega: p_lam -> (-1)^(|lam| - l(lam)) p_lam
+ALT = (0, 0, 1, 1)  # f_n -> (-1)^(n-1) omega(f_n), minus the twist
+
+
+def _sign_rule(signs: tuple[int, int, int, int], cap: int, S: Series) -> Series:
+    """The build of a memo key that is its one source S under a sign rule."""
+    return S.signed(signs)
 
 
 def _keyed_columns(S: Series) -> dict[int, Keyed]:
@@ -317,16 +331,6 @@ def _outer_powers(kind: str, pk: list[SymFunc], cap: int) -> Series:
             if num:
                 graded[n, r] = _reduced(num, den)
     return Series(cap, graded=graded)
-
-
-def _negate_slots(A: Series, odd: Callable[[int, int], int]) -> Series:
-    """A with every slot (n, r) where odd(n, r) is true negated."""
-    return A._map_slots(lambda n, r, f: -f if odd(n, r) else f)
-
-
-def _flip_v(A: Series) -> Series:
-    """A with v -> -v: its odd-length slots negated."""
-    return _negate_slots(A, lambda n, r: r % 2)
 
 
 def bracket_sum(kind: str, Q: Series) -> Series:
@@ -539,6 +543,9 @@ def p_sum_over(n: int, filter: str = "all") -> SymFunc:
 # the family names: lie, lie2, conj, F_alt of each, and the degree >= 2 parts of lie and lie2
 _FAMILIES = {"lie", "lie2", "conj", "lie_alt", "lie2_alt", "conj_alt", "lie_ge2", "lie2_ge2"}
 _WEIGHTS = ("mobius", "totient", "two_adic")  # the Psi constructors a product or walk key names
+# the product variants that are an expanded one under v -> -v, the twist, or both
+_SIGNED_PRODUCTS = {"hpm": ("sym", V_FLIP), "ext": ("epm", V_FLIP),
+                    "alt_sym": ("sym", (0, 1, 1, 0)), "alt_ext": ("epm", TWIST)}
 
 
 def _recipe(key) -> tuple[tuple, Callable]:
@@ -554,37 +561,32 @@ def _recipe(key) -> tuple[tuple, Callable]:
         case "lie_ge2" | "lie2_ge2":
             return (key[:-4],), lambda cap, F: restrict_ge2(F)
         case str() if key in _FAMILIES:
-            # F_alt, the sum of (-1)^(n-1) omega(f_n), is minus the twist of F
-            return (key[:-4],), lambda cap, F: F.twist().scale(-1)
+            return (key[:-4],), partial(_sign_rule, ALT)
         case ("p_k", str(name)) if name in _FAMILIES:
             return (name,), lambda cap, F: _power_sums(F, cap)
         case ("H" | "E" as kind, str(name)) if name in _FAMILIES:
             return (("p_k", name),), lambda cap, pk: _outer_powers(kind, pk, cap)
         case ("Hpm" | "Epm" as kind, str(name)) if name in _FAMILIES:
-            return ((kind[0], name),), lambda cap, A: _flip_v(A)
+            return ((kind[0], name),), partial(_sign_rule, V_FLIP)
         case ("brackets", "H" | "E" as kind, str(name), False) if name in _FAMILIES:
             return (name,), lambda cap, F: bracket_sum(kind, F)
         case ("brackets", "H" | "E", str(name), True) if name in _FAMILIES:
-            # the sign (-1)^(|lam| - l(lam)) negates the odd-corank slots
-            return (key[:3] + (False,),), lambda cap, S: _negate_slots(S, lambda n, r: (n - r) % 2)
+            return (key[:3] + (False,),), partial(_sign_rule, CORANK)
         case ("walk", str(w), 1 | -1 as sign) if w in _WEIGHTS:
             return (), lambda cap: _product_walk(getattr(Psi, w)(), sign, cap)
         case ("product", str(w), "sym" | "epm" as variant) if w in _WEIGHTS:
             sign = 1 if variant == "epm" else -1
             return (("walk", w, sign),), lambda cap, walk: product_form(walk, cap)
-        case ("product", str(w), "hpm" | "ext" as variant) if w in _WEIGHTS:
-            src = "sym" if variant == "hpm" else "epm"
-            return (("product", w, src),), lambda cap, S: _flip_v(S)
-        case ("product", str(w), "alt_sym" | "alt_ext" as variant) if w in _WEIGHTS:
-            src = "hpm" if variant == "alt_sym" else "epm"
-            return (("product", w, src),), lambda cap, S: S.twist()
+        case ("product", str(w), str(variant)) if w in _WEIGHTS and variant in _SIGNED_PRODUCTS:
+            src, signs = _SIGNED_PRODUCTS[variant]
+            return (("product", w, src),), partial(_sign_rule, signs)
         case "kappa":
             # s_(n-1,1) = h_(n-1) h_1 - h_n, so no character tables are needed
             return (), lambda cap: Series(
                 cap, {n: h(n - 1) * h(1) - h(n) for n in range(2, cap + 1)}
             )
         case "omega_kappa":
-            return ("kappa",), lambda cap, K: K.map(lambda f: f.omega())
+            return ("kappa",), partial(_sign_rule, OMEGA)
     raise KeyError(key)
 
 
@@ -610,9 +612,9 @@ class SeriesContext:
     variant "sym" is prod over m of (1 - p_m)^(-f_m(v)), "epm"
     (1 - p_m)^(f_m(v)), "hpm" (1 - p_m)^(-f_m(-v)), "ext" (1 - p_m)^(f_m(-v)),
     "alt_sym" (1 + p_m)^(-f_m(-v)) and "alt_ext" (1 + p_m)^(f_m(v)).  Only
-    "sym" and "epm" are expanded; "hpm" and "ext" negate their odd-length
-    slots, and "alt_sym" and "alt_ext" are the twists p_m -> -p_m of "hpm"
-    and "epm".
+    "sym" and "epm" are expanded: "hpm" and "ext" are them under v -> -v,
+    "alt_ext" is "epm" under the twist p_m -> -p_m, and "alt_sym" is "sym"
+    under both, each one sign rule of Series.signed.
 
     A value may be built from others: ("Hpm", "lie") reads ("H", "lie"),
     which reads ("p_k", "lie"), which reads "lie".  _recipe states, once per

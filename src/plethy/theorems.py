@@ -37,13 +37,8 @@ from typing import Callable
 from .lie_family import Psi
 from .partitions import mobius, partitions_of
 from .registry import _Check, _register, _rows_positive
-from .series import (
-    Series,
-    SeriesContext,
-    p_sum_over,
-    plethystic_inverse,
-    series_plethysm,
-)
+from .series import OMEGA, TWIST, Series, SeriesContext
+from .series import p_sum_over, plethystic_inverse, series_plethysm
 from .symfunc import SymFunc, e, h, linear_sum, p, plethysm, s
 
 # the weight psi of each family's template f_n = (1/n) sum over d | n of psi(d) p_d^(n/d)
@@ -326,7 +321,7 @@ def _meta_products(fam: str):
             lhs = ctx.get(outer)
             if brackets:
                 sums = ctx.get(brackets)
-                check.eq_graded(lhs, sums.map(lambda f: f.omega()) if brackets[3] else sums)
+                check.eq_graded(lhs, sums.signed(OMEGA) if brackets[3] else sums)
             check.eq_graded(lhs, ctx.get(form))
 
     return fn
@@ -390,7 +385,7 @@ def _he_unit(ctx, cap, check):
     # sign-twist lemma: K[-p1] = omega(K)^+- and the induced equivalences
     for fam, outer in (("lie", "H"), ("lie2", "E")):
         K2 = ctx.get((outer, fam + "_alt")).drop_grading()
-        omega_pm = K2.twist()
+        omega_pm = K2.signed(TWIST)
         sub = plethysm(K2.total(), -p(1), cap)
         for n in range(cap + 1):
             check.eq(n, sub.homogeneous_part(n), omega_pm.coeff(n), note=f"{fam}: K[-p1]")

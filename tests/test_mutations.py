@@ -19,15 +19,19 @@ fail the packed-row test in test_schur.  A key left
 out of an entry's reads changes no output, so it must fail the
 declaration and build-once tests in test_registry, and an edge left out
 of SeriesContext.sources, from which _register closes each entry's reads,
-must fail the edge test there.  A packed width too short for the fields
-of the outer powers, or of the product-formula walk, must fail the product
-entries of every family, with no traceback.
+must fail the edge test there.  A memo key served as a sign rule of the
+key it is compared with must fail the independence audit there, and a
+twist given omega's exponents the sign-rule tests in test_series.  A
+packed width too short for the fields of the outer powers, or of the
+product-formula walk, must fail the product entries of every family, with
+no traceback.
 """
 
 from __future__ import annotations
 
 import importlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -358,6 +362,38 @@ def test_an_edge_left_out_of_sources_fails_the_edge_test(monkeypatch):
         test_registry.test_each_entry_reads_exactly_its_declared_keys(m)
     with monkeypatch.context() as m, pytest.raises(AssertionError, match="than their sources"):
         test_registry.test_sources_name_exactly_the_keys_each_build_reads(m)
+
+
+def test_a_product_served_as_a_sign_rule_of_its_outer_power_fails_the_audit(monkeypatch):
+    # the product "sym" served as ("H", F) under the rule that changes no
+    # sign: every value stays right, as the two are equal, but the entries
+    # that compare them then read one computation twice
+    real = series._recipe
+    families = {psi.name: fam for fam, psi in theorems._PSI.items()}
+
+    def recipe(key):
+        if key[:1] == ("product",) and key[2:] == ("sym",):
+            return (("H", families[key[1]]),), partial(series._sign_rule, (0, 0, 0, 0))
+        return real(key)
+
+    monkeypatch.setattr(series, "_recipe", recipe)
+    with pytest.raises(AssertionError, match="both reach"):
+        test_registry.test_each_key_comparison_reaches_two_expanded_sources()
+
+
+def test_a_twist_given_omegas_exponents_fails_the_sign_rule_tests(monkeypatch):
+    # omega and the twist agree in even degrees, so only a check at an odd
+    # degree tells them apart
+    real = Series.signed
+
+    def signed(self, signs):
+        return real(self, series.OMEGA if signs == series.TWIST else signs)
+
+    monkeypatch.setattr(Series, "signed", signed)
+    with pytest.raises(AssertionError):
+        test_series.test_signed_multiplies_each_term_by_its_sign()
+    with pytest.raises(AssertionError):
+        test_series.test_derived_keys_match_their_definitions(3)
 
 
 def _verdict_rule(tie, integral=True):

@@ -1,10 +1,11 @@
 import json
 import pathlib
 from collections import Counter
+from functools import partial
 
 import pytest
 
-from plethy import lie_family, registry, series
+from plethy import lie_family, registry, series, theorems
 from plethy.registry import (
     IdentityReport,
     registry_ids,
@@ -305,6 +306,81 @@ def test_sources_refuse_a_key_outside_the_formats(key):
     with pytest.raises(KeyError):
         ctx.get(key)
     assert ctx._memo == {}
+
+
+def _compose(*rules: tuple) -> tuple:
+    """The sign rules (a, b, c, d) of Series.signed applied one after another:
+    their exponents summed mod 2."""
+    return tuple(sum(x) % 2 for x in zip(*rules))
+
+
+def _expanded(key) -> tuple:
+    """(source, signs): the key reached from key by following its recipe
+    while that is a sign rule, partial(series._sign_rule, rule) over one
+    source, and the composition of the rules passed on the way."""
+    signs = (0, 0, 0, 0)
+    srcs, build = series._recipe(key)
+    while isinstance(build, partial) and build.func is series._sign_rule:
+        (key,) = srcs
+        signs = _compose(signs, build.args[0])
+        srcs, build = series._recipe(key)
+    return key, signs
+
+
+def _key_comparisons() -> list[tuple]:
+    """(id, lhs, rhs, signs) for each comparison of two memo keys: lhs against
+    rhs under the theorem-side sign rule signs.  The ten of each
+    META-PRODUCTS entry come from theorems._meta_forms; the two GE2 entries
+    compare the alternating length sum of lhs with the degree parts of rhs."""
+    none = (0, 0, 0, 0)
+    out = [
+        ("EQUIV-PBW-ALTEXT-GE2", ("E", "lie_ge2"), "kappa", none),
+        ("EQUIV-LIE2-GE2", ("H", "lie2_ge2"), "omega_kappa", none),
+    ]
+    for fam, psi in theorems._PSI.items():
+        id = f"META-PRODUCTS-{psi.name.upper().replace('_', '')}"
+        for outer, brackets, form in theorems._meta_forms(fam):
+            if brackets:
+                out.append((id, outer, brackets, series.OMEGA if brackets[3] else none))
+            out.append((id, outer, form, none))
+    return out
+
+
+def test_each_key_comparison_reaches_two_expanded_sources():
+    """Each identity that compares two memo keys compares two computations.
+
+    Followed through the sign rules of their recipes, the two keys of every
+    comparison reach two different expanded sources.  A comparison whose
+    two sources and composed sign are those of an earlier one restates it;
+    the six restatements are pinned: in each family, ("Hpm", F) against
+    "hpm" restates ("H", F) against "sym", and ("Epm", F) against "epm"
+    restates ("E", F) against "ext".
+
+    The audit reads memo keys only.  EQUIV-PBW-HODGE and EQUIV-LIE2-HODGE
+    also compare their outer power with the product (1-p1)^-1 gen^+-, built
+    by Series.__mul__, which restates their closed form, the sum of
+    (-1)^k p1^(n-k) gen_k; no audit over keys can see that.
+    """
+    comparisons = _key_comparisons()
+    assert len(comparisons) == 32
+    facts, restated = {}, []
+    for id, lhs, rhs, signs in comparisons:
+        assert {lhs, rhs} <= registry._entry(id).reads, (id, lhs, rhs)
+        (a, sa), (b, sb) = _expanded(lhs), _expanded(rhs)
+        assert a != b, f"{id}: {lhs} and {rhs} both reach {a}"
+        fact = (frozenset((a, b)), _compose(sa, sb, signs))
+        if fact in facts:
+            restated.append((facts[fact], (lhs, rhs)))
+        else:
+            facts[fact] = (lhs, rhs)
+    pinned = []
+    for fam, psi in theorems._PSI.items():
+        w = psi.name
+        pinned += [
+            ((("E", fam), ("product", w, "ext")), (("Epm", fam), ("product", w, "epm"))),
+            ((("H", fam), ("product", w, "sym")), (("Hpm", fam), ("product", w, "hpm"))),
+        ]
+    assert restated == pinned
 
 
 def test_a_misspelt_read_fails_at_registration():

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -152,8 +154,8 @@ VARIANTS = tuple(series_oracle.PRODUCT_VARIANTS)
 
 @pytest.mark.parametrize("cap", range(1, 11))
 def test_product_form_matches_oracle(cap):
-    # two variants are expanded and four derived from them by slot maps; the
-    # oracle multiplies out all six directly
+    # two variants are expanded and four derived from them by sign rules;
+    # the oracle multiplies out all six directly
     ctx = SeriesContext(cap)
     for psi in PSIS:
         for variant in VARIANTS:
@@ -237,6 +239,77 @@ def test_apply_series_matches_oracle(cap):
             _same_series(ctx.get((kind, name)), want, (name, kind))
             signed = series_oracle.negate_odd_lengths(want)
             _same_series(ctx.get((kind + "pm", name)), signed, (name, kind + "pm"))
+
+
+def _termwise(S: Series, sign) -> Series:
+    """S with each term x p_lam of slot (n, r) times sign(n, r, lam), one
+    term at a time."""
+    graded = {
+        (n, r): SymFunc({lam: sign(n, r, lam) * x for lam, x in S.graded(n, r).items()})
+        for n, r in S.graded_keys()
+    }
+    return Series(S.cap, graded=graded)
+
+
+def _twist(n, r, lam):
+    return (-1) ** len(lam)  # p_m -> -p_m
+
+
+# each named sign rule of plethy.series, as the sign of the term at p_lam in slot (n, r)
+SIGN_DEFINITIONS = {
+    "V_FLIP": lambda n, r, lam: (-1) ** r,  # v -> -v
+    "CORANK": lambda n, r, lam: (-1) ** (n - r),  # the bracket of lam sits in (|lam|, l(lam))
+    "TWIST": _twist,
+    "OMEGA": lambda n, r, lam: (-1) ** (sum(lam) - len(lam)),
+    "ALT": lambda n, r, lam: -_twist(n, r, lam),
+}
+
+
+def test_signed_multiplies_each_term_by_its_sign():
+    rng = random.Random(7)
+    cap = 6
+    graded = {}
+    for n in range(cap + 1):
+        for r in range(n + 1):
+            terms = {lam: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for lam in partitions_of(n)}
+            graded[n, r] = SymFunc(terms)
+    S = Series(cap, graded=graded)
+    for a, b, c, d in itertools.product((0, 1), repeat=4):
+        want = _termwise(S, lambda n, r, lam: (-1) ** (a * n + b * r + c * len(lam) + d))
+        _same_series(S.signed((a, b, c, d)), want, (a, b, c, d))
+    for name, sign in SIGN_DEFINITIONS.items():
+        _same_series(S.signed(getattr(series, name)), _termwise(S, sign), name)
+
+
+@pytest.mark.parametrize("cap", range(1, 9))
+def test_derived_keys_match_their_definitions(cap):
+    # each key that _recipe states as a sign rule of another, against its
+    # definition applied term by term to that other key's value
+    ctx = SeriesContext(cap)
+    for name in ORACLE_FAMILIES:
+        for kind in ("H", "E"):
+            want = series_oracle.negate_odd_lengths(ctx.get((kind, name)))
+            _same_series(ctx.get((kind + "pm", name)), want, (kind + "pm", name))
+            want = _termwise(ctx.get(("brackets", kind, name, False)), SIGN_DEFINITIONS["CORANK"])
+            _same_series(ctx.get(("brackets", kind, name, True)), want, ("brackets", kind, name))
+    for name in ("lie", "lie2", "conj"):
+        F = ctx.get(name)
+        want = Series(cap, {n: F.coeff(n).omega().scale((-1) ** (n - 1)) for n in range(1, cap + 1)})
+        _same_series(ctx.get(name + "_alt"), want, name + "_alt")
+    for psi in PSIS:
+        sym, epm = (ctx.get(("product", psi.name, v)) for v in ("sym", "epm"))
+        hpm = series_oracle.negate_odd_lengths(sym)
+        wants = {
+            "hpm": hpm,
+            "ext": series_oracle.negate_odd_lengths(epm),
+            "alt_sym": _termwise(hpm, _twist),
+            "alt_ext": _termwise(epm, _twist),
+        }
+        for variant, want in wants.items():
+            _same_series(ctx.get(("product", psi.name, variant)), want, (psi.name, variant))
+    kappa = ctx.get("kappa")
+    want = Series(cap, {n: kappa.coeff(n).omega() for n in range(cap + 1)})
+    _same_series(ctx.get("omega_kappa"), want, "omega_kappa")
 
 
 @pytest.mark.parametrize(
